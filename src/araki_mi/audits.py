@@ -32,6 +32,8 @@ def thread_budget() -> int:
 
 
 def _run_trials(fn: Callable[[np.random.Generator, int], dict], trials: int, seed: int) -> list[dict]:
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     seeds = np.random.SeedSequence(seed).spawn(trials)
     workers = thread_budget()
     if workers == 1:

@@ -48,6 +48,8 @@ def _load_json_arg(inline: str | None, path: str | None, flag: str):
 def _interval_config(args) -> fermion.IntervalConfig:
     if args.input:
         payload = _load_json_arg(None, args.input, "--input")
+        if not isinstance(payload, dict):
+            raise ValueError('--input must hold a JSON object {"intervals": ...}')
         intervals = payload["intervals"]
         resolution = payload.get("resolution", args.resolution)
         components = payload.get("components", args.components)
@@ -55,8 +57,7 @@ def _interval_config(args) -> fermion.IntervalConfig:
         intervals = _load_json_arg(args.intervals, None, "--intervals")
         resolution = args.resolution
         components = args.components
-    return fermion.IntervalConfig(intervals=tuple(tuple(iv) for iv in intervals),
-                                  resolution=resolution, components=components)
+    return fermion.IntervalConfig(intervals=intervals, resolution=resolution, components=components)
 
 
 def cmd_mi(args) -> int:
@@ -110,7 +111,7 @@ def cmd_embed(args) -> int:
     gram_payload = _load_json_arg(args.gram, args.input, "--gram")
     if isinstance(gram_payload, dict):
         gram_payload = gram_payload["gram"]
-    g = lattice.GramMatrix(tuple(tuple(row) for row in gram_payload))
+    g = lattice.GramMatrix(gram_payload)
     emb = lattice.embed_rational(g)
     k, int_rows = lattice.integralize(emb)
     payload = {

@@ -25,7 +25,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .operators import HermitianOperator, OrthoProjection
+from .operators import HERMITICITY_TOL, HermitianOperator, OrthoProjection
 
 SPECTRUM_SLACK = 1e-9
 HARD_SPECTRUM_SLACK = 1e-8
@@ -42,19 +42,24 @@ class IntervalConfig:
     components: int = 1     # fermion multiplicity; MI scales linearly
 
     def __post_init__(self):
-        ivs = tuple((float(a), float(b)) for a, b in self.intervals)
+        try:
+            ivs = tuple((float(a), float(b)) for a, b in self.intervals)
+        except TypeError as exc:
+            raise ValueError(f"intervals must be [a, b] pairs of numbers ({exc})") from None
         object.__setattr__(self, "intervals", ivs)
         if len(ivs) < 2:
             raise ValueError("need at least two intervals")
         for a, b in ivs:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"interval ({a}, {b}) has a non-finite endpoint")
             if not a < b:
                 raise ValueError(f"empty interval ({a}, {b})")
         ordered = sorted(ivs)
         for (a1, b1), (a2, b2) in zip(ordered, ordered[1:]):
             if b1 >= a2:
                 raise ValueError("intervals must have disjoint closures")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise ValueError("resolution must be positive and finite")
         if not 1 <= self.split < len(ivs):
             raise ValueError("split must leave both regions nonempty")
         if self.components < 1:
@@ -75,9 +80,10 @@ class IntervalConfig:
 @dataclass
 class CovarianceSystem:
     c: HermitianOperator
-    p1: OrthoProjection
+    p1: OrthoProjection     # coordinate masks of the two regions
     p2: OrthoProjection
     site_map: Dict[int, Tuple[int, int]]  # interval index -> (start, count) in global sites
+    sites: np.ndarray       # integer lattice site of each row of c
 
 
 @dataclass
@@ -135,7 +141,7 @@ def build_covariance(config: IntervalConfig) -> CovarianceSystem:
         region1.extend(range(s, s + n))
     p1 = OrthoProjection.from_mask(dim, region1)
     p2 = p1.complement()
-    return CovarianceSystem(c=c, p1=p1, p2=p2, site_map=site_map)
+    return CovarianceSystem(c=c, p1=p1, p2=p2, site_map=site_map, sites=sites)
 
 
 def _binary_entropy_sum(eigs: np.ndarray) -> float:
@@ -150,42 +156,44 @@ def _binary_entropy_sum(eigs: np.ndarray) -> float:
     return total
 
 
-def _xlx_plus(eigs: np.ndarray) -> np.ndarray:
-    w = np.clip(eigs, 0.0, 1.0)
-    out = np.zeros_like(w)
-    for i, x in enumerate(w):
-        if 0.0 < x:
-            out[i] += x * math.log(x)
-        if x < 1.0:
-            out[i] += (1.0 - x) * math.log(1.0 - x)
-    return out
+def _sublattice_entropy(m: np.ndarray, sites: np.ndarray) -> float:
+    """Entropy sum h(spec m) from the singular values of the even-odd block.
+
+    The Hardy kernel couples only sites of opposite parity, so with the rows
+    split by site parity m = [[I/2, B], [B^H, I/2]] and spec m = 1/2 +- svd(B),
+    padded with |n_even - n_odd| eigenvalues 1/2 (entropy ln 2 each).
+    """
+    even = sites % 2 == 0
+    e, o = np.flatnonzero(even), np.flatnonzero(~even)
+    defect = math.hypot(np.linalg.norm(m[np.ix_(e, e)] - 0.5 * np.eye(e.size)),
+                        np.linalg.norm(m[np.ix_(o, o)] - 0.5 * np.eye(o.size)))
+    if defect > HERMITICITY_TOL * max(1.0, float(np.linalg.norm(m))):
+        raise ArithmeticError(f"covariance breaks the sublattice structure (defect {defect:.3e})")
+    s = np.linalg.svd(m[np.ix_(e, o)], compute_uv=False)
+    return 2.0 * _binary_entropy_sum(0.5 + s) + abs(e.size - o.size) * math.log(2.0)
 
 
 def sigma_trace(sys: CovarianceSystem) -> float:
-    """Tr sigma_C, computed two ways (blockwise matrix trace and entropy sums)."""
+    """Tr sigma_C = S_1 + S_2 - S_12, computed by two independent routes.
+
+    The returned value takes S_12 from the Hermitian eigensolve of C and S_X
+    from `eigvalsh` of each region block.  The check recomputes all three
+    entropies from half-size singular value decompositions
+    (`_sublattice_entropy`), which share no factorization with the first route.
+    """
     c = sys.c
-    # path 1: assemble sigma per its definition and take traces
-    f_full = c.apply(_xlx_plus)
-    path1 = 0.0
-    for p in (sys.p1, sys.p2):
-        basis = p.range_basis()
-        comp = basis.conj().T @ c.mat @ basis
-        block = HermitianOperator(comp)
-        f_block = block.apply(_xlx_plus)
-        path1 += float(np.real(np.trace(basis.conj().T @ f_full @ basis))) - float(np.real(np.trace(f_block)))
-    # path 2: S_1 + S_2 - S_12 from eigenvalue entropies
+    regions = [np.asarray(p.mask, dtype=int) for p in (sys.p1, sys.p2)]
+    blocks = [c.mat[np.ix_(idx, idx)] for idx in regions]
     s12 = _binary_entropy_sum(c.eigenvalues)
-    s_blocks = []
-    for p in (sys.p1, sys.p2):
-        basis = p.range_basis()
-        comp = basis.conj().T @ c.mat @ basis
-        s_blocks.append(_binary_entropy_sum(np.linalg.eigvalsh(comp)))
-    path2 = s_blocks[0] + s_blocks[1] - s12
-    if abs(path1 - path2) > TWO_PATH_TOL * max(1.0, abs(path2)):
-        raise ArithmeticError(f"sigma trace paths disagree: {path1} vs {path2}")
-    if path2 < -SPECTRUM_SLACK:
-        raise ArithmeticError(f"negative mutual information {path2}")
-    return path2
+    s_blocks = [_binary_entropy_sum(np.linalg.eigvalsh(block)) for block in blocks]
+    value = s_blocks[0] + s_blocks[1] - s12
+    check = (sum(_sublattice_entropy(block, sys.sites[idx]) for block, idx in zip(blocks, regions))
+             - _sublattice_entropy(c.mat, sys.sites))
+    if abs(check - value) > TWO_PATH_TOL * max(1.0, abs(value)):
+        raise ArithmeticError(f"sigma trace routes disagree: eigensolve {value} vs sublattice SVD {check}")
+    if value < -SPECTRUM_SLACK:
+        raise ArithmeticError(f"negative mutual information {value}")
+    return value
 
 
 def mutual_information_value(config: IntervalConfig) -> float:
@@ -210,9 +218,10 @@ def _windowed_system(sys: CovarianceSystem, fraction: float) -> tuple[Covariance
         offset += w
     keep_arr = np.asarray(keep, dtype=int)
     c_w = HermitianOperator(sys.c.mat[np.ix_(keep_arr, keep_arr)])
-    region1 = [j for j, site in enumerate(keep) if sys.p1.mat[site, site].real > 0.5]
-    p1 = OrthoProjection.from_mask(len(keep), region1)
-    return CovarianceSystem(c=c_w, p1=p1, p2=p1.complement(), site_map=site_map), len(keep)
+    inside = set(sys.p1.mask)
+    p1 = OrthoProjection.from_mask(len(keep), [j for j, row in enumerate(keep) if row in inside])
+    return CovarianceSystem(c=c_w, p1=p1, p2=p1.complement(), site_map=site_map,
+                            sites=sys.sites[keep_arr]), len(keep)
 
 
 def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) -> MISeries:

@@ -29,7 +29,10 @@ class GramMatrix:
     entries: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        try:
+            rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        except TypeError as exc:
+            raise ValueError(f"Gram matrix must be a list of integer rows ({exc})") from None
         object.__setattr__(self, "entries", rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):

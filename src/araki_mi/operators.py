@@ -67,44 +67,63 @@ class HermitianOperator:
 
 
 class OrthoProjection:
-    """Orthogonal projection, either a coordinate-block mask or a general idempotent."""
+    """Orthogonal projection, either a coordinate-block mask or a general idempotent.
 
-    def __init__(self, mat, mask: Optional[tuple] = None):
+    A mask projection keeps only its sorted index tuple; its dense matrix is
+    built on first access to `mat`.
+    """
+
+    def __init__(self, mat):
         m = _square_complex(mat)
         scale = max(1.0, float(np.linalg.norm(m)))
         if np.linalg.norm(m - m.conj().T) > HERMITICITY_TOL * scale:
             raise ValueError("projection is not Hermitian")
         if np.linalg.norm(m @ m - m) > 1e-12 * scale:
             raise ValueError("projection is not idempotent")
-        self.mat = 0.5 * (m + m.conj().T)
+        self._mat: Optional[np.ndarray] = 0.5 * (m + m.conj().T)
         self.dim = m.shape[0]
-        self.mask = mask
+        self.mask: Optional[tuple] = None
+
+    @classmethod
+    def _of_mask(cls, dim: int, idx: tuple) -> "OrthoProjection":
+        # A diagonal 0/1 matrix is Hermitian and idempotent by construction.
+        p = cls.__new__(cls)
+        p._mat, p.dim, p.mask = None, dim, idx
+        return p
 
     @classmethod
     def from_mask(cls, dim: int, indices: Iterable[int]) -> "OrthoProjection":
         idx = tuple(sorted(set(int(i) for i in indices)))
         if idx and (idx[0] < 0 or idx[-1] >= dim):
             raise ValueError("mask indices out of range")
-        m = np.zeros((dim, dim), dtype=complex)
-        for i in idx:
-            m[i, i] = 1.0
-        return cls(m, mask=idx)
+        return cls._of_mask(dim, idx)
+
+    @property
+    def mat(self) -> np.ndarray:
+        if self._mat is None:
+            idx = np.asarray(self.mask, dtype=int)
+            m = np.zeros((self.dim, self.dim), dtype=complex)
+            m[idx, idx] = 1.0
+            self._mat = m
+        return self._mat
 
     def complement(self) -> "OrthoProjection":
-        mask = None
         if self.mask is not None:
-            mask = tuple(i for i in range(self.dim) if i not in self.mask)
-        return OrthoProjection(np.eye(self.dim) - self.mat, mask=mask)
+            inside = set(self.mask)
+            return OrthoProjection._of_mask(self.dim, tuple(i for i in range(self.dim) if i not in inside))
+        return OrthoProjection(np.eye(self.dim) - self.mat)
 
     def rank(self) -> int:
+        if self.mask is not None:
+            return len(self.mask)
         return int(round(float(np.real(np.trace(self.mat)))))
 
     def range_basis(self) -> np.ndarray:
         """Orthonormal basis of the range, as columns."""
         if self.mask is not None:
-            b = np.zeros((self.dim, len(self.mask)), dtype=complex)
-            for col, i in enumerate(self.mask):
-                b[i, col] = 1.0
+            idx = np.asarray(self.mask, dtype=int)
+            b = np.zeros((self.dim, idx.size), dtype=complex)
+            b[idx, np.arange(idx.size)] = 1.0
             return b
         w, u = np.linalg.eigh(self.mat)
         return u[:, w > 0.5]

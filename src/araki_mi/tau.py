@@ -23,9 +23,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .operators import HermitianOperator, OrthoProjection, commutator_norm
+
+# scipy.integrate is imported inside the three quadrature functions: importing
+# it takes about 0.5 s, which every command would otherwise pay at start-up.
 
 PSD_TOL = 1e-10
 XLOGX_CLAMP = 1e-8
@@ -116,6 +118,8 @@ def tau_integral(a: HermitianOperator, p: OrthoProjection, tol: float = 1e-8) ->
         m = resolvent_integrand(a, b, p, t) / (1.0 - s) ** 2
         return np.concatenate([m.real.ravel(), m.imag.ravel()])
 
+    from scipy.integrate import quad_vec
+
     y, err = quad_vec(f, 0.0, 1.0, epsabs=tol, epsrel=0.0, quadrature="gk21")
     if err > 100 * max(tol, 1e-12):
         raise ConvergenceError(f"tau quadrature residual {err:.3e} exceeds budget", residual=float(err))
@@ -203,6 +207,8 @@ def truncated_trace(a: HermitianOperator, p: OrthoProjection, eps: float,
         m = resolvent_integrand(a, b, p, t)
         return np.concatenate([m.real.ravel(), m.imag.ravel()])
 
+    from scipy.integrate import quad_vec
+
     y, err = quad_vec(f, eps, 1.0, epsabs=tol, epsrel=0.0, quadrature="gk21")
     if err > 100 * max(tol, 1e-12):
         raise ConvergenceError(f"D_eps quadrature residual {err:.3e} exceeds budget", residual=float(err))
@@ -238,6 +244,8 @@ def tail_integral_identity_gap(a: HermitianOperator, p: OrthoProjection, tol: fl
         t = 1.0 / u
         m = resolvent_integrand(a, b, p, t) / u**2
         return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+    from scipy.integrate import quad_vec
 
     y, err = quad_vec(f, 0.0, 1.0, epsabs=tol, epsrel=0.0, quadrature="gk21")
     if err > 100 * tol:

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import araki_mi
 from araki_mi.cli import main
 from araki_mi.fermion import IntervalConfig, mi_convergence
 from araki_mi.report import AuditReport, canonical_json, csv_lines
@@ -11,6 +15,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_usage_error(capsys, *argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
 
 
 class TestMICommand:
@@ -39,6 +49,17 @@ class TestMICommand:
         code, _, err = run(capsys, "mi", "--intervals", "[[0,1],[0.5,2]]")
         assert code == 2
         assert "usage" in err
+
+    def test_non_list_intervals_usage_error(self, capsys):
+        assert_usage_error(capsys, "mi", "--intervals", "5")
+
+    def test_infinite_endpoint_usage_error(self, capsys):
+        assert_usage_error(capsys, "mi", "--intervals", "[[0,1],[2,Infinity]]")
+
+    def test_non_object_input_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[[0, 1], [2, 3]]")
+        assert_usage_error(capsys, "mi", "--input", str(cfg))
 
 
 class TestConvergeCommand:
@@ -74,6 +95,9 @@ class TestAuditCommands:
         assert code == 0
         assert all(rep["violations"] == 0 for rep in json.loads(out))
 
+    def test_negative_trials_usage_error(self, capsys):
+        assert_usage_error(capsys, "fan-audit", "--trials", "-1")
+
 
 class TestEmbedCommand:
     def test_a2_inline(self, capsys):
@@ -95,6 +119,18 @@ class TestEmbedCommand:
     def test_non_pd_rejected(self, capsys):
         code, _, err = run(capsys, "embed", "--gram", "[[1,2],[2,1]]")
         assert code == 2
+
+    def test_non_list_gram_usage_error(self, capsys):
+        assert_usage_error(capsys, "embed", "--gram", "5")
+
+
+class TestStartup:
+    def test_import_defers_scipy_integrate(self):
+        src = str(Path(araki_mi.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import araki_mi.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestReportHelpers:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from araki_mi import fermion
+from araki_mi.cli import main
 from araki_mi.fermion import (
     CovarianceSystem,
     IntervalConfig,
@@ -25,7 +26,8 @@ STANDARD = ((0.0, 1.0), (2.0, 3.0))
 def toy_system(offdiag: complex) -> CovarianceSystem:
     c = HermitianOperator([[0.5, offdiag], [np.conj(offdiag), 0.5]])
     p1 = OrthoProjection.from_mask(2, [0])
-    return CovarianceSystem(c=c, p1=p1, p2=p1.complement(), site_map={0: (0, 1), 1: (1, 1)})
+    return CovarianceSystem(c=c, p1=p1, p2=p1.complement(), site_map={0: (0, 1), 1: (1, 1)},
+                            sites=np.array([0, 1]))
 
 
 class TestIntervalConfig:
@@ -71,7 +73,8 @@ class TestSigmaTrace:
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
         pm, qm = sys.p1.mat, sys.p2.mat
         pinched = HermitianOperator(pm @ sys.c.mat @ pm + qm @ sys.c.mat @ qm)
-        blocked = CovarianceSystem(c=pinched, p1=sys.p1, p2=sys.p2, site_map=sys.site_map)
+        blocked = CovarianceSystem(c=pinched, p1=sys.p1, p2=sys.p2, site_map=sys.site_map,
+                                   sites=sys.sites)
         assert sigma_trace(blocked) == pytest.approx(0.0, abs=1e-10)
 
     def test_toy_half_offdiagonal(self):
@@ -92,6 +95,61 @@ class TestSigmaTrace:
         base = mutual_information_value(IntervalConfig(intervals=STANDARD, resolution=16))
         tripled = mutual_information_value(IntervalConfig(intervals=STANDARD, resolution=16, components=3))
         assert tripled == pytest.approx(3 * base, abs=1e-12)
+
+
+class TestSublatticeCrossCheck:
+    # site sets with n_even == n_odd, n_even > n_odd and n_even < n_odd
+    SITE_SETS = [np.arange(0, 8), np.arange(0, 7), np.r_[np.arange(-3, 2), np.arange(5, 9)]]
+
+    @pytest.mark.parametrize("sites", SITE_SETS)
+    def test_spectrum_matches_eigvalsh(self, sites):
+        m = hardy_kernel(sites)
+        even = sites % 2 == 0
+        s = np.linalg.svd(m[np.ix_(even, ~even)], compute_uv=False)
+        pad = abs(int(even.sum()) - int((~even).sum()))
+        spectrum = np.sort(np.concatenate([0.5 + s, 0.5 - s, np.full(pad, 0.5)]))
+        assert np.max(np.abs(spectrum - np.linalg.eigvalsh(m))) <= 1e-12
+        expected = fermion._binary_entropy_sum(np.linalg.eigvalsh(m))
+        assert fermion._sublattice_entropy(m, sites) == pytest.approx(expected, abs=1e-12)
+
+    def test_broken_parity_structure_raises(self):
+        sites = np.arange(0, 6)
+        m = hardy_kernel(sites)
+        m[0, 2] = m[2, 0] = 1e-6
+        with pytest.raises(ArithmeticError, match="sublattice"):
+            fermion._sublattice_entropy(m, sites)
+        with pytest.raises(ArithmeticError, match="sublattice"):
+            fermion._sublattice_entropy(hardy_kernel(sites), 2 * sites)
+        sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
+        sys.sites = 2 * sys.sites
+        with pytest.raises(ArithmeticError, match="sublattice"):
+            sigma_trace(sys)
+
+    def test_perturbed_eigensolve_is_caught(self, monkeypatch):
+        sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
+        eigvalsh = np.linalg.eigvalsh
+        # shrink the region spectra toward 1/2: still inside [0, 1], wrong entropy
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: 0.5 + (eigvalsh(m) - 0.5) * (1 - 1e-6))
+        with pytest.raises(ArithmeticError, match="disagree"):
+            sigma_trace(sys)
+
+    # canonical stdout (numpy 2.4.6, OpenBLAS 0.3.31); a change to the cross-check must keep it byte-identical
+    GOLDEN = {
+        ("mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "32"):
+            '{"extrapolated":0.095824058326393846,"extrapolation_error":0.045378173136537026,'
+            '"mi_nats":0.095824058326393846,"series":[{"value":0.0051757376952479284,"window":16},'
+            '{"value":0.021440783289491616,"window":32},{"value":0.050445885189856821,"window":48},'
+            '{"value":0.095824058326393846,"window":64}]}\n',
+        ("converge", "--intervals", "[[0,1],[2,3]]", "--resolutions", "16,32,64"):
+            '{"extrapolated":0.09589399472689196,"resolutions":[16,32,64],'
+            '"uncertainty":1.7456640411180436e-05,'
+            '"values":[0.095613809078369361,0.095824058326393846,0.095876538086480778]}\n',
+    }
+
+    @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])
+    def test_canonical_output_unchanged(self, capsys, argv):
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == self.GOLDEN[argv]
 
 
 class TestMIConvergence:
