@@ -2,16 +2,13 @@
 
 Each audit runs seeded random instances through one of the proved operator
 inequalities and reports the violation count and the worst margin (positive
-margin = slack, negative = violation).  ARAKI_MI_THREADS caps the worker
-count; results are assembled in trial order so the report is deterministic
-for a fixed seed.
+margin = slack, negative = violation).  Every trial draws from its own
+spawned RNG stream, so the report is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,23 +21,11 @@ DEFAULT_T_SAMPLES = (1e-3, 1e-2, 0.1, 1.0, 10.0)
 AUDIT_TOL = 1e-9
 
 
-def thread_budget() -> int:
-    try:
-        return max(1, int(os.environ.get("ARAKI_MI_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _run_trials(fn: Callable[[np.random.Generator, int], dict], trials: int, seed: int) -> list[dict]:
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     seeds = np.random.SeedSequence(seed).spawn(trials)
-    workers = thread_budget()
-    if workers == 1:
-        return [fn(np.random.default_rng(s), i) for i, s in enumerate(seeds)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda args: fn(np.random.default_rng(args[1]), args[0]),
-                             enumerate(seeds)))
+    return [fn(np.random.default_rng(s), i) for i, s in enumerate(seeds)]
 
 
 def _summarize(suite: str, rows: list[dict], tol: float = AUDIT_TOL) -> AuditReport:

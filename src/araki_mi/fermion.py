@@ -25,11 +25,11 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .operators import HERMITICITY_TOL, HermitianOperator, OrthoProjection
+from .operators import ENTROPY_SLACK, HERMITICITY_TOL, HermitianOperator, OrthoProjection, xlogx
 
 SPECTRUM_SLACK = 1e-9
-HARD_SPECTRUM_SLACK = 1e-8
 TWO_PATH_TOL = 1e-9
+MAX_SITES = 4096        # dense n x n complex matrices: 256 MiB each at the limit
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,10 @@ class MISeries:
 
 
 def _site_blocks(config: IntervalConfig) -> list[Tuple[int, int]]:
-    blocks = []
-    for a, b in config.intervals:
-        start = int(round(a * config.resolution))
-        count = max(2, int(round((b - a) * config.resolution)))
-        blocks.append((start, count))
+    counts = [max(2, int(round((b - a) * config.resolution))) for a, b in config.intervals]
+    if sum(counts) > MAX_SITES:
+        raise ValueError(f"{sum(counts)} lattice sites exceed the limit of {MAX_SITES}; lower the resolution")
+    blocks = [(int(round(a * config.resolution)), n) for (a, _), n in zip(config.intervals, counts)]
     ordered = sorted(blocks)
     for (s1, c1), (s2, _) in zip(ordered, ordered[1:]):
         if s2 < s1 + c1 + 1:
@@ -146,14 +145,13 @@ def build_covariance(config: IntervalConfig) -> CovarianceSystem:
 
 def _binary_entropy_sum(eigs: np.ndarray) -> float:
     w = np.asarray(eigs, dtype=float)
-    if w.size and (w.min() < -HARD_SPECTRUM_SLACK or w.max() > 1.0 + HARD_SPECTRUM_SLACK):
+    if w.size and (w.min() < -ENTROPY_SLACK or w.max() > 1.0 + ENTROPY_SLACK):
         raise ArithmeticError(f"eigenvalue outside [0, 1]: range [{w.min()}, {w.max()}]")
     w = np.clip(w, 0.0, 1.0)
-    total = 0.0
-    for x in w:
-        if 0.0 < x < 1.0:
-            total += -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
-    return total
+    terms = -(xlogx(w) + xlogx(1.0 - w))
+    # Summed strictly left to right from +0.0, not pairwise: the reported
+    # digits of every mutual information depend on this order.
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
 
 
 def _sublattice_entropy(m: np.ndarray, sites: np.ndarray) -> float:

@@ -30,8 +30,8 @@ class GramMatrix:
 
     def __post_init__(self):
         try:
-            rows = tuple(tuple(int(x) for x in row) for row in self.entries)
-        except TypeError as exc:
+            rows = tuple(tuple(_integer(x) for x in row) for row in self.entries)
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"Gram matrix must be a list of integer rows ({exc})") from None
         object.__setattr__(self, "entries", rows)
         n = len(rows)
@@ -49,6 +49,13 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
+
+
+def _integer(x) -> int:
+    i = int(x)
+    if i != x:
+        raise ValueError(f"Gram entry {x!r} is not an integer")
+    return i
 
 
 def integer_determinant(m: Sequence[Sequence[int]]) -> int:

@@ -8,6 +8,7 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 RECOMPOSITION_TOL = 1e-9
+ENTROPY_SLACK = 1e-8
 
 
 def _square_complex(mat) -> np.ndarray:
@@ -17,17 +18,34 @@ def _square_complex(mat) -> np.ndarray:
     return m
 
 
+def hermitian_matrix(mat, what: str = "matrix") -> np.ndarray:
+    """Square complex matrix, symmetrised; ValueError unless Hermitian to HERMITICITY_TOL."""
+    m = _square_complex(mat)
+    defect = np.linalg.norm(m - m.conj().T)
+    if defect > HERMITICITY_TOL * max(1.0, float(np.linalg.norm(m))):
+        raise ValueError(f"{what} is not Hermitian (defect {defect:.3e})")
+    return 0.5 * (m + m.conj().T)
+
+
+def xlogx(w) -> np.ndarray:
+    """Elementwise w ln w with 0 ln 0 := 0, the kernel of every entropy here.
+
+    Entries in [-ENTROPY_SLACK, 0] are rounding noise and give 0; a more
+    negative entry raises ArithmeticError.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.size and w.min() < -ENTROPY_SLACK:
+        raise ArithmeticError(f"eigenvalue {w.min():.3e} below the x ln x slack")
+    pos = w > 0.0
+    return np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0)
+
+
 class HermitianOperator:
     """A Hermitian matrix together with its (lazily computed) eigendecomposition."""
 
     def __init__(self, mat):
-        m = _square_complex(mat)
-        scale = max(1.0, float(np.linalg.norm(m)))
-        defect = np.linalg.norm(m - m.conj().T)
-        if defect > HERMITICITY_TOL * scale:
-            raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-        self.mat = 0.5 * (m + m.conj().T)
-        self.dim = m.shape[0]
+        self.mat = hermitian_matrix(mat)
+        self.dim = self.mat.shape[0]
         self._w: Optional[np.ndarray] = None
         self._u: Optional[np.ndarray] = None
 
@@ -74,13 +92,10 @@ class OrthoProjection:
     """
 
     def __init__(self, mat):
-        m = _square_complex(mat)
-        scale = max(1.0, float(np.linalg.norm(m)))
-        if np.linalg.norm(m - m.conj().T) > HERMITICITY_TOL * scale:
-            raise ValueError("projection is not Hermitian")
-        if np.linalg.norm(m @ m - m) > 1e-12 * scale:
+        m = hermitian_matrix(mat, "projection")
+        if np.linalg.norm(m @ m - m) > 1e-12 * max(1.0, float(np.linalg.norm(m))):
             raise ValueError("projection is not idempotent")
-        self._mat: Optional[np.ndarray] = 0.5 * (m + m.conj().T)
+        self._mat: Optional[np.ndarray] = m
         self.dim = m.shape[0]
         self.mask: Optional[tuple] = None
 

@@ -24,13 +24,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .operators import HermitianOperator, OrthoProjection, commutator_norm
-
-# scipy.integrate is imported inside the three quadrature functions: importing
-# it takes about 0.5 s, which every command would otherwise pay at start-up.
+from .operators import HermitianOperator, OrthoProjection, commutator_norm, xlogx
 
 PSD_TOL = 1e-10
-XLOGX_CLAMP = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -46,14 +42,27 @@ def _require_psd(a: HermitianOperator) -> None:
         raise ValueError(f"operator is not PSD (min eigenvalue {a.min_eigenvalue():.3e})")
 
 
-def _xlogx(w: np.ndarray) -> np.ndarray:
-    if np.min(w) < -XLOGX_CLAMP:
-        raise ValueError(f"eigenvalue {np.min(w):.3e} below x ln x clamp")
-    w = np.clip(w, 0.0, None)
-    out = np.zeros_like(w)
-    pos = w > 0.0
-    out[pos] = w[pos] * np.log(w[pos])
-    return out
+def _integrate_matrix(f: Callable[[float], np.ndarray], dim: int, lo: float, hi: float,
+                      tol: float, budget: float, what: str) -> tuple[np.ndarray, float]:
+    """Adaptive Gauss-Kronrod quadrature of a complex dim x dim matrix function.
+
+    Returns (integral, error estimate); ConvergenceError if the estimate
+    exceeds `budget`.
+    """
+    # Imported here: scipy.integrate takes about 0.5 s to import, which every
+    # command would otherwise pay at start-up.
+    from scipy.integrate import quad_vec
+
+    def flat(x: float) -> np.ndarray:
+        m = f(x)
+        return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+    y, err = quad_vec(flat, lo, hi, epsabs=tol, epsrel=0.0, quadrature="gk21")
+    err = float(err)
+    if err > budget:
+        raise ConvergenceError(f"{what} quadrature residual {err:.3e} exceeds budget", residual=err)
+    k = dim * dim
+    return y[:k].reshape(dim, dim) + 1j * y[k:].reshape(dim, dim), err
 
 
 @dataclass
@@ -69,9 +78,7 @@ def pinch(a: HermitianOperator, p: OrthoProjection) -> HermitianOperator:
     _require_psd(a)
     if a.dim != p.dim:
         raise ValueError("dimension mismatch between operator and projection")
-    pm = p.mat
-    qm = np.eye(p.dim) - pm
-    return HermitianOperator(pm @ a.mat @ pm + qm @ a.mat @ qm)
+    return HermitianOperator(_block_compress(a.mat, p))
 
 
 def _block_compress(m: np.ndarray, p: OrthoProjection) -> np.ndarray:
@@ -84,8 +91,8 @@ def tau_spectral(a: HermitianOperator, p: OrthoProjection) -> TauResult:
     """tau via functional calculus with f(x) = x ln x (f(0) := 0)."""
     _require_psd(a)
     b = pinch(a, p)
-    fa = a.apply(_xlogx)
-    fb = b.apply(_xlogx)
+    fa = a.apply(xlogx)
+    fb = b.apply(xlogx)
     tau = HermitianOperator(_block_compress(fa, p) - fb)
     return TauResult(tau=tau, trace=tau.trace(), method="spectral")
 
@@ -113,19 +120,13 @@ def tau_integral(a: HermitianOperator, p: OrthoProjection, tol: float = 1e-8) ->
 
     def f(s: float) -> np.ndarray:
         if s <= 0.0 or s >= 1.0 - 1e-14:
-            return np.zeros(2 * n * n)
+            return np.zeros((n, n))
         t = s / (1.0 - s)
-        m = resolvent_integrand(a, b, p, t) / (1.0 - s) ** 2
-        return np.concatenate([m.real.ravel(), m.imag.ravel()])
+        return resolvent_integrand(a, b, p, t) / (1.0 - s) ** 2
 
-    from scipy.integrate import quad_vec
-
-    y, err = quad_vec(f, 0.0, 1.0, epsabs=tol, epsrel=0.0, quadrature="gk21")
-    if err > 100 * max(tol, 1e-12):
-        raise ConvergenceError(f"tau quadrature residual {err:.3e} exceeds budget", residual=float(err))
-    m = y[: n * n].reshape(n, n) + 1j * y[n * n :].reshape(n, n)
+    m, err = _integrate_matrix(f, n, 0.0, 1.0, tol, 100 * max(tol, 1e-12), "tau")
     tau = HermitianOperator(0.5 * (m + m.conj().T))
-    return TauResult(tau=tau, trace=tau.trace(), method="integral", quadrature_error_estimate=float(err))
+    return TauResult(tau=tau, trace=tau.trace(), method="integral", quadrature_error_estimate=err)
 
 
 def tau_epsilon_shift(a: HermitianOperator, p: OrthoProjection, eps: float) -> HermitianOperator:
@@ -201,19 +202,9 @@ def truncated_trace(a: HermitianOperator, p: OrthoProjection, eps: float,
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     b = pinch(a, p)
-    n = a.dim
-
-    def f(t: float) -> np.ndarray:
-        m = resolvent_integrand(a, b, p, t)
-        return np.concatenate([m.real.ravel(), m.imag.ravel()])
-
-    from scipy.integrate import quad_vec
-
-    y, err = quad_vec(f, eps, 1.0, epsabs=tol, epsrel=0.0, quadrature="gk21")
-    if err > 100 * max(tol, 1e-12):
-        raise ConvergenceError(f"D_eps quadrature residual {err:.3e} exceeds budget", residual=float(err))
-    d = y[: n * n].reshape(n, n)
-    return float(np.trace(d).real)
+    d, _ = _integrate_matrix(lambda t: resolvent_integrand(a, b, p, t), a.dim, eps, 1.0,
+                             tol, 100 * max(tol, 1e-12), "D_eps")
+    return float(np.trace(d.real))
 
 
 def key_trace_bound(a: HermitianOperator, p: OrthoProjection, eps: float) -> tuple[float, float]:
@@ -240,17 +231,10 @@ def tail_integral_identity_gap(a: HermitianOperator, p: OrthoProjection, tol: fl
     def f(u: float) -> np.ndarray:
         # t = 1/u maps (0, 1] to [1, inf)
         if u <= 1e-14:
-            return np.zeros(2 * n * n)
-        t = 1.0 / u
-        m = resolvent_integrand(a, b, p, t) / u**2
-        return np.concatenate([m.real.ravel(), m.imag.ravel()])
+            return np.zeros((n, n))
+        return resolvent_integrand(a, b, p, 1.0 / u) / u**2
 
-    from scipy.integrate import quad_vec
-
-    y, err = quad_vec(f, 0.0, 1.0, epsabs=tol, epsrel=0.0, quadrature="gk21")
-    if err > 100 * tol:
-        raise ConvergenceError(f"tail quadrature residual {err:.3e} exceeds budget", residual=float(err))
-    tail = y[: n * n].reshape(n, n) + 1j * y[n * n :].reshape(n, n)
+    tail, _ = _integrate_matrix(f, n, 0.0, 1.0, tol, 100 * tol, "tail")
 
     def xlog1p(w: np.ndarray) -> np.ndarray:
         return np.clip(w, 0.0, None) * np.log1p(np.clip(w, 0.0, None))

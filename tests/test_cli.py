@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import araki_mi
+from araki_mi import fermion
 from araki_mi.cli import main
 from araki_mi.fermion import IntervalConfig, mi_convergence
 from araki_mi.report import AuditReport, canonical_json, csv_lines
@@ -60,6 +61,15 @@ class TestMICommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[[0, 1], [2, 3]]")
         assert_usage_error(capsys, "mi", "--input", str(cfg))
+
+    def test_oversized_resolution_usage_error(self, capsys, monkeypatch):
+        # the site limit must refuse the request before any n x n allocation
+        def no_alloc(*args, **kwargs):
+            pytest.fail("allocated despite the site limit")
+
+        monkeypatch.setattr(fermion, "hardy_kernel", no_alloc)
+        monkeypatch.setattr(fermion.np, "arange", no_alloc)
+        assert_usage_error(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "1e9")
 
 
 class TestConvergeCommand:
@@ -122,6 +132,9 @@ class TestEmbedCommand:
 
     def test_non_list_gram_usage_error(self, capsys):
         assert_usage_error(capsys, "embed", "--gram", "5")
+
+    def test_non_integer_gram_usage_error(self, capsys):
+        assert_usage_error(capsys, "embed", "--gram", "[[2.5]]")
 
 
 class TestStartup:

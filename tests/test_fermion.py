@@ -17,7 +17,7 @@ from araki_mi.fermion import (
     richardson,
     sigma_trace,
 )
-from araki_mi.operators import HermitianOperator, OrthoProjection
+from araki_mi.operators import HermitianOperator, OrthoProjection, xlogx
 
 LN2 = math.log(2.0)
 STANDARD = ((0.0, 1.0), (2.0, 3.0))
@@ -150,6 +150,49 @@ class TestSublatticeCrossCheck:
     def test_canonical_output_unchanged(self, capsys, argv):
         assert main(list(argv)) == 0
         assert capsys.readouterr().out == self.GOLDEN[argv]
+
+
+class TestEntropyKernel:
+    def test_xlogx_vanishes_at_zero_and_one(self):
+        out = xlogx(np.array([0.0, 1.0]))
+        assert out[0] == 0.0 and out[1] == 0.0
+
+    def test_xlogx_clips_rounding_noise(self):
+        assert xlogx(np.array([-5e-9]))[0] == 0.0
+
+    def test_xlogx_rejects_negative_beyond_slack(self):
+        with pytest.raises(ArithmeticError):
+            xlogx(np.array([0.5, -1e-7]))
+
+    def test_binary_entropy_sum_matches_scalar_reference(self):
+        w = np.random.default_rng(12).uniform(0.0, 1.0, size=257)
+        w[:3] = (0.0, 1.0, 0.5)
+        reference = 0.0
+        for x in w:
+            if 0.0 < x < 1.0:
+                reference += -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
+        assert fermion._binary_entropy_sum(w) == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+    def test_binary_entropy_sum_range_check(self):
+        assert fermion._binary_entropy_sum(np.array([])) == 0.0
+        with pytest.raises(ArithmeticError, match="outside"):
+            fermion._binary_entropy_sum(np.array([0.5, 1.0 + 1e-7]))
+
+
+class TestSiteLimit:
+    def test_limit_admits_4096_sites(self):
+        cfg = IntervalConfig(intervals=((0.0, 1.0), (2.0, 3.0)), resolution=2048)
+        assert sum(n for _, n in fermion._site_blocks(cfg)) == 4096 <= fermion.MAX_SITES
+
+    def test_oversized_request_refused_before_allocation(self, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated despite the site limit")
+
+        monkeypatch.setattr(fermion, "hardy_kernel", no_alloc)
+        monkeypatch.setattr(fermion.np, "arange", no_alloc)
+        cfg = IntervalConfig(intervals=STANDARD, resolution=fermion.MAX_SITES)
+        with pytest.raises(ValueError, match="limit"):
+            build_covariance(cfg)
 
 
 class TestMIConvergence:

@@ -64,6 +64,18 @@ class TestFanInequality:
         rep = fan_inequality_check(np.eye(4), np.eye(4))
         assert rep["violations"] == 0
 
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    def test_matches_pairwise_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        f, g = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+        mu_s, mu_f, mu_g = (spectral.singular_profile(x).values for x in (f + g, f, g))
+        margins = [mu_f[n] + mu_g[m] - mu_s[n + m] for n in range(dim) for m in range(dim - n)]
+        # a tolerance that every margin violates, so the count is checked too
+        tol = -1.0 - max(margins)
+        assert fan_inequality_check(f, g, tol=tol) == {
+            "checked": len(margins), "violations": len(margins), "worst_margin": min(margins)}
+        assert fan_inequality_check(f, g)["violations"] == sum(x < -1e-10 for x in margins)
+
     def test_randomized_battery(self):
         rep = audits.fan_audit(trials=100, seed=3)
         assert rep.violations == 0
