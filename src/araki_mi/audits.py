@@ -19,11 +19,16 @@ from .report import AuditReport
 
 DEFAULT_T_SAMPLES = (1e-3, 1e-2, 0.1, 1.0, 10.0)
 AUDIT_TOL = 1e-9
+# Every trial's RNG stream is spawned up front (about 0.36 KiB each), so the
+# count is refused above this before anything is allocated.
+MAX_TRIALS = 100_000
 
 
 def _run_trials(fn: Callable[[np.random.Generator, int], dict], trials: int, seed: int) -> list[dict]:
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     seeds = np.random.SeedSequence(seed).spawn(trials)
     return [fn(np.random.default_rng(s), i) for i, s in enumerate(seeds)]
 

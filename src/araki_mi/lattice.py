@@ -23,6 +23,9 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Sequence, Tuple
 
+# Most Fraction references dense_vectors will build (rank x r), whatever max_r allows.
+MAX_DENSE_ENTRIES = 1_000_000
+
 
 @dataclass(frozen=True)
 class GramMatrix:
@@ -144,6 +147,9 @@ class RationalEmbedding:
     def dense_vectors(self, max_r: int = 100_000) -> List[List[Fraction]]:
         if self.r > max_r:
             raise ValueError(f"embedding dimension {self.r} too large to expand densely")
+        if self.n * self.r > MAX_DENSE_ENTRIES:
+            raise ValueError(f"dense expansion of {self.n} x {self.r} entries exceeds "
+                             f"the budget of {MAX_DENSE_ENTRIES}")
         out = []
         for row in self.rows:
             vec: List[Fraction] = []

@@ -122,6 +122,15 @@ class OrthoProjection:
             self._mat = m
         return self._mat
 
+    @property
+    def membership(self) -> np.ndarray:
+        """Boolean vector marking the kept coordinates of a mask projection."""
+        if self.mask is None:
+            raise ValueError("membership is defined for mask projections only")
+        inside = np.zeros(self.dim, dtype=bool)
+        inside[np.asarray(self.mask, dtype=int)] = True
+        return inside
+
     def complement(self) -> "OrthoProjection":
         if self.mask is not None:
             inside = set(self.mask)

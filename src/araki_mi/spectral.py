@@ -67,14 +67,21 @@ def offdiag_half_trace(f: np.ndarray, p: OrthoProjection, tol: float = 1e-8) -> 
     f = np.asarray(f, dtype=complex)
     if f.shape != (p.dim, p.dim):
         raise ValueError("shape mismatch")
-    pm = p.mat
-    qm = np.eye(p.dim) - pm
-    f1 = pm @ f @ qm + qm @ f @ pm
+    if p.mask is not None:
+        # Mask projection: F1 and PFP select entries of F, no products needed.
+        inside = p.membership
+        f1 = np.where(inside[:, None] != inside[None, :], f, 0j)
+        pfp = np.where(inside[:, None] & inside[None, :], f, 0j)
+    else:
+        pm = p.mat
+        qm = np.eye(p.dim) - pm
+        f1 = pm @ f @ qm + qm @ f @ pm
+        pfp = pm @ f @ pm
     lhs = singular_profile(f1).half_power_sum()
     rhs = HALF_POWER_CONST * singular_profile(f).half_power_sum()
     if lhs > rhs + tol:
         raise ArithmeticError(f"half-power bound violated: {lhs} > {rhs}")
-    corner = singular_profile(pm @ f @ pm).half_power_sum()
+    corner = singular_profile(pfp).half_power_sum()
     if corner > rhs + tol:
         raise ArithmeticError(f"corner half-power bound violated: {corner} > {rhs}")
     return lhs, rhs
@@ -140,24 +147,30 @@ def smooth_kernel_matrix(spec: SmoothKernelSpec, region1, region2) -> KernelBloc
     h = spec.cube_side / spec.grid
     pts = np.concatenate([r1, r2], axis=0) * h
     n = pts.shape[0]
-    full = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            full[j, k] = spec.symbol(pts[j] - pts[k])
+    full = _difference_kernel(spec.symbol, pts)
     n1 = r1.shape[0]
     p1 = OrthoProjection.from_mask(n, range(n1))
     return KernelBlocks(full=full, block12=full[:n1, n1:], p1=p1)
 
 
+def _difference_kernel(symbol: Callable[[np.ndarray], complex], pts: np.ndarray) -> np.ndarray:
+    """Matrix symbol(pts[j] - pts[k]), calling symbol once per distinct difference.
+
+    The differences are deduplicated on their bit patterns, so the symbol
+    sees exactly the vectors the pairwise loop would pass it.
+    """
+    n, d = pts.shape
+    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(n * n, d)
+    bits, inverse = np.unique(diffs.view(np.uint64), axis=0, return_inverse=True)
+    values = np.empty(bits.shape[0], dtype=complex)
+    for u, x in enumerate(bits.view(np.float64)):
+        values[u] = symbol(x)
+    return values[inverse.ravel()].reshape(n, n)
+
+
 def full_grid_kernel(spec: SmoothKernelSpec) -> np.ndarray:
     """Kernel over the entire cube grid; diagonalized by the discrete Fourier basis."""
-    pts = spec.grid_points()
-    n = pts.shape[0]
-    m = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            m[j, k] = spec.symbol(pts[j] - pts[k])
-    return m
+    return _difference_kernel(spec.symbol, spec.grid_points())
 
 
 def fourier_eigenvalues(spec: SmoothKernelSpec) -> np.ndarray:

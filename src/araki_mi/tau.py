@@ -82,6 +82,16 @@ def pinch(a: HermitianOperator, p: OrthoProjection) -> HermitianOperator:
 
 
 def _block_compress(m: np.ndarray, p: OrthoProjection) -> np.ndarray:
+    """PMP + (1-P)M(1-P).
+
+    For a mask projection these are the entries of M whose row and column lie
+    on the same side of the mask, and zeros elsewhere, so they are selected
+    rather than multiplied out; the two agree under ==, only the sign of an
+    exact zero can differ.
+    """
+    if p.mask is not None:
+        inside = p.membership
+        return np.where(inside[:, None] == inside[None, :], m, 0j)
     pm = p.mat
     qm = np.eye(p.dim) - pm
     return pm @ m @ pm + qm @ m @ qm

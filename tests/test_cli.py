@@ -3,10 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import araki_mi
-from araki_mi import fermion
+from araki_mi import audits, fermion
 from araki_mi.cli import main
 from araki_mi.fermion import IntervalConfig, mi_convergence
 from araki_mi.report import AuditReport, canonical_json, csv_lines
@@ -108,6 +109,32 @@ class TestAuditCommands:
     def test_negative_trials_usage_error(self, capsys):
         assert_usage_error(capsys, "fan-audit", "--trials", "-1")
 
+    def test_trials_above_limit_refused_before_spawn(self, capsys, monkeypatch):
+        class NoSpawn:
+            def __init__(self, seed):
+                pass
+
+            def spawn(self, n):
+                pytest.fail("spawned RNG streams despite the trial limit")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        assert_usage_error(capsys, "tau-audit", "--trials", str(audits.MAX_TRIALS + 1))
+
+    def test_trials_at_limit_reach_spawn(self, monkeypatch):
+        class Spawned(Exception):
+            pass
+
+        class FailingSpawn:
+            def __init__(self, seed):
+                pass
+
+            def spawn(self, n):
+                raise Spawned(n)
+
+        monkeypatch.setattr(np.random, "SeedSequence", FailingSpawn)
+        with pytest.raises(Spawned):
+            audits.fan_audit(audits.MAX_TRIALS, 0)
+
 
 class TestEmbedCommand:
     def test_a2_inline(self, capsys):
@@ -136,6 +163,14 @@ class TestEmbedCommand:
     def test_non_integer_gram_usage_error(self, capsys):
         assert_usage_error(capsys, "embed", "--gram", "[[2.5]]")
 
+    def test_dense_expansion_over_budget_usage_error(self, capsys):
+        # r = 10^30 fits under --dense-limit; the entry budget must refuse it before
+        # expanding (list repetition that large would raise OverflowError, exit 3).
+        big = str(10**30)
+        code, _, err = run(capsys, "embed", "--gram", f"[[{big}]]", "--dense-limit", big)
+        assert code == 2
+        assert "budget" in json.loads(err)["detail"]
+
 
 class TestStartup:
     def test_import_defers_scipy_integrate(self):
@@ -144,6 +179,15 @@ class TestStartup:
                 "print('scipy.integrate' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_mi_command_loads_no_scipy(self):
+        # scipy.linalg alone adds about 27 MiB of peak RSS to a small mi run.
+        src = str(Path(araki_mi.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); from araki_mi import cli; "
+                "rc = cli.main(['mi', '--intervals', '[[0,1],[2,3]]', '--resolution', '16']); "
+                "print(); print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "0 []"
 
 
 class TestReportHelpers:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from araki_mi.lattice import (
+    MAX_DENSE_ENTRIES,
     GramMatrix,
     RationalEmbedding,
     coset_count,
@@ -60,6 +61,18 @@ class TestEmbedRational:
         assert emb.r == 2
         assert emb.k == 1
         assert emb.dense_vectors() == [[Fraction(1), Fraction(1)]]
+
+    def test_dense_expansion_at_budget(self):
+        emb = embed_rational(GramMatrix(((MAX_DENSE_ENTRIES,),)))
+        vecs = emb.dense_vectors(max_r=MAX_DENSE_ENTRIES)
+        assert len(vecs) == 1 and len(vecs[0]) == MAX_DENSE_ENTRIES
+
+    def test_dense_expansion_over_budget_refused(self):
+        # rank 2, r = (MAX_DENSE_ENTRIES // 2 + 1) + 1: just over the entry budget
+        emb = embed_rational(GramMatrix(((MAX_DENSE_ENTRIES // 2 + 1, 0), (0, 1))))
+        assert emb.n * emb.r > MAX_DENSE_ENTRIES
+        with pytest.raises(ValueError, match="budget"):
+            emb.dense_vectors(max_r=emb.r)
 
     def test_identity_gram(self):
         g = GramMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))

@@ -5,7 +5,7 @@ import pytest
 
 from araki_mi import audits, spectral
 from araki_mi.operators import OrthoProjection
-from araki_mi.rand import random_unitary
+from araki_mi.rand import random_block_projection, random_projection, random_unitary
 from araki_mi.spectral import (
     SingularProfile,
     SmoothKernelSpec,
@@ -102,6 +102,108 @@ class TestOffdiagHalfTrace:
     def test_randomized_battery(self):
         rep = audits.half_power_audit(trials=300, seed=4)
         assert rep.violations == 0
+
+    @staticmethod
+    def _compressions(f, p, monkeypatch):
+        seen = []
+
+        def recording(m):
+            seen.append(m)
+            return singular_profile(m)
+
+        monkeypatch.setattr(spectral, "singular_profile", recording)
+        offdiag_half_trace(f, p)
+        return seen[0], seen[2]  # F1 and the corner PFP; seen[1] is F itself
+
+    def test_mask_selection_equals_dense_products(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            dim = int(rng.integers(2, 12))
+            f = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            p = random_block_projection(rng, dim)
+            pm = p.mat
+            qm = np.eye(dim) - pm
+            f1, corner = self._compressions(f, p, monkeypatch)
+            assert np.array_equal(f1, pm @ f @ qm + qm @ f @ pm)
+            assert np.array_equal(corner, pm @ f @ pm)
+
+    def test_dense_projection_uses_products(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        f = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        p = random_projection(rng, 6, 2)
+        monkeypatch.setattr(OrthoProjection, "membership",
+                            property(lambda self: pytest.fail("selector used")))
+        pm = p.mat
+        qm = np.eye(6) - pm
+        f1, corner = self._compressions(f, p, monkeypatch)
+        assert f1.tobytes() == (pm @ f @ qm + qm @ f @ pm).tobytes()
+        assert corner.tobytes() == (pm @ f @ pm).tobytes()
+
+
+def pairwise_kernel(symbol, pts):
+    n = pts.shape[0]
+    m = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            m[j, k] = symbol(pts[j] - pts[k])
+    return m
+
+
+def counting(symbol):
+    def wrapped(x):
+        wrapped.calls += 1
+        return symbol(x)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+def cosine_symbol(cube_side):
+    return lambda x: complex(sum(math.cos(2 * math.pi * (a + 1) * xi / cube_side) for a, xi in enumerate(x)))
+
+
+class TestDifferenceKernel:
+    @pytest.mark.parametrize("cube_side,grid,dims,symbol", [
+        (1.0, 16, 1, gaussian_bump_symbol(1.0, 0.2)),
+        (1.3, 12, 1, gaussian_bump_symbol(1.3, 0.3)),
+        (1.0, 5, 2, cosine_symbol(1.0)),
+    ])
+    def test_equals_pairwise_loop(self, cube_side, grid, dims, symbol):
+        spec = SmoothKernelSpec(cube_side=cube_side, grid=grid, dims=dims, symbol=symbol)
+        pts = spec.grid_points()
+        expected = pairwise_kernel(symbol, pts)
+        assert np.array_equal(spectral._difference_kernel(symbol, pts), expected)
+        assert np.array_equal(full_grid_kernel(spec), expected)
+
+    @pytest.mark.parametrize("cube_side,grid,dims", [(1.0, 16, 1), (1.3, 12, 1), (1.0, 5, 2)])
+    def test_one_call_per_distinct_difference(self, cube_side, grid, dims):
+        spec = SmoothKernelSpec(cube_side=cube_side, grid=grid, dims=dims, symbol=cosine_symbol(cube_side))
+        pts = spec.grid_points()
+        sym = counting(spec.symbol)
+        spectral._difference_kernel(sym, pts)
+        distinct = {tuple(x) for x in (pts[:, None, :] - pts[None, :, :]).reshape(-1, dims)}
+        assert sym.calls <= len(distinct)
+
+    def test_power_of_two_spacing_calls(self):
+        spec = SmoothKernelSpec(cube_side=1.0, grid=16, dims=1, symbol=cosine_symbol(1.0))
+        spec.symbol = counting(spec.symbol)
+        full_grid_kernel(spec)
+        assert spec.symbol.calls == 2 * 16 - 1
+
+    @pytest.mark.parametrize("cube_side,grid,dims,r1,r2", [
+        (1.3, 12, 1, [0, 1, 2, 7], [4, 5, 10]),
+        (1.0, 5, 2, [(0, 0), (0, 1), (1, 1)], [(3, 3), (4, 2)]),
+    ])
+    def test_smooth_kernel_blocks_unchanged(self, cube_side, grid, dims, r1, r2):
+        symbol = cosine_symbol(cube_side)
+        spec = SmoothKernelSpec(cube_side=cube_side, grid=grid, dims=dims, symbol=symbol)
+        blocks = smooth_kernel_matrix(spec, r1, r2)
+        idx = np.asarray(r1 + r2, dtype=int).reshape(len(r1) + len(r2), dims)
+        expected = pairwise_kernel(symbol, idx * (cube_side / grid))
+        n1 = len(r1)
+        assert np.array_equal(blocks.full, expected)
+        assert np.array_equal(blocks.block12, expected[:n1, n1:])
+        assert blocks.p1.mask == tuple(range(n1))
 
 
 class TestSmoothKernel:

@@ -5,7 +5,7 @@ import pytest
 
 from araki_mi import audits, tau
 from araki_mi.operators import HermitianOperator, OrthoProjection
-from araki_mi.rand import random_block_projection, random_psd
+from araki_mi.rand import random_block_projection, random_projection, random_psd
 
 LN2 = math.log(2.0)
 
@@ -44,6 +44,28 @@ class TestPinch:
         a = HermitianOperator(np.diag([1.0, -1.0]))
         with pytest.raises(ValueError):
             tau.pinch(a, OrthoProjection.from_mask(2, [0]))
+
+
+class TestBlockCompress:
+    def test_mask_selection_equals_dense_products(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            dim = int(rng.integers(2, 12))
+            m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            p = random_block_projection(rng, dim)
+            pm = p.mat
+            qm = np.eye(dim) - pm
+            assert np.array_equal(tau._block_compress(m, p), pm @ m @ pm + qm @ m @ qm)
+
+    def test_dense_projection_uses_products(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        p = random_projection(rng, 6, 3)
+        monkeypatch.setattr(OrthoProjection, "membership",
+                            property(lambda self: pytest.fail("selector used")))
+        pm = p.mat
+        qm = np.eye(6) - pm
+        assert tau._block_compress(m, p).tobytes() == (pm @ m @ pm + qm @ m @ qm).tobytes()
 
 
 class TestTauSpectral:
