@@ -263,3 +263,143 @@ class TestIntegralRepresentation:
             a = random_psd(rng, 6)
             p = random_block_projection(rng, 6)
             assert tau.tail_integral_identity_gap(a, p) <= 1e-6
+
+
+def recorded_quadratures(monkeypatch):
+    """Record (f, lo, hi, tol, integral, error) of every `_quad_gk21` call."""
+    calls = []
+    quad = tau._quad_gk21
+
+    def record(f, lo, hi, tol):
+        y, err = quad(f, lo, hi, tol)
+        calls.append((f, lo, hi, tol, y, err))
+        return y, err
+
+    monkeypatch.setattr(tau, "_quad_gk21", record)
+    return calls
+
+
+def quad_vec_oracle(f, lo, hi, tol):
+    """scipy's quad_vec on the scalar form of a batched integrand."""
+    quad_vec = pytest.importorskip("scipy.integrate").quad_vec
+    return quad_vec(lambda x: f(np.array([x]))[0], lo, hi, epsabs=tol, epsrel=0.0, quadrature="gk21")
+
+
+class TestGK21Quadrature:
+    def test_tau_integrals_equal_quad_vec(self, monkeypatch):
+        calls = recorded_quadratures(monkeypatch)
+        rng = np.random.default_rng(30)
+        for _ in range(12):
+            dim = int(rng.integers(3, 13))
+            a = random_psd(rng, dim)
+            p = random_block_projection(rng, dim)
+            tau.tau_integral(a, p)
+            tau.truncated_trace(a, p, float(10.0 ** rng.uniform(-3.0, -1.0)))
+            tau.tail_integral_identity_gap(a, p)
+        assert len(calls) == 36
+        for f, lo, hi, tol, y, err in calls:
+            y_ref, err_ref = quad_vec_oracle(f, lo, hi, tol)
+            assert np.array_equal(y, y_ref)
+            assert err == err_ref
+
+    def test_dense_projection_equals_quad_vec(self, monkeypatch):
+        calls = recorded_quadratures(monkeypatch)
+        rng = np.random.default_rng(31)
+        a = random_psd(rng, 7)
+        tau.tau_integral(a, random_projection(rng, 7, 3))
+        (f, lo, hi, tol, y, err), = calls
+        y_ref, err_ref = quad_vec_oracle(f, lo, hi, tol)
+        assert np.array_equal(y, y_ref) and err == err_ref
+
+    def test_integrands_equal_scalar_formula(self, monkeypatch):
+        # at every node, the batched integrand equals the scalar formula in Python floats
+        calls = recorded_quadratures(monkeypatch)
+        rng = np.random.default_rng(34)
+        a = random_psd(rng, 5)
+        p = random_block_projection(rng, 5)
+        b = tau.pinch(a, p)
+        tau.tau_integral(a, p)
+        tau.truncated_trace(a, p, 0.01)
+        tau.tail_integral_identity_gap(a, p)
+        eye = np.eye(5)
+
+        def integrand(t):
+            ra = np.linalg.inv(t * eye + a.mat)
+            rb = np.linalg.inv(t * eye + b.mat)
+            return t * (tau._block_compress(ra, p) - rb)
+
+        scalar_forms = (lambda s: integrand(s / (1.0 - s)) / (1.0 - s) ** 2,
+                        integrand,
+                        lambda u: integrand(1.0 / u) / u**2)
+        for (f, lo, hi, _, _, _), form in zip(calls, scalar_forms):
+            x = rng.uniform(lo, hi, 1500)  # pow() and x * x differ on about 1 in 1 200
+            expected = [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in map(form, x.tolist())]
+            assert np.array_equal(f(x), np.array(expected))
+
+    def test_polynomial_exact_on_one_interval(self):
+        powers = np.array([0, 1, 7, 20, 31])
+        f = lambda x: x[:, None] ** powers
+        exact = (2.0 ** (powers + 1) - (-1.0) ** (powers + 1)) / (powers + 1)
+        ((y, _, _),) = tau._gk21(f, np.array([-1.0]), np.array([2.0]))
+        assert np.allclose(y, exact, rtol=1e-14, atol=0.0)
+        y, err = tau._quad_gk21(f, -1.0, 2.0, 1e-6)
+        assert np.allclose(y, exact, rtol=1e-14, atol=0.0)
+        y_ref, err_ref = quad_vec_oracle(f, -1.0, 2.0, 1e-6)
+        assert np.array_equal(y, y_ref) and err == err_ref
+
+    def test_arctan_integrand(self):
+        f = lambda x: np.stack([1.0 / (1.0 + x * x), -2.0 / (1.0 + x * x)], axis=1)
+        y, err = tau._quad_gk21(f, 0.0, 1.0, 1e-12)
+        assert np.all(np.abs(y - np.array([1.0, -2.0]) * math.pi / 4) <= err + 1e-16)
+        y_ref, err_ref = quad_vec_oracle(f, 0.0, 1.0, 1e-12)
+        assert np.array_equal(y, y_ref) and err == err_ref
+
+    def test_spike_over_budget_raises(self):
+        # |x - 1/3|^{-1/2} integrates to 2(sqrt(1/3) + sqrt(2/3)); the estimate at
+        # tol 1e-6 is about 1e-7, above a 1e-8 budget
+        f = lambda x: np.abs(x - 1.0 / 3.0)[:, None, None] ** -0.5
+        with pytest.raises(tau.ConvergenceError) as info:
+            tau._integrate_matrix(f, 1, 0.0, 1.0, 1e-6, 1e-8, "spike")
+        assert info.value.residual > 1e-8
+        m, err = tau._integrate_matrix(f, 1, 0.0, 1.0, 1e-6, 1e-6, "spike")
+        assert abs(m[0, 0] - 2 * (math.sqrt(1 / 3) + math.sqrt(2 / 3))) <= err
+
+    def test_nan_integrand_stops_and_raises(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.sqrt(x - 0.5)[:, None, None]  # NaN left of 1/2
+
+        with np.errstate(invalid="ignore"), pytest.raises(tau.ConvergenceError) as info:
+            tau._integrate_matrix(f, 1, 0.0, 1.0, 1e-8, 1.0, "nan")
+        assert not math.isfinite(info.value.residual)
+        assert len(calls) == 2  # the first interval, then one round
+
+    def test_array_integrand_equals_scalar_calls(self):
+        rng = np.random.default_rng(32)
+        t = np.array([1e-6, 0.01, 0.3, 1.0, 4.5, 1e5])
+        for proj in (random_block_projection, lambda r, d: random_projection(r, d, 2)):
+            a = random_psd(rng, 5)
+            p = proj(rng, 5)
+            b = tau.pinch(a, p)
+            stack = tau.resolvent_integrand(a, b, p, t)
+            assert stack.shape == (t.size, 5, 5)
+            assert np.array_equal(stack, np.stack([tau.resolvent_integrand(a, b, p, float(x)) for x in t]))
+            assert tau.resolvent_integrand(a, b, p, 0.3).shape == (5, 5)
+
+    def test_node_count_matches_quad_vec(self, monkeypatch):
+        # same rule, same nodes: batching changes the number of integrand calls only
+        calls = recorded_quadratures(monkeypatch)
+        sizes = []
+        integrand = tau.resolvent_integrand
+        monkeypatch.setattr(tau, "resolvent_integrand",
+                            lambda a, b, p, t: sizes.append(np.size(t)) or integrand(a, b, p, t))
+        rng = np.random.default_rng(33)
+        tau.tau_integral(random_psd(rng, 6), random_block_projection(rng, 6))
+        batched = list(sizes)
+        sizes.clear()
+        f, lo, hi, tol, _, _ = calls[0]
+        quad_vec_oracle(f, lo, hi, tol)
+        assert sum(batched) == sum(sizes) > 21
+        assert len(batched) < sum(batched) / 21
