@@ -4,6 +4,12 @@ Each audit runs seeded random instances through one of the proved operator
 inequalities and reports the violation count and the worst margin (positive
 margin = slack, negative = violation).  Every trial draws from its own
 spawned RNG stream, so the report is deterministic for a fixed seed.
+
+The trials are drawn one by one, then evaluated together: the trials of a
+chunk are grouped by dimension and each group goes through the library's
+stacked kernels, one LAPACK call per step.  Stacked calls give every matrix
+the bits of its own call, so the rows equal those of trial-by-trial
+evaluation; they are emitted in trial order.
 """
 
 from __future__ import annotations
@@ -14,23 +20,60 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rand, relent, spectral, tau
+from .operators import checked_eigh, hermitian_stack
 from .relent import BipartiteShape, TraceExpectation
 from .report import AuditReport
 
 DEFAULT_T_SAMPLES = (1e-3, 1e-2, 0.1, 1.0, 10.0)
 AUDIT_TOL = 1e-9
-# Every trial's RNG stream is spawned up front (about 0.36 KiB each), so the
-# count is refused above this before anything is allocated.
+# Every trial keeps a row in the report (about 0.3 KiB), so the count is
+# refused above this before anything is allocated.
 MAX_TRIALS = 100_000
+# Trials whose streams are spawned and whose dimensions are drawn together
+# (about 0.9 KiB of generator state each), and the most matrix entries a
+# stacked call may hold (64 KiB complex): the working set stays the same
+# whatever the trial count, and large matrices go a few at a time.
+CHUNK_TRIALS = 256
+BATCH_ENTRIES = 1 << 12
+# index-analog states are k^2 x k^2 dense matrices; at most this many entries.
+MAX_STATE_ENTRIES = 1_000_000
+MAX_K = math.isqrt(math.isqrt(MAX_STATE_ENTRIES))
 
 
-def _run_trials(fn: Callable[[np.random.Generator, int], dict], trials: int, seed: int) -> list[dict]:
+def _run_trials(dim_of: Callable[[np.random.Generator], int], draw: Callable[..., tuple],
+                evaluate: Callable[..., dict], trials: int, seed: int) -> list[dict]:
+    """Rows of `trials` seeded trials, in trial order.
+
+    Trial i draws from its own stream: first its dim, dim_of(rng), then
+    draw(rng, dim), a tuple of arrays.  evaluate(dim, *stacks) gets those
+    arrays for a batch of trials of one dim, stacked along a new leading
+    axis, and returns the batch's row columns.
+    """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     if trials > MAX_TRIALS:
         raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    return [fn(np.random.default_rng(s), i) for i, s in enumerate(seeds)]
+    root = np.random.SeedSequence(seed)
+    rows: list[dict] = []
+    for start in range(0, trials, CHUNK_TRIALS):
+        rngs = [np.random.default_rng(s) for s in root.spawn(min(CHUNK_TRIALS, trials - start))]
+        rows.extend(_chunk_rows(rngs, start, dim_of, draw, evaluate))
+    return rows
+
+
+def _chunk_rows(rngs: list, start: int, dim_of, draw, evaluate) -> list[dict]:
+    groups: dict[int, list[int]] = {}
+    for j, rng in enumerate(rngs):
+        groups.setdefault(dim_of(rng), []).append(j)
+    rows: list = [None] * len(rngs)
+    for dim, members in groups.items():
+        step = max(1, BATCH_ENTRIES // (dim * dim))
+        for batch in (members[i:i + step] for i in range(0, len(members), step)):
+            stacks = [np.stack(arrays) for arrays in zip(*(draw(rngs[j], dim) for j in batch))]
+            columns = evaluate(dim, *stacks)
+            for j, values in zip(batch, zip(*(np.asarray(c).tolist() for c in columns.values()))):
+                rows[j] = {"trial": start + j, **dict(zip(columns, values))}
+    return rows
 
 
 def _summarize(suite: str, rows: list[dict], tol: float = AUDIT_TOL) -> AuditReport:
@@ -40,124 +83,152 @@ def _summarize(suite: str, rows: list[dict], tol: float = AUDIT_TOL) -> AuditRep
                        worst_margin=worst, rows=rows)
 
 
+def _random_dim(max_dim: int) -> Callable[[np.random.Generator], int]:
+    return lambda rng: int(rng.integers(2, max_dim + 1))
+
+
+def _psd_and_mask(rng: np.random.Generator, dim: int) -> tuple:
+    """The draws of random_psd, then of random_block_projection."""
+    factor = rand.gaussian_matrix(rng, dim, dim)
+    return factor, rand.block_membership(rng, dim)
+
+
+def _psd(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, eigenvalues, eigenvectors) of the random_psd operators of a stack of factors."""
+    a = hermitian_stack(rand.psd_from_factor(factors))
+    return (a, *checked_eigh(a))
+
+
 def pinch_audit(trials: int, seed: int, max_dim: int = 12) -> AuditReport:
     """B = (A + UAU)/2 exactly and B - A/2 is PSD."""
 
-    def one(rng: np.random.Generator, i: int) -> dict:
-        dim = int(rng.integers(2, max_dim + 1))
-        a = rand.random_psd(rng, dim)
-        p = rand.random_block_projection(rng, dim)
-        b = tau.pinch(a, p)
-        u = 2 * p.mat - np.eye(dim)
-        identity_gap = float(np.linalg.norm(b.mat - 0.5 * (a.mat + u @ a.mat @ u)))
-        half_margin = float(np.linalg.eigvalsh(b.mat - 0.5 * a.mat)[0])
-        return {"trial": i, "dim": dim, "identity_gap": identity_gap,
-                "margin": min(half_margin, 1e-12 - identity_gap)}
+    def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
+        a, w_a, _ = _psd(factors)
+        b = tau._pinched(a, w_a, inside)
+        u = np.zeros(a.shape, dtype=complex)
+        u[:, np.arange(dim), np.arange(dim)] = np.where(inside, 1.0, -1.0)  # 2P - 1
+        # Frobenius norms that reach the report keep np.linalg.norm's own summation order.
+        gap = np.array([np.linalg.norm(g) for g in b - 0.5 * (a + u @ a @ u)])
+        half_margin = np.linalg.eigvalsh(b - 0.5 * a)[:, 0]
+        return {"dim": np.full(len(a), dim), "identity_gap": gap,
+                "margin": np.minimum(half_margin, 1e-12 - gap)}
 
-    return _summarize("pinch", _run_trials(one, trials, seed))
+    return _summarize("pinch", _run_trials(_random_dim(max_dim), _psd_and_mask, evaluate, trials, seed))
 
 
 def epsilon_shift_audit(trials: int, seed: int, max_dim: int = 10,
                         eps_values: Sequence[float] = (0.1, 0.01)) -> AuditReport:
     """tau_A - tau_{A+eps} is PSD for every eps > 0."""
 
-    def one(rng: np.random.Generator, i: int) -> dict:
-        dim = int(rng.integers(2, max_dim + 1))
-        a = rand.random_psd(rng, dim)
-        p = rand.random_block_projection(rng, dim)
-        t0 = tau.tau_spectral(a, p).tau
-        margin = math.inf
+    def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
+        a, w_a, u_a = _psd(factors)
+        t0 = tau._tau_spectral(a, w_a, u_a, inside)
+        margin = np.full(len(a), math.inf)
         for eps in eps_values:
-            diff = t0.mat - tau.tau_epsilon_shift(a, p, eps).mat
-            margin = min(margin, float(np.linalg.eigvalsh(diff)[0]))
-        return {"trial": i, "dim": dim, "margin": margin}
+            shifted = tau._tau_shifted(a, inside, eps)
+            margin = np.minimum(margin, np.linalg.eigvalsh(t0 - shifted)[:, 0])
+        return {"dim": np.full(len(a), dim), "margin": margin}
 
-    return _summarize("epsilon_shift", _run_trials(one, trials, seed))
+    return _summarize("epsilon_shift", _run_trials(_random_dim(max_dim), _psd_and_mask, evaluate, trials, seed))
 
 
 def resolvent_audit(trials: int, seed: int, max_dim: int = 12,
                     t_samples: Sequence[float] = DEFAULT_T_SAMPLES) -> AuditReport:
     """||(t+B)^{-1} A|| <= ||A||^{1/2} t^{-1/2} at the sampled t."""
 
-    def one(rng: np.random.Generator, i: int) -> dict:
-        dim = int(rng.integers(2, max_dim + 1))
-        a = rand.random_psd(rng, dim)
-        p = rand.random_block_projection(rng, dim)
-        rows = tau.resolvent_bound_check(a, p, t_samples)
-        return {"trial": i, "dim": dim, "margin": min(r["margin"] for r in rows)}
+    def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
+        a, w_a, _ = _psd(factors)
+        lhs, rhs = tau._resolvent_bounds(a, w_a, inside, t_samples)
+        return {"dim": np.full(len(a), dim), "margin": np.min(rhs - lhs, axis=-1)}
 
-    return _summarize("resolvent_bound", _run_trials(one, trials, seed))
+    return _summarize("resolvent_bound", _run_trials(_random_dim(max_dim), _psd_and_mask, evaluate, trials, seed))
 
 
 def integrand_psd_audit(trials: int, seed: int, max_dim: int = 10,
                         t_samples: Sequence[float] = DEFAULT_T_SAMPLES) -> AuditReport:
     """Operator convexity: the resolvent integrand is PSD at every t > 0."""
 
-    def one(rng: np.random.Generator, i: int) -> dict:
-        dim = int(rng.integers(2, max_dim + 1))
-        a = rand.random_psd(rng, dim)
-        p = rand.random_block_projection(rng, dim)
-        b = tau.pinch(a, p)
-        margin = math.inf
+    def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
+        a, w_a, _ = _psd(factors)
+        b = tau._pinched(a, w_a, inside)
+        margin = np.full(len(a), math.inf)
         for t in t_samples:
-            m = tau.resolvent_integrand(a, b, p, t)
-            margin = min(margin, float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]))
-        return {"trial": i, "dim": dim, "margin": margin}
+            m = tau._resolvent_integrand(a, b, inside, t)[:, 0]
+            margin = np.minimum(margin, np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m.conj(), -1, -2)))[:, 0])
+        return {"dim": np.full(len(a), dim), "margin": margin}
 
-    return _summarize("integrand_psd", _run_trials(one, trials, seed))
+    return _summarize("integrand_psd", _run_trials(_random_dim(max_dim), _psd_and_mask, evaluate, trials, seed))
 
 
 def fan_audit(trials: int, seed: int, max_dim: int = 20) -> AuditReport:
     """Fan's singular value inequality on random pairs."""
 
-    def one(rng: np.random.Generator, i: int) -> dict:
-        dim = int(rng.integers(2, max_dim + 1))
-        f = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rep = spectral.fan_inequality_check(f, g)
-        return {"trial": i, "dim": dim, "margin": rep["worst_margin"],
-                "checked": rep["checked"]}
+    def draw(rng: np.random.Generator, dim: int) -> tuple:
+        f = rand.gaussian_matrix(rng, dim, dim)
+        return f, rand.gaussian_matrix(rng, dim, dim)
 
-    return _summarize("fan_inequality", _run_trials(one, trials, seed), tol=1e-10)
+    def evaluate(dim: int, f: np.ndarray, g: np.ndarray) -> dict:
+        margins = spectral._fan_margins(f, g)
+        return {"dim": np.full(len(f), dim), "margin": np.min(margins, axis=-1),
+                "checked": np.full(len(f), margins.shape[-1])}
+
+    return _summarize("fan_inequality", _run_trials(_random_dim(max_dim), draw, evaluate, trials, seed), tol=1e-10)
 
 
 def half_power_audit(trials: int, seed: int, max_dim: int = 20) -> AuditReport:
     """Tr |F1|^{1/2} <= (sqrt(2)+1) Tr |F|^{1/2} on random matrices."""
 
-    def one(rng: np.random.Generator, i: int) -> dict:
-        dim = int(rng.integers(2, max_dim + 1))
-        f = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        p = rand.random_block_projection(rng, dim)
-        lhs, rhs = spectral.offdiag_half_trace(f, p)
-        return {"trial": i, "dim": dim, "margin": rhs - lhs}
+    def draw(rng: np.random.Generator, dim: int) -> tuple:
+        f = rand.gaussian_matrix(rng, dim, dim)
+        return f, rand.block_membership(rng, dim)
 
-    return _summarize("half_power_bound", _run_trials(one, trials, seed))
+    def evaluate(dim: int, f: np.ndarray, inside: np.ndarray) -> dict:
+        lhs, rhs = spectral._offdiag_half_traces(f, inside)
+        return {"dim": np.full(len(f), dim), "margin": rhs - lhs}
+
+    return _summarize("half_power_bound", _run_trials(_random_dim(max_dim), draw, evaluate, trials, seed))
+
+
+def _check_k(k: int) -> None:
+    if k > MAX_K:
+        raise ValueError(f"k must be at most {MAX_K} (k^2 x k^2 states of at most "
+                         f"{MAX_STATE_ENTRIES} entries), got {k}")
+
+
+def _fixed_dim(dim: int) -> Callable[[np.random.Generator], int]:
+    return lambda rng: dim
+
+
+def _square_factor(rng: np.random.Generator, dim: int) -> tuple:
+    """The draw of random_psd or of a full-rank random_density."""
+    return (rand.gaussian_matrix(rng, dim, dim),)
 
 
 def index_audit(trials: int, seed: int, k: int = 2) -> AuditReport:
     """Entropy/index gap: S(rho, rho.E) <= ln(k^2) on random states."""
+    _check_k(k)
     e = TraceExpectation(shape=BipartiteShape(k, k), traced_factor="A")
     bound = math.log(k * k)
 
-    def one(rng: np.random.Generator, i: int) -> dict:
-        rho = rand.random_density(rng, k * k)
-        s, _ = relent.entropy_index_gap(k, rho, e)
-        return {"trial": i, "s": s, "margin": bound - s}
+    def evaluate(dim: int, factors: np.ndarray) -> dict:
+        rho, w_rho, _ = relent._density_stack(rand.density_from_factor(factors))
+        s = relent._entropy_index_gaps(rho, w_rho, e)
+        return {"s": s, "margin": bound - s}
 
-    rows = _run_trials(one, trials, seed)
-    rep = _summarize("entropy_index_gap", rows, tol=1e-8)
-    return rep
+    rows = _run_trials(_fixed_dim(k * k), _square_factor, evaluate, trials, seed)
+    return _summarize("entropy_index_gap", rows, tol=1e-8)
 
 
 def pimsner_popa_audit(trials: int, seed: int, k: int = 2, m: int = 3) -> AuditReport:
     """E(a) >= a / k^2 for PSD a on the k (x) m factor algebra."""
+    _check_k(k)
     e = TraceExpectation(shape=BipartiteShape(k, m), traced_factor="A")
 
-    def one(rng: np.random.Generator, i: int) -> dict:
-        a = rand.random_psd(rng, k * m).mat
-        return {"trial": i, "margin": relent.pimsner_popa_margin(a, e)}
+    def evaluate(dim: int, factors: np.ndarray) -> dict:
+        a = hermitian_stack(rand.psd_from_factor(factors))
+        return {"margin": relent._pimsner_popa_margins(a, e)}
 
-    return _summarize("pimsner_popa", _run_trials(one, trials, seed))
+    return _summarize("pimsner_popa", _run_trials(_fixed_dim(k * m), _square_factor, evaluate, trials, seed))
 
 
 def tau_audit(trials: int, seed: int) -> list[AuditReport]:

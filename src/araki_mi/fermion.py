@@ -20,6 +20,7 @@ yields a nondecreasing sequence converging to the full value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
@@ -58,12 +59,16 @@ class IntervalConfig:
         for (a1, b1), (a2, b2) in zip(ordered, ordered[1:]):
             if b1 >= a2:
                 raise ValueError("intervals must have disjoint closures")
-        if not (math.isfinite(self.resolution) and self.resolution > 0):
+        res, comp = self.resolution, self.components
+        if isinstance(res, bool) or not isinstance(res, numbers.Real):
+            raise ValueError(f"resolution must be a number, got {res!r}")
+        if not (math.isfinite(res) and res > 0):
             raise ValueError("resolution must be positive and finite")
         if not 1 <= self.split < len(ivs):
             raise ValueError("split must leave both regions nonempty")
-        if self.components < 1:
-            raise ValueError("components must be a positive integer")
+        integral = isinstance(comp, numbers.Integral) or (isinstance(comp, float) and comp.is_integer())
+        if isinstance(comp, bool) or not integral or comp < 1:
+            raise ValueError(f"components must be a positive integer, got {comp!r}")
 
     def scaled(self, scale: float) -> "IntervalConfig":
         """Same geometry with endpoints scaled and the site counts preserved."""
@@ -100,7 +105,10 @@ class MISeries:
 
 
 def _site_blocks(config: IntervalConfig) -> list[Tuple[int, int]]:
-    counts = [max(2, int(round((b - a) * config.resolution))) for a, b in config.intervals]
+    spans = [(b - a) * config.resolution for a, b in config.intervals]
+    if not all(math.isfinite(span) for span in spans):
+        raise ValueError(f"lattice sites exceed the limit of {MAX_SITES}; lower the resolution")
+    counts = [max(2, int(round(span))) for span in spans]
     if sum(counts) > MAX_SITES:
         raise ValueError(f"{sum(counts)} lattice sites exceed the limit of {MAX_SITES}; lower the resolution")
     blocks = [(int(round(a * config.resolution)), n) for (a, _), n in zip(config.intervals, counts)]
@@ -239,7 +247,7 @@ def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) ->
             wsys, n = _windowed_system(sys, f)
             sizes.append(n)
             values.append(config.components * sigma_trace(wsys))
-    err = abs(values[-1] - values[-2]) if len(values) > 1 else 0.0
+    err = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
     return MISeries(window_sizes=tuple(sizes), values=tuple(values),
                     extrapolated=values[-1], extrapolation_error=err)
 

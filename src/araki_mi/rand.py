@@ -1,4 +1,9 @@
-"""Seeded random instance generators for tests and audits."""
+"""Seeded random instance generators for tests and audits.
+
+Each generator draws its numbers first and makes the instance from them
+second; `psd_from_factor` and `density_from_factor` also take stacks of
+draws, which the audits use to make many instances in one call.
+"""
 
 from __future__ import annotations
 
@@ -8,34 +13,52 @@ from .operators import HermitianOperator, OrthoProjection
 from .relent import DensityMatrix
 
 
+def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Complex matrix with independent standard normal real and imaginary parts."""
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def psd_from_factor(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale * M M^dagger / dim of a dim x dim factor, or of each factor of a stack."""
+    return scale * (m @ np.swapaxes(m.conj(), -1, -2)) / m.shape[-1]
+
+
+def density_from_factor(m: np.ndarray) -> np.ndarray:
+    """M M^dagger / Tr(M M^dagger) of a dim x rank factor, or of each factor of a stack."""
+    rho = m @ np.swapaxes(m.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def block_membership(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Boolean membership of a random coordinate mask with rank in [1, dim-1]."""
+    rank = int(rng.integers(1, dim))
+    inside = np.zeros(dim, dtype=bool)
+    inside[rng.choice(dim, size=rank, replace=False)] = True
+    return inside
+
+
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = gaussian_matrix(rng, dim, dim)
     return HermitianOperator(scale * 0.5 * (m + m.conj().T))
 
 
 def random_psd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator(scale * (m @ m.conj().T) / dim)
+    return HermitianOperator(psd_from_factor(gaussian_matrix(rng, dim, dim), scale))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(m)
+    q, r = np.linalg.qr(gaussian_matrix(rng, dim, dim))
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:
     rank = dim if rank is None else rank
-    m = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = m @ m.conj().T
-    return DensityMatrix(rho / np.trace(rho).real)
+    return DensityMatrix(density_from_factor(gaussian_matrix(rng, dim, rank)))
 
 
 def random_block_projection(rng: np.random.Generator, dim: int) -> OrthoProjection:
     """Coordinate-mask projection with rank in [1, dim-1]."""
-    rank = int(rng.integers(1, dim))
-    idx = rng.choice(dim, size=rank, replace=False)
-    return OrthoProjection.from_mask(dim, idx)
+    return OrthoProjection.from_mask(dim, np.flatnonzero(block_membership(rng, dim)))
 
 
 def random_projection(rng: np.random.Generator, dim: int, rank: int) -> OrthoProjection:

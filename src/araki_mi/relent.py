@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _square_complex, hermitian_matrix, xlogx
+from .operators import _conj_t, _frobenius, _square_complex, _square_stack, hermitian_stack, xlogx
 
 EIG_CLAMP = 1e-10
 TRACE_TOL = 1e-10
@@ -47,21 +47,29 @@ class TraceExpectation:
             raise ValueError("traced_factor must be 'A' or 'B'")
 
 
+def _density_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(symmetrised matrices, clipped eigenvalues, eigenvectors) of density matrices.
+
+    Takes a matrix or a (..., n, n) stack; ValueError unless each is Hermitian,
+    of unit trace and PSD to the tolerances.
+    """
+    m = hermitian_stack(mats, "density matrix")
+    tr = np.real(np.trace(m, axis1=-2, axis2=-1))
+    off = np.abs(tr - 1.0)
+    if np.any(off > TRACE_TOL):
+        raise ValueError(f"trace is {tr.flat[np.argmax(off)]}, not 1")
+    w, u = np.linalg.eigh(m)
+    if np.any(w[..., 0] < -EIG_CLAMP):
+        raise ValueError(f"negative eigenvalue {np.min(w[..., 0]):.3e} beyond tolerance")
+    return m, np.clip(w, 0.0, None), u
+
+
 class DensityMatrix:
     """Unit-trace PSD Hermitian matrix with cached spectrum."""
 
     def __init__(self, mat):
-        m = hermitian_matrix(mat, "density matrix")
-        tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace is {tr}, not 1")
-        w, u = np.linalg.eigh(m)
-        if w[0] < -EIG_CLAMP:
-            raise ValueError(f"negative eigenvalue {w[0]:.3e} beyond tolerance")
-        self.mat = m
-        self.dim = m.shape[0]
-        self.eigenvalues = np.clip(w, 0.0, None)
-        self.eigenvectors = u
+        self.mat, self.eigenvalues, self.eigenvectors = _density_stack(_square_complex(mat))
+        self.dim = self.mat.shape[0]
 
     @classmethod
     def pure(cls, vec) -> "DensityMatrix":
@@ -78,15 +86,15 @@ class DensityMatrix:
 
 
 def partial_trace(mat: np.ndarray, shape: BipartiteShape, which: str) -> np.ndarray:
-    """Trace out factor `which` of a dim_a*dim_b matrix."""
+    """Trace out factor `which` of a dim_a*dim_b matrix, or of each matrix of a stack."""
     da, db = shape.dim_a, shape.dim_b
-    if mat.shape != (da * db, da * db):
+    if mat.shape[-2:] != (da * db, da * db):
         raise ValueError(f"matrix shape {mat.shape} does not match {da}x{db} split")
-    t = mat.reshape(da, db, da, db)
+    t = mat.reshape(*mat.shape[:-2], da, db, da, db)
     if which == "A":
-        return np.einsum("ijik->jk", t)
+        return np.einsum("...ijik->...jk", t)
     if which == "B":
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     raise ValueError("which must be 'A' or 'B'")
 
 
@@ -95,34 +103,52 @@ def reduced_state(rho: DensityMatrix, shape: BipartiteShape, which: str) -> Dens
     return DensityMatrix(partial_trace(rho.mat, shape, which))
 
 
+def _kept_sums(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """np.sum of x[keep] along the last axis, row by row.
+
+    A row with dropped entries is summed on its own: dropping entries
+    regroups np.sum's pairwise blocks, so padding them with zeros could move
+    the last bit.
+    """
+    rows, kept = x.reshape(-1, x.shape[-1]), keep.reshape(-1, keep.shape[-1])
+    out = np.sum(np.where(kept, rows, 0.0), axis=-1)
+    for i in np.flatnonzero(~np.all(kept, axis=-1)):
+        out[i] = np.sum(rows[i][kept[i]])
+    return out.reshape(x.shape[:-1])
+
+
+def _entropy_sums(w: np.ndarray) -> np.ndarray:
+    """sum lambda ln lambda over the positive eigenvalues, along the last axis (= -S)."""
+    return _kept_sums(xlogx(w), w > 0.0)
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum lambda_i ln lambda_i, with 0 ln 0 := 0."""
-    w = rho.eigenvalues
-    # positive part only: zeros add nothing but would regroup np.sum's pairwise blocks
-    return float(-np.sum(xlogx(w[w > 0.0])))
+    return float(-_entropy_sums(rho.eigenvalues))
 
 
-def _support_kernel_overlap(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    w, u = sigma.eigenvalues, sigma.eigenvectors
-    kern = u[:, w <= SUPPORT_TOL]
-    if kern.shape[1] == 0:
-        return 0.0
-    k = kern @ kern.conj().T
-    return float(np.linalg.norm(k @ rho.mat @ k))
+def _relative_entropies(rho: np.ndarray, w_rho: np.ndarray, w_sigma: np.ndarray,
+                        u_sigma: np.ndarray) -> np.ndarray:
+    """Tr(rho ln rho - rho ln sigma) of a pair or of stacks of pairs; +inf off the support.
+
+    rho with eigenvalues w_rho, sigma = u_sigma diag(w_sigma) u_sigma^dagger.
+    """
+    kernel = w_sigma <= SUPPORT_TOL
+    outside = np.zeros(kernel.shape[:-1], dtype=bool)
+    if np.any(kernel):
+        k = (u_sigma * kernel[..., None, :]) @ _conj_t(u_sigma)  # projection onto ker sigma
+        outside = _frobenius(k @ rho @ k) > SUPPORT_TOL
+    keep = ~kernel
+    weights = np.real(np.einsum("...ij,...jk,...ki->...i", _conj_t(u_sigma), rho, u_sigma))
+    term2 = _kept_sums(np.log(np.where(keep, w_sigma, 1.0)) * weights, keep)
+    return np.where(outside, math.inf, _entropy_sums(w_rho) - term2)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr(rho ln rho - rho ln sigma); +inf when supp(rho) is not inside supp(sigma)."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    if _support_kernel_overlap(rho, sigma) > SUPPORT_TOL:
-        return math.inf
-    term1 = -von_neumann_entropy(rho)
-    ws, us = sigma.eigenvalues, sigma.eigenvectors
-    keep = ws > SUPPORT_TOL
-    weights = np.real(np.einsum("ij,jk,ki->i", us.conj().T, rho.mat, us))
-    term2 = float(np.sum(np.log(ws[keep]) * weights[keep]))
-    return term1 - term2
+    return float(_relative_entropies(rho.mat, rho.eigenvalues, sigma.eigenvalues, sigma.eigenvectors))
 
 
 def scaled_relative_entropy(lam: float, rho: DensityMatrix, lam2: float, sigma: DensityMatrix) -> float:
@@ -151,10 +177,10 @@ def mutual_information(rho_ab: DensityMatrix, shape: BipartiteShape, cross_check
 
 
 def conditional_expectation(x: np.ndarray, e: TraceExpectation) -> np.ndarray:
-    """Replace the traced factor by (normalized partial trace) x identity."""
-    m = _square_complex(x)
+    """Replace the traced factor by (normalized partial trace) x identity, matrix by matrix."""
+    m = _square_stack(x)
     shape = e.shape
-    if m.shape != (shape.total, shape.total):
+    if m.shape[-2:] != (shape.total, shape.total):
         raise ValueError(f"matrix shape {m.shape} does not match {shape}")
     if e.traced_factor == "A":
         red = partial_trace(m, shape, "A") / shape.dim_a
@@ -178,11 +204,20 @@ def entropy_index_gap(k: int, rho: DensityMatrix, e: TraceExpectation) -> tuple[
         raise ValueError("k must be positive")
     if rho.dim != k * k or e.shape != BipartiteShape(k, k):
         raise ValueError("expected a state and expectation on a k x k bipartition")
-    s = relative_entropy(rho, expectation_state(rho, e))
-    bound = math.log(k * k)
-    if s > bound + 1e-8:
-        raise ArithmeticError(f"index bound violated: {s} > ln(k^2) = {bound}")
-    return s, bound
+    return float(_entropy_index_gaps(rho.mat, rho.eigenvalues, e)), math.log(k * k)
+
+
+def _entropy_index_gaps(rho: np.ndarray, w_rho: np.ndarray, e: TraceExpectation) -> np.ndarray:
+    """S(rho, rho.E) of a state or a stack of states on k (x) k with eigenvalues w_rho.
+
+    ArithmeticError if one exceeds the index bound ln(k^2).
+    """
+    _, w_sigma, u_sigma = _density_stack(conditional_expectation(rho, e))
+    s = _relative_entropies(rho, w_rho, w_sigma, u_sigma)
+    bound = math.log(e.shape.total)
+    if np.any(s > bound + 1e-8):
+        raise ArithmeticError(f"index bound violated: {np.max(s)} > ln(k^2) = {bound}")
+    return s
 
 
 def pimsner_popa_margin(a: np.ndarray, e: TraceExpectation) -> float:
@@ -190,9 +225,14 @@ def pimsner_popa_margin(a: np.ndarray, e: TraceExpectation) -> float:
 
     Nonnegative for PSD a: the expectation has index d^2.
     """
+    return float(_pimsner_popa_margins(_square_complex(a), e))
+
+
+def _pimsner_popa_margins(a: np.ndarray, e: TraceExpectation) -> np.ndarray:
+    """pimsner_popa_margin of a matrix or of each matrix of a stack (one eigvalsh call)."""
     d = e.shape.dim_a if e.traced_factor == "A" else e.shape.dim_b
-    diff = conditional_expectation(a, e) - np.asarray(a, dtype=complex) / d**2
-    return float(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[0])
+    diff = conditional_expectation(a, e) - a / d**2
+    return np.linalg.eigvalsh(0.5 * (diff + _conj_t(diff)))[..., 0]
 
 
 def pimsner_popa_constant_search(e: TraceExpectation, trials: int, rng: np.random.Generator) -> float:

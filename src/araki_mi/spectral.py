@@ -20,18 +20,34 @@ from .operators import OrthoProjection
 HALF_POWER_CONST = math.sqrt(2.0) + 1.0
 
 
+def _checked_singular_values(v: np.ndarray) -> np.ndarray:
+    """Nonincreasing, nonnegative singular values along the last axis, clipped at 0."""
+    if v.shape[-1] and np.any(np.diff(v, axis=-1) > 1e-12 * np.maximum(1.0, v[..., :1])):
+        raise ValueError("singular values must be nonincreasing")
+    if v.shape[-1] and np.any(v[..., -1] < -1e-12):
+        raise ValueError("singular values must be nonnegative")
+    return np.clip(v, 0.0, None)
+
+
+def _singular_values(f: np.ndarray) -> np.ndarray:
+    """Checked singular values of a matrix or of each matrix of a stack (one LAPACK call)."""
+    return _checked_singular_values(np.linalg.svd(f, compute_uv=False))
+
+
+def _half_power_sums(v: np.ndarray) -> np.ndarray:
+    """sum_n mu_n^{1/2}, accumulated in index order, along the last axis."""
+    if not v.shape[-1]:
+        return np.zeros(v.shape[:-1])
+    return np.cumsum(np.sqrt(v), axis=-1)[..., -1]
+
+
 @dataclass
 class SingularProfile:
     values: np.ndarray
     half_power_partials: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.size and np.any(np.diff(v) > 1e-12 * max(1.0, v[0])):
-            raise ValueError("singular values must be nonincreasing")
-        if v.size and v[-1] < -1e-12:
-            raise ValueError("singular values must be nonnegative")
-        self.values = np.clip(v, 0.0, None)
+        self.values = _checked_singular_values(np.asarray(self.values, dtype=float))
         self.half_power_partials = np.cumsum(np.sqrt(self.values))
 
     def half_power_sum(self) -> float:
@@ -43,20 +59,50 @@ def singular_profile(f: np.ndarray) -> SingularProfile:
     return SingularProfile(values=s)
 
 
+def _fan_margins(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """mu_{n+1}(F) + mu_{m+1}(G) - mu_{n+m+1}(F+G) over all valid (n, m), along a last axis."""
+    mu_s = _singular_values(f + g)
+    mu_f = _singular_values(f)
+    mu_g = _singular_values(g)
+    n, k = np.triu_indices(mu_s.shape[-1])  # all n <= k, with m = k - n
+    return mu_f[..., n] + mu_g[..., k - n] - mu_s[..., k]
+
+
 def fan_inequality_check(f: np.ndarray, g: np.ndarray, tol: float = 1e-10) -> dict:
     """mu_{n+m+1}(F+G) <= mu_{n+1}(F) + mu_{m+1}(G) over all valid (n, m)."""
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     if f.shape != g.shape:
         raise ValueError("shapes must match")
-    mu_s = singular_profile(f + g).values
-    mu_f = singular_profile(f).values
-    mu_g = singular_profile(g).values
-    n, k = np.triu_indices(mu_s.size)  # all n <= k, with m = k - n
-    margins = mu_f[n] + mu_g[k - n] - mu_s[k]
+    margins = _fan_margins(f, g)
     worst = float(margins.min()) if margins.size else math.inf
     return {"checked": int(margins.size), "violations": int(np.count_nonzero(margins < -tol)),
             "worst_margin": worst}
+
+
+def _offdiag_half_traces(f: np.ndarray, p, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """(Tr |F1|^{1/2}, (sqrt(2)+1) Tr |F|^{1/2}) of a matrix or a (..., d, d) stack.
+
+    p is an OrthoProjection or the (..., d) boolean membership of mask
+    projections; ArithmeticError if a bound fails.
+    """
+    if isinstance(p, OrthoProjection) and p.mask is None:
+        pm = p.mat
+        qm = np.eye(p.dim) - pm
+        f1 = pm @ f @ qm + qm @ f @ pm
+        pfp = pm @ f @ pm
+    else:
+        # Mask projection: F1 and PFP select entries of F, no products needed.
+        inside = p.membership if isinstance(p, OrthoProjection) else p
+        f1 = np.where(inside[..., :, None] != inside[..., None, :], f, 0j)
+        pfp = np.where(inside[..., :, None] & inside[..., None, :], f, 0j)
+    lhs = _half_power_sums(_singular_values(f1))
+    rhs = HALF_POWER_CONST * _half_power_sums(_singular_values(f))
+    for name, value in (("half-power", lhs), ("corner half-power", _half_power_sums(_singular_values(pfp)))):
+        if np.any(value > rhs + tol):
+            worst = np.argmax(value - rhs)
+            raise ArithmeticError(f"{name} bound violated: {value.flat[worst]} > {rhs.flat[worst]}")
+    return lhs, rhs
 
 
 def offdiag_half_trace(f: np.ndarray, p: OrthoProjection, tol: float = 1e-8) -> tuple[float, float]:
@@ -67,24 +113,8 @@ def offdiag_half_trace(f: np.ndarray, p: OrthoProjection, tol: float = 1e-8) -> 
     f = np.asarray(f, dtype=complex)
     if f.shape != (p.dim, p.dim):
         raise ValueError("shape mismatch")
-    if p.mask is not None:
-        # Mask projection: F1 and PFP select entries of F, no products needed.
-        inside = p.membership
-        f1 = np.where(inside[:, None] != inside[None, :], f, 0j)
-        pfp = np.where(inside[:, None] & inside[None, :], f, 0j)
-    else:
-        pm = p.mat
-        qm = np.eye(p.dim) - pm
-        f1 = pm @ f @ qm + qm @ f @ pm
-        pfp = pm @ f @ pm
-    lhs = singular_profile(f1).half_power_sum()
-    rhs = HALF_POWER_CONST * singular_profile(f).half_power_sum()
-    if lhs > rhs + tol:
-        raise ArithmeticError(f"half-power bound violated: {lhs} > {rhs}")
-    corner = singular_profile(pfp).half_power_sum()
-    if corner > rhs + tol:
-        raise ArithmeticError(f"corner half-power bound violated: {corner} > {rhs}")
-    return lhs, rhs
+    lhs, rhs = _offdiag_half_traces(f, p, tol)
+    return float(lhs), float(rhs)
 
 
 @dataclass

@@ -29,7 +29,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .operators import HermitianOperator, OrthoProjection, commutator_norm, xlogx
+from .operators import (HermitianOperator, OrthoProjection, checked_eigh, commutator_norm,
+                        functional_calculus, hermitian_stack, xlogx)
 
 PSD_TOL = 1e-10
 
@@ -42,9 +43,20 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+def _check_psd(w: np.ndarray) -> None:
+    """ValueError unless every spectrum (ascending, along the last axis) is >= -PSD_TOL."""
+    lowest = w[..., 0].min()
+    if lowest < -PSD_TOL:
+        raise ValueError(f"operator is not PSD (min eigenvalue {lowest:.3e})")
+
+
 def _require_psd(a: HermitianOperator) -> None:
-    if a.min_eigenvalue() < -PSD_TOL:
-        raise ValueError(f"operator is not PSD (min eigenvalue {a.min_eigenvalue():.3e})")
+    _check_psd(a.eigenvalues)
+
+
+def _check_dims(a: HermitianOperator, p: OrthoProjection) -> None:
+    if a.dim != p.dim:
+        raise ValueError("dimension mismatch between operator and projection")
 
 
 # Gauss-Kronrod 21-point rule on [-1, 1] (QUADPACK qk21): the non-negative
@@ -188,13 +200,17 @@ class TauResult:
 
 def pinch(a: HermitianOperator, p: OrthoProjection) -> HermitianOperator:
     """B = PAP + (1-P)A(1-P) = (A + UAU)/2 with U = 2P - 1."""
-    _require_psd(a)
-    if a.dim != p.dim:
-        raise ValueError("dimension mismatch between operator and projection")
-    return HermitianOperator(_block_compress(a.mat, p))
+    _check_dims(a, p)
+    return HermitianOperator(_pinched(a.mat, a.eigenvalues, p))
 
 
-def _block_compress(m: np.ndarray, p: OrthoProjection) -> np.ndarray:
+# The kernels below take a matrix or a (..., d, d) stack with P given as an
+# OrthoProjection or as the (..., d) boolean membership of mask projections,
+# and do every LAPACK step as one stacked call.  The public single-instance
+# functions are their unstacked case; stacked LAPACK calls give each matrix
+# the bits of its own call.
+
+def _block_compress(m: np.ndarray, p) -> np.ndarray:
     """PMP + (1-P)M(1-P).
 
     For a mask projection these are the entries of M whose row and column lie
@@ -202,21 +218,64 @@ def _block_compress(m: np.ndarray, p: OrthoProjection) -> np.ndarray:
     rather than multiplied out; the two agree under ==, only the sign of an
     exact zero can differ.
     """
-    if p.mask is not None:
-        inside = p.membership
-        return np.where(inside[:, None] == inside[None, :], m, 0j)
-    pm = p.mat
-    qm = np.eye(p.dim) - pm
-    return pm @ m @ pm + qm @ m @ qm
+    if isinstance(p, OrthoProjection):
+        if p.mask is None:
+            pm = p.mat
+            qm = np.eye(p.dim) - pm
+            return pm @ m @ pm + qm @ m @ qm
+        p = p.membership
+    return np.where(p[..., :, None] == p[..., None, :], m, 0j)
+
+
+def _pinched(a: np.ndarray, w_a: np.ndarray, p) -> np.ndarray:
+    """Symmetrised pinch B of PSD A with eigenvalues w_a."""
+    _check_psd(w_a)
+    return hermitian_stack(_block_compress(a, p))
+
+
+def _tau_spectral(a: np.ndarray, w_a: np.ndarray, u_a: np.ndarray, p) -> np.ndarray:
+    """Symmetrised tau_A of PSD A = u_a diag(w_a) u_a^dagger, f(x) = x ln x."""
+    b = _pinched(a, w_a, p)
+    fa = functional_calculus(w_a, u_a, xlogx)
+    fb = functional_calculus(*checked_eigh(b), xlogx)
+    return hermitian_stack(_block_compress(fa, p) - fb)
+
+
+def _tau_shifted(a: np.ndarray, p, eps: float) -> np.ndarray:
+    """Symmetrised tau_{A + eps I}."""
+    shifted = hermitian_stack(a + eps * np.eye(a.shape[-1]))
+    return _tau_spectral(shifted, *checked_eigh(shifted), p)
+
+
+def _resolvent_integrand(a: np.ndarray, b: np.ndarray, p, t) -> np.ndarray:
+    """The integrand at each t of a scalar or 1-D array t, along a new axis -3.
+
+    The inverses are one stacked `inv` each, so every matrix equals the one
+    for its scalar t.
+    """
+    tt = np.reshape(np.asarray(t, dtype=float), (-1, 1, 1))
+    eye = np.eye(a.shape[-1])
+    ra = np.linalg.inv(tt * eye + a[..., None, :, :])
+    rb = np.linalg.inv(tt * eye + b[..., None, :, :])
+    if not isinstance(p, OrthoProjection):
+        p = p[..., None, :]
+    return tt * (_block_compress(ra, p) - rb)
+
+
+def _resolvent_bounds(a: np.ndarray, w_a: np.ndarray, p, t_samples) -> tuple[np.ndarray, np.ndarray]:
+    """(||(t+B)^{-1} A||, ||A||^{1/2} / t^{1/2}) at each sampled t, along a last axis."""
+    b = _pinched(a, w_a, p)
+    eye = np.eye(a.shape[-1])
+    lhs = np.stack([np.linalg.norm(np.linalg.inv(t * eye + b) @ a, ord=2, axis=(-2, -1))
+                    for t in t_samples], axis=-1)
+    rhs = np.sqrt(np.max(np.abs(w_a), axis=-1))[..., None] / np.sqrt(np.asarray(t_samples, dtype=float))
+    return lhs, rhs
 
 
 def tau_spectral(a: HermitianOperator, p: OrthoProjection) -> TauResult:
     """tau via functional calculus with f(x) = x ln x (f(0) := 0)."""
-    _require_psd(a)
-    b = pinch(a, p)
-    fa = a.apply(xlogx)
-    fb = b.apply(xlogx)
-    tau = HermitianOperator(_block_compress(fa, p) - fb)
+    _check_dims(a, p)
+    tau = HermitianOperator(_tau_spectral(a.mat, a.eigenvalues, a.eigenvectors, p))
     return TauResult(tau=tau, trace=tau.trace(), method="spectral")
 
 
@@ -224,15 +283,9 @@ def resolvent_integrand(a: HermitianOperator, b: HermitianOperator, p: OrthoProj
                         t: float | np.ndarray) -> np.ndarray:
     """t ( P(t+A)^{-1}P + (1-P)(t+A)^{-1}(1-P) - (t+B)^{-1} ).
 
-    For a 1-D array t, the (k, n, n) stack of the integrand at each t; the
-    inverses are taken as one stacked `inv` each, the same LAPACK call per
-    matrix, so every matrix equals the one for its scalar t.
+    For a 1-D array t, the (k, n, n) stack of the integrand at each t.
     """
-    tt = np.reshape(np.asarray(t, dtype=float), (-1, 1, 1))
-    eye = np.eye(a.dim)
-    ra = np.linalg.inv(tt * eye + a.mat)
-    rb = np.linalg.inv(tt * eye + b.mat)
-    out = tt * (_block_compress(ra, p) - rb)
+    out = _resolvent_integrand(a.mat, b.mat, p, t)
     return out if np.ndim(t) else out[0]
 
 
@@ -265,8 +318,8 @@ def tau_epsilon_shift(a: HermitianOperator, p: OrthoProjection, eps: float) -> H
     """tau_{A + eps I}; always <= tau_A in the PSD order."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    shifted = HermitianOperator(a.mat + eps * np.eye(a.dim))
-    return tau_spectral(shifted, p).tau
+    _check_dims(a, p)
+    return HermitianOperator(_tau_shifted(a.mat, p, eps))
 
 
 def restrict_to_window(a: HermitianOperator, p: OrthoProjection, window: OrthoProjection,
@@ -298,17 +351,10 @@ def finite_rank_monotonicity(a: HermitianOperator, p: OrthoProjection,
 def resolvent_bound_check(a: HermitianOperator, p: OrthoProjection,
                           t_samples: Sequence[float]) -> list[dict]:
     """Check ||(t+B)^{-1} A|| <= ||A||^{1/2} / t^{1/2} at each sampled t."""
-    _require_psd(a)
-    b = pinch(a, p)
-    norm_a = a.operator_norm()
-    rows = []
-    eye = np.eye(a.dim)
-    for t in t_samples:
-        lhs = float(np.linalg.norm(np.linalg.inv(t * eye + b.mat) @ a.mat, ord=2))
-        rhs = math.sqrt(norm_a) / math.sqrt(t)
-        rows.append({"t": float(t), "lhs": lhs, "rhs": rhs, "margin": rhs - lhs,
-                     "ok": lhs <= rhs + 1e-10})
-    return rows
+    _check_dims(a, p)
+    lhs, rhs = _resolvent_bounds(a.mat, a.eigenvalues, p, t_samples)
+    return [{"t": float(t), "lhs": l, "rhs": r, "margin": r - l, "ok": l <= r + 1e-10}
+            for t, l, r in zip(t_samples, lhs.tolist(), rhs.tolist())]
 
 
 def key_bound_constant(a: HermitianOperator, p: OrthoProjection, eig_floor: float = 1e-12) -> float:

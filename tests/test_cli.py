@@ -1,13 +1,18 @@
+import io
 import json
+import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import araki_mi
-from araki_mi import audits, fermion
+from araki_mi import audits, fermion, rand
 from araki_mi.cli import main
 from araki_mi.fermion import IntervalConfig, mi_convergence
 from araki_mi.report import AuditReport, canonical_json, csv_lines
@@ -72,6 +77,66 @@ class TestMICommand:
         monkeypatch.setattr(fermion.np, "arange", no_alloc)
         assert_usage_error(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "1e9")
 
+    def test_overflowing_site_count_usage_error(self, capsys):
+        assert_usage_error(capsys, "mi", "--intervals", "[[-1e308,0],[1,1e308]]")
+
+    @pytest.mark.parametrize("command", ["mi", "converge"])
+    @pytest.mark.parametrize("field,value", [("resolution", "abc"), ("components", "x")])
+    def test_wrongly_typed_input_field_usage_error(self, capsys, tmp_path, command, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"intervals": [[0, 1], [2, 3]], field: value}))
+        code, out, err = run(capsys, command, "--input", str(cfg))
+        assert (code, out) == (2, "")
+        assert field in json.loads(err)["detail"]
+
+    def test_one_fraction_reports_infinite_error(self, capsys):
+        code, out, _ = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "16",
+                           "--fractions", "1")
+        assert code == 0
+        assert json.loads(out)["extrapolation_error"] == "inf"
+
+
+# Payloads for `mi --input`: each field well formed, malformed or missing.
+# Finite numbers stay in [-1, 1] (resolution up to 100), so any accepted
+# geometry has at most about 210 lattice sites and no example runs a large
+# eigensolve; oversized requests are covered by the pre-allocation tests only.
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_WRONG_TYPES = st.one_of(st.none(), st.booleans(), st.text(max_size=3), _NON_FINITE)
+_GARBAGE = st.recursive(st.one_of(_WRONG_TYPES, st.integers(-1, 1), st.floats(-1.0, 1.0)), lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=8)
+_GEOMETRY = st.lists(st.integers(-8, 8), min_size=4, max_size=6, unique=True).map(
+    lambda xs: [[x / 8 for x in sorted(xs)[i:i + 2]] for i in range(0, len(xs) - 1, 2)])
+_FIELDS = {
+    "intervals": st.one_of(
+        _GEOMETRY,
+        st.lists(st.lists(st.one_of(st.floats(-1.0, 1.0), _WRONG_TYPES, _GARBAGE), min_size=2, max_size=2),
+                 max_size=4),
+        _GARBAGE),
+    "resolution": st.one_of(st.integers(4, 100), st.floats(4.0, 100.0), st.integers(-2, 0), _WRONG_TYPES, _GARBAGE),
+    "components": st.one_of(st.integers(-1, 3), st.floats(-1.0, 3.0), _WRONG_TYPES, _GARBAGE),
+    "extra": _GARBAGE,
+}
+_PAYLOADS = st.one_of(
+    st.fixed_dictionaries({"intervals": _GEOMETRY}, optional={k: v for k, v in _FIELDS.items() if k != "intervals"}),
+    st.fixed_dictionaries({}, optional=_FIELDS),
+    _GARBAGE)
+
+
+class TestMalformedInput:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=_PAYLOADS)
+    def test_every_payload_reaches_a_documented_exit(self, tmp_path_factory, payload):
+        cfg = tmp_path_factory.mktemp("payload") / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["mi", "--input", str(cfg)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            json.loads(out.getvalue())
+        else:
+            assert "error" in json.loads(err.getvalue())
+
 
 class TestConvergeCommand:
     def test_json_study(self, capsys):
@@ -134,6 +199,21 @@ class TestAuditCommands:
         monkeypatch.setattr(np.random, "SeedSequence", FailingSpawn)
         with pytest.raises(Spawned):
             audits.fan_audit(audits.MAX_TRIALS, 0)
+
+    def test_k_above_limit_refused_before_allocation(self, capsys, monkeypatch):
+        class NoSpawn:
+            def __init__(self, seed):
+                pass
+
+            def spawn(self, n):
+                pytest.fail("spawned RNG streams despite the k limit")
+
+        def no_alloc(*args, **kwargs):
+            pytest.fail("allocated despite the k limit")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        monkeypatch.setattr(rand, "gaussian_matrix", no_alloc)
+        assert_usage_error(capsys, "index-analog", "--k", str(audits.MAX_K + 1), "--trials", "1")
 
 
 class TestEmbedCommand:

@@ -47,6 +47,19 @@ class TestIntervalConfig:
         with pytest.raises(ValueError):
             IntervalConfig(intervals=STANDARD, resolution=0)
 
+    @pytest.mark.parametrize("resolution", ["abc", "64", None, [64], True])
+    def test_rejects_non_numeric_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            IntervalConfig(intervals=STANDARD, resolution=resolution)
+
+    @pytest.mark.parametrize("components", ["x", 2.5, None, [1], True, math.inf, 0])
+    def test_rejects_non_integer_components(self, components):
+        with pytest.raises(ValueError, match="components"):
+            IntervalConfig(intervals=STANDARD, resolution=8, components=components)
+
+    def test_integral_float_components_accepted(self):
+        assert IntervalConfig(intervals=STANDARD, resolution=8, components=2.0).components == 2.0
+
 
 class TestHardyKernel:
     def test_single_site(self):
@@ -194,12 +207,24 @@ class TestSiteLimit:
         with pytest.raises(ValueError, match="limit"):
             build_covariance(cfg)
 
+    def test_overflowing_site_count_refused(self):
+        # (b - a) * resolution overflows to inf; int(round(inf)) would raise OverflowError.
+        cfg = IntervalConfig(intervals=((-1e308, 0.0), (1.0, 1e308)), resolution=64)
+        with pytest.raises(ValueError, match="limit"):
+            build_covariance(cfg)
+
 
 class TestMIConvergence:
     def test_singleton_fraction(self):
         cfg = IntervalConfig(intervals=STANDARD, resolution=16)
         series = mi_convergence(cfg, [1.0])
         assert series.values[0] == pytest.approx(mutual_information_value(cfg), abs=1e-12)
+
+    def test_one_point_series_bounds_nothing(self):
+        # as richardson does for one resolution: a single value has no error estimate
+        cfg = IntervalConfig(intervals=STANDARD, resolution=16)
+        assert mi_convergence(cfg, [1.0]).extrapolation_error == math.inf
+        assert richardson([0.5])[1] == math.inf
 
     def test_window_series_nondecreasing(self):
         cfg = IntervalConfig(intervals=STANDARD, resolution=32)

@@ -59,6 +59,19 @@ class TestVonNeumannEntropy:
         assert von_neumann_entropy(rho) == pytest.approx(H_QUARTER, abs=1e-13)
 
 
+class TestKeptSums:
+    def test_rows_equal_one_dimensional_sums_of_the_kept_entries(self):
+        # np.sum's pairwise blocks depend on the length, so a row with dropped
+        # entries must not be summed as a zero-padded full row.
+        rng = np.random.default_rng(3)
+        for d in (3, 9, 17, 40):
+            x = rng.standard_normal((25, d))
+            keep = rng.random((25, d)) < 0.7
+            keep[0] = True
+            got = relent._kept_sums(x, keep)
+            assert all(got[i] == np.sum(x[i][keep[i]]) for i in range(25))
+
+
 class TestRelativeEntropy:
     def test_identical_states(self):
         rho = random_density(np.random.default_rng(0), 4)

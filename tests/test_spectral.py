@@ -106,12 +106,13 @@ class TestOffdiagHalfTrace:
     @staticmethod
     def _compressions(f, p, monkeypatch):
         seen = []
+        singular_values = spectral._singular_values
 
         def recording(m):
             seen.append(m)
-            return singular_profile(m)
+            return singular_values(m)
 
-        monkeypatch.setattr(spectral, "singular_profile", recording)
+        monkeypatch.setattr(spectral, "_singular_values", recording)
         offdiag_half_trace(f, p)
         return seen[0], seen[2]  # F1 and the corner PFP; seen[1] is F itself
 
