@@ -33,6 +33,14 @@ TWO_PATH_TOL = 1e-9
 MAX_SITES = 4096        # dense n x n complex matrices: 256 MiB each at the limit
 
 
+def _fits_float(x: numbers.Real) -> bool:
+    """Finite as a float; False for an integer too large to convert."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class IntervalConfig:
     """Disjoint real intervals with a lattice resolution (sites per unit length)."""
@@ -62,13 +70,15 @@ class IntervalConfig:
         res, comp = self.resolution, self.components
         if isinstance(res, bool) or not isinstance(res, numbers.Real):
             raise ValueError(f"resolution must be a number, got {res!r}")
-        if not (math.isfinite(res) and res > 0):
+        if not (_fits_float(res) and res > 0):
             raise ValueError("resolution must be positive and finite")
         if not 1 <= self.split < len(ivs):
             raise ValueError("split must leave both regions nonempty")
         integral = isinstance(comp, numbers.Integral) or (isinstance(comp, float) and comp.is_integer())
         if isinstance(comp, bool) or not integral or comp < 1:
             raise ValueError(f"components must be a positive integer, got {comp!r}")
+        if not _fits_float(comp):
+            raise ValueError("components must be a positive integer within the float range")
 
     def scaled(self, scale: float) -> "IntervalConfig":
         """Same geometry with endpoints scaled and the site counts preserved."""

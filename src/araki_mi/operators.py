@@ -11,18 +11,19 @@ RECOMPOSITION_TOL = 1e-9
 ENTROPY_SLACK = 1e-8
 
 
-def _square_complex(mat) -> np.ndarray:
-    m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def _square_stack(mats) -> np.ndarray:
     """Complex square matrix, or stack of them along leading axes."""
     m = np.asarray(mats, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {m.shape}")
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _square_complex(mat) -> np.ndarray:
+    """A single complex square matrix."""
+    m = _square_stack(mat)
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -76,6 +77,11 @@ def functional_calculus(w: np.ndarray, u: np.ndarray, f: Callable[[np.ndarray], 
     return (u * f(w)[..., None, :]) @ _conj_t(u)
 
 
+def spectral_norms(w: np.ndarray) -> np.ndarray:
+    """Operator norm of a Hermitian matrix from its eigenvalues, along the last axis."""
+    return np.max(np.abs(w), axis=-1)
+
+
 def xlogx(w) -> np.ndarray:
     """Elementwise w ln w with 0 ln 0 := 0, the kernel of every entropy here.
 
@@ -116,7 +122,7 @@ class HermitianOperator:
         return functional_calculus(*self._decompose(), f)
 
     def operator_norm(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues)))
+        return float(spectral_norms(self.eigenvalues))
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.mat)))

@@ -34,11 +34,16 @@ def _singular_values(f: np.ndarray) -> np.ndarray:
     return _checked_singular_values(np.linalg.svd(f, compute_uv=False))
 
 
+def _half_power_partials(v: np.ndarray) -> np.ndarray:
+    """Partial sums of mu_n^{1/2}, accumulated in index order, along the last axis."""
+    return np.cumsum(np.sqrt(v), axis=-1)
+
+
 def _half_power_sums(v: np.ndarray) -> np.ndarray:
-    """sum_n mu_n^{1/2}, accumulated in index order, along the last axis."""
+    """sum_n mu_n^{1/2} along the last axis; 0 for no values."""
     if not v.shape[-1]:
         return np.zeros(v.shape[:-1])
-    return np.cumsum(np.sqrt(v), axis=-1)[..., -1]
+    return _half_power_partials(v)[..., -1]
 
 
 @dataclass
@@ -48,15 +53,14 @@ class SingularProfile:
 
     def __post_init__(self):
         self.values = _checked_singular_values(np.asarray(self.values, dtype=float))
-        self.half_power_partials = np.cumsum(np.sqrt(self.values))
+        self.half_power_partials = _half_power_partials(self.values)
 
     def half_power_sum(self) -> float:
-        return float(self.half_power_partials[-1]) if self.values.size else 0.0
+        return float(_half_power_sums(self.values))
 
 
 def singular_profile(f: np.ndarray) -> SingularProfile:
-    s = np.linalg.svd(np.asarray(f, dtype=complex), compute_uv=False)
-    return SingularProfile(values=s)
+    return SingularProfile(values=_singular_values(np.asarray(f, dtype=complex)))
 
 
 def _fan_margins(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .operators import (HermitianOperator, OrthoProjection, checked_eigh, commutator_norm,
-                        functional_calculus, hermitian_stack, xlogx)
+                        functional_calculus, hermitian_stack, spectral_norms, xlogx)
 
 PSD_TOL = 1e-10
 
@@ -268,7 +268,7 @@ def _resolvent_bounds(a: np.ndarray, w_a: np.ndarray, p, t_samples) -> tuple[np.
     eye = np.eye(a.shape[-1])
     lhs = np.stack([np.linalg.norm(np.linalg.inv(t * eye + b) @ a, ord=2, axis=(-2, -1))
                     for t in t_samples], axis=-1)
-    rhs = np.sqrt(np.max(np.abs(w_a), axis=-1))[..., None] / np.sqrt(np.asarray(t_samples, dtype=float))
+    rhs = np.sqrt(spectral_norms(w_a))[..., None] / np.sqrt(np.asarray(t_samples, dtype=float))
     return lhs, rhs
 
 

@@ -1,15 +1,10 @@
-import io
 import json
-import math
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import araki_mi
 from araki_mi import audits, fermion, rand
@@ -81,8 +76,9 @@ class TestMICommand:
         assert_usage_error(capsys, "mi", "--intervals", "[[-1e308,0],[1,1e308]]")
 
     @pytest.mark.parametrize("command", ["mi", "converge"])
-    @pytest.mark.parametrize("field,value", [("resolution", "abc"), ("components", "x")])
-    def test_wrongly_typed_input_field_usage_error(self, capsys, tmp_path, command, field, value):
+    @pytest.mark.parametrize("field,value", [("resolution", "abc"), ("components", "x"),
+                                             ("resolution", 10**400), ("components", 2**1100)])
+    def test_invalid_input_field_usage_error(self, capsys, tmp_path, command, field, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"intervals": [[0, 1], [2, 3]], field: value}))
         code, out, err = run(capsys, command, "--input", str(cfg))
@@ -94,48 +90,6 @@ class TestMICommand:
                            "--fractions", "1")
         assert code == 0
         assert json.loads(out)["extrapolation_error"] == "inf"
-
-
-# Payloads for `mi --input`: each field well formed, malformed or missing.
-# Finite numbers stay in [-1, 1] (resolution up to 100), so any accepted
-# geometry has at most about 210 lattice sites and no example runs a large
-# eigensolve; oversized requests are covered by the pre-allocation tests only.
-_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-_WRONG_TYPES = st.one_of(st.none(), st.booleans(), st.text(max_size=3), _NON_FINITE)
-_GARBAGE = st.recursive(st.one_of(_WRONG_TYPES, st.integers(-1, 1), st.floats(-1.0, 1.0)), lambda inner: st.one_of(
-    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=8)
-_GEOMETRY = st.lists(st.integers(-8, 8), min_size=4, max_size=6, unique=True).map(
-    lambda xs: [[x / 8 for x in sorted(xs)[i:i + 2]] for i in range(0, len(xs) - 1, 2)])
-_FIELDS = {
-    "intervals": st.one_of(
-        _GEOMETRY,
-        st.lists(st.lists(st.one_of(st.floats(-1.0, 1.0), _WRONG_TYPES, _GARBAGE), min_size=2, max_size=2),
-                 max_size=4),
-        _GARBAGE),
-    "resolution": st.one_of(st.integers(4, 100), st.floats(4.0, 100.0), st.integers(-2, 0), _WRONG_TYPES, _GARBAGE),
-    "components": st.one_of(st.integers(-1, 3), st.floats(-1.0, 3.0), _WRONG_TYPES, _GARBAGE),
-    "extra": _GARBAGE,
-}
-_PAYLOADS = st.one_of(
-    st.fixed_dictionaries({"intervals": _GEOMETRY}, optional={k: v for k, v in _FIELDS.items() if k != "intervals"}),
-    st.fixed_dictionaries({}, optional=_FIELDS),
-    _GARBAGE)
-
-
-class TestMalformedInput:
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(payload=_PAYLOADS)
-    def test_every_payload_reaches_a_documented_exit(self, tmp_path_factory, payload):
-        cfg = tmp_path_factory.mktemp("payload") / "cfg.json"
-        cfg.write_text(json.dumps(payload))
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["mi", "--input", str(cfg)])
-        assert code in (0, 2, 3)
-        if code == 0:
-            json.loads(out.getvalue())
-        else:
-            assert "error" in json.loads(err.getvalue())
 
 
 class TestConvergeCommand:
