@@ -15,7 +15,7 @@ evaluation; they are emitted in trial order.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +24,12 @@ from .operators import checked_eigh, hermitian_stack
 from .relent import BipartiteShape, TraceExpectation
 from .report import AuditReport
 
-DEFAULT_T_SAMPLES = (1e-3, 1e-2, 0.1, 1.0, 10.0)
+# Largest random dimension of each randomized suite (dims are drawn from [2, MAX_DIM]).
+MAX_DIM = {"pinch": 12, "epsilon_shift": 10, "resolvent_bound": 12, "integrand_psd": 10,
+           "fan_inequality": 20, "half_power_bound": 20}
+EPS_VALUES = (0.1, 0.01)
+T_SAMPLES = (1e-3, 1e-2, 0.1, 1.0, 10.0)
+PIMSNER_POPA_M = 3     # dimension of the factor that E keeps
 AUDIT_TOL = 1e-9
 # Every trial keeps a row in the report (about 0.3 KiB), so the count is
 # refused above this before anything is allocated.
@@ -83,8 +88,8 @@ def _summarize(suite: str, rows: list[dict], tol: float = AUDIT_TOL) -> AuditRep
                        worst_margin=worst, rows=rows)
 
 
-def _random_dim(max_dim: int) -> Callable[[np.random.Generator], int]:
-    return lambda rng: int(rng.integers(2, max_dim + 1))
+def _random_dim(suite: str) -> Callable[[np.random.Generator], int]:
+    return lambda rng: int(rng.integers(2, MAX_DIM[suite] + 1))
 
 
 def _psd_and_mask(rng: np.random.Generator, dim: int) -> tuple:
@@ -99,7 +104,7 @@ def _psd(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (a, *checked_eigh(a))
 
 
-def pinch_audit(trials: int, seed: int, max_dim: int = 12) -> AuditReport:
+def pinch_audit(trials: int, seed: int) -> AuditReport:
     """B = (A + UAU)/2 exactly and B - A/2 is PSD."""
 
     def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
@@ -113,54 +118,54 @@ def pinch_audit(trials: int, seed: int, max_dim: int = 12) -> AuditReport:
         return {"dim": np.full(len(a), dim), "identity_gap": gap,
                 "margin": np.minimum(half_margin, 1e-12 - gap)}
 
-    return _summarize("pinch", _run_trials(_random_dim(max_dim), _psd_and_mask, evaluate, trials, seed))
+    return _summarize("pinch", _run_trials(_random_dim("pinch"), _psd_and_mask, evaluate, trials, seed))
 
 
-def epsilon_shift_audit(trials: int, seed: int, max_dim: int = 10,
-                        eps_values: Sequence[float] = (0.1, 0.01)) -> AuditReport:
+def epsilon_shift_audit(trials: int, seed: int) -> AuditReport:
     """tau_A - tau_{A+eps} is PSD for every eps > 0."""
 
     def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
         a, w_a, u_a = _psd(factors)
         t0 = tau._tau_spectral(a, w_a, u_a, inside)
         margin = np.full(len(a), math.inf)
-        for eps in eps_values:
+        for eps in EPS_VALUES:
             shifted = tau._tau_shifted(a, inside, eps)
             margin = np.minimum(margin, np.linalg.eigvalsh(t0 - shifted)[:, 0])
         return {"dim": np.full(len(a), dim), "margin": margin}
 
-    return _summarize("epsilon_shift", _run_trials(_random_dim(max_dim), _psd_and_mask, evaluate, trials, seed))
+    rows = _run_trials(_random_dim("epsilon_shift"), _psd_and_mask, evaluate, trials, seed)
+    return _summarize("epsilon_shift", rows)
 
 
-def resolvent_audit(trials: int, seed: int, max_dim: int = 12,
-                    t_samples: Sequence[float] = DEFAULT_T_SAMPLES) -> AuditReport:
+def resolvent_audit(trials: int, seed: int) -> AuditReport:
     """||(t+B)^{-1} A|| <= ||A||^{1/2} t^{-1/2} at the sampled t."""
 
     def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
         a, w_a, _ = _psd(factors)
-        lhs, rhs = tau._resolvent_bounds(a, w_a, inside, t_samples)
+        lhs, rhs = tau._resolvent_bounds(a, w_a, inside, T_SAMPLES)
         return {"dim": np.full(len(a), dim), "margin": np.min(rhs - lhs, axis=-1)}
 
-    return _summarize("resolvent_bound", _run_trials(_random_dim(max_dim), _psd_and_mask, evaluate, trials, seed))
+    rows = _run_trials(_random_dim("resolvent_bound"), _psd_and_mask, evaluate, trials, seed)
+    return _summarize("resolvent_bound", rows)
 
 
-def integrand_psd_audit(trials: int, seed: int, max_dim: int = 10,
-                        t_samples: Sequence[float] = DEFAULT_T_SAMPLES) -> AuditReport:
+def integrand_psd_audit(trials: int, seed: int) -> AuditReport:
     """Operator convexity: the resolvent integrand is PSD at every t > 0."""
 
     def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
         a, w_a, _ = _psd(factors)
         b = tau._pinched(a, w_a, inside)
         margin = np.full(len(a), math.inf)
-        for t in t_samples:
+        for t in T_SAMPLES:
             m = tau._resolvent_integrand(a, b, inside, t)[:, 0]
             margin = np.minimum(margin, np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m.conj(), -1, -2)))[:, 0])
         return {"dim": np.full(len(a), dim), "margin": margin}
 
-    return _summarize("integrand_psd", _run_trials(_random_dim(max_dim), _psd_and_mask, evaluate, trials, seed))
+    rows = _run_trials(_random_dim("integrand_psd"), _psd_and_mask, evaluate, trials, seed)
+    return _summarize("integrand_psd", rows)
 
 
-def fan_audit(trials: int, seed: int, max_dim: int = 20) -> AuditReport:
+def fan_audit(trials: int, seed: int) -> AuditReport:
     """Fan's singular value inequality on random pairs."""
 
     def draw(rng: np.random.Generator, dim: int) -> tuple:
@@ -172,10 +177,11 @@ def fan_audit(trials: int, seed: int, max_dim: int = 20) -> AuditReport:
         return {"dim": np.full(len(f), dim), "margin": np.min(margins, axis=-1),
                 "checked": np.full(len(f), margins.shape[-1])}
 
-    return _summarize("fan_inequality", _run_trials(_random_dim(max_dim), draw, evaluate, trials, seed), tol=1e-10)
+    rows = _run_trials(_random_dim("fan_inequality"), draw, evaluate, trials, seed)
+    return _summarize("fan_inequality", rows, tol=1e-10)
 
 
-def half_power_audit(trials: int, seed: int, max_dim: int = 20) -> AuditReport:
+def half_power_audit(trials: int, seed: int) -> AuditReport:
     """Tr |F1|^{1/2} <= (sqrt(2)+1) Tr |F|^{1/2} on random matrices."""
 
     def draw(rng: np.random.Generator, dim: int) -> tuple:
@@ -186,7 +192,8 @@ def half_power_audit(trials: int, seed: int, max_dim: int = 20) -> AuditReport:
         lhs, rhs = spectral._offdiag_half_traces(f, inside)
         return {"dim": np.full(len(f), dim), "margin": rhs - lhs}
 
-    return _summarize("half_power_bound", _run_trials(_random_dim(max_dim), draw, evaluate, trials, seed))
+    rows = _run_trials(_random_dim("half_power_bound"), draw, evaluate, trials, seed)
+    return _summarize("half_power_bound", rows)
 
 
 def _check_k(k: int) -> None:
@@ -219,16 +226,17 @@ def index_audit(trials: int, seed: int, k: int = 2) -> AuditReport:
     return _summarize("entropy_index_gap", rows, tol=1e-8)
 
 
-def pimsner_popa_audit(trials: int, seed: int, k: int = 2, m: int = 3) -> AuditReport:
+def pimsner_popa_audit(trials: int, seed: int, k: int = 2) -> AuditReport:
     """E(a) >= a / k^2 for PSD a on the k (x) m factor algebra."""
     _check_k(k)
-    e = TraceExpectation(shape=BipartiteShape(k, m), traced_factor="A")
+    e = TraceExpectation(shape=BipartiteShape(k, PIMSNER_POPA_M), traced_factor="A")
 
     def evaluate(dim: int, factors: np.ndarray) -> dict:
         a = hermitian_stack(rand.psd_from_factor(factors))
         return {"margin": relent._pimsner_popa_margins(a, e)}
 
-    return _summarize("pimsner_popa", _run_trials(_fixed_dim(k * m), _square_factor, evaluate, trials, seed))
+    rows = _run_trials(_fixed_dim(k * PIMSNER_POPA_M), _square_factor, evaluate, trials, seed)
+    return _summarize("pimsner_popa", rows)
 
 
 def tau_audit(trials: int, seed: int) -> list[AuditReport]:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .operators import ENTROPY_SLACK, HERMITICITY_TOL, HermitianOperator, OrthoProjection, xlogx
+from .operators import ENTROPY_SLACK, HERMITICITY_TOL, checked_eigh, hermitian_matrix, xlogx
 
 SPECTRUM_SLACK = 1e-9
 TWO_PATH_TOL = 1e-9
@@ -94,11 +94,10 @@ class IntervalConfig:
 
 @dataclass
 class CovarianceSystem:
-    c: HermitianOperator
-    p1: OrthoProjection     # coordinate masks of the two regions
-    p2: OrthoProjection
-    site_map: Dict[int, Tuple[int, int]]  # interval index -> (start, count) in global sites
-    sites: np.ndarray       # integer lattice site of each row of c
+    c: np.ndarray             # complex Hermitian covariance, rows in interval order
+    inside: np.ndarray        # bool: the row belongs to region 1
+    sites: np.ndarray         # integer lattice site of each row of c
+    counts: Tuple[int, ...]   # rows of each interval block, in interval order
 
 
 @dataclass
@@ -142,23 +141,12 @@ def hardy_kernel(sites: np.ndarray) -> np.ndarray:
 def build_covariance(config: IntervalConfig) -> CovarianceSystem:
     blocks = _site_blocks(config)
     sites = np.concatenate([np.arange(s, s + n) for s, n in blocks])
-    c = HermitianOperator(hardy_kernel(sites))
-    w = c.eigenvalues
-    if w[0] < -SPECTRUM_SLACK or w[-1] > 1.0 + SPECTRUM_SLACK:
-        raise ArithmeticError(f"covariance spectrum escapes [0, 1]: [{w[0]}, {w[-1]}]")
-    site_map = {}
-    offset = 0
-    for i, (s, n) in enumerate(blocks):
-        site_map[i] = (offset, n)
-        offset += n
-    dim = offset
-    region1 = []
-    for i in range(config.split):
-        s, n = site_map[i]
-        region1.extend(range(s, s + n))
-    p1 = OrthoProjection.from_mask(dim, region1)
-    p2 = p1.complement()
-    return CovarianceSystem(c=c, p1=p1, p2=p2, site_map=site_map, sites=sites)
+    counts = tuple(n for _, n in blocks)
+    inside = np.repeat(np.arange(len(counts)) < config.split, counts)
+    # The kernel is Hermitian already, but symmetrising flips the signed zeros
+    # of its real parts, and the bits of eigh (so the reported digits) depend on them.
+    c = hermitian_matrix(hardy_kernel(sites))
+    return CovarianceSystem(c=c, inside=inside, sites=sites, counts=counts)
 
 
 def _binary_entropy_sum(eigs: np.ndarray) -> float:
@@ -192,19 +180,22 @@ def _sublattice_entropy(m: np.ndarray, sites: np.ndarray) -> float:
 def sigma_trace(sys: CovarianceSystem) -> float:
     """Tr sigma_C = S_1 + S_2 - S_12, computed by two independent routes.
 
-    The returned value takes S_12 from the Hermitian eigensolve of C and S_X
-    from `eigvalsh` of each region block.  The check recomputes all three
+    The returned value takes S_12 from the Hermitian eigensolve of C, whose
+    spectrum must lie in [0, 1] up to SPECTRUM_SLACK, and S_X from `eigvalsh`
+    of each region block.  The check recomputes all three
     entropies from half-size singular value decompositions
     (`_sublattice_entropy`), which share no factorization with the first route.
     """
-    c = sys.c
-    regions = [np.asarray(p.mask, dtype=int) for p in (sys.p1, sys.p2)]
-    blocks = [c.mat[np.ix_(idx, idx)] for idx in regions]
-    s12 = _binary_entropy_sum(c.eigenvalues)
+    w, _ = checked_eigh(sys.c)
+    if w[0] < -SPECTRUM_SLACK or w[-1] > 1.0 + SPECTRUM_SLACK:
+        raise ArithmeticError(f"covariance spectrum escapes [0, 1]: [{w[0]}, {w[-1]}]")
+    regions = [np.flatnonzero(sys.inside), np.flatnonzero(~sys.inside)]
+    blocks = [sys.c[np.ix_(idx, idx)] for idx in regions]
+    s12 = _binary_entropy_sum(w)
     s_blocks = [_binary_entropy_sum(np.linalg.eigvalsh(block)) for block in blocks]
     value = s_blocks[0] + s_blocks[1] - s12
     check = (sum(_sublattice_entropy(block, sys.sites[idx]) for block, idx in zip(blocks, regions))
-             - _sublattice_entropy(c.mat, sys.sites))
+             - _sublattice_entropy(sys.c, sys.sites))
     if abs(check - value) > TWO_PATH_TOL * max(1.0, abs(value)):
         raise ArithmeticError(f"sigma trace routes disagree: eigensolve {value} vs sublattice SVD {check}")
     if value < -SPECTRUM_SLACK:
@@ -217,27 +208,23 @@ def mutual_information_value(config: IntervalConfig) -> float:
     return config.components * sigma_trace(build_covariance(config))
 
 
-def _windowed_system(sys: CovarianceSystem, fraction: float) -> tuple[CovarianceSystem, int]:
+def _windowed_system(sys: CovarianceSystem, fraction: float) -> CovarianceSystem:
     """Centered sub-window of every interval block; windows at growing
     fractions are nested and commute with the region selector."""
-    keep = []
-    site_map = {}
-    offset = 0
-    for i in sorted(sys.site_map):
-        start, count = sys.site_map[i]
+    keep, counts = [], []
+    start = 0
+    for i, count in enumerate(sys.counts):
         w = int(round(fraction * count))
         if w < 1:
             raise ValueError(f"window fraction {fraction} leaves interval {i} empty")
         lo = start + (count - w) // 2
-        keep.extend(range(lo, lo + w))
-        site_map[i] = (offset, w)
-        offset += w
-    keep_arr = np.asarray(keep, dtype=int)
-    c_w = HermitianOperator(sys.c.mat[np.ix_(keep_arr, keep_arr)])
-    inside = set(sys.p1.mask)
-    p1 = OrthoProjection.from_mask(len(keep), [j for j, row in enumerate(keep) if row in inside])
-    return CovarianceSystem(c=c_w, p1=p1, p2=p1.complement(), site_map=site_map,
-                            sites=sys.sites[keep_arr]), len(keep)
+        keep.append(np.arange(lo, lo + w))
+        counts.append(w)
+        start += count
+    rows = np.concatenate(keep)
+    # A block of a symmetrised matrix is symmetrised already (bit for bit).
+    return CovarianceSystem(c=sys.c[np.ix_(rows, rows)], inside=sys.inside[rows],
+                            sites=sys.sites[rows], counts=tuple(counts))
 
 
 def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) -> MISeries:
@@ -250,13 +237,9 @@ def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) ->
     sys = build_covariance(config)
     sizes, values = [], []
     for f in fracs:
-        if f == 1.0:
-            sizes.append(sys.c.dim)
-            values.append(config.components * sigma_trace(sys))
-        else:
-            wsys, n = _windowed_system(sys, f)
-            sizes.append(n)
-            values.append(config.components * sigma_trace(wsys))
+        wsys = sys if f == 1.0 else _windowed_system(sys, f)
+        sizes.append(len(wsys.sites))
+        values.append(config.components * sigma_trace(wsys))
     err = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
     return MISeries(window_sizes=tuple(sizes), values=tuple(values),
                     extrapolated=values[-1], extrapolation_error=err)

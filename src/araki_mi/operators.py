@@ -147,18 +147,14 @@ class OrthoProjection:
         self.mask: Optional[tuple] = None
 
     @classmethod
-    def _of_mask(cls, dim: int, idx: tuple) -> "OrthoProjection":
-        # A diagonal 0/1 matrix is Hermitian and idempotent by construction.
-        p = cls.__new__(cls)
-        p._mat, p.dim, p.mask = None, dim, idx
-        return p
-
-    @classmethod
     def from_mask(cls, dim: int, indices: Iterable[int]) -> "OrthoProjection":
         idx = tuple(sorted(set(int(i) for i in indices)))
         if idx and (idx[0] < 0 or idx[-1] >= dim):
             raise ValueError("mask indices out of range")
-        return cls._of_mask(dim, idx)
+        # A diagonal 0/1 matrix is Hermitian and idempotent by construction.
+        p = cls.__new__(cls)
+        p._mat, p.dim, p.mask = None, dim, idx
+        return p
 
     @property
     def mat(self) -> np.ndarray:
@@ -177,12 +173,6 @@ class OrthoProjection:
         inside = np.zeros(self.dim, dtype=bool)
         inside[np.asarray(self.mask, dtype=int)] = True
         return inside
-
-    def complement(self) -> "OrthoProjection":
-        if self.mask is not None:
-            inside = set(self.mask)
-            return OrthoProjection._of_mask(self.dim, tuple(i for i in range(self.dim) if i not in inside))
-        return OrthoProjection(np.eye(self.dim) - self.mat)
 
     def rank(self) -> int:
         if self.mask is not None:

@@ -18,9 +18,9 @@ def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def psd_from_factor(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """scale * M M^dagger / dim of a dim x dim factor, or of each factor of a stack."""
-    return scale * (m @ np.swapaxes(m.conj(), -1, -2)) / m.shape[-1]
+def psd_from_factor(m: np.ndarray) -> np.ndarray:
+    """M M^dagger / dim of a dim x dim factor, or of each factor of a stack."""
+    return m @ np.swapaxes(m.conj(), -1, -2) / m.shape[-1]
 
 
 def density_from_factor(m: np.ndarray) -> np.ndarray:
@@ -37,13 +37,8 @@ def block_membership(rng: np.random.Generator, dim: int) -> np.ndarray:
     return inside
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
-    m = gaussian_matrix(rng, dim, dim)
-    return HermitianOperator(scale * 0.5 * (m + m.conj().T))
-
-
-def random_psd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
-    return HermitianOperator(psd_from_factor(gaussian_matrix(rng, dim, dim), scale))
+def random_psd(rng: np.random.Generator, dim: int) -> HermitianOperator:
+    return HermitianOperator(psd_from_factor(gaussian_matrix(rng, dim, dim)))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

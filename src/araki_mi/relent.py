@@ -19,6 +19,7 @@ from .operators import _conj_t, _frobenius, _square_complex, _square_stack, herm
 EIG_CLAMP = 1e-10
 TRACE_TOL = 1e-10
 SUPPORT_TOL = 1e-10
+MI_CROSS_CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def scaled_relative_entropy(lam: float, rho: DensityMatrix, lam2: float, sigma: 
     return lam * relative_entropy(rho, sigma) + lam * math.log(lam / lam2)
 
 
-def mutual_information(rho_ab: DensityMatrix, shape: BipartiteShape, cross_check_tol: float = 1e-8) -> float:
+def mutual_information(rho_ab: DensityMatrix, shape: BipartiteShape) -> float:
     """S(rho_A) + S(rho_B) - S(rho_AB).
 
     Also evaluates the relative entropy S(rho_AB, rho_A (x) rho_B) and insists
@@ -171,7 +172,7 @@ def mutual_information(rho_ab: DensityMatrix, shape: BipartiteShape, cross_check
     mi = von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - von_neumann_entropy(rho_ab)
     product = DensityMatrix(np.kron(rho_a.mat, rho_b.mat))
     alt = relative_entropy(rho_ab, product)
-    if math.isfinite(alt) and abs(alt - mi) > cross_check_tol:
+    if math.isfinite(alt) and abs(alt - mi) > MI_CROSS_CHECK_TOL:
         raise ArithmeticError(f"mutual information routes disagree: {mi} vs {alt}")
     return mi
 

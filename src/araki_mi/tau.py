@@ -33,6 +33,7 @@ from .operators import (HermitianOperator, OrthoProjection, checked_eigh, commut
                         functional_calculus, hermitian_stack, spectral_norms, xlogx)
 
 PSD_TOL = 1e-10
+EIG_FLOOR = 1e-12      # eigenvalues of B - A at or below this count as zero
 
 
 class ConvergenceError(RuntimeError):
@@ -357,7 +358,7 @@ def resolvent_bound_check(a: HermitianOperator, p: OrthoProjection,
             for t, l, r in zip(t_samples, lhs.tolist(), rhs.tolist())]
 
 
-def key_bound_constant(a: HermitianOperator, p: OrthoProjection, eig_floor: float = 1e-12) -> float:
+def key_bound_constant(a: HermitianOperator, p: OrthoProjection) -> float:
     """Epsilon-independent bound on Tr D_eps from the eigenvalues of B - A.
 
     Sum over nonzero eigenvalues lam of B - A of
@@ -368,7 +369,7 @@ def key_bound_constant(a: HermitianOperator, p: OrthoProjection, eig_floor: floa
     norm_a = a.operator_norm()
     total = 0.0
     for lam in np.abs(lams):
-        if lam <= eig_floor:
+        if lam <= EIG_FLOOR:
             continue
         total += math.pi * math.sqrt(norm_a) * math.sqrt(lam) + 3.0 * lam * math.log((1.0 + lam) / lam)
     return total

@@ -160,7 +160,7 @@ def resolvent_trial(rng, i, max_dim=12):
     dim = int(rng.integers(2, max_dim + 1))
     a = rand.random_psd(rng, dim)
     p = rand.random_block_projection(rng, dim)
-    rows = tau.resolvent_bound_check(a, p, audits.DEFAULT_T_SAMPLES)
+    rows = tau.resolvent_bound_check(a, p, audits.T_SAMPLES)
     return {"trial": i, "dim": dim, "margin": min(r["margin"] for r in rows)}
 
 
@@ -170,7 +170,7 @@ def integrand_trial(rng, i, max_dim=10):
     p = rand.random_block_projection(rng, dim)
     b = tau.pinch(a, p)
     margin = math.inf
-    for t in audits.DEFAULT_T_SAMPLES:
+    for t in audits.T_SAMPLES:
         m = tau.resolvent_integrand(a, b, p, t)
         margin = min(margin, float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]))
     return {"trial": i, "dim": dim, "margin": margin}

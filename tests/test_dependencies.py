@@ -14,15 +14,32 @@ PACKAGE = Path(araki_mi.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 
 
+def module_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def third_party_imports() -> set[str]:
     names = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in module_trees().values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
     return names - set(sys.stdlib_module_names) - {"__future__", "araki_mi"}
+
+
+def unused_imports(tree: ast.Module) -> set[str]:
+    """Names a module imports but never reads (the base of `np.linalg` is an ast.Name too)."""
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+    return imported - read
 
 
 def test_imports_are_declared_dependencies():
@@ -32,6 +49,12 @@ def test_imports_are_declared_dependencies():
     names = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in declared}
     assert third_party_imports() <= names
     assert names == {"numpy"}
+
+
+def test_modules_import_no_unused_names():
+    unused = {name: sorted(unused_imports(tree)) for name, tree in module_trees().items()
+              if name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 def test_tau_integrals_load_no_scipy():

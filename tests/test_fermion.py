@@ -17,17 +17,15 @@ from araki_mi.fermion import (
     richardson,
     sigma_trace,
 )
-from araki_mi.operators import HermitianOperator, OrthoProjection, xlogx
+from araki_mi.operators import xlogx
 
 LN2 = math.log(2.0)
 STANDARD = ((0.0, 1.0), (2.0, 3.0))
 
 
 def toy_system(offdiag: complex) -> CovarianceSystem:
-    c = HermitianOperator([[0.5, offdiag], [np.conj(offdiag), 0.5]])
-    p1 = OrthoProjection.from_mask(2, [0])
-    return CovarianceSystem(c=c, p1=p1, p2=p1.complement(), site_map={0: (0, 1), 1: (1, 1)},
-                            sites=np.array([0, 1]))
+    c = np.array([[0.5, offdiag], [np.conj(offdiag), 0.5]], dtype=complex)
+    return CovarianceSystem(c=c, inside=np.array([True, False]), sites=np.array([0, 1]), counts=(1, 1))
 
 
 class TestIntervalConfig:
@@ -77,17 +75,16 @@ class TestHardyKernel:
     @pytest.mark.parametrize("resolution", [8, 16, 32])
     def test_spectrum_in_unit_interval(self, resolution):
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=resolution))
-        w = sys.c.eigenvalues
+        w = np.linalg.eigvalsh(sys.c)
         assert np.max(np.abs(w - np.clip(w, 0.0, 1.0))) <= 1e-9
 
 
 class TestSigmaTrace:
     def test_block_diagonal_gives_zero(self):
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
-        pm, qm = sys.p1.mat, sys.p2.mat
-        pinched = HermitianOperator(pm @ sys.c.mat @ pm + qm @ sys.c.mat @ qm)
-        blocked = CovarianceSystem(c=pinched, p1=sys.p1, p2=sys.p2, site_map=sys.site_map,
-                                   sites=sys.sites)
+        same_region = sys.inside[:, None] == sys.inside[None, :]
+        blocked = CovarianceSystem(c=np.where(same_region, sys.c, 0.0), inside=sys.inside,
+                                   sites=sys.sites, counts=sys.counts)
         assert sigma_trace(blocked) == pytest.approx(0.0, abs=1e-10)
 
     def test_toy_half_offdiagonal(self):
@@ -98,6 +95,11 @@ class TestSigmaTrace:
         expected = 0.2616240718822739182584036124674354208202
         assert sigma_trace(toy_system(0.25)) == pytest.approx(expected, abs=1e-12)
         assert sigma_trace(toy_system(0.25j)) == pytest.approx(expected, abs=1e-12)
+
+    def test_spectrum_escaping_unit_interval_raises(self):
+        # spectrum 1/2 -+ 0.6 = (-0.1, 1.1): no covariance of a quasi-free state
+        with pytest.raises(ArithmeticError, match="escapes"):
+            sigma_trace(toy_system(0.6))
 
     def test_region_swap_symmetry(self):
         a = mutual_information_value(IntervalConfig(intervals=STANDARD, resolution=16))
@@ -157,9 +159,19 @@ class TestSublatticeCrossCheck:
             '{"extrapolated":0.09589399472689196,"resolutions":[16,32,64],'
             '"uncertainty":1.7456640411180436e-05,'
             '"values":[0.095613809078369361,0.095824058326393846,0.095876538086480778]}\n',
+        # region 1 after region 2 in row order, windows that do not divide the blocks evenly
+        ("mi", "--intervals", "[[2,3],[0,1]]", "--resolution", "40", "--fractions", "0.3,0.6,1"):
+            '{"extrapolated":0.095849252661708739,"extrapolation_error":0.064458100515474737,'
+            '"mi_nats":0.095849252661708739,"series":[{"value":0.0075389046989924324,"window":24},'
+            '{"value":0.031391152146234003,"window":48},{"value":0.095849252661708739,"window":80}]}\n',
+        ("mi", "--intervals", "[[0,0.75],[1.25,2],[2.5,3.25]]", "--resolution", "48"):
+            '{"extrapolated":0.18010582879114434,"extrapolation_error":0.087463234558822656,'
+            '"mi_nats":0.18010582879114434,"series":[{"value":0.0093615230212060752,"window":27},'
+            '{"value":0.038920618017773023,"window":54},{"value":0.092642594232321684,"window":81},'
+            '{"value":0.18010582879114434,"window":108}]}\n',
     }
 
-    @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", list(GOLDEN), ids=["mi", "converge", "mi-reversed-regions", "mi-three-intervals"])
     def test_canonical_output_unchanged(self, capsys, argv):
         assert main(list(argv)) == 0
         assert capsys.readouterr().out == self.GOLDEN[argv]
