@@ -201,13 +201,10 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, json.JSONDecodeError, FileNotFoundError, SystemExit) as exc:
+    except (ValueError, KeyError, OSError, SystemExit) as exc:
         sys.stderr.write(canonical_json({"error": "usage", "detail": str(exc)}) + "\n")
         return USAGE_ERROR
-    except ArithmeticError as exc:
-        sys.stderr.write(canonical_json({"error": "numerical", "detail": str(exc)}) + "\n")
-        return NUMERICAL_ERROR
-    except RuntimeError as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         sys.stderr.write(canonical_json({"error": "numerical", "detail": str(exc)}) + "\n")
         return NUMERICAL_ERROR
 

@@ -3,16 +3,20 @@
 Every positive-definite integer Gram matrix G of rank n admits vectors
 A_1, ..., A_n in Q^r with A_i . A_j = G_ij exactly; scaling by the least
 common multiple k of all denominators puts k A_i in Z^r.  The construction
-is inductive: A_1 = (1, ..., 1) of length G_11, and at step n the projection
-of the new vector onto the span of the previous ones is solved for in exact
-rationals, the positive rational residual p/q is realized by appending p*q
-coordinates each equal to 1/q.
+is inductive: A_1 = (1, ..., 1) of length G_11, and each new vector is its
+projection onto the span of the previous ones plus a positive rational
+residual p/q, realized by appending p*q coordinates each equal to 1/q.
 
 The appended coordinates are constant in blocks, so vectors are stored
 run-length compressed: the coordinate space is a list of segments and every
-vector holds one rational value per segment.  For random Gram matrices p*q
-can be astronomically large; the segmented form keeps everything exact and
-small.  No floating point is used anywhere in this module.
+vector holds one rational value per segment.  A_j vanishes past segment j,
+and segment j has length L_j = p_j q_j while A_j takes the value 1/q_j on it,
+so the vectors are lower triangular over segments with L_j A_j[j] = p_j.  The
+projection y of the new vector A_n therefore follows by forward substitution,
+y_j = (G_nj - sum_{s<j} L_s A_j[s] y_s) / p_j, with no linear system to solve.
+For random Gram matrices p*q can be astronomically large; the segmented form
+keeps everything exact and small.  No floating point is used anywhere in this
+module.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 # Most Fraction references dense_vectors will build (rank x r), whatever max_r allows.
 MAX_DENSE_ENTRIES = 1_000_000
@@ -44,9 +48,8 @@ class GramMatrix:
             for j in range(n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        for m in range(1, n + 1):
-            minor = [r[:m] for r in rows[:m]]
-            if integer_determinant(minor) <= 0:
+        for m, minor in enumerate(_bareiss_pivots(rows), start=1):
+            if minor <= 0:
                 raise ValueError(f"leading principal minor of order {m} is not positive")
 
     @property
@@ -55,19 +58,27 @@ class GramMatrix:
 
 
 def _integer(x) -> int:
+    if isinstance(x, bool):
+        raise ValueError(f"Gram entry {x!r} is not an integer")
     i = int(x)
     if i != x:
         raise ValueError(f"Gram entry {x!r} is not an integer")
     return i
 
 
-def integer_determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by Bareiss fraction-free elimination."""
+def _bareiss_pivots(m: Sequence[Sequence[int]]) -> Iterator[int]:
+    """Signed pivots of Bareiss fraction-free elimination of an integer matrix.
+
+    Until a row exchange, the m-th value yielded is the leading principal minor
+    of order m; the last value yielded is the determinant (0 at the first
+    column with no nonzero pivot candidate).
+    """
     a = [list(map(int, row)) for row in m]
     n = len(a)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
+        yield sign * a[k][k]
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
@@ -75,42 +86,17 @@ def integer_determinant(m: Sequence[Sequence[int]]) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
-def solve_integer_system(m: Sequence[Sequence[int]], rhs: Sequence[int]) -> List[Fraction]:
-    """Exact solution of a nonsingular integer system, fraction-free forward pass."""
-    n = len(rhs)
-    a = [list(map(int, row)) + [int(rhs[i])] for i, row in enumerate(m)]
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    break
-            else:
-                raise ArithmeticError("singular system")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    x: List[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        if a[i][i] == 0:
-            raise ArithmeticError("singular system")
-        acc = Fraction(a[i][n])
-        for j in range(i + 1, n):
-            acc -= a[i][j] * x[j]
-        x[i] = acc / a[i][i]
-    return x
+def integer_determinant(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix by Bareiss fraction-free elimination."""
+    *_, det = _bareiss_pivots(m)
+    return det
 
 
 @dataclass
@@ -166,11 +152,10 @@ def embed_rational(g: GramMatrix) -> RationalEmbedding:
     rows: List[List[Fraction]] = [[Fraction(1)]]
     residuals: List[Fraction] = [Fraction(gm[0][0])]
     for step in range(1, g.n):
-        sub = [row[:step] for row in gm[:step]]
-        rhs = [gm[step][i] for i in range(step)]
-        x = solve_integer_system(sub, rhs)
-        proj = [sum((x[j] * rows[j][s] for j in range(step)), Fraction(0))
-                for s in range(len(segments))]
+        proj: List[Fraction] = []
+        for j in range(step):
+            dot = sum((segments[s] * rows[j][s] * proj[s] for s in range(j)), Fraction(0))
+            proj.append((gm[step][j] - dot) / residuals[j].numerator)
         proj_sq = sum((length * proj[s] ** 2 for s, length in enumerate(segments)), Fraction(0))
         residual = Fraction(gm[step][step]) - proj_sq
         if residual <= 0:

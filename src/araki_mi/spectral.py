@@ -150,8 +150,6 @@ class SmoothKernelSpec:
 
     def grid_points(self) -> np.ndarray:
         axis = np.arange(self.grid) * (self.cube_side / self.grid)
-        if self.dims == 1:
-            return axis[:, None]
         grids = np.meshgrid(*([axis] * self.dims), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
@@ -210,9 +208,6 @@ def full_grid_kernel(spec: SmoothKernelSpec) -> np.ndarray:
 def fourier_eigenvalues(spec: SmoothKernelSpec) -> np.ndarray:
     """Eigenvalues of the full-grid kernel via the DFT of one row of samples."""
     axis = np.arange(spec.grid) * (spec.cube_side / spec.grid)
-    if spec.dims == 1:
-        samples = np.array([spec.symbol(np.array([x])) for x in axis])
-        return np.fft.fft(samples)
     grids = np.meshgrid(*([axis] * spec.dims), indexing="ij")
     samples = np.empty([spec.grid] * spec.dims, dtype=complex)
     for idx in np.ndindex(*samples.shape):

@@ -8,7 +8,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from araki_mi import audits, fermion, lattice, relent, spectral, tau
 from araki_mi.rand import random_block_projection, random_density, random_psd

@@ -25,6 +25,16 @@ def assert_usage_error(capsys, *argv):
     assert json.loads(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [
+    ("mi", "--input", "{dir}"),
+    ("mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "16", "-o", "{dir}"),
+    ("embed", "--input", "{dir}"),
+])
+def test_directory_path_usage_error(capsys, tmp_path, argv):
+    # exit 1 is reserved for audited violations; an unreadable or unwritable path is a usage error
+    assert_usage_error(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+
+
 class TestMICommand:
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "16")
@@ -195,7 +205,8 @@ class TestEmbedCommand:
         assert_usage_error(capsys, "embed", "--gram", "5")
 
     def test_non_integer_gram_usage_error(self, capsys):
-        assert_usage_error(capsys, "embed", "--gram", "[[2.5]]")
+        for gram in ("[[2.5]]", "[[true]]"):
+            assert_usage_error(capsys, "embed", "--gram", gram)
 
     def test_dense_expansion_over_budget_usage_error(self, capsys):
         # r = 10^30 fits under --dense-limit; the entry budget must refuse it before

@@ -12,10 +12,11 @@ import araki_mi
 
 PACKAGE = Path(araki_mi.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+TESTS = Path(__file__).resolve().parent
 
 
-def module_trees() -> dict[str, ast.Module]:
-    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+def module_trees(directory: Path = PACKAGE) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(directory.glob("*.py"))}
 
 
 def third_party_imports() -> set[str]:
@@ -52,8 +53,8 @@ def test_imports_are_declared_dependencies():
 
 
 def test_modules_import_no_unused_names():
-    unused = {name: sorted(unused_imports(tree)) for name, tree in module_trees().items()
-              if name != "__init__.py"}
+    trees = {**module_trees(), **{f"tests/{name}": tree for name, tree in module_trees(TESTS).items()}}
+    unused = {name: sorted(unused_imports(tree)) for name, tree in trees.items() if name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
 
 

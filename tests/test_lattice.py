@@ -1,12 +1,18 @@
+import hashlib
+import json
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
+from araki_mi.cli import main
 from araki_mi.lattice import (
     MAX_DENSE_ENTRIES,
+    ROOT_LATTICE_GRAMS,
     GramMatrix,
     RationalEmbedding,
+    _bareiss_pivots,
     coset_count,
     embed_rational,
     exact_ldl_pivots,
@@ -14,7 +20,6 @@ from araki_mi.lattice import (
     integralize,
     is_even,
     root_lattice,
-    solve_integer_system,
     sublattice_index,
 )
 
@@ -44,15 +49,52 @@ class TestGramMatrix:
         for name, det in expected.items():
             assert integer_determinant(root_lattice(name).entries) == det
 
+    @pytest.mark.parametrize("entries,order", [
+        ([[0]], 1), ([[-1, 0], [0, 1]], 1), ([[0, 1], [1, 0]], 1),
+        ([[1, 2], [2, 1]], 2), ([[1, 1], [1, 1]], 2),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], 3), ([[2, 1, 1], [1, 2, 1], [1, 1, -3]], 3),
+        ([[1, 1, 1], [1, 2, 2], [1, 2, 2]], 3),
+    ])
+    def test_first_nonpositive_minor_named(self, entries, order):
+        with pytest.raises(ValueError) as info:
+            GramMatrix(entries)
+        assert str(info.value) == f"leading principal minor of order {order} is not positive"
 
-class TestSolveIntegerSystem:
-    def test_known_solution(self):
-        x = solve_integer_system([[2, -1], [-1, 2]], [1, 0])
-        assert x == [Fraction(2, 3), Fraction(1, 3)]
 
-    def test_singular_rejected(self):
-        with pytest.raises(ArithmeticError):
-            solve_integer_system([[1, 1], [1, 1]], [1, 0])
+def leibniz_determinant(m) -> int:
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+class TestBareissPivots:
+    def test_pivots_are_leading_minors_until_nonpositive(self):
+        # entries in [-2, 2] with forced zero rows and repeated columns give
+        # zero pivots, row exchanges and singular matrices
+        rng = np.random.default_rng(7)
+        matrices = [[[0, 1], [1, 0]], [[1, 2], [2, 4]]]
+        for trial in range(300):
+            n = int(rng.integers(1, 6))
+            m = rng.integers(-2, 3, size=(n, n))
+            if trial % 3 == 0:
+                m[rng.integers(0, n)] = 0
+            if trial % 5 == 0 and n > 1:
+                m[:, 1] = m[:, 0]
+            matrices.append(m.tolist())
+        for m in matrices:
+            assert integer_determinant(m) == leibniz_determinant(m)
+            minors = [integer_determinant([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+            for minor, pivot in zip(minors, _bareiss_pivots(m)):
+                assert pivot == minor
+                if pivot <= 0:
+                    break
+        assert integer_determinant([[0, 1], [1, 0]]) == -1
 
 
 class TestEmbedRational:
@@ -117,6 +159,73 @@ class TestEmbedRational:
                     assert gram[i][j] == g.entries[i][j]
             assert all(rv > 0 for rv in emb.residuals)
             assert list(emb.residuals) == exact_ldl_pivots(g)
+
+
+def golden_grams() -> dict:
+    """The root lattices, then M^T M (M nonsingular, entries in [-3, 3]) and
+    B^T B + I (entries of B in [-2, 2]) for each rank 1..16, seeded."""
+    grams = {name: [list(row) for row in g] for name, g in ROOT_LATTICE_GRAMS.items()}
+    rng = np.random.default_rng(8)
+    for n in range(1, 17):
+        while True:
+            m = rng.integers(-3, 4, size=(n, n))
+            if integer_determinant(m.tolist()) != 0:
+                break
+        b = rng.integers(-2, 3, size=(n, n))
+        grams[f"mtm{n}"] = (m.T @ m).tolist()
+        grams[f"btb{n}"] = (b.T @ b + np.eye(n, dtype=int)).tolist()
+    return grams
+
+
+# SHA-256 of the canonical `embed --gram` stdout, recorded when each projection
+# still came from an integer solve of its own; embed output must not move.
+EMBED_STDOUT_SHA256 = {
+    "A1": "077b2919107b3827d67ab733fd13b703978e13f61dd77615405f45a7492f50d6",
+    "A2": "22a6c3b75b221e29bfd3fce1b99b6bed699005736d1e5e4366e9f391ee734c88",
+    "A3": "d8aab91e7c4752dac4aebadfe7b27135458aa4de4cc6a9ce06f9a898df134ca9",
+    "D4": "f6225d27a91eadd414af1fde626085f9d424330f71964d7a068d8b4845f206bf",
+    "E8": "0e787be67c1a27b4ea610cf3dcde845851249080541c96c81d7f7f7a937debab",
+    "mtm1": "73ee890698ea1573ae355b3dcb59edf7327bef043a09cee1939b40308d381cd2",
+    "btb1": "077b2919107b3827d67ab733fd13b703978e13f61dd77615405f45a7492f50d6",
+    "mtm2": "0170b55c440701184cbf85e4056a6f4c68209043bd89206b33608190345f9669",
+    "btb2": "c5efe4b7431e48314f605e77af11f7c2e1f019fc8f61b2acf841abcdde04e228",
+    "mtm3": "832a7cc7b432402d6d3840bc65576c5968fb9ccce7b065c8315c5336752f583b",
+    "btb3": "2652eab2489c6b33d3ae90ae2ee995b8f44004ed0e518030264840c27fc55a9c",
+    "mtm4": "9b9b33d0ce2620a229c9a6aa4fc57a39d60011935c09bed86ed784d2a5c502e1",
+    "btb4": "f9aa7c7c93dc5217a14aa1252d2696d6683ae2e9cefa74ff2904238e88d55ec7",
+    "mtm5": "02a75c72058a3b8b72a2d455692098d67cf9a6e961978bda2f40eded1e406761",
+    "btb5": "07a5a84c87a7a345ba54e1ab1077973dfd75c9d2fe72b59311fa718deac3ea45",
+    "mtm6": "0046a8bccaf3d70c43d8b6bfd50f94cef1766ab074b2eae2b71f4b5ed1ffd788",
+    "btb6": "5e06b57c020138d2cbd96d309a78295dd8eeb66c58503dbc65fd555966291488",
+    "mtm7": "b2676ec49b56371ed267d4339b84fa1b383ca55216ca3b39c899065dbd68c137",
+    "btb7": "7e973a876035aac18d4165e250341a1985224caf1ebe99560beff76515dbc2ee",
+    "mtm8": "6fddaa759353f6a7cd571329826dbf875890071b51e257326d7aae3b0948fe0f",
+    "btb8": "05d48e0725b28c3f5974ac2b6d6cb6b77f15b010f44be98a4832ae21a5db0a31",
+    "mtm9": "8b750951042a2c6596270dcb93a1ded6befb64ed286e377f4343d126ef9999a1",
+    "btb9": "f3763c889a029a491ab1761075e6580fe7153d04d7fbf8886f244f582a7ff0e2",
+    "mtm10": "035efab5ec84fe2c4c71ebe9811b5ca101c92aafdd4598c378707025f955114e",
+    "btb10": "573a71a3644d891d5f4add748abaa2214ce895eb1bd20299c3f1b8df2a5a0d69",
+    "mtm11": "98c667f59c92f3377f3bcbd4414bbef412f869421ef176723f9647837aafc0c7",
+    "btb11": "a329abb2664b7f66f1339d4d95da06eab52056054700e6aadbc323eb0b5e2937",
+    "mtm12": "f035fb6ffb2b426641c7735bc6fba0ba97405ba1179db519657c1753961f8b27",
+    "btb12": "6f3ce5a8f6c9ec9dadbc066f0ea8503caa418ca2ef18cc25383c0ccc41a8b354",
+    "mtm13": "b169338f4ae463157ba6596865170d0da5ef8c9c1a1612c86e9e4ad865904ce6",
+    "btb13": "0d2a63ca80ce0504f08843e10cbcb6fa7eb4e56fe47f44e8242f347cdd9d16da",
+    "mtm14": "a43528370224f840b4f278e301fb5c5b8205c292932a9670f9071de9ede4e7ef",
+    "btb14": "2fa9084c8a4ce95414c70e7e15c6344d71b5a30eee17c488b4784c2e31eb0cfb",
+    "mtm15": "57e1e60874a6c4bcae997cbfaf308d01cd1432c3af03fa166830396b43781a88",
+    "btb15": "887c3591cb0089ae55f9babad544dfda8b15e118792eb71be56db1e3f12eb49b",
+    "mtm16": "4dee09fe0ea4b01f1c46231073ae0175c3d199bd103a6ed44d381fe386676bb8",
+    "btb16": "24751c7b1d1e753d9a85178dda163b952063982d9251b3d256401f9e6d4cb3fc",
+}
+
+
+class TestEmbedGolden:
+    @pytest.mark.parametrize("name,gram", golden_grams().items())
+    def test_stdout_matches_recorded_digest(self, capsys, name, gram):
+        assert main(["embed", "--gram", json.dumps(gram)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == EMBED_STDOUT_SHA256[name]
 
 
 class TestIntegralize:
