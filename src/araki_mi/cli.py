@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import audits, fermion, lattice
 from .report import canonical_json, csv_lines
@@ -26,14 +27,14 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None or path == "-":
+def _write(text: str, out) -> None:
+    """Write to stdout (out None, newline-terminated) or to the opened --output file."""
+    if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        out.write(text)
 
 
 def _load_json_arg(inline: str | None, path: str | None, flag: str):
@@ -65,7 +66,7 @@ def cmd_mi(args) -> int:
     fractions = [float(f) for f in args.fractions.split(",")] if args.fractions else [0.25, 0.5, 0.75, 1.0]
     series = fermion.mi_convergence(cfg, fractions)
     if args.format == "csv":
-        _write(csv_lines(("window", "value"), zip(series.window_sizes, series.values)), args.output)
+        _write(csv_lines(("window", "value"), zip(series.window_sizes, series.values)), args.out)
     else:
         payload = {
             "mi_nats": series.values[-1],
@@ -73,7 +74,7 @@ def cmd_mi(args) -> int:
             "extrapolated": series.extrapolated,
             "extrapolation_error": series.extrapolation_error,
         }
-        _write(canonical_json(payload), args.output)
+        _write(canonical_json(payload), args.out)
     return 0
 
 
@@ -82,9 +83,9 @@ def cmd_converge(args) -> int:
     resolutions = [float(r) for r in args.resolutions.split(",")]
     study = fermion.resolution_study(cfg, resolutions)
     if args.format == "csv":
-        _write(csv_lines(("resolution", "value"), zip(study["resolutions"], study["values"])), args.output)
+        _write(csv_lines(("resolution", "value"), zip(study["resolutions"], study["values"])), args.out)
     else:
-        _write(canonical_json(study), args.output)
+        _write(canonical_json(study), args.out)
     return 0
 
 
@@ -93,9 +94,9 @@ def _emit_audits(reports, args) -> int:
         rows = []
         for rep in reports:
             rows.append((rep.suite, rep.trials, rep.violations, rep.worst_margin))
-        _write(csv_lines(("suite", "trials", "violations", "worst_margin"), rows), args.output)
+        _write(csv_lines(("suite", "trials", "violations", "worst_margin"), rows), args.out)
     else:
-        _write(canonical_json([rep.to_payload() for rep in reports]), args.output)
+        _write(canonical_json([rep.to_payload() for rep in reports]), args.out)
     return 1 if any(rep.violations for rep in reports) else 0
 
 
@@ -127,7 +128,7 @@ def cmd_embed(args) -> int:
     if emb.r <= args.dense_limit:
         payload["dense_vectors"] = [[f"{v.numerator}/{v.denominator}" for v in vec]
                                     for vec in emb.dense_vectors(max_r=args.dense_limit)]
-    _write(canonical_json(payload), args.output)
+    _write(canonical_json(payload), args.out)
     return 0
 
 
@@ -200,7 +201,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # Opened, like a shell redirection, before the command runs, so that an
+        # unwritable path is refused before the work rather than after it.
+        path = args.output
+        with nullcontext() if path in (None, "-") else open(path, "w", encoding="utf-8") as out:
+            args.out = out
+            return args.func(args)
     except (ValueError, KeyError, OSError, SystemExit) as exc:
         sys.stderr.write(canonical_json({"error": "usage", "detail": str(exc)}) + "\n")
         return USAGE_ERROR

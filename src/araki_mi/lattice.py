@@ -170,9 +170,11 @@ def embed_rational(g: GramMatrix) -> RationalEmbedding:
     emb = RationalEmbedding(segment_lengths=tuple(segments),
                             rows=tuple(tuple(r) for r in rows),
                             residuals=tuple(residuals))
+    # Exact check in integers on the scaled rows: sum_s L_s (k A_i)_s (k A_j)_s = k^2 G_ij.
+    k, ints = integralize(emb)
     for i in range(g.n):
-        for j in range(g.n):
-            if emb.inner(i, j) != gm[i][j]:
+        for j in range(i, g.n):
+            if sum(length * x * y for length, x, y in zip(segments, ints[i], ints[j])) != k * k * gm[i][j]:
                 raise ArithmeticError(f"Gram reproduction failed at ({i}, {j})")
     return emb
 

@@ -35,6 +35,19 @@ def test_directory_path_usage_error(capsys, tmp_path, argv):
     assert_usage_error(capsys, *(arg.format(dir=tmp_path) for arg in argv))
 
 
+def test_unwritable_output_refused_before_the_work(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(fermion, "resolution_study", lambda *args: pytest.fail("the study ran"))
+    assert_usage_error(capsys, "converge", "--intervals", "[[0,1],[2,3]]", "-o", str(tmp_path))
+
+
+def test_output_file_replaced(capsys, tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("x" * 10_000)
+    assert main(["embed", "--gram", "[[2]]", "-o", str(target)]) == 0
+    assert main(["embed", "--gram", "[[2]]"]) == 0
+    assert target.read_text() == capsys.readouterr().out.rstrip("\n")
+
+
 class TestMICommand:
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "16")

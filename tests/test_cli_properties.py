@@ -1,4 +1,4 @@
-"""Property test: every malformed `mi --input` payload reaches a documented exit."""
+"""Property tests: every malformed `mi --input` or `embed` payload reaches a documented exit."""
 
 import io
 import json
@@ -40,17 +40,58 @@ _PAYLOADS = st.one_of(
     _GARBAGE)
 
 
+# Gram payloads for `embed`, rank at most 6: positive definite B^T B + I (some
+# scaled to huge integers), symmetric but possibly indefinite, square with
+# entries of any type, ragged, and garbage.  Huge entries stay below 2**200, so
+# json.dumps never meets the interpreter's limit on int-to-str digits.
+_ENTRY = st.one_of(st.integers(-3, 3), st.integers(-2**200, 2**200), st.floats(), st.booleans(), st.none(),
+                   st.text(max_size=2))
+_SIDE = st.integers(1, 6)
+_POSITIVE = st.tuples(_SIDE.flatmap(lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                                      min_size=n, max_size=n)),
+                      st.sampled_from([1, 2**64, 3**100])).map(
+    lambda bc: [[bc[1] * (sum(x[i] * x[j] for x in bc[0]) + (i == j)) for j in range(len(bc[0]))]
+                for i in range(len(bc[0]))])
+_SYMMETRIC = _SIDE.flatmap(lambda n: st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n).map(
+    lambda xs: [[xs[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]))
+_SQUARE = st.integers(0, 6).flatmap(lambda n: st.lists(st.lists(_ENTRY, min_size=n, max_size=n),
+                                                       min_size=n, max_size=n))
+_GRAMS = st.one_of(_POSITIVE, _SYMMETRIC, _SQUARE, st.lists(st.lists(_ENTRY, max_size=7), max_size=7), _GARBAGE)
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented_exit(code, out, err):
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(out)
+    else:
+        assert "error" in json.loads(err)
+
+
 class TestMalformedInput:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(payload=_PAYLOADS)
     def test_every_payload_reaches_a_documented_exit(self, tmp_path_factory, payload):
         cfg = tmp_path_factory.mktemp("payload") / "cfg.json"
         cfg.write_text(json.dumps(payload))
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["mi", "--input", str(cfg)])
-        assert code in (0, 2, 3)
-        if code == 0:
-            json.loads(out.getvalue())
+        assert_documented_exit(*run_cli(["mi", "--input", str(cfg)]))
+
+
+class TestMalformedGram:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(gram=_GRAMS, via=st.sampled_from(["--gram", "--input", "--input {gram}"]))
+    def test_every_gram_reaches_a_documented_exit(self, tmp_path_factory, gram, via):
+        if via == "--gram":
+            argv = ["embed", "--gram", json.dumps(gram)]
         else:
-            assert "error" in json.loads(err.getvalue())
+            path = tmp_path_factory.mktemp("gram") / "gram.json"
+            path.write_text(json.dumps(gram if via == "--input" else {"gram": gram}))
+            argv = ["embed", "--input", str(path)]
+        assert_documented_exit(*run_cli(argv))

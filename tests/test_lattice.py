@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from araki_mi import lattice
 from araki_mi.cli import main
 from araki_mi.lattice import (
     MAX_DENSE_ENTRIES,
@@ -159,6 +160,17 @@ class TestEmbedRational:
                     assert gram[i][j] == g.entries[i][j]
             assert all(rv > 0 for rv in emb.residuals)
             assert list(emb.residuals) == exact_ldl_pivots(g)
+
+    def test_gram_check_catches_a_wrong_row(self, monkeypatch):
+        exact = lattice.integralize
+
+        def off_by_one(e):
+            k, rows = exact(e)
+            return k, (rows[0], (rows[1][0] + 1,) + rows[1][1:]) + rows[2:]
+
+        monkeypatch.setattr(lattice, "integralize", off_by_one)
+        with pytest.raises(ArithmeticError, match=r"Gram reproduction failed at \(0, 1\)"):
+            embed_rational(root_lattice("A3"))
 
 
 def golden_grams() -> dict:

@@ -5,7 +5,7 @@ import pytest
 
 from araki_mi import audits, tau
 from araki_mi.operators import HermitianOperator, OrthoProjection
-from araki_mi.rand import random_block_projection, random_projection, random_psd
+from araki_mi.rand import gaussian_matrix, psd_from_factor, random_block_projection, random_projection, random_psd
 
 LN2 = math.log(2.0)
 
@@ -264,6 +264,57 @@ class TestIntegralRepresentation:
             p = random_block_projection(rng, 6)
             assert tau.tail_integral_identity_gap(a, p) <= 1e-6
 
+    def test_tail_identity_to_rounding_level(self):
+        rng = np.random.default_rng(13)
+        for dim in range(5, 41, 5):
+            a = random_psd(rng, dim)
+            p = random_block_projection(rng, dim)
+            assert tau.tail_integral_identity_gap(a, p) <= 1e-12
+
+
+def assembled(blocks, t):
+    """The block integrand at each t, as full matrices in the original coordinates."""
+    r, n = blocks.sizes[0], sum(blocks.sizes)
+    out = []
+    for pp, qq in zip(*blocks(t)):
+        m = np.zeros((n, n), dtype=complex)
+        m[:r, :r], m[r:, r:] = pp, qq
+        out.append(blocks.restore(m))
+    return out
+
+
+class TestBlockIntegrand:
+    # t >= 0.1: for rank-deficient A and small t, t + A is so ill conditioned
+    # that neither form keeps 1e-12
+    T = np.array([0.1, 0.3, 1.0, 4.5, 1e3, 1e5, 1e8])
+
+    @staticmethod
+    def projections(rng, n):
+        for rank in sorted({0, 1, n - 1, n}):
+            yield OrthoProjection.from_mask(n, rng.choice(n, size=rank, replace=False))
+        yield random_projection(rng, n, int(rng.integers(0, n + 1)))
+
+    def test_equals_direct_integrand(self):
+        rng = np.random.default_rng(35)
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            rank_a = int(rng.integers(1, n + 1))
+            a = HermitianOperator(psd_from_factor(gaussian_matrix(rng, n, rank_a)))
+            for p in self.projections(rng, n):
+                blocks = tau._BlockIntegrand(a, p)
+                assert min(blocks.sizes) == blocks.sizes[0] == min(p.rank(), n - p.rank())
+                direct = tau.resolvent_integrand(a, tau.pinch(a, p), p, self.T)
+                for got, ref in zip(assembled(blocks, self.T), direct):
+                    assert np.linalg.norm(got - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+    def test_integrals_reject_non_psd_and_mismatch(self):
+        for a, p in ((HermitianOperator(np.diag([1.0, -1.0])), OrthoProjection.from_mask(2, [0])),
+                     (HermitianOperator(np.eye(3)), OrthoProjection.from_mask(2, [0]))):
+            for integral in (tau.tau_integral, lambda a, p: tau.truncated_trace(a, p, 0.1),
+                             tau.tail_integral_identity_gap):
+                with pytest.raises(ValueError):
+                    integral(a, p)
+
 
 def recorded_quadratures(monkeypatch):
     """Record (f, lo, hi, tol, integral, error) of every `_quad_gk21` call."""
@@ -312,28 +363,30 @@ class TestGK21Quadrature:
         assert np.array_equal(y, y_ref) and err == err_ref
 
     def test_integrands_equal_scalar_formula(self, monkeypatch):
-        # at every node, the batched integrand equals the scalar formula in Python floats
+        # at every node, the batched integrand equals the scalar Schur-complement formula in Python floats
         calls = recorded_quadratures(monkeypatch)
         rng = np.random.default_rng(34)
         a = random_psd(rng, 5)
         p = random_block_projection(rng, 5)
-        b = tau.pinch(a, p)
         tau.tau_integral(a, p)
         tau.truncated_trace(a, p, 0.01)
         tau.tail_integral_identity_gap(a, p)
-        eye = np.eye(5)
+        blocks = tau._BlockIntegrand(a, p)
+        eye_p, eye_q = (np.eye(d) for d in blocks.sizes)
 
         def integrand(t):
-            ra = np.linalg.inv(t * eye + a.mat)
-            rb = np.linalg.inv(t * eye + b.mat)
-            return t * (tau._block_compress(ra, p) - rb)
+            x_p = np.linalg.inv(t * eye_p + blocks.a_pp)
+            w = blocks.a_pq @ np.linalg.inv(t * eye_q + blocks.a_qq)
+            k = w @ blocks.a_qp
+            y = np.linalg.inv(t * eye_p + blocks.a_pp - k)
+            return np.concatenate([(t * (y @ k @ x_p)).ravel(), (t * (w.conj().T @ y @ w)).ravel()])
 
         scalar_forms = (lambda s: integrand(s / (1.0 - s)) / (1.0 - s) ** 2,
                         integrand,
                         lambda u: integrand(1.0 / u) / u**2)
         for (f, lo, hi, _, _, _), form in zip(calls, scalar_forms):
             x = rng.uniform(lo, hi, 1500)  # pow() and x * x differ on about 1 in 1 200
-            expected = [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in map(form, x.tolist())]
+            expected = [np.concatenate([m.real, m.imag]) for m in map(form, x.tolist())]
             assert np.array_equal(f(x), np.array(expected))
 
     def test_polynomial_exact_on_one_interval(self):
@@ -392,9 +445,9 @@ class TestGK21Quadrature:
         # same rule, same nodes: batching changes the number of integrand calls only
         calls = recorded_quadratures(monkeypatch)
         sizes = []
-        integrand = tau.resolvent_integrand
-        monkeypatch.setattr(tau, "resolvent_integrand",
-                            lambda a, b, p, t: sizes.append(np.size(t)) or integrand(a, b, p, t))
+        integrand = tau._BlockIntegrand.__call__
+        monkeypatch.setattr(tau._BlockIntegrand, "__call__",
+                            lambda self, t: sizes.append(np.size(t)) or integrand(self, t))
         rng = np.random.default_rng(33)
         tau.tau_integral(random_psd(rng, 6), random_block_projection(rng, 6))
         batched = list(sizes)
