@@ -41,6 +41,36 @@ def _fits_float(x: numbers.Real) -> bool:
         return False
 
 
+def _endpoint(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"interval endpoint {x!r} is not a number")
+    if not _fits_float(x):
+        raise ValueError(f"interval endpoint {x!r} is not finite")
+    return float(x)
+
+
+def _checked_intervals(intervals, split: int) -> Tuple[Tuple[float, float], ...]:
+    """Nonempty intervals with disjoint closures, as float pairs, split into two nonempty regions."""
+    try:
+        ivs = tuple((_endpoint(a), _endpoint(b)) for a, b in intervals)
+    except TypeError as exc:
+        raise ValueError(f"intervals must be [a, b] pairs of numbers ({exc})") from None
+    if len(ivs) < 2:
+        raise ValueError("need at least two intervals")
+    for a, b in ivs:
+        if not a < b:
+            raise ValueError(f"empty interval ({a}, {b})")
+    ordered = sorted(ivs)
+    for (a1, b1), (a2, b2) in zip(ordered, ordered[1:]):
+        if b1 >= a2:
+            raise ValueError("intervals must have disjoint closures")
+    if isinstance(split, bool) or not isinstance(split, numbers.Integral):
+        raise ValueError(f"split must be an integer, got {split!r}")
+    if not 1 <= split < len(ivs):
+        raise ValueError("split must leave both regions nonempty")
+    return ivs
+
+
 @dataclass(frozen=True)
 class IntervalConfig:
     """Disjoint real intervals with a lattice resolution (sites per unit length)."""
@@ -51,29 +81,12 @@ class IntervalConfig:
     components: int = 1     # fermion multiplicity; MI scales linearly
 
     def __post_init__(self):
-        try:
-            ivs = tuple((float(a), float(b)) for a, b in self.intervals)
-        except TypeError as exc:
-            raise ValueError(f"intervals must be [a, b] pairs of numbers ({exc})") from None
-        object.__setattr__(self, "intervals", ivs)
-        if len(ivs) < 2:
-            raise ValueError("need at least two intervals")
-        for a, b in ivs:
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise ValueError(f"interval ({a}, {b}) has a non-finite endpoint")
-            if not a < b:
-                raise ValueError(f"empty interval ({a}, {b})")
-        ordered = sorted(ivs)
-        for (a1, b1), (a2, b2) in zip(ordered, ordered[1:]):
-            if b1 >= a2:
-                raise ValueError("intervals must have disjoint closures")
+        object.__setattr__(self, "intervals", _checked_intervals(self.intervals, self.split))
         res, comp = self.resolution, self.components
         if isinstance(res, bool) or not isinstance(res, numbers.Real):
             raise ValueError(f"resolution must be a number, got {res!r}")
         if not (_fits_float(res) and res > 0):
             raise ValueError("resolution must be positive and finite")
-        if not 1 <= self.split < len(ivs):
-            raise ValueError("split must leave both regions nonempty")
         integral = isinstance(comp, numbers.Integral) or (isinstance(comp, float) and comp.is_integer())
         if isinstance(comp, bool) or not integral or comp < 1:
             raise ValueError(f"components must be a positive integer, got {comp!r}")
@@ -282,6 +295,27 @@ def resolution_study(config: IntervalConfig, resolutions: Sequence[float]) -> di
     extrapolated, err = richardson(values)
     return {"resolutions": res, "values": values,
             "extrapolated": extrapolated, "uncertainty": err}
+
+
+def continuum_mi(intervals: Sequence[Sequence[float]], split: int = 1) -> float:
+    """Continuum mutual information, in nats, between the first `split` intervals and the rest.
+
+    Casini-Fosco-Huerta (J. Stat. Mech. 2005, arXiv:cond-mat/0505563): a
+    c = 1 Dirac fermion, which the lattice's doubled Fermi point makes this
+    model at one component, has on a union of intervals (a_i, b_i) the entropy
+
+        S = (1/3) [sum_i ln(b_i - a_i)
+                   + sum_{i<j} ln(|a_j - b_i| |b_j - a_i| / (|a_j - a_i| |b_j - b_i|))]
+
+    plus a cut-off constant per interval.  In S_1 + S_2 - S_12 only the pairs
+    with one interval in each region are left.
+    """
+    ivs = _checked_intervals(intervals, split)
+    total = 0.0
+    for a1, b1 in ivs[:split]:
+        for a2, b2 in ivs[split:]:
+            total += math.log(abs(a2 - a1) * abs(b2 - b1) / (abs(a2 - b1) * abs(b2 - a1)))
+    return total / 3.0
 
 
 def mi_scaling_invariance(config: IntervalConfig, scale: float) -> tuple[float, float]:

@@ -12,8 +12,10 @@ resolvent-integral representation
 whose integrand is positive semidefinite (operator convexity of 1/x).  B is
 block diagonal in a basis adapted to P, so the integrand is too, and the
 quadratures integrate only its two diagonal blocks.  Those come from the
-block-inverse (Schur complement) identity, without subtracting one inverse
-from another, and use no eigendecomposition of A or B (`_BlockIntegrand`).
+block-inverse (Schur complement) identity, by linear solves with thin
+right-hand sides and one inverse of the smaller block's size, without
+subtracting one inverse from another, and use no eigendecomposition of A or
+B (`_BlockIntegrand`).
 The direct definition, `resolvent_integrand`, stays for the audit of the
 integrand's positivity, which the Schur form would satisfy by construction,
 and as the tests' oracle.  The integral is evaluated by the module's own
@@ -84,8 +86,14 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
        0.295524224714752870173892994651338)
 _NODES = np.array(_XGK + tuple(-x for x in reversed(_XGK[:-1])))
-_KRONROD = _WGK + tuple(reversed(_WGK[:-1]))
-_GAUSS = _WG + tuple(reversed(_WG))  # at nodes 1, 3, ..., 19
+# One row per node: its Kronrod weight, and its Gauss weight at nodes 1, 3,
+# ..., 19.  The weights are read as columns, strided views, because that
+# keeps every einsum of `_gk21` summing node by node: given a contiguous
+# weight vector and a contiguous node axis (a one-column integrand), einsum
+# sums with vector accumulators, in another order.
+_WEIGHTS = np.zeros((_NODES.size, 2))
+_WEIGHTS[:, 0] = _WGK + tuple(reversed(_WGK[:-1]))
+_WEIGHTS[1::2, 1] = _WG + tuple(reversed(_WG))
 SPLITS_PER_ROUND = 128   # intervals bisected per adaptive round, at most
 MAX_INTERVALS = 10_000
 
@@ -99,20 +107,18 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     """(integral, error estimate, rounding error) of f on each [lo_j, hi_j].
 
     f maps a 1-D array of nodes to the (nodes, m) array of its values.  The
-    sums run node by node and the estimate is QUADPACK's, in the 2-norm.
+    sums run node by node (each einsum adds the nodes' terms in order, as
+    QUADPACK does) and the estimate is QUADPACK's, in the 2-norm.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     fv = f((c[:, None] + h[:, None] * _NODES).ravel()).reshape(lo.size, _NODES.size, -1)
-    s_k = s_k_abs = s_g = s_k_dabs = 0.0
-    for i, v in enumerate(_KRONROD):
-        s_k = s_k + v * fv[:, i]
-        s_k_abs = s_k_abs + v * np.abs(fv[:, i])
-    for i, w in enumerate(_GAUSS):
-        s_g = s_g + w * fv[:, 2 * i + 1]
-    y0 = s_k / 2.0
-    for i, v in enumerate(_KRONROD):
-        s_k_dabs = s_k_dabs + v * np.abs(fv[:, i] - y0)
+    kronrod, gauss = _WEIGHTS[:, 0], _WEIGHTS[1::2, 1]
+    s_k = np.einsum("lim,i->lm", fv, kronrod)
+    s_k_abs = np.einsum("lim,i->lm", np.abs(fv), kronrod)
+    s_g = np.einsum("lim,i->lm", fv[:, 1::2], gauss)
+    dev = fv - s_k[:, None] / 2.0
+    s_k_dabs = np.einsum("lim,i->lm", np.abs(dev, out=dev), kronrod)
     hh = h[:, None]
     diff, dabs_vec = (s_k - s_g) * hh, s_k_dabs * hh
     round_vec = (50 * sys.float_info.epsilon * h)[:, None] * s_k_abs
@@ -316,10 +322,12 @@ class _BlockIntegrand:
     and the integrand are block diagonal there.  Calling it at a 1-D array t
     gives the (k, p, p) and (k, q, q) stacks of the blocks, by the Schur
     complement of t + A: with X_P = (t + A_PP)^{-1}, X_Q = (t + A_QQ)^{-1},
-    W = A_PQ X_Q, K = W A_QP and Y = (t + A_PP - K)^{-1}, the PP block of
-    (t + A)^{-1} is Y and its QQ block is X_Q + W^H Y W, so the integrand's
-    blocks are t (Y - X_P) = t Y K X_P and t W^H Y W.  Three inverses of
-    sizes q, p, p replace two of size n, and no block is a difference of
+    W^H = X_Q A_QP, K = A_PQ W^H and Y = (t + A_PP - K)^{-1}, the PP block
+    of (t + A)^{-1} is Y and its QQ block is X_Q + W^H Y W, so the
+    integrand's blocks are t (Y - X_P) = t X_P K Y and t W^H Y W.  X_Q and
+    X_P enter only through their products with the thin blocks A_QP and K,
+    so they are solves (p right-hand sides each), not inverses; Y, which
+    both blocks use, is the one inverse.  No block is a difference of
     inverses.
     """
 
@@ -344,10 +352,10 @@ class _BlockIntegrand:
     def __call__(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tt = t.reshape(-1, 1, 1)
         shifted = tt * self.eye_p + self.a_pp
-        w = self.a_pq @ np.linalg.inv(tt * self.eye_q + self.a_qq)
-        k = w @ self.a_qp
+        w_h = np.linalg.solve(tt * self.eye_q + self.a_qq, self.a_qp)
+        k = self.a_pq @ w_h
         y = np.linalg.inv(shifted - k)
-        return tt * (y @ k @ np.linalg.inv(shifted)), tt * (_conj_t(w) @ y @ w)
+        return tt * (np.linalg.solve(shifted, k) @ y), tt * (w_h @ y @ _conj_t(w_h))
 
     def scaled(self, live: np.ndarray, t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The blocks at t divided by r**2 on the nodes where `live`, zero on the others."""

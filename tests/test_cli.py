@@ -108,6 +108,15 @@ class TestMICommand:
         assert (code, out) == (2, "")
         assert field in json.loads(err)["detail"]
 
+    @pytest.mark.parametrize("intervals", [[[0, 1], [2, "3"]], [[0, True], [2, 3]]])
+    def test_non_numeric_endpoint_usage_error(self, capsys, tmp_path, intervals):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"intervals": intervals, "resolution": 16}))
+        for argv in (("--intervals", json.dumps(intervals), "--resolution", "16"), ("--input", str(cfg))):
+            code, out, err = run(capsys, "mi", *argv)
+            assert (code, out) == (2, "")
+            assert "endpoint" in json.loads(err)["detail"]
+
     def test_one_fraction_reports_infinite_error(self, capsys):
         code, out, _ = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "16",
                            "--fractions", "1")

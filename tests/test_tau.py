@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,6 +285,46 @@ def assembled(blocks, t):
     return out
 
 
+def exact_resolvent(a, t):
+    """(U, V) with (t + A)^{-1} = U + iV in Fractions, for a Gaussian-integer Hermitian A and a float t.
+
+    Fraction-free Gauss-Jordan on the integer real embedding
+    q [[t + X, -Y], [Y, t + X]] of q (t + A), where t = p/q and A = X + iY,
+    against the first n columns of the identity; the embedding is positive
+    definite, so no pivot vanishes.  Every division is exact, the last pivot
+    is the determinant, and the right-hand block ends as the matching columns
+    of the adjugate.
+    """
+    n = len(a)
+    p, q = Fraction(t).as_integer_ratio()
+    re = [[p * (i == j) + q * int(a[i][j].real) for j in range(n)] for i in range(n)]
+    im = [[q * int(a[i][j].imag) for j in range(n)] for i in range(n)]
+    rows = ([re[i] + [-x for x in im[i]] + [int(i == j) for j in range(n)] for i in range(n)]
+            + [im[i] + re[i] + [0] * n for i in range(n)])
+    prev = 1
+    for k, pivot in enumerate(rows):
+        for i, row in enumerate(rows):
+            if i != k:
+                rows[i] = [(pivot[k] * x - row[k] * y) // prev for x, y in zip(row, pivot)]
+        prev = pivot[k]
+    return ([[Fraction(q * x, prev) for x in row[2 * n:]] for row in rows[:n]],
+            [[Fraction(q * x, prev) for x in row[2 * n:]] for row in rows[n:]])
+
+
+def exact_integrand(a, inside, t):
+    """The resolvent integrand t (P(t+A)^{-1}P + (1-P)(t+A)^{-1}(1-P) - (t+B)^{-1}), rounded from exact values."""
+    u, v = exact_resolvent(a, t)
+    out = np.zeros(a.shape, dtype=complex)
+    for side in (inside, ~inside):
+        idx = np.flatnonzero(side)
+        u_b, v_b = exact_resolvent(a[np.ix_(idx, idx)], t)
+        for bi, i in enumerate(idx):
+            for bj, j in enumerate(idx):
+                out[i, j] = complex(float(Fraction(t) * (u[i][j] - u_b[bi][bj])),
+                                    float(Fraction(t) * (v[i][j] - v_b[bi][bj])))
+    return out
+
+
 class TestBlockIntegrand:
     # t >= 0.1: for rank-deficient A and small t, t + A is so ill conditioned
     # that neither form keeps 1e-12
@@ -306,6 +348,25 @@ class TestBlockIntegrand:
                 direct = tau.resolvent_integrand(a, tau.pinch(a, p), p, self.T)
                 for got, ref in zip(assembled(blocks, self.T), direct):
                     assert np.linalg.norm(got - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+    def test_small_t_against_exact_resolvents(self):
+        # Rank-3 A = G G^H of dim 8, G with entries in {-1, 0, 1} + i{-1, 0, 1}, so t + A is
+        # nearly singular at small t.  Worst relative error over these 20 instances: 7.1e-10 at
+        # t = 1e-6 and 1.2e-12 at t = 1e-3 (at most 1.3e-9 and 1.2e-12 over ten more seeds);
+        # the bounds leave a factor of about eight.  Inverting t + A_QQ and t + A_PP outright
+        # instead of solving gave 1.6e-3 and 1.9e-9 here.
+        rng = np.random.default_rng(36)
+        t = np.array([1e-6, 1e-3])
+        bounds = (1e-8, 1e-11)
+        for _ in range(20):
+            g = rng.integers(-1, 2, (8, 3)) + 1j * rng.integers(-1, 2, (8, 3))
+            a = g @ g.conj().T
+            mask = rng.choice(8, size=int(rng.integers(1, 8)), replace=False)
+            p = OrthoProjection.from_mask(8, mask)
+            blocks = tau._BlockIntegrand(HermitianOperator(a), p)
+            for x, got, bound in zip(t.tolist(), assembled(blocks, t), bounds):
+                ref = exact_integrand(a, p.membership, x)
+                assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
 
     def test_integrals_reject_non_psd_and_mismatch(self):
         for a, p in ((HermitianOperator(np.diag([1.0, -1.0])), OrthoProjection.from_mask(2, [0])),
@@ -336,7 +397,48 @@ def quad_vec_oracle(f, lo, hi, tol):
     return quad_vec(lambda x: f(np.array([x]))[0], lo, hi, epsabs=tol, epsrel=0.0, quadrature="gk21")
 
 
+def node_by_node_gk21(f, lo, hi):
+    """`tau._gk21` with its sums written as loops over the nodes, QUADPACK's order."""
+    kronrod, gauss = tau._WEIGHTS[:, 0].tolist(), tau._WEIGHTS[1::2, 1].tolist()
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fv = f((c[:, None] + h[:, None] * tau._NODES).ravel()).reshape(lo.size, tau._NODES.size, -1)
+    s_k = s_k_abs = s_g = s_k_dabs = 0.0
+    for i, v in enumerate(kronrod):
+        s_k = s_k + v * fv[:, i]
+        s_k_abs = s_k_abs + v * np.abs(fv[:, i])
+    for i, w in enumerate(gauss):
+        s_g = s_g + w * fv[:, 2 * i + 1]
+    y0 = s_k / 2.0
+    for i, v in enumerate(kronrod):
+        s_k_dabs = s_k_dabs + v * np.abs(fv[:, i] - y0)
+    out = []
+    for j in range(lo.size):
+        err = float(np.linalg.norm((s_k[j] - s_g[j]) * h[j]))
+        dabs = float(np.linalg.norm(s_k_dabs[j] * h[j]))
+        round_err = float(np.linalg.norm(50 * sys.float_info.epsilon * h[j] * s_k_abs[j]))
+        if dabs != 0 and err != 0:
+            err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+        if round_err > sys.float_info.min:
+            err = max(err, round_err)
+        out.append((h[j] * s_k[j], err, round_err))
+    return out
+
+
 class TestGK21Quadrature:
+    @pytest.mark.parametrize("intervals", [1, 64, 256])
+    @pytest.mark.parametrize("columns", [1, 26, 1600])
+    def test_sums_equal_node_by_node_loops(self, intervals, columns):
+        rng = np.random.default_rng(intervals * columns)
+        values = rng.standard_normal((intervals * tau._NODES.size, columns))
+        values *= 10.0 ** rng.uniform(-4.0, 4.0, values.shape)
+        f = lambda x: values[:x.size]
+        lo = np.sort(rng.uniform(-1.0, 1.0, intervals))
+        hi = lo + rng.uniform(1e-3, 1.0, intervals)
+        for (y, err, round_err), (y_ref, err_ref, round_ref) in zip(tau._gk21(f, lo, hi),
+                                                                    node_by_node_gk21(f, lo, hi)):
+            assert np.array_equal(y, y_ref)
+            assert (err, round_err) == (err_ref, round_ref)
+
     def test_tau_integrals_equal_quad_vec(self, monkeypatch):
         calls = recorded_quadratures(monkeypatch)
         rng = np.random.default_rng(30)
@@ -375,11 +477,12 @@ class TestGK21Quadrature:
         eye_p, eye_q = (np.eye(d) for d in blocks.sizes)
 
         def integrand(t):
-            x_p = np.linalg.inv(t * eye_p + blocks.a_pp)
-            w = blocks.a_pq @ np.linalg.inv(t * eye_q + blocks.a_qq)
-            k = w @ blocks.a_qp
-            y = np.linalg.inv(t * eye_p + blocks.a_pp - k)
-            return np.concatenate([(t * (y @ k @ x_p)).ravel(), (t * (w.conj().T @ y @ w)).ravel()])
+            shifted = t * eye_p + blocks.a_pp
+            w_h = np.linalg.solve(t * eye_q + blocks.a_qq, blocks.a_qp)
+            k = blocks.a_pq @ w_h
+            y = np.linalg.inv(shifted - k)
+            return np.concatenate([(t * (np.linalg.solve(shifted, k) @ y)).ravel(),
+                                   (t * (w_h @ y @ w_h.conj().T)).ravel()])
 
         scalar_forms = (lambda s: integrand(s / (1.0 - s)) / (1.0 - s) ** 2,
                         integrand,
