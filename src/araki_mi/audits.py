@@ -43,6 +43,11 @@ BATCH_ENTRIES = 1 << 12
 # index-analog states are k^2 x k^2 dense matrices; at most this many entries.
 MAX_STATE_ENTRIES = 1_000_000
 MAX_K = math.isqrt(math.isqrt(MAX_STATE_ENTRIES))
+# Each index-analog trial costs about k^6 (eigensolves of k^2 x k^2 states), so
+# k^6 * trials is refused above this.  On a 2-CPU box the largest admitted
+# requests run for about a minute: k = 6 at 34 293 trials took 48 s, k = 5 at
+# MAX_TRIALS 71 s; k = MAX_K is admitted for one trial (7 s).
+MAX_INDEX_WORK = 1_600_000_000
 
 
 def _run_trials(dim_of: Callable[[np.random.Generator], int], draw: Callable[..., tuple],
@@ -196,10 +201,13 @@ def half_power_audit(trials: int, seed: int) -> AuditReport:
     return _summarize("half_power_bound", rows)
 
 
-def _check_k(k: int) -> None:
+def _check_k(k: int, trials: int) -> None:
     if k > MAX_K:
         raise ValueError(f"k must be at most {MAX_K} (k^2 x k^2 states of at most "
                          f"{MAX_STATE_ENTRIES} entries), got {k}")
+    if k**6 * trials > MAX_INDEX_WORK:
+        raise ValueError(f"k^6 * trials must be at most {MAX_INDEX_WORK} (about a minute of work), "
+                         f"got {k**6 * trials}; lower --k or --trials")
 
 
 def _fixed_dim(dim: int) -> Callable[[np.random.Generator], int]:
@@ -213,7 +221,7 @@ def _square_factor(rng: np.random.Generator, dim: int) -> tuple:
 
 def index_audit(trials: int, seed: int, k: int = 2) -> AuditReport:
     """Entropy/index gap: S(rho, rho.E) <= ln(k^2) on random states."""
-    _check_k(k)
+    _check_k(k, trials)
     e = TraceExpectation(shape=BipartiteShape(k, k), traced_factor="A")
     bound = math.log(k * k)
 
@@ -228,7 +236,7 @@ def index_audit(trials: int, seed: int, k: int = 2) -> AuditReport:
 
 def pimsner_popa_audit(trials: int, seed: int, k: int = 2) -> AuditReport:
     """E(a) >= a / k^2 for PSD a on the k (x) m factor algebra."""
-    _check_k(k)
+    _check_k(k, trials)
     e = TraceExpectation(shape=BipartiteShape(k, PIMSNER_POPA_M), traced_factor="A")
 
     def evaluate(dim: int, factors: np.ndarray) -> dict:

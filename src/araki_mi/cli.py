@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 audited inequality violated, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -138,7 +139,9 @@ def cmd_index_analog(args) -> int:
     return _emit_audits(reports, args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="araki-mi",
                                      description="free-fermion mutual information and operator inequality toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -154,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int, default=1)
     p.add_argument("--fractions", help="comma-separated window fractions ending at 1")
     common(p)
-    p.set_defaults(func=cmd_mi)
 
     p = sub.add_parser("converge", help="resolution study with Richardson extrapolation")
     p.add_argument("--intervals")
@@ -163,41 +165,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int, default=1)
     p.add_argument("--resolutions", default="32,64,128,256")
     common(p)
-    p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("tau-audit", help="pinching/resolvent inequality battery")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     common(p)
-    p.set_defaults(func=cmd_tau_audit)
 
     p = sub.add_parser("fan-audit", help="singular-value inequality battery")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     common(p)
-    p.set_defaults(func=cmd_fan_audit)
 
     p = sub.add_parser("embed", help="exact rational embedding of an integral lattice")
     p.add_argument("--gram", help='inline JSON matrix, e.g. "[[2,-1],[-1,2]]"')
     p.add_argument("--input", help='JSON file {"gram": [[...], ...]}')
     p.add_argument("--dense-limit", type=int, default=512)
     common(p)
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("index-analog", help="entropy/index gap on random states")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     common(p)
-    p.set_defaults(func=cmd_index_analog)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
@@ -206,7 +202,8 @@ def main(argv=None) -> int:
         path = args.output
         with nullcontext() if path in (None, "-") else open(path, "w", encoding="utf-8") as out:
             args.out = out
-            return args.func(args)
+            # Looked up by name at call time, so the cached parser holds no command function.
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, KeyError, OSError, SystemExit) as exc:
         sys.stderr.write(canonical_json({"error": "usage", "detail": str(exc)}) + "\n")
         return USAGE_ERROR

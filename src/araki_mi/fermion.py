@@ -162,32 +162,48 @@ def build_covariance(config: IntervalConfig) -> CovarianceSystem:
     return CovarianceSystem(c=c, inside=inside, sites=sites, counts=counts)
 
 
-def _binary_entropy_sum(eigs: np.ndarray) -> float:
-    w = np.asarray(eigs, dtype=float)
+def _binary_entropy_sums(*spectra: np.ndarray) -> list[float]:
+    """sum h(w) over each spectrum, from one x ln x pass over all of them."""
+    parts = [np.asarray(s, dtype=float) for s in spectra]
+    w = np.concatenate(parts)
     if w.size and (w.min() < -ENTROPY_SLACK or w.max() > 1.0 + ENTROPY_SLACK):
         raise ArithmeticError(f"eigenvalue outside [0, 1]: range [{w.min()}, {w.max()}]")
     w = np.clip(w, 0.0, 1.0)
-    terms = -(xlogx(w) + xlogx(1.0 - w))
-    # Summed strictly left to right from +0.0, not pairwise: the reported
-    # digits of every mutual information depend on this order.
-    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+    wlogw = xlogx(np.stack((w, 1.0 - w)))
+    terms = -(wlogw[0] + wlogw[1])
+    # Each spectrum is summed strictly left to right from +0.0, not pairwise:
+    # the reported digits of every mutual information depend on this order.
+    bounds = np.cumsum([p.size for p in parts])[:-1]
+    return [float(np.add.accumulate(np.concatenate(([0.0], t)))[-1]) for t in np.split(terms, bounds)]
 
 
-def _sublattice_entropy(m: np.ndarray, sites: np.ndarray) -> float:
-    """Entropy sum h(spec m) from the singular values of the even-odd block.
+def _even_odd_block(m: np.ndarray, even: np.ndarray, scale: float) -> np.ndarray:
+    """The block B = m[even, odd], once m = [[I/2, B], [B^H, I/2]] in the parity split is checked.
 
-    The Hardy kernel couples only sites of opposite parity, so with the rows
-    split by site parity m = [[I/2, B], [B^H, I/2]] and spec m = 1/2 +- svd(B),
-    padded with |n_even - n_odd| eigenvalues 1/2 (entropy ln 2 each).
+    The Hardy kernel couples only sites of opposite parity.  ArithmeticError
+    if the same-parity blocks miss I/2 by more than HERMITICITY_TOL * max(1, scale).
     """
-    even = sites % 2 == 0
     e, o = np.flatnonzero(even), np.flatnonzero(~even)
     defect = math.hypot(np.linalg.norm(m[np.ix_(e, e)] - 0.5 * np.eye(e.size)),
                         np.linalg.norm(m[np.ix_(o, o)] - 0.5 * np.eye(o.size)))
-    if defect > HERMITICITY_TOL * max(1.0, float(np.linalg.norm(m))):
+    if defect > HERMITICITY_TOL * max(1.0, scale):
         raise ArithmeticError(f"covariance breaks the sublattice structure (defect {defect:.3e})")
-    s = np.linalg.svd(m[np.ix_(e, o)], compute_uv=False)
-    return 2.0 * _binary_entropy_sum(0.5 + s) + abs(e.size - o.size) * math.log(2.0)
+    return m[np.ix_(e, o)]
+
+
+def _sublattice_entropies(*blocks: np.ndarray) -> list[float]:
+    """Entropy sums h(spec m) of matrices m = [[I/2, B], [B^H, I/2]], from their blocks B.
+
+    spec m = 1/2 +- svd(B), padded with |rows - columns| eigenvalues 1/2
+    (entropy ln 2 each).
+    """
+    sums = _binary_entropy_sums(*(0.5 + np.linalg.svd(b, compute_uv=False) for b in blocks))
+    return [2.0 * h + abs(b.shape[0] - b.shape[1]) * math.log(2.0) for h, b in zip(sums, blocks)]
+
+
+def _sublattice_entropy(m: np.ndarray, sites: np.ndarray) -> float:
+    """Entropy sum h(spec m) of one covariance from the singular values of its even-odd block."""
+    return _sublattice_entropies(_even_odd_block(m, sites % 2 == 0, float(np.linalg.norm(m))))[0]
 
 
 def sigma_trace(sys: CovarianceSystem) -> float:
@@ -195,20 +211,25 @@ def sigma_trace(sys: CovarianceSystem) -> float:
 
     The returned value takes S_12 from the Hermitian eigensolve of C, whose
     spectrum must lie in [0, 1] up to SPECTRUM_SLACK, and S_X from `eigvalsh`
-    of each region block.  The check recomputes all three
-    entropies from half-size singular value decompositions
-    (`_sublattice_entropy`), which share no factorization with the first route.
+    of each region block.  The check recomputes all three entropies from
+    half-size singular value decompositions, which share no factorization
+    with the first route: B = C[even, odd] is gathered once, and each
+    region's block is its sub-block B[region & even, region & odd].
     """
     w, _ = checked_eigh(sys.c)
     if w[0] < -SPECTRUM_SLACK or w[-1] > 1.0 + SPECTRUM_SLACK:
         raise ArithmeticError(f"covariance spectrum escapes [0, 1]: [{w[0]}, {w[-1]}]")
     regions = [np.flatnonzero(sys.inside), np.flatnonzero(~sys.inside)]
     blocks = [sys.c[np.ix_(idx, idx)] for idx in regions]
-    s12 = _binary_entropy_sum(w)
-    s_blocks = [_binary_entropy_sum(np.linalg.eigvalsh(block)) for block in blocks]
-    value = s_blocks[0] + s_blocks[1] - s12
-    check = (sum(_sublattice_entropy(block, sys.sites[idx]) for block, idx in zip(blocks, regions))
-             - _sublattice_entropy(sys.c, sys.sites))
+    # A region block's same-parity blocks are sub-blocks of C's, so one check
+    # against the smaller region's scale is as strict as a check per matrix.
+    even = sys.sites % 2 == 0
+    b = _even_odd_block(sys.c, even, min(float(np.linalg.norm(block)) for block in blocks))
+    s1, s2, s12 = _binary_entropy_sums(*(np.linalg.eigvalsh(block) for block in blocks), w)
+    value = s1 + s2 - s12
+    in_e, in_o = sys.inside[even], sys.inside[~even]
+    h1, h2, h12 = _sublattice_entropies(b[np.ix_(in_e, in_o)], b[np.ix_(~in_e, ~in_o)], b)
+    check = h1 + h2 - h12
     if abs(check - value) > TWO_PATH_TOL * max(1.0, abs(value)):
         raise ArithmeticError(f"sigma trace routes disagree: eigensolve {value} vs sublattice SVD {check}")
     if value < -SPECTRUM_SLACK:

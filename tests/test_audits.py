@@ -253,3 +253,14 @@ def test_k_at_limit_reaches_spawn(audit, monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", FailingSpawn)
     with pytest.raises(Spawned):
         audit(1, 0, k=audits.MAX_K)
+
+
+@pytest.mark.parametrize("audit", [audits.index_audit, audits.pimsner_popa_audit])
+@pytest.mark.parametrize("k", [2, 6, audits.MAX_K])
+def test_index_work_bounded_before_spawn(audit, k, monkeypatch):
+    monkeypatch.setattr(np.random, "SeedSequence", FailingSpawn)
+    largest = audits.MAX_INDEX_WORK // k**6
+    with pytest.raises(ValueError, match="k\\^6 \\* trials"):
+        audit(largest + 1, 0, k=k)
+    with pytest.raises(Spawned):
+        audit(min(largest, audits.MAX_TRIALS), 0, k=k)

@@ -8,9 +8,17 @@ import pytest
 
 import araki_mi
 from araki_mi import audits, fermion, rand
-from araki_mi.cli import main
+from araki_mi.cli import build_parser, main
 from araki_mi.fermion import IntervalConfig, mi_convergence
 from araki_mi.report import AuditReport, canonical_json, csv_lines
+
+
+class NoSpawn:
+    def __init__(self, seed):
+        pass
+
+    def spawn(self, n):
+        pytest.fail("spawned RNG streams despite a request limit")
 
 
 def run(capsys, *argv):
@@ -46,6 +54,35 @@ def test_output_file_replaced(capsys, tmp_path):
     assert main(["embed", "--gram", "[[2]]", "-o", str(target)]) == 0
     assert main(["embed", "--gram", "[[2]]"]) == 0
     assert target.read_text() == capsys.readouterr().out.rstrip("\n")
+
+
+class TestSharedParser:
+    MI = ["mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "16"]
+    SEQUENCES = {
+        "usage-error-then-mi": [["mi", "--resolution", "abc"], MI],
+        "file-then-stdout": [MI + ["-o", "{out}"], MI],
+        "csv-then-json": [MI + ["--format", "csv"], MI],
+    }
+
+    @pytest.mark.parametrize("name", list(SEQUENCES))
+    def test_consecutive_calls_equal_single_calls(self, capsys, tmp_path, name):
+        target = tmp_path / "out.txt"
+
+        def call(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            written = target.read_bytes() if "-o" in argv else None
+            return code, captured.out, captured.err, written
+
+        argvs = [[arg.format(out=target) for arg in argv] for argv in self.SEQUENCES[name]]
+        singles = []
+        for argv in argvs:
+            build_parser.cache_clear()      # a fresh parser, as in a new process
+            singles.append(call(argv))
+        build_parser.cache_clear()
+        assert [call(argv) for argv in argvs] == singles
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, *_ in singles] == ([2, 0] if name.startswith("usage") else [0, 0])
 
 
 class TestMICommand:
@@ -161,13 +198,6 @@ class TestAuditCommands:
         assert_usage_error(capsys, "fan-audit", "--trials", "-1")
 
     def test_trials_above_limit_refused_before_spawn(self, capsys, monkeypatch):
-        class NoSpawn:
-            def __init__(self, seed):
-                pass
-
-            def spawn(self, n):
-                pytest.fail("spawned RNG streams despite the trial limit")
-
         monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
         assert_usage_error(capsys, "tau-audit", "--trials", str(audits.MAX_TRIALS + 1))
 
@@ -187,19 +217,24 @@ class TestAuditCommands:
             audits.fan_audit(audits.MAX_TRIALS, 0)
 
     def test_k_above_limit_refused_before_allocation(self, capsys, monkeypatch):
-        class NoSpawn:
-            def __init__(self, seed):
-                pass
-
-            def spawn(self, n):
-                pytest.fail("spawned RNG streams despite the k limit")
-
         def no_alloc(*args, **kwargs):
             pytest.fail("allocated despite the k limit")
 
         monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
         monkeypatch.setattr(rand, "gaussian_matrix", no_alloc)
         assert_usage_error(capsys, "index-analog", "--k", str(audits.MAX_K + 1), "--trials", "1")
+
+    @pytest.mark.parametrize("k", [6, audits.MAX_K])
+    def test_index_work_above_limit_refused_before_spawn(self, capsys, monkeypatch, k):
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        code, _, err = run(capsys, "index-analog", "--k", str(k), "--trials", str(audits.MAX_INDEX_WORK // k**6 + 1))
+        assert code == 2
+        assert "k^6 * trials" in json.loads(err)["detail"]
+
+    def test_index_analog_at_benchmark_size_runs(self, capsys):
+        code, out, _ = run(capsys, "index-analog", "--k", "2", "--trials", "500")
+        assert code == 0
+        assert [rep["trials"] for rep in json.loads(out)] == [500, 500]
 
 
 class TestEmbedCommand:

@@ -1,4 +1,5 @@
-"""Property tests: every malformed `mi --input` or `embed` payload reaches a documented exit."""
+"""Property tests: every malformed `mi`/`converge --input` payload, `embed` Gram or audit flag
+reaches a documented exit."""
 
 import io
 import json
@@ -12,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from araki_mi import audits  # noqa: E402
 from araki_mi.cli import main  # noqa: E402
 
 # Payloads for `mi --input`: each field well formed, malformed or missing.
@@ -38,6 +40,28 @@ _PAYLOADS = st.one_of(
     st.fixed_dictionaries({"intervals": _GEOMETRY}, optional={k: v for k, v in _FIELDS.items() if k != "intervals"}),
     st.fixed_dictionaries({}, optional=_FIELDS),
     _GARBAGE)
+
+# `converge --resolutions`: admitted lists stay at or below 64 sites per unit
+# length; the malformed ones are refused before any eigensolve (1e9 by the site limit).
+_RESOLUTIONS = st.sampled_from(["8,16", "16,32,64", "64", "", "x", "32,16", "0,16", "-8,16", "nan", "16,inf", "1e9"])
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Values of the audit flags --trials, --seed and --k: admitted ones stay tiny
+# (trials <= 3, k <= 4), huge ones are refused before anything is spawned or
+# allocated, and anything int() rejects is an argparse usage error.
+_NOT_A_NUMBER = st.one_of(st.sampled_from(["", "1.5", "1e3", "nan", "inf", "0x10", "--", "-x"]),
+                          st.text(max_size=4).filter(lambda s: not _is_int(s)))
+_TRIALS = st.one_of(st.integers(-3, 3), st.integers(audits.MAX_TRIALS + 1, 10**40), _NOT_A_NUMBER)
+_SEED = st.one_of(st.integers(-3, 10), st.integers(2**64, 2**200), st.integers(-2**200, -2**64), _NOT_A_NUMBER)
+_K = st.one_of(st.integers(-3, 4), st.integers(audits.MAX_K + 1, 10**40), _NOT_A_NUMBER)
 
 
 # Gram payloads for `embed`, rank at most 6: positive definite B^T B + I (some
@@ -82,6 +106,39 @@ class TestMalformedInput:
         cfg = tmp_path_factory.mktemp("payload") / "cfg.json"
         cfg.write_text(json.dumps(payload))
         assert_documented_exit(*run_cli(["mi", "--input", str(cfg)]))
+
+
+def assert_documented_audit_exit(code, out, err):
+    """As assert_documented_exit, plus exit 1 (a violation) and argparse's own usage errors."""
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        json.loads(out)
+    elif err.startswith("usage:"):
+        assert code == 2
+    else:
+        assert "error" in json.loads(err)
+
+
+class TestMalformedConvergeInput:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=_PAYLOADS, resolutions=_RESOLUTIONS)
+    def test_every_payload_reaches_a_documented_exit(self, tmp_path_factory, payload, resolutions):
+        cfg = tmp_path_factory.mktemp("payload") / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert_documented_exit(*run_cli(["converge", "--input", str(cfg), f"--resolutions={resolutions}"]))
+
+
+class TestAuditFlags:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.sampled_from(["tau-audit", "fan-audit", "index-analog"]), trials=_TRIALS,
+           seed=st.none() | _SEED, k=st.none() | _K)
+    def test_every_flag_value_reaches_a_documented_exit(self, command, trials, seed, k):
+        argv = [command, "--trials", str(trials)]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        if k is not None and command == "index-analog":
+            argv += ["--k", str(k)]
+        assert_documented_audit_exit(*run_cli(argv))
 
 
 class TestMalformedGram:

@@ -1,4 +1,7 @@
+import hashlib
+import io
 import math
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -130,7 +133,7 @@ class TestSublatticeCrossCheck:
         pad = abs(int(even.sum()) - int((~even).sum()))
         spectrum = np.sort(np.concatenate([0.5 + s, 0.5 - s, np.full(pad, 0.5)]))
         assert np.max(np.abs(spectrum - np.linalg.eigvalsh(m))) <= 1e-12
-        expected = fermion._binary_entropy_sum(np.linalg.eigvalsh(m))
+        expected = fermion._binary_entropy_sums(np.linalg.eigvalsh(m))[0]
         assert fermion._sublattice_entropy(m, sites) == pytest.approx(expected, abs=1e-12)
 
     def test_broken_parity_structure_raises(self):
@@ -143,6 +146,14 @@ class TestSublatticeCrossCheck:
             fermion._sublattice_entropy(hardy_kernel(sites), 2 * sites)
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
         sys.sites = 2 * sys.sites
+        with pytest.raises(ArithmeticError, match="sublattice"):
+            sigma_trace(sys)
+
+    def test_same_parity_defect_in_one_region_raises(self):
+        # one Hermitian entry between two even sites of region 2 breaks that region's block only
+        sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
+        i, j = np.flatnonzero(~sys.inside & (sys.sites % 2 == 0))[:2]
+        sys.c[i, j] = sys.c[j, i] = 1e-6
         with pytest.raises(ArithmeticError, match="sublattice"):
             sigma_trace(sys)
 
@@ -183,6 +194,31 @@ class TestSublatticeCrossCheck:
         assert capsys.readouterr().out == self.GOLDEN[argv]
 
 
+class TestMISweepDigest:
+    # SHA-256 of the stdout of `mi` at resolutions 16 and 32 with --components 1 and 2, in that
+    # order, for each mi-sweep geometry of the benchmark (numpy 2.4.6, OpenBLAS 0.3.31).
+    DIGESTS = {
+        "[[0,1],[2,3]]": "8a8342c526724330a2faec6ac1a62ecf1012e596c22e3ac74d68c5a0a66b1c10",
+        "[[0,1],[1.5,2.5]]": "a0403605ea04b2a0da05a1f907d6fa965493a8b2ce4a28553d0f026f0dafaa45",
+        "[[0,1],[1.25,2.25]]": "c609ff37f0fab83f397620c670c86f28bbca0cb496a29b7e49c65ee63b7a1faf",
+        "[[0,0.5],[1,2.5]]": "ee51b17b9cf4a1be8cf33b6f5a055bba2ac343aabd93eb4184623e62d8d149d6",
+        "[[0,1.5],[2,3]]": "882de44e7ee9afaaeb19632c8e5e766c91ff76b2bf31405022b4141cf62e1cdd",
+        "[[0,0.75],[1.25,2],[2.5,3.25]]": "51af32a804b336f411b7678c41ba54c4622cbefef9585e1826efffd40e2e0a8b",
+        "[[0,1],[1.5,2],[2.5,3.5]]": "874be59068a58c16389ecde040507f8b2c587250a59505373e19652d23d326ab",
+        "[[0,0.5],[0.75,1.5],[2,3]]": "3db205bbfb152297eee15e5720a7b767b76845e0edf5fc6872b522a1aea8f25e",
+    }
+
+    @pytest.mark.parametrize("intervals", list(DIGESTS))
+    def test_stdout_matches_recorded_digest(self, intervals):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            for resolution in ("16", "32"):
+                for components in ("1", "2"):
+                    assert main(["mi", "--intervals", intervals, "--resolution", resolution,
+                                 "--components", components]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.DIGESTS[intervals]
+
+
 class TestEntropyKernel:
     def test_xlogx_vanishes_at_zero_and_one(self):
         out = xlogx(np.array([0.0, 1.0]))
@@ -202,12 +238,26 @@ class TestEntropyKernel:
         for x in w:
             if 0.0 < x < 1.0:
                 reference += -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
-        assert fermion._binary_entropy_sum(w) == pytest.approx(reference, rel=1e-14, abs=0.0)
+        assert fermion._binary_entropy_sums(w) == [pytest.approx(reference, rel=1e-14, abs=0.0)]
 
     def test_binary_entropy_sum_range_check(self):
-        assert fermion._binary_entropy_sum(np.array([])) == 0.0
+        assert fermion._binary_entropy_sums(np.array([])) == [0.0]
         with pytest.raises(ArithmeticError, match="outside"):
-            fermion._binary_entropy_sum(np.array([0.5, 1.0 + 1e-7]))
+            fermion._binary_entropy_sums(np.array([0.5, 1.0 + 1e-7]))
+        with pytest.raises(ArithmeticError, match="outside"):
+            fermion._binary_entropy_sums(np.array([0.5]), np.array([-1e-7]))
+
+    def test_binary_entropy_sums_equal_one_spectrum_at_a_time(self):
+        # the kernel before it took several spectra: two x ln x passes per spectrum
+        def one_spectrum(w):
+            w = np.clip(w, 0.0, 1.0)
+            terms = -(xlogx(w) + xlogx(1.0 - w))
+            return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+
+        rng = np.random.default_rng(5)
+        spectra = [rng.uniform(0.0, 1.0, size=n) for n in (0, 1, 7, 300, 0, 64)]
+        spectra[2][:2] = (0.0, 1.0)
+        assert fermion._binary_entropy_sums(*spectra) == [one_spectrum(w) for w in spectra]
 
 
 class TestSiteLimit:
