@@ -44,7 +44,7 @@ def _load_json_arg(inline: str | None, path: str | None, flag: str):
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    raise SystemExit(f"error: {flag} required")
+    raise ValueError(f"{flag} required")
 
 
 def _interval_config(args) -> fermion.IntervalConfig:
@@ -139,11 +139,16 @@ def cmd_index_analog(args) -> int:
     return _emit_audits(reports, args)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # raised, so that main writes the JSON diagnostic
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(prog="araki-mi",
-                                     description="free-fermion mutual information and operator inequality toolkit")
+    parser = _Parser(prog="araki-mi",
+                     description="free-fermion mutual information and operator inequality toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -194,9 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
         # Opened, like a shell redirection, before the command runs, so that an
         # unwritable path is refused before the work rather than after it.
         path = args.output
@@ -204,7 +206,9 @@ def main(argv=None) -> int:
             args.out = out
             # Looked up by name at call time, so the cached parser holds no command function.
             return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (ValueError, KeyError, OSError, SystemExit) as exc:
+    except SystemExit:      # --help, after printing it; every usage error raises ValueError
+        return 0
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(canonical_json({"error": "usage", "detail": str(exc)}) + "\n")
         return USAGE_ERROR
     except (ArithmeticError, RuntimeError) as exc:

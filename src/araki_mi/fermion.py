@@ -26,7 +26,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .operators import ENTROPY_SLACK, HERMITICITY_TOL, checked_eigh, hermitian_matrix, xlogx
+from .operators import ENTROPY_SLACK, HERMITICITY_TOL, RECOMPOSITION_TOL, xlogx
 
 SPECTRUM_SLACK = 1e-9
 TWO_PATH_TOL = 1e-9
@@ -93,17 +93,6 @@ class IntervalConfig:
         if not _fits_float(comp):
             raise ValueError("components must be a positive integer within the float range")
 
-    def scaled(self, scale: float) -> "IntervalConfig":
-        """Same geometry with endpoints scaled and the site counts preserved."""
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        return IntervalConfig(
-            intervals=tuple((a * scale, b * scale) for a, b in self.intervals),
-            resolution=self.resolution / scale,
-            split=self.split,
-            components=self.components,
-        )
-
 
 @dataclass
 class CovarianceSystem:
@@ -141,13 +130,31 @@ def _site_blocks(config: IntervalConfig) -> list[Tuple[int, int]]:
     return blocks
 
 
+def _kernel(d: np.ndarray) -> np.ndarray:
+    """The kernel at integer separations d: 1/2 at 0, -i/(pi d) at odd d, 0 at even d."""
+    odd = (d % 2) != 0
+    return np.where(odd, -1j / (math.pi * np.where(odd, d, 1)), np.where(d == 0, 0.5, 0.0))
+
+
 def hardy_kernel(sites: np.ndarray) -> np.ndarray:
-    """Half-frequency band projection kernel on the given integer sites."""
-    delta = sites[:, None] - sites[None, :]
-    odd = (delta % 2) != 0
-    safe = np.where(odd, delta, 1)
-    c = np.where(odd, -1j / (math.pi * safe), 0.0)
-    np.fill_diagonal(c, 0.5)
+    """Half-frequency band projection kernel on the given integer sites, symmetrised.
+
+    Entry (i, j) is sym(s_i - s_j) = (k(d) + conj k(-d)) / 2, bit for bit that
+    of (K + K^H) / 2, whose signed zeros the bits of eigh depend on.  Each pair
+    of runs of consecutive sites is a Toeplitz block, copied from a strided
+    view of a 1-D table of sym.  ArithmeticError unless sym(-d) = conj sym(d).
+    """
+    edges = np.r_[0, np.flatnonzero(np.diff(sites) != 1) + 1, sites.size]
+    c = np.empty((sites.size, sites.size), dtype=complex)
+    for i0, i1 in zip(edges, edges[1:]):
+        for j0, j1 in zip(edges, edges[1:]):
+            d = np.arange(sites[i0] - sites[j1 - 1], sites[i1 - 1] - sites[j0] + 1)
+            kd, km = _kernel(d), _kernel(-d)
+            table = 0.5 * (kd + km.conj())
+            if not np.array_equal(0.5 * (km + kd.conj()), table.conj()):
+                raise ArithmeticError("covariance kernel is not Hermitian")
+            # T[i, j] = table[i - j + cols - 1]
+            c[i0:i1, j0:j1] = np.lib.stride_tricks.sliding_window_view(table, j1 - j0)[:, ::-1]
     return c
 
 
@@ -156,10 +163,7 @@ def build_covariance(config: IntervalConfig) -> CovarianceSystem:
     sites = np.concatenate([np.arange(s, s + n) for s, n in blocks])
     counts = tuple(n for _, n in blocks)
     inside = np.repeat(np.arange(len(counts)) < config.split, counts)
-    # The kernel is Hermitian already, but symmetrising flips the signed zeros
-    # of its real parts, and the bits of eigh (so the reported digits) depend on them.
-    c = hermitian_matrix(hardy_kernel(sites))
-    return CovarianceSystem(c=c, inside=inside, sites=sites, counts=counts)
+    return CovarianceSystem(c=hardy_kernel(sites), inside=inside, sites=sites, counts=counts)
 
 
 def _binary_entropy_sums(*spectra: np.ndarray) -> list[float]:
@@ -195,28 +199,31 @@ def _sublattice_entropies(*blocks: np.ndarray) -> list[float]:
     """Entropy sums h(spec m) of matrices m = [[I/2, B], [B^H, I/2]], from their blocks B.
 
     spec m = 1/2 +- svd(B), padded with |rows - columns| eigenvalues 1/2
-    (entropy ln 2 each).
+    (entropy ln 2 each).  The SVD of a purely imaginary or real B is taken in
+    real arithmetic: every off-diagonal entry of the lattice covariance is
+    imaginary, so there svd(B) = svd(B.imag).
     """
-    sums = _binary_entropy_sums(*(0.5 + np.linalg.svd(b, compute_uv=False) for b in blocks))
+    real = [b.imag if not b.real.any() else b.real if not b.imag.any() else b for b in blocks]
+    sums = _binary_entropy_sums(*(0.5 + np.linalg.svd(b, compute_uv=False) for b in real))
     return [2.0 * h + abs(b.shape[0] - b.shape[1]) * math.log(2.0) for h, b in zip(sums, blocks)]
-
-
-def _sublattice_entropy(m: np.ndarray, sites: np.ndarray) -> float:
-    """Entropy sum h(spec m) of one covariance from the singular values of its even-odd block."""
-    return _sublattice_entropies(_even_odd_block(m, sites % 2 == 0, float(np.linalg.norm(m))))[0]
 
 
 def sigma_trace(sys: CovarianceSystem) -> float:
     """Tr sigma_C = S_1 + S_2 - S_12, computed by two independent routes.
 
-    The returned value takes S_12 from the Hermitian eigensolve of C, whose
-    spectrum must lie in [0, 1] up to SPECTRUM_SLACK, and S_X from `eigvalsh`
-    of each region block.  The check recomputes all three entropies from
-    half-size singular value decompositions, which share no factorization
-    with the first route: B = C[even, odd] is gathered once, and each
-    region's block is its sub-block B[region & even, region & odd].
+    The returned value takes S_12 from `eigh` of C (its eigenvectors are
+    dropped; the reported digits are pinned to that LAPACK path), whose
+    eigenvalues must sum to Tr C, have 2-norm ||C||_F and lie in [0, 1] up to
+    SPECTRUM_SLACK, and S_X from `eigvalsh` of each region block.  The check
+    recomputes all three entropies from half-size real SVDs, which share no
+    factorization with the first route: B = C[even, odd] is gathered once,
+    and each region's block is its sub-block B[region & even, region & odd].
     """
-    w, _ = checked_eigh(sys.c)
+    w = np.linalg.eigh(sys.c)[0]
+    norm = float(np.linalg.norm(sys.c))
+    miss = max(abs(w.sum() - np.trace(sys.c).real), abs(np.linalg.norm(w) - norm))
+    if miss > RECOMPOSITION_TOL * max(1.0, norm):
+        raise ArithmeticError(f"covariance eigenvalues miss the trace or norm of C ({miss:.3e})")
     if w[0] < -SPECTRUM_SLACK or w[-1] > 1.0 + SPECTRUM_SLACK:
         raise ArithmeticError(f"covariance spectrum escapes [0, 1]: [{w[0]}, {w[-1]}]")
     regions = [np.flatnonzero(sys.inside), np.flatnonzero(~sys.inside)]
@@ -337,10 +344,3 @@ def continuum_mi(intervals: Sequence[Sequence[float]], split: int = 1) -> float:
         for a2, b2 in ivs[split:]:
             total += math.log(abs(a2 - a1) * abs(b2 - b1) / (abs(a2 - b1) * abs(b2 - a1)))
     return total / 3.0
-
-
-def mi_scaling_invariance(config: IntervalConfig, scale: float) -> tuple[float, float]:
-    """MI for the config and for the scaled config at equal site counts."""
-    base = mutual_information_value(config)
-    scaled = mutual_information_value(config.scaled(scale))
-    return base, scaled

@@ -174,44 +174,37 @@ def _quad_gk21(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     return total, global_error + rounding_error
 
 
-def _integrate_matrix(f: Callable[[np.ndarray], tuple], sizes: int | tuple[int, ...], lo: float,
+def _integrate_matrix(f: Callable[[np.ndarray], tuple], sizes: tuple[int, ...], lo: float,
                       hi: float, tol: float, budget: float, what: str) -> tuple[np.ndarray, float]:
     """Adaptive GK21 quadrature of a complex block-diagonal matrix function.
 
     `sizes` are the sizes of the diagonal blocks, and f maps a 1-D array of k
-    nodes to the tuple of (k, d, d) stacks of the blocks there; for one int,
-    f returns the single (k, d, d) stack itself.  Only the entries of the
-    blocks are integrated.  Returns (integral, error estimate), the integral
-    as the block-diagonal matrix; ConvergenceError if the estimate exceeds
-    `budget` or is not finite.
+    nodes to (rows, blocks): the nodes where the integrand may be nonzero (a
+    mask, or slice(None)) and the tuple of the blocks' (rows, d, d) stacks
+    there.  Only the blocks' entries are integrated.  Returns (integral,
+    error estimate), the integral as the block-diagonal matrix;
+    ConvergenceError if the estimate exceeds `budget` or is not finite.
     """
-    if isinstance(sizes, int):
-        return _integrate_matrix(lambda x: (f(x),), (sizes,), lo, hi, tol, budget, what)
+    ends = np.cumsum([0] + [d * d for d in sizes])
 
     def flat(x: np.ndarray) -> np.ndarray:
-        m = np.concatenate([block.reshape(x.size, -1) for block in f(x)], axis=1)
-        return np.concatenate([m.real, m.imag], axis=1)
+        # real parts of all blocks, then imaginary parts, one row per node
+        rows, blocks = f(x)
+        out = np.zeros((x.size, 2, ends[-1]))
+        for block, start, stop in zip(blocks, ends, ends[1:]):
+            part = block.reshape(-1, stop - start)
+            out[rows, 0, start:stop] = part.real
+            out[rows, 1, start:stop] = part.imag
+        return out.reshape(x.size, -1)
 
     y, err = _quad_gk21(flat, lo, hi, tol)
     if not err <= budget:
         raise ConvergenceError(f"{what} quadrature residual {err:.3e} exceeds budget", residual=err)
-    z = y[:y.size // 2] + 1j * y[y.size // 2:]
+    z = y[:ends[-1]] + 1j * y[ends[-1]:]
     out = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
-    start = 0
-    for d in sizes:
-        out[start:start + d, start:start + d] = z[:d * d].reshape(d, d)
-        z = z[d * d:]
-        start += d
+    for d, o, start, stop in zip(sizes, np.cumsum([0, *sizes]), ends, ends[1:]):
+        out[o:o + d, o:o + d] = z[start:stop].reshape(d, d)
     return out, err
-
-
-def _squares(x: np.ndarray) -> np.ndarray:
-    """x**2 per node by Python's float power (C pow()), as a (k, 1, 1) column.
-
-    numpy's x * x differs from pow() in the last bit for about one value in
-    1 200, which would move the tau integrals by an ulp.
-    """
-    return np.array([v ** 2 for v in x.tolist()]).reshape(-1, 1, 1)
 
 
 @dataclass
@@ -357,15 +350,14 @@ class _BlockIntegrand:
         y = np.linalg.inv(shifted - k)
         return tt * (np.linalg.solve(shifted, k) @ y), tt * (w_h @ y @ _conj_t(w_h))
 
-    def scaled(self, live: np.ndarray, t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The blocks at t divided by r**2 on the nodes where `live`, zero on the others."""
-        squares = _squares(r)
-        blocks = []
-        for block, d in zip(self(t), self.sizes):
-            out = np.zeros((live.size, d, d), dtype=complex)
-            out[live] = block / squares
-            blocks.append(out)
-        return tuple(blocks)
+    def scaled(self, t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks at t divided by r**2, with r squared by Python's float power.
+
+        numpy's r * r differs from C pow() in the last bit for about one value
+        in 1 200, which would move the tau integrals by an ulp.
+        """
+        squares = np.array([v ** 2 for v in r.tolist()]).reshape(-1, 1, 1)
+        return tuple(block / squares for block in self(t))
 
     def restore(self, m: np.ndarray) -> np.ndarray:
         """A matrix of the adapted basis in the original coordinates."""
@@ -383,10 +375,10 @@ def tau_integral(a: HermitianOperator, p: OrthoProjection, tol: float = 1e-8) ->
         raise ValueError("tol must be positive")
     blocks = _BlockIntegrand(a, p)
 
-    def f(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def f(s: np.ndarray) -> tuple:
         live = (s > 0.0) & (s < 1.0 - 1e-14)
         r = 1.0 - s[live]
-        return blocks.scaled(live, s[live] / r, r)
+        return live, blocks.scaled(s[live] / r, r)
 
     m, err = _integrate_matrix(f, blocks.sizes, 0.0, 1.0, tol, 100 * max(tol, 1e-12), "tau")
     m = blocks.restore(m)
@@ -460,7 +452,8 @@ def truncated_trace(a: HermitianOperator, p: OrthoProjection, eps: float,
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     blocks = _BlockIntegrand(a, p)
-    d, _ = _integrate_matrix(blocks, blocks.sizes, eps, 1.0, tol, 100 * max(tol, 1e-12), "D_eps")
+    d, _ = _integrate_matrix(lambda t: (slice(None), blocks(t)), blocks.sizes, eps, 1.0, tol,
+                             100 * max(tol, 1e-12), "D_eps")
     return float(np.trace(d.real))
 
 
@@ -483,10 +476,10 @@ def tail_integral_identity_gap(a: HermitianOperator, p: OrthoProjection, tol: fl
     """
     blocks = _BlockIntegrand(a, p)
 
-    def f(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def f(u: np.ndarray) -> tuple:
         # t = 1/u maps (0, 1] to [1, inf)
         live = u > 1e-14
-        return blocks.scaled(live, 1.0 / u[live], u[live])
+        return live, blocks.scaled(1.0 / u[live], u[live])
 
     tail, _ = _integrate_matrix(f, blocks.sizes, 0.0, 1.0, tol, 100 * tol, "tail")
 

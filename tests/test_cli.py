@@ -43,6 +43,17 @@ def test_directory_path_usage_error(capsys, tmp_path, argv):
     assert_usage_error(capsys, *(arg.format(dir=tmp_path) for arg in argv))
 
 
+@pytest.mark.parametrize("argv", [
+    ("tau-audit", "--trials", "x"),
+    ("converge", "--intervals", "[[0,1],[2,3]]", "--resolutions", "-8,16"),   # read as a missing value
+    ("mi", "--intervals", "[[0,1],[2,3]]", "--bogus", "1"),
+    ("fan-audit", "--format", "xml"),
+    (),
+])
+def test_argparse_errors_write_json_diagnostic(capsys, argv):
+    assert_usage_error(capsys, *argv)
+
+
 def test_unwritable_output_refused_before_the_work(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(fermion, "resolution_study", lambda *args: pytest.fail("the study ran"))
     assert_usage_error(capsys, "converge", "--intervals", "[[0,1],[2,3]]", "-o", str(tmp_path))

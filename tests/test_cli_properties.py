@@ -56,7 +56,7 @@ def _is_int(text: str) -> bool:
 
 # Values of the audit flags --trials, --seed and --k: admitted ones stay tiny
 # (trials <= 3, k <= 4), huge ones are refused before anything is spawned or
-# allocated, and anything int() rejects is an argparse usage error.
+# allocated, and anything int() rejects is a usage error with the JSON diagnostic.
 _NOT_A_NUMBER = st.one_of(st.sampled_from(["", "1.5", "1e3", "nan", "inf", "0x10", "--", "-x"]),
                           st.text(max_size=4).filter(lambda s: not _is_int(s)))
 _TRIALS = st.one_of(st.integers(-3, 3), st.integers(audits.MAX_TRIALS + 1, 10**40), _NOT_A_NUMBER)
@@ -109,14 +109,12 @@ class TestMalformedInput:
 
 
 def assert_documented_audit_exit(code, out, err):
-    """As assert_documented_exit, plus exit 1 (a violation) and argparse's own usage errors."""
+    """As assert_documented_exit, plus exit 1 (a violation); a flag argparse rejects is a usage error."""
     assert code in (0, 1, 2, 3)
     if code in (0, 1):
         json.loads(out)
-    elif err.startswith("usage:"):
-        assert code == 2
     else:
-        assert "error" in json.loads(err)
+        assert json.loads(err)["error"] == ("usage" if code == 2 else "numerical")
 
 
 class TestMalformedConvergeInput:

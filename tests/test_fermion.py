@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import math
 from contextlib import redirect_stdout
 
@@ -15,7 +16,6 @@ from araki_mi.fermion import (
     continuum_mi,
     hardy_kernel,
     mi_convergence,
-    mi_scaling_invariance,
     mutual_information_value,
     resolution_study,
     richardson,
@@ -30,6 +30,22 @@ STANDARD = ((0.0, 1.0), (2.0, 3.0))
 def toy_system(offdiag: complex) -> CovarianceSystem:
     c = np.array([[0.5, offdiag], [np.conj(offdiag), 0.5]], dtype=complex)
     return CovarianceSystem(c=c, inside=np.array([True, False]), sites=np.array([0, 1]), counts=(1, 1))
+
+
+def sublattice_entropy(m: np.ndarray, sites: np.ndarray) -> float:
+    """Entropy sum h(spec m) of one covariance from the singular values of its even-odd block."""
+    return fermion._sublattice_entropies(fermion._even_odd_block(m, sites % 2 == 0, float(np.linalg.norm(m))))[0]
+
+
+def lattice_sites(intervals, resolution) -> np.ndarray:
+    blocks = fermion._site_blocks(IntervalConfig(intervals=intervals, resolution=resolution))
+    return np.concatenate([np.arange(s, s + n) for s, n in blocks])
+
+
+# the mi-sweep geometries of the benchmark
+SWEEP_GEOMETRIES = ("[[0,1],[2,3]]", "[[0,1],[1.5,2.5]]", "[[0,1],[1.25,2.25]]", "[[0,0.5],[1,2.5]]",
+                    "[[0,1.5],[2,3]]", "[[0,0.75],[1.25,2],[2.5,3.25]]", "[[0,1],[1.5,2],[2.5,3.5]]",
+                    "[[0,0.5],[0.75,1.5],[2,3]]")
 
 
 class TestIntervalConfig:
@@ -81,6 +97,34 @@ class TestHardyKernel:
         k = hardy_kernel(np.array([0, 2]))
         assert k[0, 1] == 0.0
 
+    @staticmethod
+    def symmetrised_formula(sites):
+        """(K + K^H) / 2 with K built entry by entry from the n x n separations."""
+        delta = sites[:, None] - sites[None, :]
+        odd = (delta % 2) != 0
+        k = np.where(odd, -1j / (math.pi * np.where(odd, delta, 1)), 0.0)
+        np.fill_diagonal(k, 0.5)
+        return 0.5 * (k + k.conj().T)
+
+    @pytest.mark.parametrize("intervals,resolutions", [
+        *((json.loads(g), (16, 32, 48, 64, 80, 96)) for g in SWEEP_GEOMETRIES),
+        ([[2, 3], [0, 1]], (40,)),
+        ([[0, 1], [1.3, 2.7]], (512,)),   # 1229 sites
+    ])
+    def test_gathered_matrix_bit_identical_to_formula(self, intervals, resolutions):
+        # signed zeros included: the bits of eigh, so the reported digits, depend on them
+        for resolution in resolutions:
+            sites = lattice_sites(intervals, resolution)
+            assert np.array_equal(hardy_kernel(sites).view(np.uint64),
+                                  self.symmetrised_formula(sites).view(np.uint64))
+
+    # one site, no two sites adjacent, runs out of order, and runs 10**12 sites apart (tables per pair
+    # of runs, never one table over the whole span)
+    @pytest.mark.parametrize("sites", [np.array([3]), 2 * np.arange(6), np.r_[np.arange(5, 9), np.arange(-3, 2)],
+                                       np.r_[np.arange(4), 10**12 + np.arange(3)]])
+    def test_scattered_sites_bit_identical_to_formula(self, sites):
+        assert np.array_equal(hardy_kernel(sites).view(np.uint64), self.symmetrised_formula(sites).view(np.uint64))
+
     @pytest.mark.parametrize("resolution", [8, 16, 32])
     def test_spectrum_in_unit_interval(self, resolution):
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=resolution))
@@ -104,6 +148,64 @@ class TestSigmaTrace:
         expected = 0.2616240718822739182584036124674354208202
         assert sigma_trace(toy_system(0.25)) == pytest.approx(expected, abs=1e-12)
         assert sigma_trace(toy_system(0.25j)) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("offdiag,dtype", [(0.25, np.float64), (0.25j, np.float64),
+                                               (0.25 * np.exp(1j * np.pi / 5), np.complex128)])
+    def test_check_svd_arithmetic(self, monkeypatch, offdiag, dtype):
+        # real and imaginary off-diagonals take the real SVD, a genuinely complex one the complex SVD
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda b, **kw: seen.append((b.shape, b.dtype)) or svd(b, **kw))
+        expected = 0.2616240718822739182584036124674354208202
+        assert sigma_trace(toy_system(offdiag)) == pytest.approx(expected, abs=1e-12)
+        # the 1 x 1 even-odd block of C; the regions' blocks are empty
+        assert [d for shape, d in seen if shape == (1, 1)] == [np.dtype(dtype)]
+
+    @pytest.mark.parametrize("perturb", [
+        lambda w: w + np.r_[1e-6, np.zeros(w.size - 1)],             # moves the trace
+        lambda w: w + np.r_[-1e-6, np.zeros(w.size - 2), 1e-6],      # keeps the trace, moves the norm
+    ], ids=["trace", "norm"])
+    def test_perturbed_covariance_eigenvalues_raise(self, monkeypatch, perturb):
+        sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (perturb(eigh(m)[0]), eigh(m)[1]))
+        with pytest.raises(ArithmeticError, match="miss the trace or norm"):
+            sigma_trace(sys)
+
+    def test_one_eigensolve_real_svds_no_matmul(self, monkeypatch):
+        # regression guard: no n^3 recomposition of C, and no complex SVD on the lattice covariance
+        calls, ufuncs = [], []
+
+        class Watched(np.ndarray):
+            """Records every ufunc applied to C or to an array derived from it (`@` included)."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                ufuncs.append(ufunc.__name__)
+                plain = [x.view(np.ndarray) if isinstance(x, Watched) else x for x in inputs]
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, Watched) else x for x in kwargs["out"])
+                result = getattr(ufunc, method)(*plain, **kwargs)
+                return result.view(Watched) if isinstance(result, np.ndarray) else result
+
+        def watched(name):
+            original = getattr(np.linalg, name)
+
+            def call(a, *args, **kwargs):
+                calls.append((name, a.shape, a.dtype))
+                return original(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, call)
+
+        for name in ("eigh", "eigvalsh", "svd", "svdvals", "eig", "eigvals", "inv", "solve", "qr"):
+            watched(name)
+        sys = build_covariance(IntervalConfig(intervals=((0.0, 1.0), (1.5, 2.5), (3.0, 3.75)), resolution=16, split=2))
+        n = sys.c.shape[0]
+        sys.c = sys.c.view(Watched)
+        for name in ("matmul", "dot", "vdot", "einsum", "tensordot", "inner", "outer", "kron"):
+            monkeypatch.setattr(np, name, lambda *args, name=name, **kwargs: pytest.fail(f"np.{name} called"))
+        assert sigma_trace(sys) > 0
+        assert [shape for name, shape, _ in calls if name == "eigh"] == [(n, n)]
+        assert {name for name, _, _ in calls} == {"eigh", "eigvalsh", "svd"}
+        assert all(dtype == np.float64 for name, _, dtype in calls if name == "svd")
+        assert ufuncs and "matmul" not in ufuncs
 
     def test_spectrum_escaping_unit_interval_raises(self):
         # spectrum 1/2 -+ 0.6 = (-0.1, 1.1): no covariance of a quasi-free state
@@ -134,16 +236,16 @@ class TestSublatticeCrossCheck:
         spectrum = np.sort(np.concatenate([0.5 + s, 0.5 - s, np.full(pad, 0.5)]))
         assert np.max(np.abs(spectrum - np.linalg.eigvalsh(m))) <= 1e-12
         expected = fermion._binary_entropy_sums(np.linalg.eigvalsh(m))[0]
-        assert fermion._sublattice_entropy(m, sites) == pytest.approx(expected, abs=1e-12)
+        assert sublattice_entropy(m, sites) == pytest.approx(expected, abs=1e-12)
 
     def test_broken_parity_structure_raises(self):
         sites = np.arange(0, 6)
         m = hardy_kernel(sites)
         m[0, 2] = m[2, 0] = 1e-6
         with pytest.raises(ArithmeticError, match="sublattice"):
-            fermion._sublattice_entropy(m, sites)
+            sublattice_entropy(m, sites)
         with pytest.raises(ArithmeticError, match="sublattice"):
-            fermion._sublattice_entropy(hardy_kernel(sites), 2 * sites)
+            sublattice_entropy(hardy_kernel(sites), 2 * sites)
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
         sys.sites = 2 * sys.sites
         with pytest.raises(ArithmeticError, match="sublattice"):
@@ -181,6 +283,11 @@ class TestSublatticeCrossCheck:
             '{"extrapolated":0.095849252661708739,"extrapolation_error":0.064458100515474737,'
             '"mi_nats":0.095849252661708739,"series":[{"value":0.0075389046989924324,"window":24},'
             '{"value":0.031391152146234003,"window":48},{"value":0.095849252661708739,"window":80}]}\n',
+        # endpoints off the lattice sites, up to 615 sites
+        ("converge", "--intervals", "[[0,1],[1.3,2.7]]", "--resolutions", "32,64,128,256"):
+            '{"extrapolated":0.3338464377145538,"resolutions":[32,64,128,256],'
+            '"uncertainty":0.0030647377727133218,'
+            '"values":[0.32539159639220161,0.33746504732379989,0.33691117548726712,0.3338464377145538]}\n',
         ("mi", "--intervals", "[[0,0.75],[1.25,2],[2.5,3.25]]", "--resolution", "48"):
             '{"extrapolated":0.18010582879114434,"extrapolation_error":0.087463234558822656,'
             '"mi_nats":0.18010582879114434,"series":[{"value":0.0093615230212060752,"window":27},'
@@ -188,7 +295,8 @@ class TestSublatticeCrossCheck:
             '{"value":0.18010582879114434,"window":108}]}\n',
     }
 
-    @pytest.mark.parametrize("argv", list(GOLDEN), ids=["mi", "converge", "mi-reversed-regions", "mi-three-intervals"])
+    @pytest.mark.parametrize("argv", list(GOLDEN), ids=["mi", "converge", "mi-reversed-regions", "converge-off-site",
+                                                 "mi-three-intervals"])
     def test_canonical_output_unchanged(self, capsys, argv):
         assert main(list(argv)) == 0
         assert capsys.readouterr().out == self.GOLDEN[argv]
@@ -364,13 +472,18 @@ class TestContinuumOracle:
 
 
 class TestScalingInvariance:
+    @staticmethod
+    def scaled_pair(cfg: IntervalConfig, scale: float) -> tuple[float, float]:
+        """MI of the config and of the same geometry scaled, at equal site counts."""
+        scaled = IntervalConfig(intervals=tuple((a * scale, b * scale) for a, b in cfg.intervals),
+                                resolution=cfg.resolution / scale)
+        return mutual_information_value(cfg), mutual_information_value(scaled)
+
     def test_unit_scale(self):
-        cfg = IntervalConfig(intervals=STANDARD, resolution=16)
-        base, scaled = mi_scaling_invariance(cfg, 1.0)
+        base, scaled = self.scaled_pair(IntervalConfig(intervals=STANDARD, resolution=16), 1.0)
         assert base == scaled
 
     @pytest.mark.parametrize("scale", [2.0, 10.0])
     def test_scale_with_matched_site_counts(self, scale):
-        cfg = IntervalConfig(intervals=STANDARD, resolution=40)
-        base, scaled = mi_scaling_invariance(cfg, scale)
+        base, scaled = self.scaled_pair(IntervalConfig(intervals=STANDARD, resolution=40), scale)
         assert scaled == pytest.approx(base, abs=1e-6)

@@ -513,11 +513,11 @@ class TestGK21Quadrature:
     def test_spike_over_budget_raises(self):
         # |x - 1/3|^{-1/2} integrates to 2(sqrt(1/3) + sqrt(2/3)); the estimate at
         # tol 1e-6 is about 1e-7, above a 1e-8 budget
-        f = lambda x: np.abs(x - 1.0 / 3.0)[:, None, None] ** -0.5
+        f = lambda x: (slice(None), (np.abs(x - 1.0 / 3.0)[:, None, None] ** -0.5,))
         with pytest.raises(tau.ConvergenceError) as info:
-            tau._integrate_matrix(f, 1, 0.0, 1.0, 1e-6, 1e-8, "spike")
+            tau._integrate_matrix(f, (1,), 0.0, 1.0, 1e-6, 1e-8, "spike")
         assert info.value.residual > 1e-8
-        m, err = tau._integrate_matrix(f, 1, 0.0, 1.0, 1e-6, 1e-6, "spike")
+        m, err = tau._integrate_matrix(f, (1,), 0.0, 1.0, 1e-6, 1e-6, "spike")
         assert abs(m[0, 0] - 2 * (math.sqrt(1 / 3) + math.sqrt(2 / 3))) <= err
 
     def test_nan_integrand_stops_and_raises(self):
@@ -525,10 +525,10 @@ class TestGK21Quadrature:
 
         def f(x):
             calls.append(x.size)
-            return np.sqrt(x - 0.5)[:, None, None]  # NaN left of 1/2
+            return slice(None), (np.sqrt(x - 0.5)[:, None, None],)  # NaN left of 1/2
 
         with np.errstate(invalid="ignore"), pytest.raises(tau.ConvergenceError) as info:
-            tau._integrate_matrix(f, 1, 0.0, 1.0, 1e-8, 1.0, "nan")
+            tau._integrate_matrix(f, (1,), 0.0, 1.0, 1e-8, 1.0, "nan")
         assert not math.isfinite(info.value.residual)
         assert len(calls) == 2  # the first interval, then one round
 
