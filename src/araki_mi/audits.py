@@ -43,11 +43,16 @@ BATCH_ENTRIES = 1 << 12
 # index-analog states are k^2 x k^2 dense matrices; at most this many entries.
 MAX_STATE_ENTRIES = 1_000_000
 MAX_K = math.isqrt(math.isqrt(MAX_STATE_ENTRIES))
-# Each index-analog trial costs about k^6 (eigensolves of k^2 x k^2 states), so
-# k^6 * trials is refused above this.  On a 2-CPU box the largest admitted
-# requests run for about a minute: k = 6 at 34 293 trials took 48 s, k = 5 at
-# MAX_TRIALS 71 s; k = MAX_K is admitted for one trial (7 s).
-MAX_INDEX_WORK = 1_600_000_000
+# An index-analog trial costs about 8e-9 s * (INDEX_TRIAL_OVERHEAD + k^6) on a
+# 2-CPU box: k^6 for the eigensolves of its k^2 x k^2 states, fitted at k >= 20,
+# and a per-trial overhead (drawing, small LAPACK calls, its report row) worth
+# about 80 000 k^6 units, fitted at k = 5 (7.5e-4 s per trial through the CLI).
+# Requests of more work are refused; the largest admitted ones take about a
+# minute at both ends (k = 5: 51 s, k = 31: 8 trials, 52 s) and up to about
+# 1.7 minutes between (k = 7: 104 s, k = 10: 90 s), where the cost per trial
+# rises faster than the model.
+INDEX_TRIAL_OVERHEAD = 80_000
+MAX_INDEX_WORK = 7_200_000_000
 
 
 def _run_trials(dim_of: Callable[[np.random.Generator], int], draw: Callable[..., tuple],
@@ -205,9 +210,15 @@ def _check_k(k: int, trials: int) -> None:
     if k > MAX_K:
         raise ValueError(f"k must be at most {MAX_K} (k^2 x k^2 states of at most "
                          f"{MAX_STATE_ENTRIES} entries), got {k}")
-    if k**6 * trials > MAX_INDEX_WORK:
-        raise ValueError(f"k^6 * trials must be at most {MAX_INDEX_WORK} (about a minute of work), "
-                         f"got {k**6 * trials}; lower --k or --trials")
+    if trials > max_index_trials(k):
+        raise ValueError(f"trials * ({INDEX_TRIAL_OVERHEAD} + k^6) must be at most {MAX_INDEX_WORK} "
+                         f"(about a minute of work), so at most {max_index_trials(k)} trials at k = {k}, "
+                         f"got {trials}; lower --k or --trials")
+
+
+def max_index_trials(k: int) -> int:
+    """The most index-analog trials admitted at k: trials * (INDEX_TRIAL_OVERHEAD + k^6) <= MAX_INDEX_WORK."""
+    return MAX_INDEX_WORK // (INDEX_TRIAL_OVERHEAD + k**6)
 
 
 def _fixed_dim(dim: int) -> Callable[[np.random.Generator], int]:

@@ -26,7 +26,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .operators import ENTROPY_SLACK, HERMITICITY_TOL, RECOMPOSITION_TOL, xlogx
+from .operators import ENTROPY_SLACK, HERMITICITY_TOL, RECOMPOSITION_TOL, _eigh_eigenvalues, xlogx
 
 SPECTRUM_SLACK = 1e-9
 TWO_PATH_TOL = 1e-9
@@ -140,9 +140,11 @@ def hardy_kernel(sites: np.ndarray) -> np.ndarray:
     """Half-frequency band projection kernel on the given integer sites, symmetrised.
 
     Entry (i, j) is sym(s_i - s_j) = (k(d) + conj k(-d)) / 2, bit for bit that
-    of (K + K^H) / 2, whose signed zeros the bits of eigh depend on.  Each pair
-    of runs of consecutive sites is a Toeplitz block, copied from a strided
-    view of a 1-D table of sym.  ArithmeticError unless sym(-d) = conj sym(d).
+    of (K + K^H) / 2, whose signed zeros the bits of S_12 depend on (zhetrd,
+    the tridiagonal reduction of eigh and of `_eigh_eigenvalues`, reads them).
+    Each pair of runs of consecutive sites is a Toeplitz block, copied from a
+    strided view of a 1-D table of sym.  ArithmeticError unless
+    sym(-d) = conj sym(d).
     """
     edges = np.r_[0, np.flatnonzero(np.diff(sites) != 1) + 1, sites.size]
     c = np.empty((sites.size, sites.size), dtype=complex)
@@ -211,15 +213,17 @@ def _sublattice_entropies(*blocks: np.ndarray) -> list[float]:
 def sigma_trace(sys: CovarianceSystem) -> float:
     """Tr sigma_C = S_1 + S_2 - S_12, computed by two independent routes.
 
-    The returned value takes S_12 from `eigh` of C (its eigenvectors are
-    dropped; the reported digits are pinned to that LAPACK path), whose
-    eigenvalues must sum to Tr C, have 2-norm ||C||_F and lie in [0, 1] up to
-    SPECTRUM_SLACK, and S_X from `eigvalsh` of each region block.  The check
+    The returned value takes S_12 from `_eigh_eigenvalues` of C: zhetrd and
+    dstedc of numpy's LAPACK, the bits of `eigh` without the eigenvectors of
+    C (the reported digits are pinned to that LAPACK path; np.linalg.eigh
+    itself where numpy's LAPACK lacks the two symbols).  Those eigenvalues
+    must sum to Tr C, have 2-norm ||C||_F and lie in [0, 1] up to
+    SPECTRUM_SLACK.  S_X comes from `eigvalsh` of each region block.  The check
     recomputes all three entropies from half-size real SVDs, which share no
     factorization with the first route: B = C[even, odd] is gathered once,
     and each region's block is its sub-block B[region & even, region & odd].
     """
-    w = np.linalg.eigh(sys.c)[0]
+    w = _eigh_eigenvalues(sys.c)
     norm = float(np.linalg.norm(sys.c))
     miss = max(abs(w.sum() - np.trace(sys.c).real), abs(np.linalg.norm(w) - norm))
     if miss > RECOMPOSITION_TOL * max(1.0, norm):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -70,6 +72,75 @@ def checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if (recomp > RECOMPOSITION_TOL * np.maximum(1.0, _frobenius(m))).any():
         raise ArithmeticError(f"eigendecomposition failed to recompose ({np.max(recomp):.3e})")
     return w, u
+
+
+@functools.cache
+def _pinned_lapack():
+    """(zhetrd, dstedc) of the LAPACK behind np.linalg, or None.
+
+    Resolved through numpy's own _umath_linalg handle, whose bundled
+    scipy-openblas exports ILP64 symbols (int64 integers, and a trailing
+    hidden length per Fortran string argument).  A numpy built on another
+    LAPACK (MKL, Accelerate) lacks them, and its callers fall back to eigh.
+    """
+    from numpy.linalg import _umath_linalg
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        zhetrd, dstedc = lib.scipy_zhetrd_64_, lib.scipy_dstedc_64_
+    except (OSError, AttributeError):
+        return None
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    z, d, i = (np.ctypeslib.ndpointer(t, flags="F_CONTIGUOUS") for t in (complex, np.float64, np.int64))
+    # zhetrd(uplo, n, a, lda, d, e, tau, work, lwork, info, len(uplo))
+    zhetrd.argtypes = [ctypes.c_char_p, i64, z, i64, d, d, z, z, i64, i64, ctypes.c_size_t]
+    # dstedc(compz, n, d, e, z, ldz, work, lwork, iwork, liwork, info, len(compz))
+    dstedc.argtypes = [ctypes.c_char_p, i64, d, d, d, i64, d, i64, i, i64, i64, ctypes.c_size_t]
+    zhetrd.restype = dstedc.restype = None
+    return zhetrd, dstedc
+
+
+def _lapack_call(fn, flag: bytes, *args) -> None:
+    """fn(flag, args..., info, len(flag)) with int arguments by reference; ArithmeticError on info != 0."""
+    info = ctypes.c_int64(0)
+    refs = [a if isinstance(a, np.ndarray) else ctypes.byref(ctypes.c_int64(a)) for a in args]
+    fn(flag, *refs, ctypes.byref(info), len(flag))
+    if info.value:
+        raise ArithmeticError(f"LAPACK {fn.__name__} failed (info {info.value})")
+
+
+def _eigh_eigenvalues(c: np.ndarray) -> np.ndarray:
+    """np.linalg.eigh(c)[0] bit for bit, without the eigenvectors of c.
+
+    eigh (zheevd, jobz='V') takes its eigenvalues from zhetrd, the reduction
+    to a real tridiagonal, and dstedc('I') of that tridiagonal; this makes
+    the same two calls on the same Fortran-order copy with uplo='L' and
+    skips the back-transformation and the n x n complex eigenvector output.
+    dstedc still forms the tridiagonal's real eigenvectors: its
+    divide-and-conquer eigenvalues depend on them, and dsterf's (eigvalsh's)
+    differ in the last digits.  zheevd would first rescale a matrix whose
+    largest entry is below ~1e-146 or above ~1e146; this does not, so its
+    bits match eigh's only for matrices inside that range.  Falls back to
+    np.linalg.eigh when numpy's LAPACK lacks the two symbols.
+    """
+    lapack = _pinned_lapack()
+    if lapack is None:
+        return np.linalg.eigh(c)[0]
+    zhetrd, dstedc = lapack
+    n = c.shape[0]
+    ld = max(1, n)
+    a = np.array(c, dtype=complex, order="F")
+    d, e, tau = np.empty(n), np.empty(max(0, n - 1)), np.empty(max(1, n - 1), dtype=complex)
+    query = np.empty(1, dtype=complex)
+    _lapack_call(zhetrd, b"L", n, a, ld, d, e, tau, query, -1)
+    work = np.empty(max(1, int(query[0].real)), dtype=complex)
+    _lapack_call(zhetrd, b"L", n, a, ld, d, e, tau, work, work.size)
+    del a, tau, work            # the complex copy goes before dstedc's n x n workspaces
+    rquery, iquery = np.empty(1), np.empty(1, dtype=np.int64)
+    z = np.empty((ld, ld), order="F")
+    _lapack_call(dstedc, b"I", n, d, e, z, ld, rquery, -1, iquery, -1)
+    rwork, iwork = np.empty(max(1, int(rquery[0]))), np.empty(max(1, int(iquery[0])), dtype=np.int64)
+    _lapack_call(dstedc, b"I", n, d, e, z, ld, rwork, rwork.size, iwork, iwork.size)
+    return d
 
 
 def functional_calculus(w: np.ndarray, u: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -259,8 +259,8 @@ def test_k_at_limit_reaches_spawn(audit, monkeypatch):
 @pytest.mark.parametrize("k", [2, 6, audits.MAX_K])
 def test_index_work_bounded_before_spawn(audit, k, monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", FailingSpawn)
-    largest = audits.MAX_INDEX_WORK // k**6
-    with pytest.raises(ValueError, match="k\\^6 \\* trials"):
+    largest = audits.max_index_trials(k)
+    with pytest.raises(ValueError, match="trials \\* \\(\\d+ \\+ k\\^6\\)"):
         audit(largest + 1, 0, k=k)
     with pytest.raises(Spawned):
         audit(min(largest, audits.MAX_TRIALS), 0, k=k)

@@ -238,9 +238,9 @@ class TestAuditCommands:
     @pytest.mark.parametrize("k", [6, audits.MAX_K])
     def test_index_work_above_limit_refused_before_spawn(self, capsys, monkeypatch, k):
         monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
-        code, _, err = run(capsys, "index-analog", "--k", str(k), "--trials", str(audits.MAX_INDEX_WORK // k**6 + 1))
+        code, _, err = run(capsys, "index-analog", "--k", str(k), "--trials", str(audits.max_index_trials(k) + 1))
         assert code == 2
-        assert "k^6 * trials" in json.loads(err)["detail"]
+        assert f"at most {audits.max_index_trials(k)} trials" in json.loads(err)["detail"]
 
     def test_index_analog_at_benchmark_size_runs(self, capsys):
         code, out, _ = run(capsys, "index-analog", "--k", "2", "--trials", "500")
@@ -301,6 +301,22 @@ class TestStartup:
                 "print(); print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-1] == "0 []"
+
+    def test_mi_binds_lapack_of_numpy_lazily(self):
+        # S_12's zhetrd + dstedc come from the library np.linalg itself calls (the handle of
+        # numpy.linalg._umath_linalg), bound on the first sigma_trace, not at import.
+        src = str(Path(araki_mi.__file__).resolve().parents[1])
+        code = (f"import sys, ctypes; sys.path.insert(0, {src!r}); from araki_mi import cli, operators; "
+                "from numpy.linalg import _umath_linalg; "
+                "before = operators._pinned_lapack.cache_info().currsize; "
+                "rc = cli.main(['mi', '--intervals', '[[0,1],[2,3]]', '--resolution', '16']); "
+                "lib = ctypes.CDLL(_umath_linalg.__file__); "
+                "address = lambda f: ctypes.cast(f, ctypes.c_void_p).value; "
+                "bound = [address(f) for f in operators._pinned_lapack()]; "
+                "numpys = [address(lib.scipy_zhetrd_64_), address(lib.scipy_dstedc_64_)]; "
+                "print(); print(rc, before, bound == numpys)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "0 0 True"
 
 
 class TestReportHelpers:

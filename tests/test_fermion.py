@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from araki_mi import fermion
+from araki_mi import fermion, operators
 from araki_mi.cli import main
 from araki_mi.fermion import (
     CovarianceSystem,
@@ -21,7 +21,7 @@ from araki_mi.fermion import (
     richardson,
     sigma_trace,
 )
-from araki_mi.operators import xlogx
+from araki_mi.operators import _eigh_eigenvalues, xlogx
 
 LN2 = math.log(2.0)
 STANDARD = ((0.0, 1.0), (2.0, 3.0))
@@ -166,8 +166,8 @@ class TestSigmaTrace:
     ], ids=["trace", "norm"])
     def test_perturbed_covariance_eigenvalues_raise(self, monkeypatch, perturb):
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: (perturb(eigh(m)[0]), eigh(m)[1]))
+        pinned = fermion._eigh_eigenvalues
+        monkeypatch.setattr(fermion, "_eigh_eigenvalues", lambda m: perturb(pinned(m)))
         with pytest.raises(ArithmeticError, match="miss the trace or norm"):
             sigma_trace(sys)
 
@@ -186,24 +186,28 @@ class TestSigmaTrace:
                 result = getattr(ufunc, method)(*plain, **kwargs)
                 return result.view(Watched) if isinstance(result, np.ndarray) else result
 
-        def watched(name):
-            original = getattr(np.linalg, name)
+        def watched(module, name):
+            original = getattr(module, name)
 
             def call(a, *args, **kwargs):
                 calls.append((name, a.shape, a.dtype))
                 return original(a, *args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, call)
+            monkeypatch.setattr(module, name, call)
 
         for name in ("eigh", "eigvalsh", "svd", "svdvals", "eig", "eigvals", "inv", "solve", "qr"):
-            watched(name)
+            watched(np.linalg, name)
+        watched(fermion, "_eigh_eigenvalues")
         sys = build_covariance(IntervalConfig(intervals=((0.0, 1.0), (1.5, 2.5), (3.0, 3.75)), resolution=16, split=2))
         n = sys.c.shape[0]
         sys.c = sys.c.view(Watched)
         for name in ("matmul", "dot", "vdot", "einsum", "tensordot", "inner", "outer", "kron"):
             monkeypatch.setattr(np, name, lambda *args, name=name, **kwargs: pytest.fail(f"np.{name} called"))
         assert sigma_trace(sys) > 0
-        assert [shape for name, shape, _ in calls if name == "eigh"] == [(n, n)]
-        assert {name for name, _, _ in calls} == {"eigh", "eigvalsh", "svd"}
+        assert [shape for name, shape, _ in calls if name == "_eigh_eigenvalues"] == [(n, n)]
+        # np.linalg.eigh runs only as that eigensolve's fallback
+        fallback = [] if operators._pinned_lapack() else [(n, n)]
+        assert [shape for name, shape, _ in calls if name == "eigh"] == fallback
+        assert {name for name, _, _ in calls} - {"eigh"} == {"_eigh_eigenvalues", "eigvalsh", "svd"}
         assert all(dtype == np.float64 for name, _, dtype in calls if name == "svd")
         assert ufuncs and "matmul" not in ufuncs
 
@@ -325,6 +329,39 @@ class TestMISweepDigest:
                     assert main(["mi", "--intervals", intervals, "--resolution", resolution,
                                  "--components", components]) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.DIGESTS[intervals]
+
+
+class TestPinnedEigenvalues:
+    """S_12's eigenvalues: zhetrd + dstedc of numpy's LAPACK, the bits of eigh without its eigenvectors."""
+
+    # every mi-sweep geometry x resolution, and the mi-large systems up to 614 sites (above
+    # zhetrd's blocking crossover and dstedc's small-size cutoff), each with its windows
+    SYSTEMS = ([(json.loads(g), r) for g in TestMISweepDigest.DIGESTS for r in (16, 32, 48, 64, 80, 96)]
+               + [(g, r) for g in ([[0, 1], [2, 3]], [[0, 1], [1.3, 2.7]]) for r in (32, 64, 128, 256)])
+
+    @staticmethod
+    def assert_bits_of_eigh(c):
+        assert np.array_equal(_eigh_eigenvalues(c).view(np.uint64), np.linalg.eigh(c)[0].view(np.uint64))
+
+    @pytest.mark.parametrize("intervals,resolution", SYSTEMS)
+    def test_bits_of_eigh_with_windows(self, intervals, resolution):
+        sys = build_covariance(IntervalConfig(intervals=intervals, resolution=resolution))
+        for wsys in [fermion._windowed_system(sys, f) for f in (0.25, 0.5, 0.75)] + [sys]:
+            self.assert_bits_of_eigh(wsys.c)
+
+    @pytest.mark.parametrize("c", [np.zeros((0, 0)), np.array([[0.25]]), toy_system(0.25j).c],
+                             ids=["empty", "1x1", "toy"])
+    def test_bits_of_eigh_on_tiny_matrices(self, c):
+        self.assert_bits_of_eigh(c)
+
+    def test_fallback_without_the_binding_gives_the_same_bits(self, monkeypatch):
+        sys = build_covariance(IntervalConfig(intervals=((0, 1), (1.3, 2.7)), resolution=64))
+        pinned = sigma_trace(sys)
+        eigh, shapes = np.linalg.eigh, []
+        monkeypatch.setattr(operators, "_pinned_lapack", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
+        assert np.float64(sigma_trace(sys)).view(np.uint64) == np.float64(pinned).view(np.uint64)
+        assert shapes == [sys.c.shape]
 
 
 class TestEntropyKernel:
