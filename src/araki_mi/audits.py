@@ -43,16 +43,15 @@ BATCH_ENTRIES = 1 << 12
 # index-analog states are k^2 x k^2 dense matrices; at most this many entries.
 MAX_STATE_ENTRIES = 1_000_000
 MAX_K = math.isqrt(math.isqrt(MAX_STATE_ENTRIES))
-# An index-analog trial costs about 8e-9 s * (INDEX_TRIAL_OVERHEAD + k^6) on a
-# 2-CPU box: k^6 for the eigensolves of its k^2 x k^2 states, fitted at k >= 20,
-# and a per-trial overhead (drawing, small LAPACK calls, its report row) worth
-# about 80 000 k^6 units, fitted at k = 5 (7.5e-4 s per trial through the CLI).
-# Requests of more work are refused; the largest admitted ones take about a
-# minute at both ends (k = 5: 51 s, k = 31: 8 trials, 52 s) and up to about
-# 1.7 minutes between (k = 7: 104 s, k = 10: 90 s), where the cost per trial
-# rises faster than the model.
-INDEX_TRIAL_OVERHEAD = 80_000
-MAX_INDEX_WORK = 7_200_000_000
+# An index-analog trial costs about 6.3e-9 s * (INDEX_TRIAL_OVERHEAD +
+# INDEX_K4_WEIGHT * k^4 + k^6) through the CLI on a 2-CPU box: k^6 for the
+# eigensolves of its k^2 x k^2 states, a fixed part (drawing, its report row),
+# and a k^4 term that the timings at k = 5-16 need, the three fitted together
+# to 31 timed runs at k = 1-31.  Requests of more work are refused; the largest
+# admitted ones take about a minute at every k (52-67 s, README lists them).
+INDEX_TRIAL_OVERHEAD = 16_000
+INDEX_K4_WEIGHT = 120
+MAX_INDEX_WORK = 9_000_000_000
 
 
 def _run_trials(dim_of: Callable[[np.random.Generator], int], draw: Callable[..., tuple],
@@ -211,14 +210,19 @@ def _check_k(k: int, trials: int) -> None:
         raise ValueError(f"k must be at most {MAX_K} (k^2 x k^2 states of at most "
                          f"{MAX_STATE_ENTRIES} entries), got {k}")
     if trials > max_index_trials(k):
-        raise ValueError(f"trials * ({INDEX_TRIAL_OVERHEAD} + k^6) must be at most {MAX_INDEX_WORK} "
-                         f"(about a minute of work), so at most {max_index_trials(k)} trials at k = {k}, "
+        overhead = INDEX_TRIAL_OVERHEAD + INDEX_K4_WEIGHT * k**4
+        raise ValueError(f"trials * ({overhead} + k^6) must be at most {MAX_INDEX_WORK} (about a minute of "
+                         f"work; {overhead} = {INDEX_TRIAL_OVERHEAD} + {INDEX_K4_WEIGHT} k^4 is a trial's cost "
+                         f"besides its k^6 eigensolves), so at most {max_index_trials(k)} trials at k = {k}, "
                          f"got {trials}; lower --k or --trials")
 
 
 def max_index_trials(k: int) -> int:
-    """The most index-analog trials admitted at k: trials * (INDEX_TRIAL_OVERHEAD + k^6) <= MAX_INDEX_WORK."""
-    return MAX_INDEX_WORK // (INDEX_TRIAL_OVERHEAD + k**6)
+    """The most index-analog trials admitted at k.
+
+    trials * (INDEX_TRIAL_OVERHEAD + INDEX_K4_WEIGHT k^4 + k^6) <= MAX_INDEX_WORK.
+    """
+    return MAX_INDEX_WORK // (INDEX_TRIAL_OVERHEAD + INDEX_K4_WEIGHT * k**4 + k**6)
 
 
 def _fixed_dim(dim: int) -> Callable[[np.random.Generator], int]:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from araki_mi import audits, tau
-from araki_mi.operators import HermitianOperator, OrthoProjection
-from araki_mi.rand import gaussian_matrix, psd_from_factor, random_block_projection, random_projection, random_psd
+from araki_mi.operators import HermitianOperator, OrthoProjection, xlogx
+from araki_mi.rand import (gaussian_matrix, psd_from_factor, random_block_projection, random_projection,
+                           random_psd, random_unitary)
 
 LN2 = math.log(2.0)
 
@@ -124,6 +125,16 @@ class TestTauIntegral:
         a, p = hand_instance()
         with pytest.raises(ValueError):
             tau.tau_integral(a, p, tol=0.0)
+
+    @pytest.mark.parametrize("integral", [tau.tau_integral, tau.tail_integral_identity_gap,
+                                          lambda a, p, tol: tau.truncated_trace(a, p, 0.1, tol)])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_integrals_refuse_bad_tolerance_before_work(self, monkeypatch, integral, tol):
+        # no integrand is built
+        monkeypatch.setattr(tau, "_BlockIntegrand", lambda a, p: pytest.fail("integrand built"))
+        a, p = hand_instance()
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integral(a, p, tol=tol)
 
 
 class TestEpsilonShift:
@@ -272,6 +283,70 @@ class TestIntegralRepresentation:
             a = random_psd(rng, dim)
             p = random_block_projection(rng, dim)
             assert tau.tail_integral_identity_gap(a, p) <= 1e-12
+
+
+def wide_spectrum_instance(rng):
+    """(A, P, eps): rank-deficient A of dim 3-24 with eigenvalues from 1e-12 to 1e6, P a mask.
+
+    A is diag(A_hi, A_lo), each block in a random basis: A_hi has eigenvalues in
+    [1e-3, 1e6], A_lo in [1e-12, 1e-3] and at least one zero.  eigh keeps the
+    two blocks apart in this order.  In one basis for the whole spectrum, or
+    with the coordinates permuted, it finds the zero eigenvalues to about
+    +-2e-10, and the PSD check (-1e-10) refuses about one draw in 70.
+    """
+    n = int(rng.integers(3, 25))
+    hi = int(rng.integers(1, n - 1))
+    w_lo = 10.0 ** rng.uniform(-12.0, -3.0, n - hi)
+    w_lo[rng.choice(n - hi, size=int(rng.integers(1, n - hi)), replace=False)] = 0.0
+    m = np.zeros((n, n), dtype=complex)
+    for w, side in ((10.0 ** rng.uniform(-3.0, 6.0, hi), slice(0, hi)), (w_lo, slice(hi, n))):
+        u = random_unitary(rng, w.size)
+        m[side, side] = (u * w) @ u.conj().T
+    return (HermitianOperator(m), random_block_projection(rng, n),
+            float(10.0 ** rng.uniform(-3.0, -1.0)))
+
+
+def closed_truncated_trace(a, b, eps):
+    """Tr D_eps = sum over spec B of mu ln((1+mu)/(eps+mu)) minus the same sum over spec A."""
+    def total(w):
+        w = np.clip(w, 0.0, None)
+        return float(np.sum(w * np.log1p((1.0 - eps) / (eps + w))))
+
+    return total(np.linalg.eigvalsh(b)) - total(np.linalg.eigvalsh(a))
+
+
+class TestWideSpectrum:
+    # Node counts of the 30 instances, counted through _BlockIntegrand.__call__:
+    # 16 464, 1 890 and 9 198 with the maps t = x^2, eps^(1-v) and 1/v^2, against
+    # 27 846, 4 578 and 18 858 with t = s/(1-s), t itself and 1/u, which also
+    # missed tau by up to 24 times the bound below.  The budgets leave about 15 %.
+    BUDGETS = {"tau": 19_000, "d_eps": 2_200, "tail": 10_600}
+
+    def test_wide_spectrum_battery(self, monkeypatch):
+        nodes = {name: 0 for name in self.BUDGETS}
+        quadrature = ["tau"]
+        integrand = tau._BlockIntegrand.__call__
+
+        def counted(self, t):
+            nodes[quadrature[0]] += np.size(t)
+            return integrand(self, t)
+
+        monkeypatch.setattr(tau._BlockIntegrand, "__call__", counted)
+        rng = np.random.default_rng(37)
+        for _ in range(30):
+            a, p, eps = wide_spectrum_instance(rng)
+            norm_a = max(1.0, float(np.linalg.norm(a.mat)))
+            quadrature[0] = "tau"
+            gap = np.linalg.norm(tau.tau_integral(a, p).tau.mat - tau.tau_spectral(a, p).tau.mat)
+            # the requested tolerance, plus the rounding of terms of size ||A ln A||
+            assert gap <= 1e-8 + 1e-14 * np.linalg.norm(xlogx(a.eigenvalues))
+            quadrature[0] = "d_eps"
+            d_eps = tau.truncated_trace(a, p, eps)
+            assert abs(d_eps - closed_truncated_trace(a.mat, tau.pinch(a, p).mat, eps)) <= 1e-13 * norm_a
+            quadrature[0] = "tail"
+            assert tau.tail_integral_identity_gap(a, p) <= 1e-12 * norm_a
+        for name, budget in self.BUDGETS.items():
+            assert 0 < nodes[name] <= budget, name
 
 
 def assembled(blocks, t):
@@ -484,13 +559,58 @@ class TestGK21Quadrature:
             return np.concatenate([(t * (np.linalg.solve(shifted, k) @ y)).ravel(),
                                    (t * (w_h @ y @ w_h.conj().T)).ravel()])
 
-        scalar_forms = (lambda s: integrand(s / (1.0 - s)) / (1.0 - s) ** 2,
-                        integrand,
-                        lambda u: integrand(1.0 / u) / u**2)
-        for (f, lo, hi, _, _, _), form in zip(calls, scalar_forms):
-            x = rng.uniform(lo, hi, 1500)  # pow() and x * x differ on about 1 in 1 200
+        def squared(s):
+            # t = x^2, x = s/(1-s)
+            r = 1.0 - s
+            x = s / r
+            return integrand(x * x) * (2.0 * x / (r * r))
+
+        def logarithmic(v):
+            # t = eps^(1-v), numpy's power as in the batched form (C pow() differs on about 1 in 20)
+            t = float(np.power(0.01, 1.0 - v))
+            return integrand(t) * (-math.log(0.01) * t)
+
+        def inverse_square(v):
+            # t = 1/v^2
+            v2 = v * v
+            return integrand(1.0 / v2) * (2.0 / (v2 * v))
+
+        for (f, lo, hi, _, _, _), form in zip(calls, (squared, logarithmic, inverse_square)):
+            x = rng.uniform(lo, hi, 1500)
             expected = [np.concatenate([m.real, m.imag]) for m in map(form, x.tolist())]
             assert np.array_equal(f(x), np.array(expected))
+
+    def test_quadratures_solve_and_invert_only(self, monkeypatch):
+        # regression guard: the integral route takes no eigendecomposition of A, B or their
+        # blocks, so it stays independent of tau_spectral; P's eigh is its only eigensolve
+        calls, in_quadrature = [], []
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals", "inv", "solve", "qr", "cholesky"):
+            def call(m, *args, original=getattr(np.linalg, name), name=name, **kwargs):
+                calls.append((name, m))
+                return original(m, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, call)
+        quadrature = tau._quad_gk21
+
+        def recorded(f, lo, hi, tol):
+            start = len(calls)
+            out = quadrature(f, lo, hi, tol)
+            in_quadrature.append({name for name, _ in calls[start:]})
+            return out
+
+        monkeypatch.setattr(tau, "_quad_gk21", recorded)
+        rng = np.random.default_rng(38)
+        a = random_psd(rng, 9)
+        a.eigenvalues  # the PSD check reads them: decomposed here, its calls cleared below
+        mask, dense = random_block_projection(rng, 9), random_projection(rng, 9, 4)
+        calls.clear()
+        tau.tau_integral(a, mask)
+        tau.truncated_trace(a, mask, 0.01)
+        assert {name for name, _ in calls} == {"solve", "inv"}
+        calls.clear()
+        tau.tau_integral(a, dense)
+        assert [m is dense.mat for name, m in calls if name not in ("solve", "inv")] == [True]
+        tau.tail_integral_identity_gap(a, mask)  # its closed form, after the quadrature, diagonalizes B
+        assert in_quadrature == [{"solve", "inv"}] * 4
 
     def test_polynomial_exact_on_one_interval(self):
         powers = np.array([0, 1, 7, 20, 31])
