@@ -47,12 +47,19 @@ def _load_json_arg(inline: str | None, path: str | None, flag: str):
     raise ValueError(f"{flag} required")
 
 
+def _field(payload: dict, name: str, flag: str):
+    """payload[name]; a usage error naming the field if the JSON object lacks it."""
+    if name not in payload:
+        raise ValueError(f'{flag} JSON object has no "{name}" field')
+    return payload[name]
+
+
 def _interval_config(args) -> fermion.IntervalConfig:
     if args.input:
         payload = _load_json_arg(None, args.input, "--input")
         if not isinstance(payload, dict):
             raise ValueError('--input must hold a JSON object {"intervals": ...}')
-        intervals = payload["intervals"]
+        intervals = _field(payload, "intervals", "--input")
         resolution = payload.get("resolution", args.resolution)
         components = payload.get("components", args.components)
     else:
@@ -112,7 +119,7 @@ def cmd_fan_audit(args) -> int:
 def cmd_embed(args) -> int:
     gram_payload = _load_json_arg(args.gram, args.input, "--gram")
     if isinstance(gram_payload, dict):
-        gram_payload = gram_payload["gram"]
+        gram_payload = _field(gram_payload, "gram", "--gram" if args.gram is not None else "--input")
     g = lattice.GramMatrix(gram_payload)
     emb = lattice.embed_rational(g)
     k, int_rows = lattice.integralize(emb)

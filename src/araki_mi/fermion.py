@@ -22,15 +22,17 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operators import ENTROPY_SLACK, HERMITICITY_TOL, RECOMPOSITION_TOL, _eigh_eigenvalues, xlogx
+from .operators import (ENTROPY_SLACK, HERMITICITY_TOL, RECOMPOSITION_TOL, _eigh_eigenvalues,
+                        _eigvalsh_eigenvalues, xlogx)
 
 SPECTRUM_SLACK = 1e-9
 TWO_PATH_TOL = 1e-9
-MAX_SITES = 4096        # dense n x n complex matrices: 256 MiB each at the limit
+MAX_SITES = 4096        # C is one dense n x n complex matrix, 256 MiB at the limit; the
+                        # largest admitted mi peaks at about 490 MiB RSS (README)
 
 
 def _fits_float(x: numbers.Real) -> bool:
@@ -96,7 +98,8 @@ class IntervalConfig:
 
 @dataclass
 class CovarianceSystem:
-    c: np.ndarray             # complex Hermitian covariance, rows in interval order
+    c: Optional[np.ndarray]   # complex Hermitian covariance in Fortran order, rows in interval
+                              # order; None once sigma_trace has taken it
     inside: np.ndarray        # bool: the row belongs to region 1
     sites: np.ndarray         # integer lattice site of each row of c
     counts: Tuple[int, ...]   # rows of each interval block, in interval order
@@ -143,11 +146,12 @@ def hardy_kernel(sites: np.ndarray) -> np.ndarray:
     of (K + K^H) / 2, whose signed zeros the bits of S_12 depend on (zhetrd,
     the tridiagonal reduction of eigh and of `_eigh_eigenvalues`, reads them).
     Each pair of runs of consecutive sites is a Toeplitz block, copied from a
-    strided view of a 1-D table of sym.  ArithmeticError unless
-    sym(-d) = conj sym(d).
+    strided view of a 1-D table of sym.  The matrix is in Fortran order, the
+    layout in which LAPACK reduces it in place (`sigma_trace`).
+    ArithmeticError unless sym(-d) = conj sym(d).
     """
     edges = np.r_[0, np.flatnonzero(np.diff(sites) != 1) + 1, sites.size]
-    c = np.empty((sites.size, sites.size), dtype=complex)
+    c = np.empty((sites.size, sites.size), dtype=complex, order="F")
     for i0, i1 in zip(edges, edges[1:]):
         for j0, j1 in zip(edges, edges[1:]):
             d = np.arange(sites[i0] - sites[j1 - 1], sites[i1 - 1] - sites[j0] + 1)
@@ -183,31 +187,59 @@ def _binary_entropy_sums(*spectra: np.ndarray) -> list[float]:
     return [float(np.add.accumulate(np.concatenate(([0.0], t)))[-1]) for t in np.split(terms, bounds)]
 
 
+def _gathered(c: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """c[rows][:, rows] in Fortran order, the layout in which LAPACK reduces it in place."""
+    return c.T[np.ix_(rows, rows)].T
+
+
+def _half_identity_defect(m: np.ndarray, rows: np.ndarray) -> float:
+    """||m[rows, rows] - I/2||_F."""
+    block = m[np.ix_(rows, rows)]
+    block.flat[::rows.size + 1] -= 0.5
+    return float(np.linalg.norm(block))
+
+
 def _even_odd_block(m: np.ndarray, even: np.ndarray, scale: float) -> np.ndarray:
     """The block B = m[even, odd], once m = [[I/2, B], [B^H, I/2]] in the parity split is checked.
 
     The Hardy kernel couples only sites of opposite parity.  ArithmeticError
     if the same-parity blocks miss I/2 by more than HERMITICITY_TOL * max(1, scale).
+    An imaginary B, as every off-diagonal entry of the lattice covariance is,
+    comes back as the real B.imag, and a real one as B.real: their singular
+    values are those of B, in real arithmetic and half the memory.
     """
     e, o = np.flatnonzero(even), np.flatnonzero(~even)
-    defect = math.hypot(np.linalg.norm(m[np.ix_(e, e)] - 0.5 * np.eye(e.size)),
-                        np.linalg.norm(m[np.ix_(o, o)] - 0.5 * np.eye(o.size)))
+    defect = math.hypot(_half_identity_defect(m, e), _half_identity_defect(m, o))
     if defect > HERMITICITY_TOL * max(1.0, scale):
         raise ArithmeticError(f"covariance breaks the sublattice structure (defect {defect:.3e})")
-    return m[np.ix_(e, o)]
+    block = np.ix_(e, o)
+    if not m.real[block].any():
+        return m.imag[block]
+    if not m.imag[block].any():
+        return m.real[block]
+    return m[block]
 
 
 def _sublattice_entropies(*blocks: np.ndarray) -> list[float]:
     """Entropy sums h(spec m) of matrices m = [[I/2, B], [B^H, I/2]], from their blocks B.
 
     spec m = 1/2 +- svd(B), padded with |rows - columns| eigenvalues 1/2
-    (entropy ln 2 each).  The SVD of a purely imaginary or real B is taken in
-    real arithmetic: every off-diagonal entry of the lattice covariance is
-    imaginary, so there svd(B) = svd(B.imag).
+    (entropy ln 2 each).
     """
-    real = [b.imag if not b.real.any() else b.real if not b.imag.any() else b for b in blocks]
-    sums = _binary_entropy_sums(*(0.5 + np.linalg.svd(b, compute_uv=False) for b in real))
+    sums = _binary_entropy_sums(*(0.5 + np.linalg.svd(b, compute_uv=False) for b in blocks))
     return [2.0 * h + abs(b.shape[0] - b.shape[1]) * math.log(2.0) for h, b in zip(sums, blocks)]
+
+
+def _region_spectrum(c: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
+    """(||C_X||_F, eigvalsh(C_X)) of the region block C_X = C[rows, rows], reduced in place."""
+    block = _gathered(c, rows)
+    return float(np.linalg.norm(block)), _eigvalsh_eigenvalues(block)
+
+
+def _handed_over(sys: CovarianceSystem) -> np.ndarray:
+    """sys.c, with None left in its place: a callee passed the result holds its only reference."""
+    c, sys.c = sys.c, None
+    return c
 
 
 def sigma_trace(sys: CovarianceSystem) -> float:
@@ -216,27 +248,41 @@ def sigma_trace(sys: CovarianceSystem) -> float:
     The returned value takes S_12 from `_eigh_eigenvalues` of C: zhetrd and
     dstedc of numpy's LAPACK, the bits of `eigh` without the eigenvectors of
     C (the reported digits are pinned to that LAPACK path; np.linalg.eigh
-    itself where numpy's LAPACK lacks the two symbols).  Those eigenvalues
+    itself where numpy's LAPACK lacks the symbols).  Those eigenvalues
     must sum to Tr C, have 2-norm ||C||_F and lie in [0, 1] up to
-    SPECTRUM_SLACK.  S_X comes from `eigvalsh` of each region block.  The check
-    recomputes all three entropies from half-size real SVDs, which share no
-    factorization with the first route: B = C[even, odd] is gathered once,
-    and each region's block is its sub-block B[region & even, region & odd].
+    SPECTRUM_SLACK.  S_X comes from `_eigvalsh_eigenvalues` of each region
+    block, the bits of `eigvalsh`.  The check recomputes all three entropies
+    from half-size real SVDs, which share no factorization with the first
+    route: B = C[even, odd] is gathered once, and each region's block is its
+    sub-block B[region & even, region & odd].
+
+    sigma_trace takes ownership of sys.c, which must be C in Fortran order,
+    as `build_covariance` and `_windowed_system` make it, so that the one
+    n x n matrix alive during each LAPACK reduction is the one it overwrites.
+    The moments, the region blocks (each gathered in Fortran layout and
+    reduced in place by zhetrd + dsterf), the sublattice check and B come
+    first; then C itself goes to zhetrd, with no copy, and sys.c is left None,
+    so C is freed before dstedc allocates its n x n workspaces.  A C-order
+    array cannot stand in for C (see `_eigh_eigenvalues`); it is copied.
     """
-    w = _eigh_eigenvalues(sys.c)
-    norm = float(np.linalg.norm(sys.c))
-    miss = max(abs(w.sum() - np.trace(sys.c).real), abs(np.linalg.norm(w) - norm))
+    c = sys.c
+    if c is None:
+        raise ValueError("this covariance system was consumed by an earlier sigma_trace")
+    norm, trace = float(np.linalg.norm(c)), np.trace(c).real
+    regions = (np.flatnonzero(sys.inside), np.flatnonzero(~sys.inside))
+    (scale1, w1), (scale2, w2) = (_region_spectrum(c, rows) for rows in regions)
+    # A region block's same-parity blocks are sub-blocks of C's, so one check
+    # against the smaller region's scale is as strict as a check per matrix.
+    even = sys.sites % 2 == 0
+    b = _even_odd_block(c, even, min(scale1, scale2))
+    del c
+    w = _eigh_eigenvalues(_handed_over(sys))
+    miss = max(abs(w.sum() - trace), abs(np.linalg.norm(w) - norm))
     if miss > RECOMPOSITION_TOL * max(1.0, norm):
         raise ArithmeticError(f"covariance eigenvalues miss the trace or norm of C ({miss:.3e})")
     if w[0] < -SPECTRUM_SLACK or w[-1] > 1.0 + SPECTRUM_SLACK:
         raise ArithmeticError(f"covariance spectrum escapes [0, 1]: [{w[0]}, {w[-1]}]")
-    regions = [np.flatnonzero(sys.inside), np.flatnonzero(~sys.inside)]
-    blocks = [sys.c[np.ix_(idx, idx)] for idx in regions]
-    # A region block's same-parity blocks are sub-blocks of C's, so one check
-    # against the smaller region's scale is as strict as a check per matrix.
-    even = sys.sites % 2 == 0
-    b = _even_odd_block(sys.c, even, min(float(np.linalg.norm(block)) for block in blocks))
-    s1, s2, s12 = _binary_entropy_sums(*(np.linalg.eigvalsh(block) for block in blocks), w)
+    s1, s2, s12 = _binary_entropy_sums(w1, w2, w)
     value = s1 + s2 - s12
     in_e, in_o = sys.inside[even], sys.inside[~even]
     h1, h2, h12 = _sublattice_entropies(b[np.ix_(in_e, in_o)], b[np.ix_(~in_e, ~in_o)], b)
@@ -268,7 +314,7 @@ def _windowed_system(sys: CovarianceSystem, fraction: float) -> CovarianceSystem
         start += count
     rows = np.concatenate(keep)
     # A block of a symmetrised matrix is symmetrised already (bit for bit).
-    return CovarianceSystem(c=sys.c[np.ix_(rows, rows)], inside=sys.inside[rows],
+    return CovarianceSystem(c=_gathered(sys.c, rows), inside=sys.inside[rows],
                             sites=sys.sites[rows], counts=tuple(counts))
 
 

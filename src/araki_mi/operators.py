@@ -47,13 +47,24 @@ def _frobenius(m: np.ndarray):
     return np.sqrt(np.einsum("...ij,...ij->...", m.real, m.real) + np.einsum("...ij,...ij->...", m.imag, m.imag))
 
 
-def hermitian_stack(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Symmetrised copy of a complex (..., n, n) stack; ValueError unless each is Hermitian to HERMITICITY_TOL."""
-    # The conjugate is formed twice so that no full-size copy outlives its use.
+def check_hermitian(m: np.ndarray, what: str = "matrix") -> None:
+    """ValueError unless each matrix of a complex (..., n, n) stack is Hermitian to
+    HERMITICITY_TOL relative to max(1, its Frobenius norm)."""
     defect = _frobenius(m - _conj_t(m))
     if (defect > HERMITICITY_TOL * np.maximum(1.0, _frobenius(m))).any():
         raise ValueError(f"{what} is not Hermitian (defect {np.max(defect):.3e})")
+
+
+def symmetrised(m: np.ndarray) -> np.ndarray:
+    """(m + m^dagger) / 2 of a matrix or of each matrix of a stack."""
     return 0.5 * (m + _conj_t(m))
+
+
+def hermitian_stack(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Symmetrised copy of a complex (..., n, n) stack; ValueError unless each is Hermitian to HERMITICITY_TOL."""
+    # The conjugate is formed twice so that no full-size copy outlives its use.
+    check_hermitian(m, what)
+    return symmetrised(m)
 
 
 def hermitian_matrix(mat, what: str = "matrix") -> np.ndarray:
@@ -76,70 +87,122 @@ def checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _pinned_lapack():
-    """(zhetrd, dstedc) of the LAPACK behind np.linalg, or None.
+    """(zhetrd, dstedc, dsterf) of the LAPACK behind np.linalg, or None.
 
     Resolved through numpy's own _umath_linalg handle, whose bundled
     scipy-openblas exports ILP64 symbols (int64 integers, and a trailing
     hidden length per Fortran string argument).  A numpy built on another
-    LAPACK (MKL, Accelerate) lacks them, and its callers fall back to eigh.
+    LAPACK (MKL, Accelerate) lacks them, and its callers fall back to eigh
+    and eigvalsh.
     """
     from numpy.linalg import _umath_linalg
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
-        zhetrd, dstedc = lib.scipy_zhetrd_64_, lib.scipy_dstedc_64_
+        zhetrd, dstedc, dsterf = lib.scipy_zhetrd_64_, lib.scipy_dstedc_64_, lib.scipy_dsterf_64_
     except (OSError, AttributeError):
         return None
-    i64 = ctypes.POINTER(ctypes.c_int64)
-    z, d, i = (np.ctypeslib.ndpointer(t, flags="F_CONTIGUOUS") for t in (complex, np.float64, np.int64))
-    # zhetrd(uplo, n, a, lda, d, e, tau, work, lwork, info, len(uplo))
-    zhetrd.argtypes = [ctypes.c_char_p, i64, z, i64, d, d, z, z, i64, i64, ctypes.c_size_t]
-    # dstedc(compz, n, d, e, z, ldz, work, lwork, iwork, liwork, info, len(compz))
-    dstedc.argtypes = [ctypes.c_char_p, i64, d, d, d, i64, d, i64, i, i64, i64, ctypes.c_size_t]
-    zhetrd.restype = dstedc.restype = None
-    return zhetrd, dstedc
+    # Arrays go by address, unchecked (ndpointer's checks cost more than a
+    # small reduction): each caller passes Fortran-contiguous arrays of the
+    # types named here.
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # zhetrd(uplo, n, a, lda, d, e, tau, work, lwork, info, len(uplo)): a, tau, work complex128; d, e float64
+    zhetrd.argtypes = [ctypes.c_char_p, i64, ptr, i64, ptr, ptr, ptr, ptr, i64, i64, ctypes.c_size_t]
+    # dstedc(compz, n, d, e, z, ldz, work, lwork, iwork, liwork, info, len(compz)): iwork int64, others float64
+    dstedc.argtypes = [ctypes.c_char_p, i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, ctypes.c_size_t]
+    # dsterf(n, d, e, info): d, e float64
+    dsterf.argtypes = [i64, ptr, ptr, i64]
+    zhetrd.restype = dstedc.restype = dsterf.restype = None
+    return zhetrd, dstedc, dsterf
 
 
-def _lapack_call(fn, flag: bytes, *args) -> None:
-    """fn(flag, args..., info, len(flag)) with int arguments by reference; ArithmeticError on info != 0."""
+def _lapack_call(fn, *args) -> None:
+    """fn(args..., info, hidden lengths): arrays go by address, ints by reference, and a
+    bytes argument is a Fortran string whose length goes last.  ArithmeticError on info != 0."""
     info = ctypes.c_int64(0)
-    refs = [a if isinstance(a, np.ndarray) else ctypes.byref(ctypes.c_int64(a)) for a in args]
-    fn(flag, *refs, ctypes.byref(info), len(flag))
+    refs = [a.ctypes.data if isinstance(a, np.ndarray) else a if isinstance(a, bytes)
+            else ctypes.byref(ctypes.c_int64(a)) for a in args]
+    fn(*refs, ctypes.byref(info), *(len(a) for a in args if isinstance(a, bytes)))
     if info.value:
         raise ArithmeticError(f"LAPACK {fn.__name__} failed (info {info.value})")
 
 
-def _eigh_eigenvalues(c: np.ndarray) -> np.ndarray:
-    """np.linalg.eigh(c)[0] bit for bit, without the eigenvectors of c.
+@functools.cache
+def _workspace_sizes(n: int) -> tuple[int, int, int]:
+    """(lwork of zhetrd('L'), lwork and liwork of dstedc('I')) at order n, from their workspace queries.
 
-    eigh (zheevd, jobz='V') takes its eigenvalues from zhetrd, the reduction
-    to a real tridiagonal, and dstedc('I') of that tridiagonal; this makes
-    the same two calls on the same Fortran-order copy with uplo='L' and
-    skips the back-transformation and the n x n complex eigenvector output.
+    A query reads only the order, so the sizes are cached per n; the array
+    arguments it does not touch are one-element placeholders.
+    """
+    zhetrd, dstedc, _ = _pinned_lapack()
+    ld = max(1, n)
+    c, r, i = np.empty(1, dtype=complex), np.empty(1), np.empty(1, dtype=np.int64)
+    _lapack_call(zhetrd, b"L", n, c, ld, r, r, c, c, -1)
+    lwork = int(c[0].real)
+    _lapack_call(dstedc, b"I", n, r, r, r, ld, r, -1, i, -1)
+    return max(1, lwork), max(1, int(r[0])), max(1, int(i[0]))
+
+
+def _tridiagonal(zhetrd, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, subdiagonal) of zhetrd('L')'s real tridiagonal reduction of a, which it overwrites."""
+    n = a.shape[0]
+    d, e, tau = np.empty(n), np.empty(max(0, n - 1)), np.empty(max(1, n - 1), dtype=complex)
+    work = np.empty(_workspace_sizes(n)[0], dtype=complex)
+    _lapack_call(zhetrd, b"L", n, a, max(1, n), d, e, tau, work, work.size)
+    return d, e
+
+
+def _eigh_eigenvalues(c: np.ndarray) -> np.ndarray:
+    """np.linalg.eigh(c)[0] bit for bit, without the eigenvectors of c; c is overwritten.
+
+    eigh (zheevd, jobz='V') copies c to a Fortran-order buffer that holds c
+    itself and takes its eigenvalues from zhetrd('L'), the reduction to a
+    real tridiagonal, and dstedc('I') of that tridiagonal; this makes the
+    same two calls and skips the back-transformation and the n x n complex
+    eigenvector output.  A complex c in Fortran order is that buffer: zhetrd
+    reduces it in place, so c holds garbage afterwards, and a caller that
+    hands over its last reference (sigma_trace does) gets the memory back
+    before dstedc allocates its two n x n real workspaces.  Any other c is
+    first copied to that layout, as eigh copies it.  A C-order buffer
+    cannot stand in for the copy: read in Fortran order it is c^T, which
+    equals conj(c) only up to the signs of zeros, and zhetrd reads those.
     dstedc still forms the tridiagonal's real eigenvectors: its
     divide-and-conquer eigenvalues depend on them, and dsterf's (eigvalsh's)
     differ in the last digits.  zheevd would first rescale a matrix whose
     largest entry is below ~1e-146 or above ~1e146; this does not, so its
     bits match eigh's only for matrices inside that range.  Falls back to
-    np.linalg.eigh when numpy's LAPACK lacks the two symbols.
+    np.linalg.eigh when numpy's LAPACK lacks the symbols.
     """
     lapack = _pinned_lapack()
     if lapack is None:
         return np.linalg.eigh(c)[0]
-    zhetrd, dstedc = lapack
-    n = c.shape[0]
+    zhetrd, dstedc, _ = lapack
+    a = np.asarray(c, dtype=complex, order="F")     # c itself if complex and in Fortran order
+    del c
+    n = a.shape[0]
     ld = max(1, n)
-    a = np.array(c, dtype=complex, order="F")
-    d, e, tau = np.empty(n), np.empty(max(0, n - 1)), np.empty(max(1, n - 1), dtype=complex)
-    query = np.empty(1, dtype=complex)
-    _lapack_call(zhetrd, b"L", n, a, ld, d, e, tau, query, -1)
-    work = np.empty(max(1, int(query[0].real)), dtype=complex)
-    _lapack_call(zhetrd, b"L", n, a, ld, d, e, tau, work, work.size)
-    del a, tau, work            # the complex copy goes before dstedc's n x n workspaces
-    rquery, iquery = np.empty(1), np.empty(1, dtype=np.int64)
-    z = np.empty((ld, ld), order="F")
-    _lapack_call(dstedc, b"I", n, d, e, z, ld, rquery, -1, iquery, -1)
-    rwork, iwork = np.empty(max(1, int(rquery[0]))), np.empty(max(1, int(iquery[0])), dtype=np.int64)
-    _lapack_call(dstedc, b"I", n, d, e, z, ld, rwork, rwork.size, iwork, iwork.size)
+    d, e = _tridiagonal(zhetrd, a)
+    del a                       # the complex matrix goes before dstedc's n x n workspaces
+    _, lwork, liwork = _workspace_sizes(n)
+    z, rwork, iwork = np.empty((ld, ld), order="F"), np.empty(lwork), np.empty(liwork, dtype=np.int64)
+    _lapack_call(dstedc, b"I", n, d, e, z, ld, rwork, lwork, iwork, liwork)
+    return d
+
+
+def _eigvalsh_eigenvalues(c: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(c) bit for bit; c is overwritten as in `_eigh_eigenvalues`.
+
+    eigvalsh (zheevd, jobz='N') takes its eigenvalues from zhetrd('L') and
+    dsterf of the tridiagonal, on a Fortran-order copy of c; these are the
+    same two calls, on c itself when it is complex and in Fortran order.
+    Same rescaling range as `_eigh_eigenvalues`; falls back to
+    np.linalg.eigvalsh when numpy's LAPACK lacks the symbols.
+    """
+    lapack = _pinned_lapack()
+    if lapack is None:
+        return np.linalg.eigvalsh(c)
+    zhetrd, _, dsterf = lapack
+    d, e = _tridiagonal(zhetrd, np.asarray(c, dtype=complex, order="F"))
+    _lapack_call(dsterf, d.size, d, e)
     return d
 
 

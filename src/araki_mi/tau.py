@@ -36,8 +36,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .operators import (HermitianOperator, OrthoProjection, _conj_t, checked_eigh, commutator_norm,
-                        functional_calculus, hermitian_stack, spectral_norms, xlogx)
+from .operators import (HermitianOperator, OrthoProjection, _conj_t, check_hermitian, checked_eigh,
+                        commutator_norm, functional_calculus, hermitian_stack, spectral_norms, symmetrised,
+                        xlogx)
 
 PSD_TOL = 1e-10
 EIG_FLOOR = 1e-12      # eigenvalues of B - A at or below this count as zero
@@ -52,10 +53,17 @@ class ConvergenceError(RuntimeError):
 
 
 def _check_psd(w: np.ndarray) -> None:
-    """ValueError unless every spectrum (ascending, along the last axis) is >= -PSD_TOL."""
-    lowest = w[..., 0].min()
-    if lowest < -PSD_TOL:
-        raise ValueError(f"operator is not PSD (min eigenvalue {lowest:.3e})")
+    """ValueError unless every spectrum (ascending, along the last axis) is >= -PSD_TOL * max(1, ||A||).
+
+    eigh finds a zero eigenvalue of A only to about machine epsilon times
+    ||A||, so the tolerance scales with each matrix's operator norm.
+    """
+    lowest = w[..., 0]
+    if lowest.min() >= -PSD_TOL:       # within the tolerance at any scale
+        return
+    refused = lowest < -PSD_TOL * np.maximum(1.0, np.maximum(w[..., -1], -lowest))
+    if refused.any():
+        raise ValueError(f"operator is not PSD (min eigenvalue {np.min(lowest[refused]):.3e})")
 
 
 def _require_psd(a: HermitianOperator) -> None:
@@ -248,11 +256,17 @@ def _pinched(a: np.ndarray, w_a: np.ndarray, p) -> np.ndarray:
 
 
 def _tau_spectral(a: np.ndarray, w_a: np.ndarray, u_a: np.ndarray, p) -> np.ndarray:
-    """Symmetrised tau_A of PSD A = u_a diag(w_a) u_a^dagger, f(x) = x ln x."""
+    """Symmetrised tau_A of PSD A = u_a diag(w_a) u_a^dagger, f(x) = x ln x.
+
+    Each of the two terms is checked for Hermiticity against its own norm,
+    of the order of ||A ln A||: their difference tau can be far smaller than
+    either, and it carries their rounding.
+    """
     b = _pinched(a, w_a, p)
-    fa = functional_calculus(w_a, u_a, xlogx)
+    fa = _block_compress(functional_calculus(w_a, u_a, xlogx), p)
     fb = functional_calculus(*checked_eigh(b), xlogx)
-    return hermitian_stack(_block_compress(fa, p) - fb)
+    check_hermitian(np.stack((fa, fb)), "a term of tau")
+    return symmetrised(fa - fb)
 
 
 def _tau_shifted(a: np.ndarray, p, eps: float) -> np.ndarray:

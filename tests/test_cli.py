@@ -134,6 +134,14 @@ class TestMICommand:
         cfg.write_text("[[0, 1], [2, 3]]")
         assert_usage_error(capsys, "mi", "--input", str(cfg))
 
+    @pytest.mark.parametrize("command", ["mi", "converge"])
+    def test_input_without_intervals_names_the_field(self, capsys, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"resolution": 16}))
+        code, out, err = run(capsys, command, "--input", str(cfg))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "detail": '--input JSON object has no "intervals" field'}
+
     def test_oversized_resolution_usage_error(self, capsys, monkeypatch):
         # the site limit must refuse the request before any n x n allocation
         def no_alloc(*args, **kwargs):
@@ -272,6 +280,14 @@ class TestEmbedCommand:
     def test_non_list_gram_usage_error(self, capsys):
         assert_usage_error(capsys, "embed", "--gram", "5")
 
+    @pytest.mark.parametrize("source", ["--gram", "--input"])
+    def test_object_without_gram_names_the_field(self, capsys, tmp_path, source):
+        cfg = tmp_path / "gram.json"
+        cfg.write_text(json.dumps({"matrix": [[2]]}))
+        code, out, err = run(capsys, "embed", source, '{"matrix": [[2]]}' if source == "--gram" else str(cfg))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "detail": f'{source} JSON object has no "gram" field'}
+
     def test_non_integer_gram_usage_error(self, capsys):
         for gram in ("[[2.5]]", "[[true]]"):
             assert_usage_error(capsys, "embed", "--gram", gram)
@@ -303,7 +319,7 @@ class TestStartup:
         assert out.stdout.splitlines()[-1] == "0 []"
 
     def test_mi_binds_lapack_of_numpy_lazily(self):
-        # S_12's zhetrd + dstedc come from the library np.linalg itself calls (the handle of
+        # zhetrd, dstedc and dsterf come from the library np.linalg itself calls (the handle of
         # numpy.linalg._umath_linalg), bound on the first sigma_trace, not at import.
         src = str(Path(araki_mi.__file__).resolve().parents[1])
         code = (f"import sys, ctypes; sys.path.insert(0, {src!r}); from araki_mi import cli, operators; "
@@ -313,7 +329,8 @@ class TestStartup:
                 "lib = ctypes.CDLL(_umath_linalg.__file__); "
                 "address = lambda f: ctypes.cast(f, ctypes.c_void_p).value; "
                 "bound = [address(f) for f in operators._pinned_lapack()]; "
-                "numpys = [address(lib.scipy_zhetrd_64_), address(lib.scipy_dstedc_64_)]; "
+                "numpys = [address(lib.scipy_zhetrd_64_), address(lib.scipy_dstedc_64_), "
+                "address(lib.scipy_dsterf_64_)]; "
                 "print(); print(rc, before, bound == numpys)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-1] == "0 0 True"

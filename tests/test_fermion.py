@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -21,7 +22,7 @@ from araki_mi.fermion import (
     richardson,
     sigma_trace,
 )
-from araki_mi.operators import _eigh_eigenvalues, xlogx
+from araki_mi.operators import _eigh_eigenvalues, _eigvalsh_eigenvalues, xlogx
 
 LN2 = math.log(2.0)
 STANDARD = ((0.0, 1.0), (2.0, 3.0))
@@ -35,6 +36,11 @@ def toy_system(offdiag: complex) -> CovarianceSystem:
 def sublattice_entropy(m: np.ndarray, sites: np.ndarray) -> float:
     """Entropy sum h(spec m) of one covariance from the singular values of its even-odd block."""
     return fermion._sublattice_entropies(fermion._even_odd_block(m, sites % 2 == 0, float(np.linalg.norm(m))))[0]
+
+
+def bits(a) -> np.ndarray:
+    """The bit patterns of an array's entries, in row-major order whatever its layout."""
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def lattice_sites(intervals, resolution) -> np.ndarray:
@@ -115,15 +121,16 @@ class TestHardyKernel:
         # signed zeros included: the bits of eigh, so the reported digits, depend on them
         for resolution in resolutions:
             sites = lattice_sites(intervals, resolution)
-            assert np.array_equal(hardy_kernel(sites).view(np.uint64),
-                                  self.symmetrised_formula(sites).view(np.uint64))
+            c = hardy_kernel(sites)
+            assert c.flags.f_contiguous      # the layout LAPACK reduces in place
+            assert np.array_equal(bits(c), bits(self.symmetrised_formula(sites)))
 
     # one site, no two sites adjacent, runs out of order, and runs 10**12 sites apart (tables per pair
     # of runs, never one table over the whole span)
     @pytest.mark.parametrize("sites", [np.array([3]), 2 * np.arange(6), np.r_[np.arange(5, 9), np.arange(-3, 2)],
                                        np.r_[np.arange(4), 10**12 + np.arange(3)]])
     def test_scattered_sites_bit_identical_to_formula(self, sites):
-        assert np.array_equal(hardy_kernel(sites).view(np.uint64), self.symmetrised_formula(sites).view(np.uint64))
+        assert np.array_equal(bits(hardy_kernel(sites)), bits(self.symmetrised_formula(sites)))
 
     @pytest.mark.parametrize("resolution", [8, 16, 32])
     def test_spectrum_in_unit_interval(self, resolution):
@@ -197,19 +204,43 @@ class TestSigmaTrace:
         for name in ("eigh", "eigvalsh", "svd", "svdvals", "eig", "eigvals", "inv", "solve", "qr"):
             watched(np.linalg, name)
         watched(fermion, "_eigh_eigenvalues")
+        watched(fermion, "_eigvalsh_eigenvalues")
         sys = build_covariance(IntervalConfig(intervals=((0.0, 1.0), (1.5, 2.5), (3.0, 3.75)), resolution=16, split=2))
         n = sys.c.shape[0]
+        regions = [(k, k) for k in (np.count_nonzero(sys.inside), np.count_nonzero(~sys.inside))]
         sys.c = sys.c.view(Watched)
         for name in ("matmul", "dot", "vdot", "einsum", "tensordot", "inner", "outer", "kron"):
             monkeypatch.setattr(np, name, lambda *args, name=name, **kwargs: pytest.fail(f"np.{name} called"))
         assert sigma_trace(sys) > 0
         assert [shape for name, shape, _ in calls if name == "_eigh_eigenvalues"] == [(n, n)]
-        # np.linalg.eigh runs only as that eigensolve's fallback
-        fallback = [] if operators._pinned_lapack() else [(n, n)]
-        assert [shape for name, shape, _ in calls if name == "eigh"] == fallback
-        assert {name for name, _, _ in calls} - {"eigh"} == {"_eigh_eigenvalues", "eigvalsh", "svd"}
+        assert [shape for name, shape, _ in calls if name == "_eigvalsh_eigenvalues"] == regions
+        # np.linalg.eigh and eigvalsh run only as those eigensolves' fallbacks
+        pinned = operators._pinned_lapack() is not None
+        assert [shape for name, shape, _ in calls if name == "eigh"] == ([] if pinned else [(n, n)])
+        assert [shape for name, shape, _ in calls if name == "eigvalsh"] == ([] if pinned else regions)
+        assert ({name for name, _, _ in calls} - {"eigh", "eigvalsh"}
+                == {"_eigh_eigenvalues", "_eigvalsh_eigenvalues", "svd"})
         assert all(dtype == np.float64 for name, _, dtype in calls if name == "svd")
         assert ufuncs and "matmul" not in ufuncs
+
+    def test_working_set_is_one_matrix_and_a_half(self):
+        # zhetrd reduces C and each region block in place, and C is freed before dstedc allocates
+        # its n x n workspaces: the traced peak of a 614-site solve, C included, stays below 1.5
+        # n x n complex matrices (2.05 with a Fortran-order copy of C next to C)
+        if operators._pinned_lapack() is None:
+            pytest.skip("without numpy's zhetrd, dstedc and dsterf, eigh and eigvalsh copy their input")
+        tracemalloc.start()
+        try:
+            sys = build_covariance(IntervalConfig(intervals=((0, 1), (1.3, 2.7)), resolution=256))
+            n = sys.c.shape[0]
+            assert sigma_trace(sys) > 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 614 and sys.c is None
+        assert peak <= 1.5 * 16 * n * n
+        with pytest.raises(ValueError, match="consumed"):
+            sigma_trace(sys)
 
     def test_spectrum_escaping_unit_interval_raises(self):
         # spectrum 1/2 -+ 0.6 = (-0.1, 1.1): no covariance of a quasi-free state
@@ -265,9 +296,9 @@ class TestSublatticeCrossCheck:
 
     def test_perturbed_eigensolve_is_caught(self, monkeypatch):
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
-        eigvalsh = np.linalg.eigvalsh
+        eigvalsh = fermion._eigvalsh_eigenvalues
         # shrink the region spectra toward 1/2: still inside [0, 1], wrong entropy
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: 0.5 + (eigvalsh(m) - 0.5) * (1 - 1e-6))
+        monkeypatch.setattr(fermion, "_eigvalsh_eigenvalues", lambda m: 0.5 + (eigvalsh(m) - 0.5) * (1 - 1e-6))
         with pytest.raises(ArithmeticError, match="disagree"):
             sigma_trace(sys)
 
@@ -332,7 +363,8 @@ class TestMISweepDigest:
 
 
 class TestPinnedEigenvalues:
-    """S_12's eigenvalues: zhetrd + dstedc of numpy's LAPACK, the bits of eigh without its eigenvectors."""
+    """S_12's eigenvalues: zhetrd + dstedc of numpy's LAPACK, the bits of eigh without its eigenvectors;
+    the regions': zhetrd + dsterf, the bits of eigvalsh; each reduces its matrix in place."""
 
     # every mi-sweep geometry x resolution, and the mi-large systems up to 614 sites (above
     # zhetrd's blocking crossover and dstedc's small-size cutoff), each with its windows
@@ -341,27 +373,48 @@ class TestPinnedEigenvalues:
 
     @staticmethod
     def assert_bits_of_eigh(c):
-        assert np.array_equal(_eigh_eigenvalues(c).view(np.uint64), np.linalg.eigh(c)[0].view(np.uint64))
+        expected = np.linalg.eigh(c)[0]      # before c is overwritten
+        assert np.array_equal(bits(_eigh_eigenvalues(c)), bits(expected))
+
+    @staticmethod
+    def systems_with_windows(intervals, resolution):
+        sys = build_covariance(IntervalConfig(intervals=intervals, resolution=resolution))
+        return [fermion._windowed_system(sys, f) for f in (0.25, 0.5, 0.75)] + [sys]
 
     @pytest.mark.parametrize("intervals,resolution", SYSTEMS)
     def test_bits_of_eigh_with_windows(self, intervals, resolution):
-        sys = build_covariance(IntervalConfig(intervals=intervals, resolution=resolution))
-        for wsys in [fermion._windowed_system(sys, f) for f in (0.25, 0.5, 0.75)] + [sys]:
+        for wsys in self.systems_with_windows(intervals, resolution):
+            assert wsys.c.flags.f_contiguous
             self.assert_bits_of_eigh(wsys.c)
+
+    @pytest.mark.parametrize("intervals,resolution", SYSTEMS)
+    def test_region_bits_of_eigvalsh_with_windows(self, intervals, resolution):
+        for wsys in self.systems_with_windows(intervals, resolution):
+            for rows in (np.flatnonzero(wsys.inside), np.flatnonzero(~wsys.inside)):
+                expected = np.linalg.eigvalsh(wsys.c[np.ix_(rows, rows)])
+                block = fermion._gathered(wsys.c, rows)
+                assert block.flags.f_contiguous
+                assert np.array_equal(bits(_eigvalsh_eigenvalues(block)), bits(expected))
 
     @pytest.mark.parametrize("c", [np.zeros((0, 0)), np.array([[0.25]]), toy_system(0.25j).c],
                              ids=["empty", "1x1", "toy"])
     def test_bits_of_eigh_on_tiny_matrices(self, c):
-        self.assert_bits_of_eigh(c)
+        expected = np.linalg.eigvalsh(c)
+        self.assert_bits_of_eigh(c.copy())
+        assert np.array_equal(bits(_eigvalsh_eigenvalues(c)), bits(expected))
 
     def test_fallback_without_the_binding_gives_the_same_bits(self, monkeypatch):
-        sys = build_covariance(IntervalConfig(intervals=((0, 1), (1.3, 2.7)), resolution=64))
-        pinned = sigma_trace(sys)
-        eigh, shapes = np.linalg.eigh, []
+        config = IntervalConfig(intervals=((0, 1), (1.3, 2.7)), resolution=64)
+        pinned = sigma_trace(build_covariance(config))
+        eigh, eigvalsh, shapes = np.linalg.eigh, np.linalg.eigvalsh, []
         monkeypatch.setattr(operators, "_pinned_lapack", lambda: None)
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(("eigh", m.shape)) or eigh(m))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(("eigvalsh", m.shape)) or eigvalsh(m))
+        sys = build_covariance(config)
+        regions = [("eigvalsh", (k, k)) for k in (np.count_nonzero(sys.inside), np.count_nonzero(~sys.inside))]
+        n = sys.c.shape[0]
         assert np.float64(sigma_trace(sys)).view(np.uint64) == np.float64(pinned).view(np.uint64)
-        assert shapes == [sys.c.shape]
+        assert shapes == regions + [("eigh", (n, n))]
 
 
 class TestEntropyKernel:

@@ -100,6 +100,16 @@ class TestTauSpectral:
             q = np.eye(dim) - p.mat
             assert np.linalg.norm(p.mat @ t @ q) <= 1e-10
 
+    def test_near_commuting_wide_spectrum(self):
+        # tau_A is decades below its two terms P A ln A P + (1-P) A ln A (1-P) and B ln B, each
+        # Hermitian only to about eps ||A ln A||; judged against ||tau||, 26 of these 30 raised
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            a, p = near_commuting_instance(rng)
+            res = tau.tau_spectral(a, p)
+            closed = np.sum(xlogx(a.eigenvalues)) - np.sum(xlogx(np.linalg.eigvalsh(tau.pinch(a, p).mat)))
+            assert abs(res.trace - closed) <= 1e-13 * np.linalg.norm(xlogx(a.eigenvalues))
+
 
 class TestTauIntegral:
     def test_commuting_gives_zero(self):
@@ -291,8 +301,8 @@ def wide_spectrum_instance(rng):
     A is diag(A_hi, A_lo), each block in a random basis: A_hi has eigenvalues in
     [1e-3, 1e6], A_lo in [1e-12, 1e-3] and at least one zero.  eigh keeps the
     two blocks apart in this order.  In one basis for the whole spectrum, or
-    with the coordinates permuted, it finds the zero eigenvalues to about
-    +-2e-10, and the PSD check (-1e-10) refuses about one draw in 70.
+    with the coordinates permuted, it finds the zero eigenvalues only to about
+    +-2e-10, which the PSD check's tolerance, -1e-10 times max(1, ||A||), admits.
     """
     n = int(rng.integers(3, 25))
     hi = int(rng.integers(1, n - 1))
@@ -304,6 +314,26 @@ def wide_spectrum_instance(rng):
         m[side, side] = (u * w) @ u.conj().T
     return (HermitianOperator(m), random_block_projection(rng, n),
             float(10.0 ** rng.uniform(-3.0, -1.0)))
+
+
+def near_commuting_instance(rng):
+    """(A, P): A of dim 3-24 with eigenvalues from 1e-12 to 1e6, nearly commuting with a mask P.
+
+    Each side of P gets its eigenvalues in a random basis; the whole is then
+    turned by exp(i theta H) for a random Hermitian H and theta in
+    [1e-8, 1e-3], so tau_A is many decades below ||A ln A||.
+    """
+    n = int(rng.integers(3, 25))
+    p = random_block_projection(rng, n)
+    m = np.zeros((n, n), dtype=complex)
+    for side in (p.membership, ~p.membership):
+        idx = np.flatnonzero(side)
+        u = random_unitary(rng, idx.size)
+        m[np.ix_(idx, idx)] = (u * 10.0 ** rng.uniform(-12.0, 6.0, idx.size)) @ u.conj().T
+    g = gaussian_matrix(rng, n, n)
+    theta = 10.0 ** rng.uniform(-8.0, -3.0)
+    v = HermitianOperator(g + g.conj().T).apply(lambda w: np.exp(1j * theta * w))
+    return HermitianOperator(v @ m @ v.conj().T), p
 
 
 def closed_truncated_trace(a, b, eps):
@@ -347,6 +377,22 @@ class TestWideSpectrum:
             assert tau.tail_integral_identity_gap(a, p) <= 1e-12 * norm_a
         for name, budget in self.BUDGETS.items():
             assert 0 < nodes[name] <= budget, name
+
+
+def test_permuted_wide_spectrum_is_psd():
+    # with A's coordinates permuted, eigh finds its zero eigenvalues only to about eps ||A||
+    # (+-2e-10 at ||A|| ~ 1e6); an absolute tolerance of -1e-10 refused 4 of these 300 draws
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        a, p, _ = wide_spectrum_instance(rng)
+        perm = rng.permutation(a.dim)
+        permuted = HermitianOperator(a.mat[np.ix_(perm, perm)])
+        assert tau.pinch(permuted, p).trace() == pytest.approx(permuted.trace(), rel=1e-12)
+    # relative, not absent: an eigenvalue below -1e-10 ||A|| is still refused
+    with pytest.raises(ValueError, match="not PSD"):
+        tau.pinch(HermitianOperator(np.diag([1e6, -1e-3])), OrthoProjection.from_mask(2, [0]))
+    with pytest.raises(ValueError, match="not PSD"):
+        tau.pinch(HermitianOperator(np.diag([0.5, -2e-10])), OrthoProjection.from_mask(2, [0]))
 
 
 def assembled(blocks, t):
