@@ -37,14 +37,16 @@ def _conj_t(m: np.ndarray) -> np.ndarray:
 def _frobenius(m: np.ndarray):
     """Frobenius norm of a matrix, or of each matrix of a (..., n, n) stack.
 
-    For tolerance tests only: the stacked sum runs in another order than
-    np.linalg.norm's dot, so its last bits can differ.  A single matrix keeps
-    np.linalg.norm: einsum on the strided real and imaginary parts of a large
-    one raised the peak RSS of a 300-site mi run by about 1 MiB.
+    For tolerance tests only: the stacked sum, one einsum over the real and
+    imaginary parts side by side, runs in another order than np.linalg.norm's
+    dot, so its last bits can differ.  A single matrix keeps np.linalg.norm:
+    einsum on the strided real and imaginary parts of a large one raised the
+    peak RSS of a 300-site mi run by about 1 MiB.
     """
     if m.ndim == 2:
         return np.linalg.norm(m)
-    return np.sqrt(np.einsum("...ij,...ij->...", m.real, m.real) + np.einsum("...ij,...ij->...", m.imag, m.imag))
+    v = np.ascontiguousarray(m).view(np.float64)
+    return np.sqrt(np.einsum("...ij,...ij->...", v, v))
 
 
 def check_hermitian(m: np.ndarray, what: str = "matrix") -> None:
