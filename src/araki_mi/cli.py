@@ -10,7 +10,7 @@ Subcommands:
   index-analog  entropy/index gap on random states
 
 Exit codes: 0 success, 1 audited inequality violated, 2 usage error,
-3 numerical failure (diagnostic JSON on stderr).
+3 numerical or internal failure (diagnostic JSON on stderr).
 """
 
 from __future__ import annotations
@@ -220,6 +220,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except (ArithmeticError, RuntimeError) as exc:
         sys.stderr.write(canonical_json({"error": "numerical", "detail": str(exc)}) + "\n")
+        return NUMERICAL_ERROR
+    except Exception as exc:    # exit 1 is reserved for an audited violation
+        sys.stderr.write(canonical_json({"error": "internal", "detail": f"{type(exc).__name__}: {exc}"}) + "\n")
         return NUMERICAL_ERROR
 
 

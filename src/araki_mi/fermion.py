@@ -21,18 +21,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operators import (ENTROPY_SLACK, HERMITICITY_TOL, RECOMPOSITION_TOL, _eigh_eigenvalues,
-                        _eigvalsh_eigenvalues, xlogx)
+from .operators import ENTROPY_SLACK, RECOMPOSITION_TOL, _eigh_eigenvalues, _eigvalsh_eigenvalues, xlogx
 
 SPECTRUM_SLACK = 1e-9
 TWO_PATH_TOL = 1e-9
-MAX_SITES = 4096        # C is one dense n x n complex matrix, 256 MiB at the limit; the
-                        # largest admitted mi peaks at about 490 MiB RSS (README)
+MAX_SITES = 4096        # a solve's workspace holds one dense n x n complex matrix, 256 MiB
+                        # at the limit; the largest admitted mi peaks at about 300 MiB RSS (README)
 
 
 def _fits_float(x: numbers.Real) -> bool:
@@ -96,13 +95,42 @@ class IntervalConfig:
             raise ValueError("components must be a positive integer within the float range")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CovarianceSystem:
-    c: Optional[np.ndarray]   # complex Hermitian covariance in Fortran order, rows in interval
-                              # order; None once sigma_trace has taken it
-    inside: np.ndarray        # bool: the row belongs to region 1
-    sites: np.ndarray         # integer lattice site of each row of c
-    counts: Tuple[int, ...]   # rows of each interval block, in interval order
+    """The covariance C on runs of consecutive lattice sites, as the kernel tables it is copied from.
+
+    Rows are the sites of each run in turn, runs in interval order.  The
+    block of C on the rows of run i and the columns of run j is Toeplitz:
+    the entry for sites s and t is tables[i][j][s - t - lowest[i][j]], the
+    symmetrised kernel at separation s - t.  A window keeps a sub-run of each
+    run and the tables.  ArithmeticError unless every even separation other
+    than 0 holds 0 and separation 0 holds 1/2 (the sublattice structure).
+    """
+
+    runs: Tuple[Tuple[int, int], ...]           # (first site, sites) of each run
+    split: int                                  # the first `split` runs form region 1
+    tables: Tuple[Tuple[np.ndarray, ...], ...]  # complex, one per ordered pair of runs
+    lowest: Tuple[Tuple[int, ...], ...]         # the separation at index 0 of each table
+    part: Optional[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        odd_real = odd_imag = False
+        for i, (row, lows) in enumerate(zip(self.tables, self.lowest)):
+            for j, (table, lo) in enumerate(zip(row, lows)):
+                even, odd = table[lo % 2::2], table[(lo + 1) % 2::2]
+                zero = -lo if i == j else None      # index of separation 0
+                if np.count_nonzero(even) != (zero is not None) or (zero is not None and table[zero] != 0.5):
+                    raise ArithmeticError("covariance breaks the sublattice structure")
+                odd_real = odd_real or bool(odd.real.any())
+                odd_imag = odd_imag or bool(odd.imag.any())
+        # The part, real (0) or imaginary (1), that holds every entry of the even x odd block,
+        # or None for both: an imaginary block, as the lattice's is, has the singular values
+        # of its imaginary part, a real matrix, so its SVD runs in real arithmetic.
+        object.__setattr__(self, "part", None if odd_real and odd_imag else int(not odd_real))
+
+    @property
+    def size(self) -> int:
+        return sum(count for _, count in self.runs)
 
 
 @dataclass
@@ -139,37 +167,73 @@ def _kernel(d: np.ndarray) -> np.ndarray:
     return np.where(odd, -1j / (math.pi * np.where(odd, d, 1)), np.where(d == 0, 0.5, 0.0))
 
 
-def hardy_kernel(sites: np.ndarray) -> np.ndarray:
-    """Half-frequency band projection kernel on the given integer sites, symmetrised.
+def _kernel_tables(runs: Sequence[Tuple[int, int]]):
+    """(tables, lowest): sym(d) = (k(d) + conj k(-d)) / 2 at every separation d between two runs.
 
-    Entry (i, j) is sym(s_i - s_j) = (k(d) + conj k(-d)) / 2, bit for bit that
-    of (K + K^H) / 2, whose signed zeros the bits of S_12 depend on (zhetrd,
-    the tridiagonal reduction of eigh and of `_eigh_eigenvalues`, reads them).
-    Each pair of runs of consecutive sites is a Toeplitz block, copied from a
-    strided view of a 1-D table of sym.  The matrix is in Fortran order, the
-    layout in which LAPACK reduces it in place (`sigma_trace`).
-    ArithmeticError unless sym(-d) = conj sym(d).
+    tables[i][j][m] is sym at d = lowest[i][j] + m, from the first site of run
+    i minus the last of run j up to the last of i minus the first of j, so a
+    table per ordered pair of runs, never one over the whole span.  Bit for
+    bit the entries of (K + K^H) / 2, whose signed zeros the bits of S_12
+    depend on (zhetrd, the tridiagonal reduction of eigh and of
+    `_eigh_eigenvalues`, reads them).  ArithmeticError unless sym(-d) = conj sym(d).
     """
-    edges = np.r_[0, np.flatnonzero(np.diff(sites) != 1) + 1, sites.size]
-    c = np.empty((sites.size, sites.size), dtype=complex, order="F")
-    for i0, i1 in zip(edges, edges[1:]):
-        for j0, j1 in zip(edges, edges[1:]):
-            d = np.arange(sites[i0] - sites[j1 - 1], sites[i1 - 1] - sites[j0] + 1)
+    tables, lowest = [], []
+    for si, ni in runs:
+        row, lows = [], []
+        for sj, nj in runs:
+            d = np.arange(si - (sj + nj - 1), si + ni - sj)
             kd, km = _kernel(d), _kernel(-d)
             table = 0.5 * (kd + km.conj())
             if not np.array_equal(0.5 * (km + kd.conj()), table.conj()):
                 raise ArithmeticError("covariance kernel is not Hermitian")
-            # T[i, j] = table[i - j + cols - 1]
-            c[i0:i1, j0:j1] = np.lib.stride_tricks.sliding_window_view(table, j1 - j0)[:, ::-1]
-    return c
+            row.append(table)
+            lows.append(int(d[0]))
+        tables.append(tuple(row))
+        lowest.append(tuple(lows))
+    return tuple(tables), tuple(lowest)
+
+
+def _fill(out: np.ndarray, tables, lowest, rows, cols, part: Optional[int] = None) -> np.ndarray:
+    """out = C[rows, cols] (its real or imaginary part for part 0 or 1), copied from the tables.
+
+    rows and cols list (run, first site, step, sites) of each run's share.
+    Each pair of shares is a Toeplitz block, read through a strided view of
+    its table: one row down is `step` entries on, one column right `step`
+    entries back.
+    """
+    r = 0
+    for i, s, step, m in rows:
+        c = 0
+        for j, t, _, k in cols:
+            if m and k:
+                table = tables[i][j]
+                unit = table.itemsize            # a complex entry; its two float halves for a part
+                buf, dtype = (table, table.dtype) if part is None else (table.view(np.float64), np.float64)
+                offset = (s - t - lowest[i][j]) * unit + (0 if part is None else part * unit // 2)
+                out[r:r + m, c:c + k] = np.ndarray((m, k), dtype, buf, offset, (step * unit, -step * unit))
+            c += k
+        r += m
+    return out
+
+
+def hardy_kernel(sites: np.ndarray) -> np.ndarray:
+    """Half-frequency band projection kernel on the given integer sites, symmetrised.
+
+    Entry (i, j) is sym(s_i - s_j), filled for every row from the tables of
+    `_kernel_tables` over the runs of consecutive sites, in Fortran order.
+    ArithmeticError unless sym(-d) = conj sym(d).
+    """
+    edges = np.r_[0, np.flatnonzero(np.diff(sites) != 1) + 1, sites.size]
+    runs = [(int(sites[a]), int(b - a)) for a, b in zip(edges, edges[1:])]
+    shares = [(i, s, 1, n) for i, (s, n) in enumerate(runs)]
+    c = np.empty((sites.size, sites.size), dtype=complex, order="F")
+    return _fill(c, *_kernel_tables(runs), shares, shares)
 
 
 def build_covariance(config: IntervalConfig) -> CovarianceSystem:
-    blocks = _site_blocks(config)
-    sites = np.concatenate([np.arange(s, s + n) for s, n in blocks])
-    counts = tuple(n for _, n in blocks)
-    inside = np.repeat(np.arange(len(counts)) < config.split, counts)
-    return CovarianceSystem(c=hardy_kernel(sites), inside=inside, sites=sites, counts=counts)
+    runs = tuple(_site_blocks(config))
+    tables, lowest = _kernel_tables(runs)
+    return CovarianceSystem(runs=runs, split=config.split, tables=tables, lowest=lowest)
 
 
 def _binary_entropy_sums(*spectra: np.ndarray) -> list[float]:
@@ -187,59 +251,59 @@ def _binary_entropy_sums(*spectra: np.ndarray) -> list[float]:
     return [float(np.add.accumulate(np.concatenate(([0.0], t)))[-1]) for t in np.split(terms, bounds)]
 
 
-def _gathered(c: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """c[rows][:, rows] in Fortran order, the layout in which LAPACK reduces it in place."""
-    return c.T[np.ix_(rows, rows)].T
+def _shares(sys: CovarianceSystem, region: Optional[int], parity: Optional[int] = None) -> list:
+    """(run, first site, step, sites) of each run of region 0, 1 or (None) both, keeping the
+    sites of one parity (0 even, 1 odd) or (None) all of them."""
+    runs = range(len(sys.runs))
+    if region is not None:
+        runs = runs[:sys.split] if region == 0 else runs[sys.split:]
+    shares = []
+    for i in runs:
+        s, n = sys.runs[i]
+        if parity is None:
+            shares.append((i, s, 1, n))
+        else:
+            first = s + (s - parity) % 2
+            shares.append((i, first, 2, (s + n - first + 1) // 2))
+    return shares
 
 
-def _half_identity_defect(m: np.ndarray, rows: np.ndarray) -> float:
-    """||m[rows, rows] - I/2||_F."""
-    block = m[np.ix_(rows, rows)]
-    block.flat[::rows.size + 1] -= 0.5
-    return float(np.linalg.norm(block))
+def _block(sys: CovarianceSystem, ws: np.ndarray, rows: list, cols: list, part: Optional[int] = None) -> np.ndarray:
+    """C[rows, cols] (or its real or imaginary part) copied from the tables into the start of
+    the float64 workspace ws, in Fortran order, the layout in which LAPACK reduces it in place."""
+    shape = (sum(m for *_, m in rows), sum(k for *_, k in cols))
+    dtype = complex if part is None else np.float64
+    out = ws[:shape[0] * shape[1] * (2 if part is None else 1)].view(dtype).reshape(shape, order="F")
+    return _fill(out, sys.tables, sys.lowest, rows, cols, part)
 
 
-def _even_odd_block(m: np.ndarray, even: np.ndarray, scale: float) -> np.ndarray:
-    """The block B = m[even, odd], once m = [[I/2, B], [B^H, I/2]] in the parity split is checked.
+def _square_block(sys: CovarianceSystem, ws: np.ndarray, region: Optional[int]) -> np.ndarray:
+    """The block of a region, or (None) C itself, copied into the start of ws."""
+    shares = _shares(sys, region)
+    return _block(sys, ws, shares, shares)
 
-    The Hardy kernel couples only sites of opposite parity.  ArithmeticError
-    if the same-parity blocks miss I/2 by more than HERMITICITY_TOL * max(1, scale).
-    An imaginary B, as every off-diagonal entry of the lattice covariance is,
-    comes back as the real B.imag, and a real one as B.real: their singular
-    values are those of B, in real arithmetic and half the memory.
+
+def _sublattice_singular_values(sys: CovarianceSystem, ws: np.ndarray, region: Optional[int]):
+    """(svd(B), |rows - columns| of B) of the block B = C[even, odd] of a region or (None) of C.
+
+    The Hardy kernel couples only sites of opposite parity, so C and each
+    region block is [[I/2, B], [B^H, I/2]] in the parity split (checked on
+    the tables by CovarianceSystem), and its spectrum is 1/2 +- svd(B),
+    padded with 1/2.  B is copied from the tables in the arithmetic of
+    `sys.part`.
     """
-    e, o = np.flatnonzero(even), np.flatnonzero(~even)
-    defect = math.hypot(_half_identity_defect(m, e), _half_identity_defect(m, o))
-    if defect > HERMITICITY_TOL * max(1.0, scale):
-        raise ArithmeticError(f"covariance breaks the sublattice structure (defect {defect:.3e})")
-    block = np.ix_(e, o)
-    if not m.real[block].any():
-        return m.imag[block]
-    if not m.imag[block].any():
-        return m.real[block]
-    return m[block]
+    b = _block(sys, ws, _shares(sys, region, 0), _shares(sys, region, 1), sys.part)
+    return np.linalg.svd(b, compute_uv=False), abs(b.shape[0] - b.shape[1])
 
 
-def _sublattice_entropies(*blocks: np.ndarray) -> list[float]:
-    """Entropy sums h(spec m) of matrices m = [[I/2, B], [B^H, I/2]], from their blocks B.
+def _sublattice_entropies(*spectra) -> list[float]:
+    """Entropy sums h(spec m) of matrices m = [[I/2, B], [B^H, I/2]], from (svd(B), |rows - columns| of B).
 
     spec m = 1/2 +- svd(B), padded with |rows - columns| eigenvalues 1/2
     (entropy ln 2 each).
     """
-    sums = _binary_entropy_sums(*(0.5 + np.linalg.svd(b, compute_uv=False) for b in blocks))
-    return [2.0 * h + abs(b.shape[0] - b.shape[1]) * math.log(2.0) for h, b in zip(sums, blocks)]
-
-
-def _region_spectrum(c: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
-    """(||C_X||_F, eigvalsh(C_X)) of the region block C_X = C[rows, rows], reduced in place."""
-    block = _gathered(c, rows)
-    return float(np.linalg.norm(block)), _eigvalsh_eigenvalues(block)
-
-
-def _handed_over(sys: CovarianceSystem) -> np.ndarray:
-    """sys.c, with None left in its place: a callee passed the result holds its only reference."""
-    c, sys.c = sys.c, None
-    return c
+    sums = _binary_entropy_sums(*(0.5 + s for s, _ in spectra))
+    return [2.0 * h + pad * math.log(2.0) for h, (_, pad) in zip(sums, spectra)]
 
 
 def sigma_trace(sys: CovarianceSystem) -> float:
@@ -252,31 +316,22 @@ def sigma_trace(sys: CovarianceSystem) -> float:
     must sum to Tr C, have 2-norm ||C||_F and lie in [0, 1] up to
     SPECTRUM_SLACK.  S_X comes from `_eigvalsh_eigenvalues` of each region
     block, the bits of `eigvalsh`.  The check recomputes all three entropies
-    from half-size real SVDs, which share no factorization with the first
-    route: B = C[even, odd] is gathered once, and each region's block is its
-    sub-block B[region & even, region & odd].
+    from half-size real SVDs of the even x odd blocks B of C and of each
+    region, which share no factorization with the first route.
 
-    sigma_trace takes ownership of sys.c, which must be C in Fortran order,
-    as `build_covariance` and `_windowed_system` make it, so that the one
-    n x n matrix alive during each LAPACK reduction is the one it overwrites.
-    The moments, the region blocks (each gathered in Fortran layout and
-    reduced in place by zhetrd + dsterf), the sublattice check and B come
-    first; then C itself goes to zhetrd, with no copy, and sys.c is left None,
-    so C is freed before dstedc allocates its n x n workspaces.  A C-order
-    array cannot stand in for C (see `_eigh_eigenvalues`); it is copied.
+    Every matrix is copied from the system's tables into one float64
+    workspace of 2 n^2 + 4 n + 16 entries, and no stage holds a second
+    n x n array: each region block, reduced in place by zhetrd + dsterf;
+    each block B and its SVD; then C, which zhetrd reduces in place, and
+    dstedc's workspaces carved from the same array.
     """
-    c = sys.c
-    if c is None:
-        raise ValueError("this covariance system was consumed by an earlier sigma_trace")
+    n = sys.size
+    ws = np.empty(2 * n * n + 4 * n + 16)
+    w1, w2 = (_eigvalsh_eigenvalues(_square_block(sys, ws, region)) for region in (0, 1))
+    svds = [_sublattice_singular_values(sys, ws, region) for region in (0, 1, None)]
+    c = _square_block(sys, ws, None)
     norm, trace = float(np.linalg.norm(c)), np.trace(c).real
-    regions = (np.flatnonzero(sys.inside), np.flatnonzero(~sys.inside))
-    (scale1, w1), (scale2, w2) = (_region_spectrum(c, rows) for rows in regions)
-    # A region block's same-parity blocks are sub-blocks of C's, so one check
-    # against the smaller region's scale is as strict as a check per matrix.
-    even = sys.sites % 2 == 0
-    b = _even_odd_block(c, even, min(scale1, scale2))
-    del c
-    w = _eigh_eigenvalues(_handed_over(sys))
+    w = _eigh_eigenvalues(c, ws)
     miss = max(abs(w.sum() - trace), abs(np.linalg.norm(w) - norm))
     if miss > RECOMPOSITION_TOL * max(1.0, norm):
         raise ArithmeticError(f"covariance eigenvalues miss the trace or norm of C ({miss:.3e})")
@@ -284,8 +339,7 @@ def sigma_trace(sys: CovarianceSystem) -> float:
         raise ArithmeticError(f"covariance spectrum escapes [0, 1]: [{w[0]}, {w[-1]}]")
     s1, s2, s12 = _binary_entropy_sums(w1, w2, w)
     value = s1 + s2 - s12
-    in_e, in_o = sys.inside[even], sys.inside[~even]
-    h1, h2, h12 = _sublattice_entropies(b[np.ix_(in_e, in_o)], b[np.ix_(~in_e, ~in_o)], b)
+    h1, h2, h12 = _sublattice_entropies(*svds)
     check = h1 + h2 - h12
     if abs(check - value) > TWO_PATH_TOL * max(1.0, abs(value)):
         raise ArithmeticError(f"sigma trace routes disagree: eigensolve {value} vs sublattice SVD {check}")
@@ -300,22 +354,15 @@ def mutual_information_value(config: IntervalConfig) -> float:
 
 
 def _windowed_system(sys: CovarianceSystem, fraction: float) -> CovarianceSystem:
-    """Centered sub-window of every interval block; windows at growing
+    """Centered sub-run of every run, with the same tables; windows at growing
     fractions are nested and commute with the region selector."""
-    keep, counts = [], []
-    start = 0
-    for i, count in enumerate(sys.counts):
+    runs = []
+    for i, (first, count) in enumerate(sys.runs):
         w = int(round(fraction * count))
         if w < 1:
             raise ValueError(f"window fraction {fraction} leaves interval {i} empty")
-        lo = start + (count - w) // 2
-        keep.append(np.arange(lo, lo + w))
-        counts.append(w)
-        start += count
-    rows = np.concatenate(keep)
-    # A block of a symmetrised matrix is symmetrised already (bit for bit).
-    return CovarianceSystem(c=_gathered(sys.c, rows), inside=sys.inside[rows],
-                            sites=sys.sites[rows], counts=tuple(counts))
+        runs.append((first + (count - w) // 2, w))
+    return replace(sys, runs=tuple(runs))
 
 
 def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) -> MISeries:
@@ -323,13 +370,13 @@ def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) ->
     fracs = [float(f) for f in window_fractions]
     if not fracs or any(f2 <= f1 for f1, f2 in zip(fracs, fracs[1:])):
         raise ValueError("window fractions must be strictly increasing")
-    if not 0.0 < fracs[0] <= 1.0 or fracs[-1] != 1.0:
+    if not all(0.0 < f <= 1.0 for f in fracs) or fracs[-1] != 1.0:
         raise ValueError("window fractions must lie in (0, 1] and end at 1")
     sys = build_covariance(config)
     sizes, values = [], []
     for f in fracs:
         wsys = sys if f == 1.0 else _windowed_system(sys, f)
-        sizes.append(len(wsys.sites))
+        sizes.append(wsys.size)
         values.append(config.components * sigma_trace(wsys))
     err = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
     return MISeries(window_sizes=tuple(sizes), values=tuple(values),

@@ -153,7 +153,7 @@ def _tridiagonal(zhetrd, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def _eigh_eigenvalues(c: np.ndarray) -> np.ndarray:
+def _eigh_eigenvalues(c: np.ndarray, workspace: Optional[np.ndarray] = None) -> np.ndarray:
     """np.linalg.eigh(c)[0] bit for bit, without the eigenvectors of c; c is overwritten.
 
     eigh (zheevd, jobz='V') copies c to a Fortran-order buffer that holds c
@@ -161,18 +161,21 @@ def _eigh_eigenvalues(c: np.ndarray) -> np.ndarray:
     real tridiagonal, and dstedc('I') of that tridiagonal; this makes the
     same two calls and skips the back-transformation and the n x n complex
     eigenvector output.  A complex c in Fortran order is that buffer: zhetrd
-    reduces it in place, so c holds garbage afterwards, and a caller that
-    hands over its last reference (sigma_trace does) gets the memory back
-    before dstedc allocates its two n x n real workspaces.  Any other c is
+    reduces it in place, so c holds garbage afterwards.  Any other c is
     first copied to that layout, as eigh copies it.  A C-order buffer
     cannot stand in for the copy: read in Fortran order it is c^T, which
     equals conj(c) only up to the signs of zeros, and zhetrd reads those.
     dstedc still forms the tridiagonal's real eigenvectors: its
     divide-and-conquer eigenvalues depend on them, and dsterf's (eigvalsh's)
-    differ in the last digits.  zheevd would first rescale a matrix whose
-    largest entry is below ~1e-146 or above ~1e146; this does not, so its
-    bits match eigh's only for matrices inside that range.  Falls back to
-    np.linalg.eigh when numpy's LAPACK lacks the symbols.
+    differ in the last digits.  Its real workspace and n x n eigenvector
+    array are carved from `workspace`, a contiguous float64 array (2 n^2 +
+    4 n + 8 entries always suffice) that may hold c itself, dead once zhetrd
+    has reduced it, as in `fermion.sigma_trace`; without one they are carved
+    from a fresh array allocated after zhetrd.  zheevd would first
+    rescale a matrix whose largest entry is below ~1e-146 or above ~1e146;
+    this does not, so its bits match eigh's only for matrices inside that
+    range.  Falls back to np.linalg.eigh when numpy's LAPACK lacks the
+    symbols.
     """
     lapack = _pinned_lapack()
     if lapack is None:
@@ -183,9 +186,15 @@ def _eigh_eigenvalues(c: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     ld = max(1, n)
     d, e = _tridiagonal(zhetrd, a)
-    del a                       # the complex matrix goes before dstedc's n x n workspaces
+    del a                       # a copy of c goes before dstedc's n x n arrays are allocated
     _, lwork, liwork = _workspace_sizes(n)
-    z, rwork, iwork = np.empty((ld, ld), order="F"), np.empty(lwork), np.empty(liwork, dtype=np.int64)
+    need = lwork + 7 + ld * ld                      # rwork, up to 7 entries to put z on a 64-byte boundary, z
+    if workspace is None:
+        workspace = np.empty(need)
+    elif workspace.dtype != np.float64 or not workspace.flags.c_contiguous or workspace.size < need:
+        raise ValueError(f"workspace must be contiguous float64 of at least {need} entries")
+    z_at = lwork + (-(workspace.ctypes.data // 8 + lwork)) % 8
+    rwork, z, iwork = workspace[:lwork], workspace[z_at:z_at + ld * ld], np.empty(liwork, dtype=np.int64)
     _lapack_call(dstedc, b"I", n, d, e, z, ld, rwork, lwork, iwork, liwork)
     return d
 

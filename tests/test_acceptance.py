@@ -96,10 +96,12 @@ def test_criterion_5_two_path_entropy_identity():
             inner = w[(w > 0.0) & (w < 1.0)]
             return float(-np.sum(inner * np.log(inner) + (1 - inner) * np.log(1 - inner)))
 
-        r1, r2 = np.flatnonzero(sys_.inside), np.flatnonzero(~sys_.inside)
-        expected = (entropy(sys_.c[np.ix_(r1, r1)])
-                    + entropy(sys_.c[np.ix_(r2, r2)])
-                    - entropy(sys_.c))
+        c = fermion.hardy_kernel(np.concatenate([np.arange(s, s + n) for s, n in sys_.runs]))
+        r1 = np.arange(sum(n for _, n in sys_.runs[:sys_.split]))
+        r2 = np.arange(r1.size, c.shape[0])
+        expected = (entropy(c[np.ix_(r1, r1)])
+                    + entropy(c[np.ix_(r2, r2)])
+                    - entropy(c))
         gap = abs(fermion.sigma_trace(sys_) - expected)
         worst = max(worst, gap)
     _report(5, f"Tr sigma_C = S1+S2-S12, worst gap {worst:.3e}", worst <= 1e-9)

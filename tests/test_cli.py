@@ -59,6 +59,17 @@ def test_unwritable_output_refused_before_the_work(capsys, tmp_path, monkeypatch
     assert_usage_error(capsys, "converge", "--intervals", "[[0,1],[2,3]]", "-o", str(tmp_path))
 
 
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    # any exception outside the usage and numerical families exits 3, never through Python's exit 1
+    def broken(*args):
+        raise TypeError("unsupported operand type(s)")
+
+    monkeypatch.setattr(fermion, "resolution_study", broken)
+    code, out, err = run(capsys, "converge", "--intervals", "[[0,1],[2,3]]")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "internal", "detail": "TypeError: unsupported operand type(s)"}
+
+
 def test_output_file_replaced(capsys, tmp_path):
     target = tmp_path / "out.json"
     target.write_text("x" * 10_000)
@@ -148,6 +159,7 @@ class TestMICommand:
             pytest.fail("allocated despite the site limit")
 
         monkeypatch.setattr(fermion, "hardy_kernel", no_alloc)
+        monkeypatch.setattr(fermion, "_kernel_tables", no_alloc)
         monkeypatch.setattr(fermion.np, "arange", no_alloc)
         assert_usage_error(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "1e9")
 

@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from araki_mi import audits  # noqa: E402
+from araki_mi import audits, fermion  # noqa: E402
 from araki_mi.cli import main  # noqa: E402
 
 # Payloads for `mi --input`: each field well formed, malformed or missing.
@@ -124,6 +124,36 @@ class TestMalformedConvergeInput:
         cfg = tmp_path_factory.mktemp("payload") / "cfg.json"
         cfg.write_text(json.dumps(payload))
         assert_documented_exit(*run_cli(["converge", "--input", str(cfg), f"--resolutions={resolutions}"]))
+
+
+# `mi --fractions`: lists of finite fractions in and outside (0, 1], and non-finite ones anywhere
+_FRACTION = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "1.5", "1", "0.5"]),
+                      st.floats(0.0, 1.0).map(repr))
+_FRACTIONS = st.lists(_FRACTION, min_size=1, max_size=4).map(",".join)
+
+
+def _admissible(fractions: str) -> bool:
+    """Every fraction finite and in (0, 1]: otherwise no window series can be solved."""
+    return all(0.0 < float(f) <= 1.0 for f in fractions.split(","))
+
+
+class TestWindowFractions:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(fractions=_FRACTIONS)
+    def test_every_fraction_list_reaches_a_documented_exit(self, fractions):
+        code, out, err = run_cli(["mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "8", f"--fractions={fractions}"])
+        assert_documented_exit(code, out, err)
+        if not _admissible(fractions):
+            assert code == 2
+
+    @pytest.mark.parametrize("fractions", ["0.5,nan,1", "nan,1", "0.5,1,nan", "0.5,inf", "-inf,0.5,1"])
+    def test_non_finite_fraction_refused_before_the_tables(self, monkeypatch, fractions):
+        # a NaN passes the order check; it used to reach int(round(nan)) in the windows (exit 2,
+        # "cannot convert float NaN to integer") after the tables were built
+        monkeypatch.setattr(fermion, "build_covariance", lambda *args: pytest.fail("tables built"))
+        code, out, err = run_cli(["mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "8", f"--fractions={fractions}"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "detail": "window fractions must lie in (0, 1] and end at 1"}
 
 
 class TestAuditFlags:

@@ -2,8 +2,13 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import tracemalloc
 from contextlib import redirect_stdout
+from dataclasses import replace
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -28,14 +33,53 @@ LN2 = math.log(2.0)
 STANDARD = ((0.0, 1.0), (2.0, 3.0))
 
 
+def toy_matrix(offdiag: complex) -> np.ndarray:
+    return np.array([[0.5, offdiag], [np.conj(offdiag), 0.5]], dtype=complex)
+
+
 def toy_system(offdiag: complex) -> CovarianceSystem:
-    c = np.array([[0.5, offdiag], [np.conj(offdiag), 0.5]], dtype=complex)
-    return CovarianceSystem(c=c, inside=np.array([True, False]), sites=np.array([0, 1]), counts=(1, 1))
+    """toy_matrix on sites 0 and 1, one site per region: sym(-1) = x, sym(0) = 1/2, sym(1) = conj x."""
+    def table(v):
+        return np.array([v], dtype=complex)
+    return CovarianceSystem(runs=((0, 1), (1, 1)), split=1, lowest=((0, -1), (1, 0)),
+                            tables=((table(0.5), table(offdiag)), (table(np.conj(offdiag)), table(0.5))))
 
 
-def sublattice_entropy(m: np.ndarray, sites: np.ndarray) -> float:
-    """Entropy sum h(spec m) of one covariance from the singular values of its even-odd block."""
-    return fermion._sublattice_entropies(fermion._even_odd_block(m, sites % 2 == 0, float(np.linalg.norm(m))))[0]
+def system_sites(sys: CovarianceSystem) -> np.ndarray:
+    """The lattice site of each row of C, runs in order."""
+    return np.concatenate([np.arange(s, s + n) for s, n in sys.runs])
+
+
+def region_rows(sys: CovarianceSystem) -> tuple[np.ndarray, np.ndarray]:
+    inside = np.repeat(np.arange(len(sys.runs)) < sys.split, [n for _, n in sys.runs])
+    return np.flatnonzero(inside), np.flatnonzero(~inside)
+
+
+def system_on(sites: np.ndarray) -> CovarianceSystem:
+    """The covariance system on the runs of consecutive sites of a site list."""
+    edges = np.r_[0, np.flatnonzero(np.diff(sites) != 1) + 1, sites.size]
+    runs = tuple((int(sites[a]), int(b - a)) for a, b in zip(edges, edges[1:]))
+    tables, lowest = fermion._kernel_tables(runs)
+    return CovarianceSystem(runs=runs, split=1, tables=tables, lowest=lowest)
+
+
+def workspace(sys: CovarianceSystem) -> np.ndarray:
+    """A workspace of the size sigma_trace takes."""
+    n = sys.size
+    return np.empty(2 * n * n + 4 * n + 16)
+
+
+def sublattice_entropy(sys: CovarianceSystem) -> float:
+    """Entropy sum h(spec C) of one covariance from the singular values of its even-odd block."""
+    return fermion._sublattice_entropies(fermion._sublattice_singular_values(sys, workspace(sys), None))[0]
+
+
+def with_table(sys: CovarianceSystem, i: int, j: int, d: int, value: complex) -> CovarianceSystem:
+    """sys with the entry at separation d of table (i, j), and conj of it at -d of table (j, i), set."""
+    tables = [[t.copy() for t in row] for row in sys.tables]
+    tables[i][j][d - sys.lowest[i][j]] = value
+    tables[j][i][-d - sys.lowest[j][i]] = np.conj(value)
+    return replace(sys, tables=tuple(map(tuple, tables)))
 
 
 def bits(a) -> np.ndarray:
@@ -135,16 +179,16 @@ class TestHardyKernel:
     @pytest.mark.parametrize("resolution", [8, 16, 32])
     def test_spectrum_in_unit_interval(self, resolution):
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=resolution))
-        w = np.linalg.eigvalsh(sys.c)
+        w = np.linalg.eigvalsh(hardy_kernel(system_sites(sys)))
         assert np.max(np.abs(w - np.clip(w, 0.0, 1.0))) <= 1e-9
 
 
 class TestSigmaTrace:
     def test_block_diagonal_gives_zero(self):
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
-        same_region = sys.inside[:, None] == sys.inside[None, :]
-        blocked = CovarianceSystem(c=np.where(same_region, sys.c, 0.0), inside=sys.inside,
-                                   sites=sys.sites, counts=sys.counts)
+        # the tables between the two regions zeroed
+        blocked = replace(sys, tables=tuple(tuple(t if (i < sys.split) == (j < sys.split) else np.zeros_like(t)
+                                                  for j, t in enumerate(row)) for i, row in enumerate(sys.tables)))
         assert sigma_trace(blocked) == pytest.approx(0.0, abs=1e-10)
 
     def test_toy_half_offdiagonal(self):
@@ -174,7 +218,7 @@ class TestSigmaTrace:
     def test_perturbed_covariance_eigenvalues_raise(self, monkeypatch, perturb):
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
         pinned = fermion._eigh_eigenvalues
-        monkeypatch.setattr(fermion, "_eigh_eigenvalues", lambda m: perturb(pinned(m)))
+        monkeypatch.setattr(fermion, "_eigh_eigenvalues", lambda m, *args: perturb(pinned(m, *args)))
         with pytest.raises(ArithmeticError, match="miss the trace or norm"):
             sigma_trace(sys)
 
@@ -183,7 +227,7 @@ class TestSigmaTrace:
         calls, ufuncs = [], []
 
         class Watched(np.ndarray):
-            """Records every ufunc applied to C or to an array derived from it (`@` included)."""
+            """Records every ufunc applied to a watched array or to one derived from it (`@` included)."""
 
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
                 ufuncs.append(ufunc.__name__)
@@ -206,9 +250,11 @@ class TestSigmaTrace:
         watched(fermion, "_eigh_eigenvalues")
         watched(fermion, "_eigvalsh_eigenvalues")
         sys = build_covariance(IntervalConfig(intervals=((0.0, 1.0), (1.5, 2.5), (3.0, 3.75)), resolution=16, split=2))
-        n = sys.c.shape[0]
-        regions = [(k, k) for k in (np.count_nonzero(sys.inside), np.count_nonzero(~sys.inside))]
-        sys.c = sys.c.view(Watched)
+        n = sys.size
+        regions = [(rows.size, rows.size) for rows in region_rows(sys)]
+        # every array np.empty makes is watched: the workspace that C and its blocks are copied into included
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda *args, **kwargs: empty(*args, **kwargs).view(Watched))
         for name in ("matmul", "dot", "vdot", "einsum", "tensordot", "inner", "outer", "kron"):
             monkeypatch.setattr(np, name, lambda *args, name=name, **kwargs: pytest.fail(f"np.{name} called"))
         assert sigma_trace(sys) > 0
@@ -223,24 +269,34 @@ class TestSigmaTrace:
         assert all(dtype == np.float64 for name, _, dtype in calls if name == "svd")
         assert ufuncs and "matmul" not in ufuncs
 
-    def test_working_set_is_one_matrix_and_a_half(self):
-        # zhetrd reduces C and each region block in place, and C is freed before dstedc allocates
-        # its n x n workspaces: the traced peak of a 614-site solve, C included, stays below 1.5
-        # n x n complex matrices (2.05 with a Fortran-order copy of C next to C)
+    @staticmethod
+    def traced_peak(solve) -> int:
         if operators._pinned_lapack() is None:
             pytest.skip("without numpy's zhetrd, dstedc and dsterf, eigh and eigvalsh copy their input")
         tracemalloc.start()
         try:
-            sys = build_covariance(IntervalConfig(intervals=((0, 1), (1.3, 2.7)), resolution=256))
-            n = sys.c.shape[0]
-            assert sigma_trace(sys) > 0
-            peak = tracemalloc.get_traced_memory()[1]
+            assert solve()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert n == 614 and sys.c is None
-        assert peak <= 1.5 * 16 * n * n
-        with pytest.raises(ValueError, match="consumed"):
-            sigma_trace(sys)
+
+    def test_working_set_is_one_matrix_and_a_half(self):
+        # every block is copied from the kernel tables into one workspace of one n x n complex
+        # matrix and 4 n + 16 doubles, which zhetrd reduces in place and dstedc's workspaces reuse:
+        # the traced peak of a 614-site solve stays below 1.2 n x n complex matrices (1.38 when
+        # the region blocks were gathered from a C held next to them)
+        sys = build_covariance(IntervalConfig(intervals=((0, 1), (1.3, 2.7)), resolution=256))
+        n = sys.size
+        peak = self.traced_peak(lambda: sigma_trace(sys) > 0)
+        assert n == 614
+        assert peak <= 1.2 * 16 * n * n
+
+    def test_window_series_working_set_is_one_matrix(self):
+        # the windows share the O(n) tables, so no C is held while a window is solved
+        # (1.72 n x n complex matrices when C was)
+        config = IntervalConfig(intervals=STANDARD, resolution=512)
+        peak = self.traced_peak(lambda: mi_convergence(config, [0.25, 0.5, 0.75, 1.0]).window_sizes[-1] == 1024)
+        assert peak <= 1.2 * 16 * 1024 * 1024
 
     def test_spectrum_escaping_unit_interval_raises(self):
         # spectrum 1/2 -+ 0.6 = (-0.1, 1.1): no covariance of a quasi-free state
@@ -271,28 +327,30 @@ class TestSublatticeCrossCheck:
         spectrum = np.sort(np.concatenate([0.5 + s, 0.5 - s, np.full(pad, 0.5)]))
         assert np.max(np.abs(spectrum - np.linalg.eigvalsh(m))) <= 1e-12
         expected = fermion._binary_entropy_sums(np.linalg.eigvalsh(m))[0]
-        assert sublattice_entropy(m, sites) == pytest.approx(expected, abs=1e-12)
+        assert sublattice_entropy(system_on(sites)) == pytest.approx(expected, abs=1e-12)
 
     def test_broken_parity_structure_raises(self):
-        sites = np.arange(0, 6)
-        m = hardy_kernel(sites)
-        m[0, 2] = m[2, 0] = 1e-6
+        # C[0, 2] = C[2, 0] = 1e-6: an entry at an even separation
+        sys = system_on(np.arange(0, 6))
         with pytest.raises(ArithmeticError, match="sublattice"):
-            sublattice_entropy(m, sites)
+            sublattice_entropy(with_table(sys, 0, 0, -2, 1e-6))
         with pytest.raises(ArithmeticError, match="sublattice"):
-            sublattice_entropy(hardy_kernel(sites), 2 * sites)
+            sublattice_entropy(with_table(sys, 0, 0, 0, 0.5 + 1e-6))
+        # tables read at separations one off, so that the odd ones count as even
+        shifted = tuple(tuple(lo + 1 for lo in row) for row in sys.lowest)
+        with pytest.raises(ArithmeticError, match="sublattice"):
+            sublattice_entropy(replace(sys, lowest=shifted))
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
-        sys.sites = 2 * sys.sites
+        shifted = tuple(tuple(lo + (i != j) for j, lo in enumerate(row)) for i, row in enumerate(sys.lowest))
         with pytest.raises(ArithmeticError, match="sublattice"):
-            sigma_trace(sys)
+            sigma_trace(replace(sys, lowest=shifted))
 
     def test_same_parity_defect_in_one_region_raises(self):
-        # one Hermitian entry between two even sites of region 2 breaks that region's block only
+        # one Hermitian entry between two sites of region 2 at an even separation breaks that
+        # region's table only
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
-        i, j = np.flatnonzero(~sys.inside & (sys.sites % 2 == 0))[:2]
-        sys.c[i, j] = sys.c[j, i] = 1e-6
         with pytest.raises(ArithmeticError, match="sublattice"):
-            sigma_trace(sys)
+            sigma_trace(with_table(sys, 1, 1, 4, 1e-6))
 
     def test_perturbed_eigensolve_is_caught(self, monkeypatch):
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
@@ -362,6 +420,27 @@ class TestMISweepDigest:
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.DIGESTS[intervals]
 
 
+class TestOneBlasThread:
+    # SHA-256 of the stdout of each command in a child interpreter on one OpenBLAS thread, the
+    # setting the benchmark runs (numpy 2.4.6, OpenBLAS 0.3.31).  The goldens above hold at the
+    # host's default thread count; the off-site converge differs from its golden in the last
+    # digits on one thread.
+    DIGESTS = {
+        ("converge", "--intervals", "[[0,1],[1.3,2.7]]", "--resolutions", "32,64,128,256"):
+            "5c8e39c9ccfd2d750fd849dd97e4d905737972330507736a6f0f28eebbd80c59",
+        ("mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "64"):
+            "8d3a79c375437753f48124eb5dfa10908c40789b3eaa065bb0f73ee47e7a34dc",
+    }
+
+    @pytest.mark.parametrize("argv", list(DIGESTS), ids=["converge-off-site", "mi"])
+    def test_stdout_matches_recorded_digest(self, argv):
+        src = str(Path(fermion.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); from araki_mi.cli import main; sys.exit(main(sys.argv[1:]))"
+        out = subprocess.run([executable, "-c", code, *argv], capture_output=True, check=True,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert hashlib.sha256(out.stdout).hexdigest() == self.DIGESTS[argv]
+
+
 class TestPinnedEigenvalues:
     """S_12's eigenvalues: zhetrd + dstedc of numpy's LAPACK, the bits of eigh without its eigenvectors;
     the regions': zhetrd + dsterf, the bits of eigvalsh; each reduces its matrix in place."""
@@ -374,6 +453,12 @@ class TestPinnedEigenvalues:
     @staticmethod
     def assert_bits_of_eigh(c):
         expected = np.linalg.eigh(c)[0]      # before c is overwritten
+        n = c.shape[0]
+        # as sigma_trace calls it: c copied into the start of a workspace that dstedc's arrays then reuse
+        ws = np.empty(2 * n * n + 4 * n + 16)
+        in_workspace = ws[:2 * n * n].view(complex).reshape((n, n), order="F")
+        in_workspace[...] = c
+        assert np.array_equal(bits(_eigh_eigenvalues(in_workspace, ws)), bits(expected))
         assert np.array_equal(bits(_eigh_eigenvalues(c)), bits(expected))
 
     @staticmethod
@@ -384,19 +469,45 @@ class TestPinnedEigenvalues:
     @pytest.mark.parametrize("intervals,resolution", SYSTEMS)
     def test_bits_of_eigh_with_windows(self, intervals, resolution):
         for wsys in self.systems_with_windows(intervals, resolution):
-            assert wsys.c.flags.f_contiguous
-            self.assert_bits_of_eigh(wsys.c)
+            c = hardy_kernel(system_sites(wsys))
+            assert c.flags.f_contiguous
+            self.assert_bits_of_eigh(c)
 
     @pytest.mark.parametrize("intervals,resolution", SYSTEMS)
     def test_region_bits_of_eigvalsh_with_windows(self, intervals, resolution):
         for wsys in self.systems_with_windows(intervals, resolution):
-            for rows in (np.flatnonzero(wsys.inside), np.flatnonzero(~wsys.inside)):
-                expected = np.linalg.eigvalsh(wsys.c[np.ix_(rows, rows)])
-                block = fermion._gathered(wsys.c, rows)
+            c, ws = hardy_kernel(system_sites(wsys)), workspace(wsys)
+            for region, rows in enumerate(region_rows(wsys)):
+                expected = np.linalg.eigvalsh(c[np.ix_(rows, rows)])
+                block = fermion._square_block(wsys, ws, region)
                 assert block.flags.f_contiguous
                 assert np.array_equal(bits(_eigvalsh_eigenvalues(block)), bits(expected))
 
-    @pytest.mark.parametrize("c", [np.zeros((0, 0)), np.array([[0.25]]), toy_system(0.25j).c],
+    @pytest.mark.parametrize("intervals,resolution", SYSTEMS)
+    def test_blocks_copied_from_tables_are_gathers_of_the_kernel(self, intervals, resolution):
+        # regions, windows, the parity blocks of each region, B and C, signed zeros included
+        systems = self.systems_with_windows(intervals, resolution)
+        full = systems[-1]
+        c = hardy_kernel(system_sites(full))
+        row_of = {site: row for row, site in enumerate(system_sites(full))}
+        parts = {0: np.real, 1: np.imag, None: lambda m: m}
+        for wsys in systems:
+            ws = workspace(wsys)
+            sites = system_sites(wsys)
+            assert wsys.part == 1          # every odd-separation entry is imaginary
+            for region, rows in zip((0, 1, None), [*region_rows(wsys), np.arange(sites.size)]):
+                gathered = [row_of[s] for s in sites[rows]]
+                block = fermion._square_block(wsys, ws, region)
+                assert block.flags.f_contiguous
+                assert np.array_equal(bits(block), bits(c[np.ix_(gathered, gathered)]))
+                even = [row_of[s] for s in sites[rows] if s % 2 == 0]
+                odd = [row_of[s] for s in sites[rows] if s % 2 != 0]
+                for part, of in parts.items():
+                    b = fermion._block(wsys, ws, fermion._shares(wsys, region, 0), fermion._shares(wsys, region, 1),
+                                       part)
+                    assert np.array_equal(bits(b), bits(of(c[np.ix_(even, odd)])))
+
+    @pytest.mark.parametrize("c", [np.zeros((0, 0)), np.array([[0.25]]), toy_matrix(0.25j)],
                              ids=["empty", "1x1", "toy"])
     def test_bits_of_eigh_on_tiny_matrices(self, c):
         expected = np.linalg.eigvalsh(c)
@@ -411,8 +522,8 @@ class TestPinnedEigenvalues:
         monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(("eigh", m.shape)) or eigh(m))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(("eigvalsh", m.shape)) or eigvalsh(m))
         sys = build_covariance(config)
-        regions = [("eigvalsh", (k, k)) for k in (np.count_nonzero(sys.inside), np.count_nonzero(~sys.inside))]
-        n = sys.c.shape[0]
+        regions = [("eigvalsh", (rows.size, rows.size)) for rows in region_rows(sys)]
+        n = sys.size
         assert np.float64(sigma_trace(sys)).view(np.uint64) == np.float64(pinned).view(np.uint64)
         assert shapes == regions + [("eigh", (n, n))]
 
@@ -468,6 +579,7 @@ class TestSiteLimit:
             raise AssertionError("allocated despite the site limit")
 
         monkeypatch.setattr(fermion, "hardy_kernel", no_alloc)
+        monkeypatch.setattr(fermion, "_kernel_tables", no_alloc)
         monkeypatch.setattr(fermion.np, "arange", no_alloc)
         cfg = IntervalConfig(intervals=STANDARD, resolution=fermion.MAX_SITES)
         with pytest.raises(ValueError, match="limit"):
