@@ -53,7 +53,7 @@ def check_hermitian(m: np.ndarray, what: str = "matrix") -> None:
     """ValueError unless each matrix of a complex (..., n, n) stack is Hermitian to
     HERMITICITY_TOL relative to max(1, its Frobenius norm)."""
     defect = _frobenius(m - _conj_t(m))
-    if (defect > HERMITICITY_TOL * np.maximum(1.0, _frobenius(m))).any():
+    if not (defect <= HERMITICITY_TOL * np.maximum(1.0, _frobenius(m))).all():    # NaN fails too
         raise ValueError(f"{what} is not Hermitian (defect {np.max(defect):.3e})")
 
 
@@ -277,66 +277,61 @@ class HermitianOperator:
 
 
 class OrthoProjection:
-    """Orthogonal projection, either a coordinate-block mask or a general idempotent.
+    """Orthogonal projection, kept as a coordinate mask in a basis.
 
-    A mask projection keeps only its sorted index tuple; its dense matrix is
-    built on first access to `mat`.
+    `mask` is the sorted index tuple of the kept columns of `basis`, a
+    unitary: None for the standard basis of `from_mask`, and for a
+    projection given as a matrix its eigenvectors, from one eigh here.  The
+    dense matrix of a mask projection is built on first access to `mat`.
     """
 
     def __init__(self, mat):
         m = hermitian_matrix(mat, "projection")
-        if np.linalg.norm(m @ m - m) > 1e-12 * max(1.0, float(np.linalg.norm(m))):
+        if not np.linalg.norm(m @ m - m) <= 1e-12 * max(1.0, float(np.linalg.norm(m))):
             raise ValueError("projection is not idempotent")
-        self._mat: Optional[np.ndarray] = m
-        self.dim = m.shape[0]
-        self.mask: Optional[tuple] = None
+        w, self.basis = np.linalg.eigh(m)
+        self._mat, self.dim, self.mask = m, m.shape[0], tuple(np.flatnonzero(w > 0.5).tolist())
 
     @classmethod
     def from_mask(cls, dim: int, indices: Iterable[int]) -> "OrthoProjection":
+        indices = list(indices)
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in indices):
+            raise ValueError("mask indices must be integers")
         idx = tuple(sorted(set(int(i) for i in indices)))
         if idx and (idx[0] < 0 or idx[-1] >= dim):
             raise ValueError("mask indices out of range")
         # A diagonal 0/1 matrix is Hermitian and idempotent by construction.
         p = cls.__new__(cls)
-        p._mat, p.dim, p.mask = None, dim, idx
+        p._mat, p.dim, p.mask, p.basis = None, dim, idx, None
         return p
 
     @property
     def mat(self) -> np.ndarray:
         if self._mat is None:
-            idx = np.asarray(self.mask, dtype=int)
-            m = np.zeros((self.dim, self.dim), dtype=complex)
-            m[idx, idx] = 1.0
-            self._mat = m
+            self._mat = np.diag(self.membership.astype(complex))
         return self._mat
 
     @property
     def membership(self) -> np.ndarray:
-        """Boolean vector marking the kept coordinates of a mask projection."""
-        if self.mask is None:
-            raise ValueError("membership is defined for mask projections only")
+        """Boolean vector marking the kept coordinates of the basis."""
         inside = np.zeros(self.dim, dtype=bool)
         inside[np.asarray(self.mask, dtype=int)] = True
         return inside
 
     def rank(self) -> int:
-        if self.mask is not None:
-            return len(self.mask)
-        return int(round(float(np.real(np.trace(self.mat)))))
+        return len(self.mask)
 
-    def range_basis(self) -> np.ndarray:
-        """Orthonormal basis of the range, as columns."""
-        if self.mask is not None:
-            idx = np.asarray(self.mask, dtype=int)
-            b = np.zeros((self.dim, idx.size), dtype=complex)
-            b[idx, np.arange(idx.size)] = 1.0
-            return b
-        w, u = np.linalg.eigh(self.mat)
-        return u[:, w > 0.5]
+    def _into(self, m: np.ndarray) -> np.ndarray:
+        """V^dagger m V on the last two axes, V the basis; m itself for the standard basis."""
+        return m if self.basis is None else _conj_t(self.basis) @ m @ self.basis
+
+    def _back(self, m: np.ndarray) -> np.ndarray:
+        """V m V^dagger on the last two axes, the inverse of `_into`; m itself for the standard basis."""
+        return m if self.basis is None else self.basis @ m @ _conj_t(self.basis)
+
+    def _vectors(self, u: np.ndarray) -> np.ndarray:
+        """V^dagger u, the columns of u in the basis; u itself for the standard basis."""
+        return u if self.basis is None else _conj_t(self.basis) @ u
 
     def __repr__(self):
         return f"OrthoProjection(dim={self.dim}, rank={self.rank()})"
-
-
-def commutator_norm(p: OrthoProjection, q: OrthoProjection) -> float:
-    return float(np.linalg.norm(p.mat @ q.mat - q.mat @ p.mat))

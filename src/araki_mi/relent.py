@@ -152,13 +152,6 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(_relative_entropies(rho.mat, rho.eigenvalues, sigma.eigenvalues, sigma.eigenvectors))
 
 
-def scaled_relative_entropy(lam: float, rho: DensityMatrix, lam2: float, sigma: DensityMatrix) -> float:
-    """Entropy of the unnormalized functionals lam*rho vs lam2*sigma."""
-    if lam <= 0 or lam2 <= 0:
-        raise ValueError("scales must be positive")
-    return lam * relative_entropy(rho, sigma) + lam * math.log(lam / lam2)
-
-
 def mutual_information(rho_ab: DensityMatrix, shape: BipartiteShape) -> float:
     """S(rho_A) + S(rho_B) - S(rho_AB).
 
@@ -234,21 +227,3 @@ def _pimsner_popa_margins(a: np.ndarray, e: TraceExpectation) -> np.ndarray:
     d = e.shape.dim_a if e.traced_factor == "A" else e.shape.dim_b
     diff = conditional_expectation(a, e) - a / d**2
     return np.linalg.eigvalsh(0.5 * (diff + _conj_t(diff)))[..., 0]
-
-
-def pimsner_popa_constant_search(e: TraceExpectation, trials: int, rng: np.random.Generator) -> float:
-    """Brute-force the best constant over random rank-one projections.
-
-    For p = |psi><psi| the largest lam with E(p) >= lam p is
-    1 / <psi| E(p)^{-1} |psi>; we report the minimum over the sampled psi.
-    """
-    n = e.shape.total
-    best = math.inf
-    for _ in range(trials):
-        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        psi /= np.linalg.norm(psi)
-        ep = conditional_expectation(np.outer(psi, psi.conj()), e)
-        sol = np.linalg.lstsq(ep, psi, rcond=None)[0]
-        lam = 1.0 / float(np.real(np.vdot(psi, sol)))
-        best = min(best, lam)
-    return best

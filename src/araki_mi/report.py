@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Any, Iterable, Sequence
 
 
@@ -46,9 +47,8 @@ def canonical_json(obj: Any) -> str:
         return _fmt_float(obj)
     if isinstance(obj, Fraction):
         return f'"{obj.numerator}/{obj.denominator}"'
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+    if isinstance(obj, str):    # control characters escaped, non-ASCII kept as is
+        return encode_basestring(obj)
     if isinstance(obj, dict):
         items = sorted((str(k), v) for k, v in obj.items())
         body = ",".join(f"{canonical_json(k)}:{canonical_json(v)}" for k, v in items)

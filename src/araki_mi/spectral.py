@@ -1,9 +1,9 @@
 """Singular-value diagnostics.
 
 Ky Fan's inequality for singular values, the (sqrt(2)+1) bound on the
-half-power trace of the off-diagonal part PF(1-P) + (1-P)FP, and discretized
-smooth periodic kernels whose singular values decay faster than any
-polynomial.
+half-power trace of the off-diagonal part PF(1-P) + (1-P)FP, and smooth
+periodic kernels, discretized on the whole grid, whose singular values decay
+faster than any polynomial.
 """
 
 from __future__ import annotations
@@ -84,22 +84,15 @@ def fan_inequality_check(f: np.ndarray, g: np.ndarray, tol: float = 1e-10) -> di
             "worst_margin": worst}
 
 
-def _offdiag_half_traces(f: np.ndarray, p, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def _offdiag_half_traces(f: np.ndarray, inside: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """(Tr |F1|^{1/2}, (sqrt(2)+1) Tr |F|^{1/2}) of a matrix or a (..., d, d) stack.
 
-    p is an OrthoProjection or the (..., d) boolean membership of mask
-    projections; ArithmeticError if a bound fails.
+    `inside` is the (..., d) boolean membership of mask projections: F1 and
+    PFP select entries of F, no products needed.  ArithmeticError if a bound
+    fails.
     """
-    if isinstance(p, OrthoProjection) and p.mask is None:
-        pm = p.mat
-        qm = np.eye(p.dim) - pm
-        f1 = pm @ f @ qm + qm @ f @ pm
-        pfp = pm @ f @ pm
-    else:
-        # Mask projection: F1 and PFP select entries of F, no products needed.
-        inside = p.membership if isinstance(p, OrthoProjection) else p
-        f1 = np.where(inside[..., :, None] != inside[..., None, :], f, 0j)
-        pfp = np.where(inside[..., :, None] & inside[..., None, :], f, 0j)
+    f1 = np.where(inside[..., :, None] != inside[..., None, :], f, 0j)
+    pfp = np.where(inside[..., :, None] & inside[..., None, :], f, 0j)
     lhs = _half_power_sums(_singular_values(f1))
     rhs = HALF_POWER_CONST * _half_power_sums(_singular_values(f))
     for name, value in (("half-power", lhs), ("corner half-power", _half_power_sums(_singular_values(pfp)))):
@@ -112,12 +105,13 @@ def _offdiag_half_traces(f: np.ndarray, p, tol: float = 1e-8) -> tuple[np.ndarra
 def offdiag_half_trace(f: np.ndarray, p: OrthoProjection, tol: float = 1e-8) -> tuple[float, float]:
     """Half-power trace of F1 = PF(1-P) + (1-P)FP against (sqrt(2)+1) Tr |F|^{1/2}.
 
-    Also enforces the companion bound for the corner PFP.
+    Also enforces the companion bound for the corner PFP.  Both sides are
+    unitarily invariant, so F is taken to P's basis, where P is a mask.
     """
     f = np.asarray(f, dtype=complex)
     if f.shape != (p.dim, p.dim):
         raise ValueError("shape mismatch")
-    lhs, rhs = _offdiag_half_traces(f, p, tol)
+    lhs, rhs = _offdiag_half_traces(p._into(f), p.membership, tol)
     return float(lhs), float(rhs)
 
 
@@ -152,37 +146,6 @@ class SmoothKernelSpec:
         axis = np.arange(self.grid) * (self.cube_side / self.grid)
         grids = np.meshgrid(*([axis] * self.dims), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-@dataclass
-class KernelBlocks:
-    full: np.ndarray          # kernel over the union grid
-    block12: np.ndarray       # region1 x region2 sub-block
-    p1: OrthoProjection       # selector of region1 inside the union
-
-
-def _normalize_region(region, dims: int) -> np.ndarray:
-    idx = np.asarray(list(region), dtype=int)
-    if idx.ndim == 1:
-        idx = idx[:, None]
-    if idx.shape[1] != dims:
-        raise ValueError("region index arity does not match kernel dimension")
-    return idx
-
-
-def smooth_kernel_matrix(spec: SmoothKernelSpec, region1, region2) -> KernelBlocks:
-    """Kernel matrix G(x_j - y_k) over two disjoint index subsets of the grid."""
-    r1 = _normalize_region(region1, spec.dims)
-    r2 = _normalize_region(region2, spec.dims)
-    if set(map(tuple, r1)) & set(map(tuple, r2)):
-        raise ValueError("regions must be disjoint")
-    h = spec.cube_side / spec.grid
-    pts = np.concatenate([r1, r2], axis=0) * h
-    n = pts.shape[0]
-    full = _difference_kernel(spec.symbol, pts)
-    n1 = r1.shape[0]
-    p1 = OrthoProjection.from_mask(n, range(n1))
-    return KernelBlocks(full=full, block12=full[:n1, n1:], p1=p1)
 
 
 def _difference_kernel(symbol: Callable[[np.ndarray], complex], pts: np.ndarray) -> np.ndarray:

@@ -22,8 +22,14 @@ the direct definition, stays for the positivity audit and as the tests'
 oracle.  The integrals use the module's own adaptive 21-point Gauss-Kronrod
 rule (`_quad_gk21`), which follows scipy's `quad_vec` (quadrature="gk21")
 step for step, with one stacked integrand call per round.  Also here:
-tau_{A+eps} <= tau_A, the finite-window trace monotonicity, the resolvent bound
-||(t+B)^{-1} A|| <= ||A||^{1/2} t^{-1/2} and the uniform bound on Tr D_eps.
+tau_{A+eps} <= tau_A, the resolvent bound ||(t+B)^{-1} A|| <= ||A||^{1/2} t^{-1/2}
+and the uniform bound on Tr D_eps.
+
+Every kernel takes P as a coordinate mask.  The public functions take A (and B)
+to P's basis (`OrthoProjection._into`), where P is its mask, and map matrix
+results back: tau and the pinch are unitarily covariant, and the traces and
+norms here are invariant.  For a mask projection both maps return the array
+itself.
 """
 
 from __future__ import annotations
@@ -37,8 +43,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .operators import (HermitianOperator, OrthoProjection, _conj_t, check_hermitian, checked_eigh,
-                        commutator_norm, functional_calculus, hermitian_stack, spectral_norms, symmetrised,
-                        xlogx)
+                        functional_calculus, hermitian_stack, spectral_norms, symmetrised, xlogx)
 
 PSD_TOL = 1e-10
 EIG_FLOOR = 1e-12      # eigenvalues of B - A at or below this count as zero
@@ -64,10 +69,6 @@ def _check_psd(w: np.ndarray) -> None:
     refused = lowest < -PSD_TOL * np.maximum(1.0, np.maximum(w[..., -1], -lowest))
     if refused.any():
         raise ValueError(f"operator is not PSD (min eigenvalue {np.min(lowest[refused]):.3e})")
-
-
-def _require_psd(a: HermitianOperator) -> None:
-    _check_psd(a.eigenvalues)
 
 
 def _check_dims(a: HermitianOperator, p: OrthoProjection) -> None:
@@ -223,59 +224,53 @@ class TauResult:
 def pinch(a: HermitianOperator, p: OrthoProjection) -> HermitianOperator:
     """B = PAP + (1-P)A(1-P) = (A + UAU)/2 with U = 2P - 1."""
     _check_dims(a, p)
-    return HermitianOperator(_pinched(a.mat, a.eigenvalues, p))
+    return HermitianOperator(p._back(_pinched(p._into(a.mat), a.eigenvalues, p.membership)))
 
 
-# The kernels below take a matrix or a (..., d, d) stack with P given as an
-# OrthoProjection or as the (..., d) boolean membership of mask projections,
-# and do every LAPACK step as one stacked call.  The public single-instance
-# functions are their unstacked case; stacked LAPACK calls give each matrix
-# the bits of its own call.
+# The kernels below take a matrix or a (..., d, d) stack with P given as the
+# (..., d) boolean membership of mask projections, and do every LAPACK step
+# as one stacked call.  The public single-instance functions are their
+# unstacked case; stacked LAPACK calls give each matrix the bits of its own
+# call.
 
-def _block_compress(m: np.ndarray, p) -> np.ndarray:
-    """PMP + (1-P)M(1-P).
+def _block_compress(m: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """PMP + (1-P)M(1-P) for the mask P with membership `inside`.
 
-    For a mask projection these are the entries of M whose row and column lie
-    on the same side of the mask, and zeros elsewhere, so they are selected
-    rather than multiplied out; the two agree under ==, only the sign of an
-    exact zero can differ.
+    These are the entries of M whose row and column lie on the same side of
+    the mask, and zeros elsewhere, so they are selected rather than
+    multiplied out; the two agree under ==, only the sign of an exact zero
+    can differ.
     """
-    if isinstance(p, OrthoProjection):
-        if p.mask is None:
-            pm = p.mat
-            qm = np.eye(p.dim) - pm
-            return pm @ m @ pm + qm @ m @ qm
-        p = p.membership
-    return np.where(p[..., :, None] == p[..., None, :], m, 0j)
+    return np.where(inside[..., :, None] == inside[..., None, :], m, 0j)
 
 
-def _pinched(a: np.ndarray, w_a: np.ndarray, p) -> np.ndarray:
+def _pinched(a: np.ndarray, w_a: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Symmetrised pinch B of PSD A with eigenvalues w_a."""
     _check_psd(w_a)
-    return hermitian_stack(_block_compress(a, p))
+    return hermitian_stack(_block_compress(a, inside))
 
 
-def _tau_spectral(a: np.ndarray, w_a: np.ndarray, u_a: np.ndarray, p) -> np.ndarray:
+def _tau_spectral(a: np.ndarray, w_a: np.ndarray, u_a: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Symmetrised tau_A of PSD A = u_a diag(w_a) u_a^dagger, f(x) = x ln x.
 
     Each of the two terms is checked for Hermiticity against its own norm,
     of the order of ||A ln A||: their difference tau can be far smaller than
     either, and it carries their rounding.
     """
-    b = _pinched(a, w_a, p)
-    fa = _block_compress(functional_calculus(w_a, u_a, xlogx), p)
+    b = _pinched(a, w_a, inside)
+    fa = _block_compress(functional_calculus(w_a, u_a, xlogx), inside)
     fb = functional_calculus(*checked_eigh(b), xlogx)
     check_hermitian(np.stack((fa, fb)), "a term of tau")
     return symmetrised(fa - fb)
 
 
-def _tau_shifted(a: np.ndarray, p, eps: float) -> np.ndarray:
+def _tau_shifted(a: np.ndarray, inside: np.ndarray, eps: float) -> np.ndarray:
     """Symmetrised tau_{A + eps I}."""
     shifted = hermitian_stack(a + eps * np.eye(a.shape[-1]))
-    return _tau_spectral(shifted, *checked_eigh(shifted), p)
+    return _tau_spectral(shifted, *checked_eigh(shifted), inside)
 
 
-def _resolvent_integrand(a: np.ndarray, b: np.ndarray, p, t) -> np.ndarray:
+def _resolvent_integrand(a: np.ndarray, b: np.ndarray, inside: np.ndarray, t) -> np.ndarray:
     """The integrand at each t of a scalar or 1-D array t, along a new axis -3.
 
     The inverses are one stacked `inv` each, so every matrix equals the one
@@ -285,14 +280,13 @@ def _resolvent_integrand(a: np.ndarray, b: np.ndarray, p, t) -> np.ndarray:
     eye = np.eye(a.shape[-1])
     ra = np.linalg.inv(tt * eye + a[..., None, :, :])
     rb = np.linalg.inv(tt * eye + b[..., None, :, :])
-    if not isinstance(p, OrthoProjection):
-        p = p[..., None, :]
-    return tt * (_block_compress(ra, p) - rb)
+    return tt * (_block_compress(ra, inside[..., None, :]) - rb)
 
 
-def _resolvent_bounds(a: np.ndarray, w_a: np.ndarray, p, t_samples) -> tuple[np.ndarray, np.ndarray]:
+def _resolvent_bounds(a: np.ndarray, w_a: np.ndarray, inside: np.ndarray,
+                      t_samples) -> tuple[np.ndarray, np.ndarray]:
     """(||(t+B)^{-1} A||, ||A||^{1/2} / t^{1/2}) at each sampled t, along a last axis."""
-    b = _pinched(a, w_a, p)
+    b = _pinched(a, w_a, inside)
     eye = np.eye(a.shape[-1])
     lhs = np.stack([np.linalg.norm(np.linalg.inv(t * eye + b) @ a, ord=2, axis=(-2, -1))
                     for t in t_samples], axis=-1)
@@ -303,7 +297,8 @@ def _resolvent_bounds(a: np.ndarray, w_a: np.ndarray, p, t_samples) -> tuple[np.
 def tau_spectral(a: HermitianOperator, p: OrthoProjection) -> TauResult:
     """tau via functional calculus with f(x) = x ln x (f(0) := 0)."""
     _check_dims(a, p)
-    tau = HermitianOperator(_tau_spectral(a.mat, a.eigenvalues, a.eigenvectors, p))
+    tau = HermitianOperator(p._back(_tau_spectral(p._into(a.mat), a.eigenvalues, p._vectors(a.eigenvectors),
+                                                  p.membership)))
     return TauResult(tau=tau, trace=tau.trace(), method="spectral")
 
 
@@ -313,17 +308,17 @@ def resolvent_integrand(a: HermitianOperator, b: HermitianOperator, p: OrthoProj
 
     For a 1-D array t, the (k, n, n) stack of the integrand at each t.
     """
-    out = _resolvent_integrand(a.mat, b.mat, p, t)
+    out = p._back(_resolvent_integrand(p._into(a.mat), p._into(b.mat), p.membership, t))
     return out if np.ndim(t) else out[0]
 
 
 class _BlockIntegrand:
     """The resolvent integrand of (A, P) as its two diagonal blocks.
 
-    A is taken to a basis adapted to P (coordinates reordered for a mask, P's
-    eigenbasis otherwise), the smaller of the ranges of P and 1 - P first (the
-    integrand is symmetric in the two); B and the integrand are block diagonal
-    there.  At a 1-D array t it gives the (k, p, p) and (k, q, q) stacks of the
+    A is taken to P's basis, where P is a mask, and its coordinates are
+    reordered, the smaller of the ranges of P and 1 - P first (the integrand
+    is symmetric in the two); B and the integrand are block diagonal there.
+    At a 1-D array t it gives the (k, p, p) and (k, q, q) stacks of the
     blocks: with X_P = (t + A_PP)^{-1}, X_Q = (t + A_QQ)^{-1}, W^H = X_Q A_QP,
     K = A_PQ W^H, Y = (t + A_PP - K)^{-1}, the PP and QQ blocks of (t + A)^{-1}
     are Y and X_Q + W^H Y W, so the integrand's are t X_P K Y = t (Y - X_P) and
@@ -333,18 +328,15 @@ class _BlockIntegrand:
 
     def __init__(self, a: HermitianOperator, p: OrthoProjection):
         _check_dims(a, p)
-        _require_psd(a)
-        if p.mask is None:
-            w, basis = np.linalg.eigh(p.mat)
-            first = w > 0.5
-        else:
-            first, basis = p.membership, np.eye(p.dim)
+        _check_psd(a.eigenvalues)
+        first = p.membership
         if 2 * np.count_nonzero(first) > p.dim:
             first = ~first
-        self.basis = basis[:, np.argsort(~first, kind="stable")]
+        self.p = p
+        self.order = np.eye(p.dim)[:, np.argsort(~first, kind="stable")]
         r = np.count_nonzero(first)
         self.sizes = (r, p.dim - r)
-        m = hermitian_stack(_conj_t(self.basis) @ a.mat @ self.basis)
+        m = hermitian_stack(_conj_t(self.order) @ p._into(a.mat) @ self.order)
         self.a_pp, self.a_qq = m[:r, :r].copy(), m[r:, r:].copy()
         self.a_pq, self.a_qp = m[:r, r:].copy(), m[r:, :r].copy()
         self.eye_p, self.eye_q = np.eye(r), np.eye(p.dim - r)
@@ -358,8 +350,8 @@ class _BlockIntegrand:
         return tt * (np.linalg.solve(shifted, k) @ y), tt * (w_h @ y @ _conj_t(w_h))
 
     def restore(self, m: np.ndarray) -> np.ndarray:
-        """A matrix of the adapted basis in the original coordinates."""
-        return self.basis @ m @ _conj_t(self.basis)
+        """A matrix of the reordered basis in the original coordinates."""
+        return self.p._back(self.order @ m @ _conj_t(self.order))
 
 
 def tau_integral(a: HermitianOperator, p: OrthoProjection, tol: float = 1e-8) -> TauResult:
@@ -391,40 +383,14 @@ def tau_epsilon_shift(a: HermitianOperator, p: OrthoProjection, eps: float) -> H
     if eps <= 0:
         raise ValueError("eps must be positive")
     _check_dims(a, p)
-    return HermitianOperator(_tau_shifted(a.mat, p, eps))
-
-
-def restrict_to_window(a: HermitianOperator, p: OrthoProjection, window: OrthoProjection,
-                       tol: float = 1e-10) -> tuple[HermitianOperator, OrthoProjection]:
-    """Compress (A, P) to the range of a window projection commuting with P."""
-    if commutator_norm(window, p) > tol:
-        raise ValueError("window must commute with the projection")
-    v = window.range_basis()
-    aw = HermitianOperator(v.conj().T @ a.mat @ v)
-    pw = OrthoProjection(v.conj().T @ p.mat @ v)
-    return aw, pw
-
-
-def finite_rank_monotonicity(a: HermitianOperator, p: OrthoProjection,
-                             window: OrthoProjection) -> tuple[float, float]:
-    """(Tr tau_A, Tr tau_{A_w}) for a window commuting with P; full >= windowed."""
-    _require_psd(a)
-    full = tau_spectral(a, p).trace
-    if window.rank() == 0:
-        windowed = 0.0
-    else:
-        aw, pw = restrict_to_window(a, p, window)
-        windowed = tau_spectral(aw, pw).trace
-    if full < windowed - 1e-8:
-        raise ArithmeticError(f"trace monotonicity violated: {full} < {windowed}")
-    return full, windowed
+    return HermitianOperator(p._back(_tau_shifted(p._into(a.mat), p.membership, eps)))
 
 
 def resolvent_bound_check(a: HermitianOperator, p: OrthoProjection,
                           t_samples: Sequence[float]) -> list[dict]:
     """Check ||(t+B)^{-1} A|| <= ||A||^{1/2} / t^{1/2} at each sampled t."""
     _check_dims(a, p)
-    lhs, rhs = _resolvent_bounds(a.mat, a.eigenvalues, p, t_samples)
+    lhs, rhs = _resolvent_bounds(p._into(a.mat), a.eigenvalues, p.membership, t_samples)
     return [{"t": float(t), "lhs": l, "rhs": r, "margin": r - l, "ok": l <= r + 1e-10}
             for t, l, r in zip(t_samples, lhs.tolist(), rhs.tolist())]
 
@@ -469,7 +435,7 @@ def truncated_trace(a: HermitianOperator, p: OrthoProjection, eps: float,
 
 def key_trace_bound(a: HermitianOperator, p: OrthoProjection, eps: float) -> tuple[float, float]:
     """(Tr D_eps, eps-independent bound); 0 <= Tr D_eps <= bound."""
-    _require_psd(a)
+    _check_psd(a.eigenvalues)
     d_eps = truncated_trace(a, p, eps)
     bound = key_bound_constant(a, p)
     if d_eps < -1e-8:
@@ -500,5 +466,5 @@ def tail_integral_identity_gap(a: HermitianOperator, p: OrthoProjection, tol: fl
     def xlog1p(w: np.ndarray) -> np.ndarray:
         return np.clip(w, 0.0, None) * np.log1p(np.clip(w, 0.0, None))
 
-    closed = _block_compress(a.apply(xlog1p), p) - pinch(a, p).apply(xlog1p)
+    closed = p._back(_block_compress(p._into(a.apply(xlog1p)), p.membership)) - pinch(a, p).apply(xlog1p)
     return float(np.linalg.norm(blocks.restore(tail) - closed))

@@ -47,6 +47,7 @@ def test_directory_path_usage_error(capsys, tmp_path, argv):
     ("tau-audit", "--trials", "x"),
     ("converge", "--intervals", "[[0,1],[2,3]]", "--resolutions", "-8,16"),   # read as a missing value
     ("mi", "--intervals", "[[0,1],[2,3]]", "--bogus", "1"),
+    ("mi", "--intervals", "[[0,1],[2,3]]", "--x\ty"),    # echoed unescaped by argparse
     ("fan-audit", "--format", "xml"),
     (),
 ])
@@ -358,6 +359,12 @@ class TestReportHelpers:
 
     def test_canonical_json_float_format(self):
         assert canonical_json(0.1) == "0.10000000000000001"
+
+    def test_canonical_json_escapes_control_characters(self):
+        text = "tab\there\nline\x01\x1f \\ \" \u00e9\u2203"
+        out = canonical_json({"detail": text})
+        assert json.loads(out) == {"detail": text}
+        assert "\u00e9\u2203" in out and "\\u0001" in out    # non-ASCII kept as is
 
     def test_canonical_json_inf(self):
         assert canonical_json(float("inf")) == '"inf"'

@@ -16,14 +16,23 @@ from hypothesis import strategies as st  # noqa: E402
 from araki_mi import audits, fermion  # noqa: E402
 from araki_mi.cli import main  # noqa: E402
 
+# Text draws mix in control characters: JSON must escape them wherever a
+# diagnostic echoes text, as argparse echoes an unrecognized argument.
+_CHARACTERS = st.characters() | st.sampled_from("\t\n\x01")
+
+
+def _text(max_size: int):
+    return st.text(_CHARACTERS, max_size=max_size)
+
+
 # Payloads for `mi --input`: each field well formed, malformed or missing.
 # Finite numbers stay in [-1, 1] (resolution up to 100), so any accepted
 # geometry has at most about 210 lattice sites and no example runs a large
 # eigensolve; oversized requests are covered by the pre-allocation tests only.
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-_WRONG_TYPES = st.one_of(st.none(), st.booleans(), st.text(max_size=3), _NON_FINITE)
+_WRONG_TYPES = st.one_of(st.none(), st.booleans(), _text(3), _NON_FINITE)
 _GARBAGE = st.recursive(st.one_of(_WRONG_TYPES, st.integers(-1, 1), st.floats(-1.0, 1.0)), lambda inner: st.one_of(
-    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=8)
+    st.lists(inner, max_size=3), st.dictionaries(_text(3), inner, max_size=3)), max_leaves=8)
 _GEOMETRY = st.lists(st.integers(-8, 8), min_size=4, max_size=6, unique=True).map(
     lambda xs: [[x / 8 for x in sorted(xs)[i:i + 2]] for i in range(0, len(xs) - 1, 2)])
 _FIELDS = {
@@ -58,7 +67,7 @@ def _is_int(text: str) -> bool:
 # (trials <= 3, k <= 4), huge ones are refused before anything is spawned or
 # allocated, and anything int() rejects is a usage error with the JSON diagnostic.
 _NOT_A_NUMBER = st.one_of(st.sampled_from(["", "1.5", "1e3", "nan", "inf", "0x10", "--", "-x"]),
-                          st.text(max_size=4).filter(lambda s: not _is_int(s)))
+                          _text(4).filter(lambda s: not _is_int(s)))
 _TRIALS = st.one_of(st.integers(-3, 3), st.integers(audits.MAX_TRIALS + 1, 10**40), _NOT_A_NUMBER)
 _SEED = st.one_of(st.integers(-3, 10), st.integers(2**64, 2**200), st.integers(-2**200, -2**64), _NOT_A_NUMBER)
 _K = st.one_of(st.integers(-3, 4), st.integers(audits.MAX_K + 1, 10**40), _NOT_A_NUMBER)
@@ -69,7 +78,7 @@ _K = st.one_of(st.integers(-3, 4), st.integers(audits.MAX_K + 1, 10**40), _NOT_A
 # entries of any type, ragged, and garbage.  Huge entries stay below 2**200, so
 # json.dumps never meets the interpreter's limit on int-to-str digits.
 _ENTRY = st.one_of(st.integers(-3, 3), st.integers(-2**200, 2**200), st.floats(), st.booleans(), st.none(),
-                   st.text(max_size=2))
+                   _text(2))
 _SIDE = st.integers(1, 6)
 _POSITIVE = st.tuples(_SIDE.flatmap(lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
                                                       min_size=n, max_size=n)),
@@ -159,13 +168,15 @@ class TestWindowFractions:
 class TestAuditFlags:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(command=st.sampled_from(["tau-audit", "fan-audit", "index-analog"]), trials=_TRIALS,
-           seed=st.none() | _SEED, k=st.none() | _K)
-    def test_every_flag_value_reaches_a_documented_exit(self, command, trials, seed, k):
+           seed=st.none() | _SEED, k=st.none() | _K, extra=st.none() | _text(3))
+    def test_every_flag_value_reaches_a_documented_exit(self, command, trials, seed, k, extra):
         argv = [command, "--trials", str(trials)]
         if seed is not None:
             argv += ["--seed", str(seed)]
         if k is not None and command == "index-analog":
             argv += ["--k", str(k)]
+        if extra is not None:   # a positional argument no parser knows, echoed by argparse
+            argv.append("x" + extra)
         assert_documented_audit_exit(*run_cli(argv))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from araki_mi import audits, spectral
 from araki_mi.operators import OrthoProjection
-from araki_mi.rand import random_block_projection, random_projection, random_unitary
+from araki_mi.rand import random_block_projection, random_unitary
 from araki_mi.spectral import (
     SingularProfile,
     SmoothKernelSpec,
@@ -17,7 +17,6 @@ from araki_mi.spectral import (
     half_power_summability_diagnostic,
     offdiag_half_trace,
     singular_profile,
-    smooth_kernel_matrix,
 )
 
 
@@ -128,18 +127,6 @@ class TestOffdiagHalfTrace:
             assert np.array_equal(f1, pm @ f @ qm + qm @ f @ pm)
             assert np.array_equal(corner, pm @ f @ pm)
 
-    def test_dense_projection_uses_products(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        f = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        p = random_projection(rng, 6, 2)
-        monkeypatch.setattr(OrthoProjection, "membership",
-                            property(lambda self: pytest.fail("selector used")))
-        pm = p.mat
-        qm = np.eye(6) - pm
-        f1, corner = self._compressions(f, p, monkeypatch)
-        assert f1.tobytes() == (pm @ f @ qm + qm @ f @ pm).tobytes()
-        assert corner.tobytes() == (pm @ f @ pm).tobytes()
-
 
 def pairwise_kernel(symbol, pts):
     n = pts.shape[0]
@@ -191,42 +178,16 @@ class TestDifferenceKernel:
         full_grid_kernel(spec)
         assert spec.symbol.calls == 2 * 16 - 1
 
-    @pytest.mark.parametrize("cube_side,grid,dims,r1,r2", [
-        (1.3, 12, 1, [0, 1, 2, 7], [4, 5, 10]),
-        (1.0, 5, 2, [(0, 0), (0, 1), (1, 1)], [(3, 3), (4, 2)]),
-    ])
-    def test_smooth_kernel_blocks_unchanged(self, cube_side, grid, dims, r1, r2):
-        symbol = cosine_symbol(cube_side)
-        spec = SmoothKernelSpec(cube_side=cube_side, grid=grid, dims=dims, symbol=symbol)
-        blocks = smooth_kernel_matrix(spec, r1, r2)
-        idx = np.asarray(r1 + r2, dtype=int).reshape(len(r1) + len(r2), dims)
-        expected = pairwise_kernel(symbol, idx * (cube_side / grid))
-        n1 = len(r1)
-        assert np.array_equal(blocks.full, expected)
-        assert np.array_equal(blocks.block12, expected[:n1, n1:])
-        assert blocks.p1.mask == tuple(range(n1))
-
 
 class TestSmoothKernel:
-    def test_zero_symbol(self):
-        spec = SmoothKernelSpec(cube_side=1.0, grid=16, dims=1, symbol=lambda x: 0.0 + 0.0j)
-        blocks = smooth_kernel_matrix(spec, range(0, 4), range(8, 12))
-        assert np.all(blocks.full == 0.0)
-
     def test_cosine_symbol_rank_two(self):
         spec = SmoothKernelSpec(cube_side=1.0, grid=32, dims=1,
                                 symbol=lambda x: complex(math.cos(2 * math.pi * float(x[0]))))
-        blocks = smooth_kernel_matrix(spec, range(0, 8), range(16, 24))
-        mu = singular_profile(blocks.full).values
+        mu = singular_profile(full_grid_kernel(spec)).values
         assert mu[2] <= 1e-10 * mu[0]
         # Fourier oracle: a single cosine mode carries exactly two frequencies
         fe = np.abs(fourier_eigenvalues(spec))
         assert np.count_nonzero(fe > 1e-9 * fe.max()) == 2
-
-    def test_overlapping_regions_rejected(self):
-        spec = SmoothKernelSpec(cube_side=1.0, grid=16, dims=1, symbol=lambda x: 0.0j)
-        with pytest.raises(ValueError):
-            smooth_kernel_matrix(spec, range(0, 5), range(4, 8))
 
     def test_rejects_nonperiodic_symbol(self):
         with pytest.raises(ValueError):
@@ -244,15 +205,6 @@ class TestSmoothKernel:
         dense = np.sort(np.abs(np.linalg.eigvalsh(full_grid_kernel(spec).real)))[::-1]
         fe = np.sort(np.abs(fourier_eigenvalues(spec)))[::-1]
         assert np.max(np.abs(dense - fe)) <= 1e-8
-
-    def test_two_dimensional_kernel(self):
-        spec = SmoothKernelSpec(cube_side=1.0, grid=8, dims=2,
-                                symbol=gaussian_bump_symbol(1.0, 0.25, images=3))
-        r1 = [(0, 0), (0, 1), (1, 0)]
-        r2 = [(5, 5), (5, 6)]
-        blocks = smooth_kernel_matrix(spec, r1, r2)
-        assert blocks.full.shape == (5, 5)
-        assert blocks.block12.shape == (3, 2)
 
 
 class TestHalfPowerDiagnostic:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from araki_mi import audits, tau
+from araki_mi import audits, spectral, tau
 from araki_mi.operators import HermitianOperator, OrthoProjection, xlogx
 from araki_mi.rand import (gaussian_matrix, psd_from_factor, random_block_projection, random_projection,
                            random_psd, random_unitary)
@@ -58,17 +58,68 @@ class TestBlockCompress:
             p = random_block_projection(rng, dim)
             pm = p.mat
             qm = np.eye(dim) - pm
-            assert np.array_equal(tau._block_compress(m, p), pm @ m @ pm + qm @ m @ qm)
+            assert np.array_equal(tau._block_compress(m, p.membership), pm @ m @ pm + qm @ m @ qm)
 
-    def test_dense_projection_uses_products(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        p = random_projection(rng, 6, 3)
-        monkeypatch.setattr(OrthoProjection, "membership",
-                            property(lambda self: pytest.fail("selector used")))
-        pm = p.mat
-        qm = np.eye(6) - pm
-        assert tau._block_compress(m, p).tobytes() == (pm @ m @ pm + qm @ m @ qm).tobytes()
+
+def test_dense_projection_is_unitarily_covariant():
+    # A dense Q = U P U^dagger is a mask in its eigenbasis: at (U A U^dagger, Q), pinch, both routes
+    # to tau and the shifted tau give U (result at (A, P)) U^dagger; the resolvent bound's left side
+    # and the half-power traces are invariant
+    rng = np.random.default_rng(39)
+    for _ in range(20):
+        dim = int(rng.integers(2, 10))
+        a, p, u = random_psd(rng, dim), random_block_projection(rng, dim), random_unitary(rng, dim)
+        turned = lambda m: u @ m @ u.conj().T
+        ua, q = HermitianOperator(turned(a.mat)), OrthoProjection(turned(p.mat))
+        assert q.basis is not None and q.rank() == p.rank()
+        assert np.linalg.norm(tau.pinch(ua, q).mat - turned(tau.pinch(a, p).mat)) <= 1e-12
+        # the quadrature's own tolerance for tau_integral: its adaptive rule may split differently
+        for route, bound in ((tau.tau_spectral, 1e-12), (tau.tau_integral, 1e-8)):
+            assert np.linalg.norm(route(ua, q).tau.mat - turned(route(a, p).tau.mat)) <= bound
+        shifted = tau.tau_epsilon_shift(ua, q, 0.01).mat - turned(tau.tau_epsilon_shift(a, p, 0.01).mat)
+        assert np.linalg.norm(shifted) <= 1e-12
+        for turned_row, row in zip(tau.resolvent_bound_check(ua, q, [0.1, 10.0]),
+                                   tau.resolvent_bound_check(a, p, [0.1, 10.0])):
+            assert turned_row["lhs"] == pytest.approx(row["lhs"], rel=1e-12)
+        # F1 has rank at most 2 min(p, q): its other singular values, zero in exact arithmetic,
+        # come out up to about eps ||F|| on either side, and their square roots up to about 1e-8
+        f = gaussian_matrix(rng, dim, dim)
+        assert spectral.offdiag_half_trace(turned(f), q) == pytest.approx(spectral.offdiag_half_trace(f, p),
+                                                                          abs=1e-7)
+
+
+class TestOrthoProjection:
+    def test_dense_projection_is_a_mask_in_its_eigenbasis(self):
+        rng = np.random.default_rng(40)
+        p = random_projection(rng, 6, 2)
+        assert p.rank() == 2 and np.count_nonzero(p.membership) == 2
+        v = p.basis[:, p.membership]
+        assert np.linalg.norm(v @ v.conj().T - p.mat) <= 1e-12
+
+    @pytest.mark.parametrize("make", [HermitianOperator, OrthoProjection])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_matrix_refused(self, make, value):
+        # a NaN Hermiticity defect used to pass the check; eigh then failed to converge, or a
+        # NaN matrix became a projection
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not Hermitian"):
+            make(np.eye(3) * value)
+
+    def test_non_idempotent_matrix_refused(self):
+        with pytest.raises(ValueError, match="not idempotent"):
+            OrthoProjection(np.diag([1.0, 0.5]))
+
+    @pytest.mark.parametrize("indices, message", [
+        ([1.7], "must be integers"),    # int(1.7) used to keep coordinate 1
+        ([0, 2.0], "must be integers"),
+        ([True], "must be integers"),
+        ([np.True_], "must be integers"),
+        (["1"], "must be integers"),
+        ([4], "out of range"),
+        ([0, -1], "out of range"),
+    ])
+    def test_mask_refuses_bad_indices(self, indices, message):
+        with pytest.raises(ValueError, match=message):
+            OrthoProjection.from_mask(4, indices)
 
 
 class TestTauSpectral:
@@ -185,47 +236,6 @@ class TestEpsilonShift:
         a, p = hand_instance()
         with pytest.raises(ValueError):
             tau.tau_epsilon_shift(a, p, 0.0)
-
-
-class TestFiniteRankMonotonicity:
-    def test_identity_window(self):
-        rng = np.random.default_rng(7)
-        a = random_psd(rng, 6)
-        p = random_block_projection(rng, 6)
-        full, windowed = tau.finite_rank_monotonicity(a, p, OrthoProjection(np.eye(6)))
-        assert full == pytest.approx(windowed, abs=1e-10)
-
-    def test_zero_window(self):
-        rng = np.random.default_rng(8)
-        a = random_psd(rng, 6)
-        p = random_block_projection(rng, 6)
-        full, windowed = tau.finite_rank_monotonicity(a, p, OrthoProjection(np.zeros((6, 6))))
-        assert windowed == 0.0
-        assert full >= -1e-8
-
-    def test_nested_windows(self):
-        rng = np.random.default_rng(9)
-        a = random_psd(rng, 12)
-        p = OrthoProjection.from_mask(12, range(6))
-        w1 = OrthoProjection.from_mask(12, [2, 3, 8, 9])
-        w2 = OrthoProjection.from_mask(12, [1, 2, 3, 4, 7, 8, 9, 10])
-        full, v1 = tau.finite_rank_monotonicity(a, p, w1)
-        _, v2 = tau.finite_rank_monotonicity(a, p, w2)
-        assert v1 <= v2 + 1e-8
-        assert v2 <= full + 1e-8
-
-    def test_rejects_noncommuting_window(self):
-        rng = np.random.default_rng(10)
-        a = random_psd(rng, 4)
-        p = OrthoProjection.from_mask(4, [0, 1])
-        v = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2)
-        w = OrthoProjection(np.outer(v, v))
-        v2 = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2)
-        bad = OrthoProjection(np.outer(v2, v2))
-        with pytest.raises(ValueError):
-            tau.finite_rank_monotonicity(a, p, bad)
-        # sanity: a commuting non-block window is accepted
-        tau.finite_rank_monotonicity(a, p, w)
 
 
 class TestResolventBound:
@@ -628,7 +638,7 @@ class TestGK21Quadrature:
 
     def test_quadratures_solve_and_invert_only(self, monkeypatch):
         # regression guard: the integral route takes no eigendecomposition of A, B or their
-        # blocks, so it stays independent of tau_spectral; P's eigh is its only eigensolve
+        # blocks, so it stays independent of tau_spectral, and a dense P is diagonalized once, when built
         calls, in_quadrature = [], []
         for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals", "inv", "solve", "qr", "cholesky"):
             def call(m, *args, original=getattr(np.linalg, name), name=name, **kwargs):
@@ -647,14 +657,14 @@ class TestGK21Quadrature:
         rng = np.random.default_rng(38)
         a = random_psd(rng, 9)
         a.eigenvalues  # the PSD check reads them: decomposed here, its calls cleared below
-        mask, dense = random_block_projection(rng, 9), random_projection(rng, 9, 4)
+        mask = random_block_projection(rng, 9)
+        dense = random_projection(rng, 9, 4)  # P's eigh runs here, at construction
+        assert [name for name, m in calls if m is dense.mat] == ["eigh"]
         calls.clear()
         tau.tau_integral(a, mask)
         tau.truncated_trace(a, mask, 0.01)
-        assert {name for name, _ in calls} == {"solve", "inv"}
-        calls.clear()
         tau.tau_integral(a, dense)
-        assert [m is dense.mat for name, m in calls if name not in ("solve", "inv")] == [True]
+        assert {name for name, _ in calls} == {"solve", "inv"}
         tau.tail_integral_identity_gap(a, mask)  # its closed form, after the quadrature, diagonalizes B
         assert in_quadrature == [{"solve", "inv"}] * 4
 
