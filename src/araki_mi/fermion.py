@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,29 +104,23 @@ class CovarianceSystem:
     the entry for sites s and t is tables[i][j][s - t - lowest[i][j]], the
     symmetrised kernel at separation s - t.  A window keeps a sub-run of each
     run and the tables.  ArithmeticError unless every even separation other
-    than 0 holds 0 and separation 0 holds 1/2 (the sublattice structure).
+    than 0 holds 0, separation 0 holds 1/2 and every odd separation has real
+    part 0 (the sublattice structure, with a purely imaginary even x odd block).
     """
 
     runs: Tuple[Tuple[int, int], ...]           # (first site, sites) of each run
     split: int                                  # the first `split` runs form region 1
     tables: Tuple[Tuple[np.ndarray, ...], ...]  # complex, one per ordered pair of runs
     lowest: Tuple[Tuple[int, ...], ...]         # the separation at index 0 of each table
-    part: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        odd_real = odd_imag = False
         for i, (row, lows) in enumerate(zip(self.tables, self.lowest)):
             for j, (table, lo) in enumerate(zip(row, lows)):
                 even, odd = table[lo % 2::2], table[(lo + 1) % 2::2]
                 zero = -lo if i == j else None      # index of separation 0
-                if np.count_nonzero(even) != (zero is not None) or (zero is not None and table[zero] != 0.5):
+                if (np.count_nonzero(even) != (zero is not None) or (zero is not None and table[zero] != 0.5)
+                        or odd.real.any()):
                     raise ArithmeticError("covariance breaks the sublattice structure")
-                odd_real = odd_real or bool(odd.real.any())
-                odd_imag = odd_imag or bool(odd.imag.any())
-        # The part, real (0) or imaginary (1), that holds every entry of the even x odd block,
-        # or None for both: an imaginary block, as the lattice's is, has the singular values
-        # of its imaginary part, a real matrix, so its SVD runs in real arithmetic.
-        object.__setattr__(self, "part", None if odd_real and odd_imag else int(not odd_real))
 
     @property
     def size(self) -> int:
@@ -175,18 +169,15 @@ def _kernel_tables(runs: Sequence[Tuple[int, int]]):
     table per ordered pair of runs, never one over the whole span.  Bit for
     bit the entries of (K + K^H) / 2, whose signed zeros the bits of S_12
     depend on (zhetrd, the tridiagonal reduction of eigh and of
-    `_eigh_eigenvalues`, reads them).  ArithmeticError unless sym(-d) = conj sym(d).
+    `_eigh_eigenvalues`, reads them).  sym(-d) = conj sym(d) exactly: float
+    addition commutes and conj is exact.
     """
     tables, lowest = [], []
     for si, ni in runs:
         row, lows = [], []
         for sj, nj in runs:
             d = np.arange(si - (sj + nj - 1), si + ni - sj)
-            kd, km = _kernel(d), _kernel(-d)
-            table = 0.5 * (kd + km.conj())
-            if not np.array_equal(0.5 * (km + kd.conj()), table.conj()):
-                raise ArithmeticError("covariance kernel is not Hermitian")
-            row.append(table)
+            row.append(0.5 * (_kernel(d) + _kernel(-d).conj()))
             lows.append(int(d[0]))
         tables.append(tuple(row))
         lowest.append(tuple(lows))
@@ -221,7 +212,6 @@ def hardy_kernel(sites: np.ndarray) -> np.ndarray:
 
     Entry (i, j) is sym(s_i - s_j), filled for every row from the tables of
     `_kernel_tables` over the runs of consecutive sites, in Fortran order.
-    ArithmeticError unless sym(-d) = conj sym(d).
     """
     edges = np.r_[0, np.flatnonzero(np.diff(sites) != 1) + 1, sites.size]
     runs = [(int(sites[a]), int(b - a)) for a, b in zip(edges, edges[1:])]
@@ -289,10 +279,11 @@ def _sublattice_singular_values(sys: CovarianceSystem, ws: np.ndarray, region: O
     The Hardy kernel couples only sites of opposite parity, so C and each
     region block is [[I/2, B], [B^H, I/2]] in the parity split (checked on
     the tables by CovarianceSystem), and its spectrum is 1/2 +- svd(B),
-    padded with 1/2.  B is copied from the tables in the arithmetic of
-    `sys.part`.
+    padded with 1/2.  B is purely imaginary (also checked there), so it has
+    the singular values of its imaginary part, a real matrix copied from the
+    tables, and the SVD runs in real arithmetic.
     """
-    b = _block(sys, ws, _shares(sys, region, 0), _shares(sys, region, 1), sys.part)
+    b = _block(sys, ws, _shares(sys, region, 0), _shares(sys, region, 1), part=1)
     return np.linalg.svd(b, compute_uv=False), abs(b.shape[0] - b.shape[1])
 
 

@@ -117,11 +117,7 @@ class RationalEmbedding:
 
     @property
     def k(self) -> int:
-        denom = 1
-        for row in self.rows:
-            for v in row:
-                denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        return denom
+        return math.lcm(*(v.denominator for row in self.rows for v in row))
 
     def inner(self, i: int, j: int) -> Fraction:
         return sum((length * self.rows[i][s] * self.rows[j][s]

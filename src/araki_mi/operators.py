@@ -37,14 +37,10 @@ def _conj_t(m: np.ndarray) -> np.ndarray:
 def _frobenius(m: np.ndarray):
     """Frobenius norm of a matrix, or of each matrix of a (..., n, n) stack.
 
-    For tolerance tests only: the stacked sum, one einsum over the real and
-    imaginary parts side by side, runs in another order than np.linalg.norm's
-    dot, so its last bits can differ.  A single matrix keeps np.linalg.norm:
-    einsum on the strided real and imaginary parts of a large one raised the
-    peak RSS of a 300-site mi run by about 1 MiB.
+    For tolerance tests only: one einsum over the real and imaginary parts
+    side by side, which runs in another order than np.linalg.norm's dot, so
+    its last bits can differ.
     """
-    if m.ndim == 2:
-        return np.linalg.norm(m)
     v = np.ascontiguousarray(m).view(np.float64)
     return np.sqrt(np.einsum("...ij,...ij->...", v, v))
 
@@ -230,12 +226,17 @@ def spectral_norms(w: np.ndarray) -> np.ndarray:
 def xlogx(w) -> np.ndarray:
     """Elementwise w ln w with 0 ln 0 := 0, the kernel of every entropy here.
 
-    Entries in [-ENTROPY_SLACK, 0] are rounding noise and give 0; a more
+    Entries in [-ENTROPY_SLACK * max(1, max |w|), 0], the scale taken per
+    spectrum along the last axis, are rounding noise and give 0 (eigh finds
+    a zero eigenvalue only to about machine epsilon times the norm); a more
     negative entry raises ArithmeticError.
     """
     w = np.asarray(w, dtype=float)
-    if w.size and w.min() < -ENTROPY_SLACK:
-        raise ArithmeticError(f"eigenvalue {w.min():.3e} below the x ln x slack")
+    if w.size and w.min() < -ENTROPY_SLACK:       # within the slack at any scale otherwise
+        v = np.atleast_1d(w)
+        low = v < -ENTROPY_SLACK * np.maximum(1.0, np.abs(v).max(axis=-1, keepdims=True))
+        if low.any():
+            raise ArithmeticError(f"eigenvalue {v[low].min():.3e} below the x ln x slack")
     pos = w > 0.0
     return np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0)
 

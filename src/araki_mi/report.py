@@ -18,13 +18,7 @@ class AuditReport:
     rows: list = field(default_factory=list)
 
     def to_payload(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "rows": self.rows,
-        }
+        return dict(vars(self))
 
 
 def _fmt_float(x: float) -> str:

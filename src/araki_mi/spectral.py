@@ -170,12 +170,8 @@ def full_grid_kernel(spec: SmoothKernelSpec) -> np.ndarray:
 
 def fourier_eigenvalues(spec: SmoothKernelSpec) -> np.ndarray:
     """Eigenvalues of the full-grid kernel via the DFT of one row of samples."""
-    axis = np.arange(spec.grid) * (spec.cube_side / spec.grid)
-    grids = np.meshgrid(*([axis] * spec.dims), indexing="ij")
-    samples = np.empty([spec.grid] * spec.dims, dtype=complex)
-    for idx in np.ndindex(*samples.shape):
-        samples[idx] = spec.symbol(np.array([g[idx] for g in grids]))
-    return np.fft.fftn(samples).ravel()
+    samples = np.array([spec.symbol(x) for x in spec.grid_points()], dtype=complex)
+    return np.fft.fftn(samples.reshape([spec.grid] * spec.dims)).ravel()
 
 
 def fit_decay_slope(values: np.ndarray, n_lo: int, n_hi: int, floor: float = 1e-13) -> float:

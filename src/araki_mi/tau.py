@@ -198,7 +198,7 @@ def _integrate_matrix(f: Callable[[np.ndarray], tuple], sizes: tuple[int, ...], 
         rows, blocks = f(x)
         out = np.zeros((x.size, 2, ends[-1]))
         for block, start, stop in zip(blocks, ends, ends[1:]):
-            part = block.reshape(-1, stop - start)
+            part = block.reshape(len(block), stop - start)
             out[rows, 0, start:stop] = part.real
             out[rows, 1, start:stop] = part.imag
         return out.reshape(x.size, -1)
@@ -217,7 +217,6 @@ def _integrate_matrix(f: Callable[[np.ndarray], tuple], sizes: tuple[int, ...], 
 class TauResult:
     tau: HermitianOperator
     trace: float
-    method: str  # "spectral" or "integral"
     quadrature_error_estimate: Optional[float] = None
 
 
@@ -299,7 +298,7 @@ def tau_spectral(a: HermitianOperator, p: OrthoProjection) -> TauResult:
     _check_dims(a, p)
     tau = HermitianOperator(p._back(_tau_spectral(p._into(a.mat), a.eigenvalues, p._vectors(a.eigenvectors),
                                                   p.membership)))
-    return TauResult(tau=tau, trace=tau.trace(), method="spectral")
+    return TauResult(tau=tau, trace=tau.trace())
 
 
 def resolvent_integrand(a: HermitianOperator, b: HermitianOperator, p: OrthoProjection,
@@ -333,10 +332,11 @@ class _BlockIntegrand:
         if 2 * np.count_nonzero(first) > p.dim:
             first = ~first
         self.p = p
-        self.order = np.eye(p.dim)[:, np.argsort(~first, kind="stable")]
+        order = np.argsort(~first, kind="stable")
+        self.order = np.ix_(order, order)
         r = np.count_nonzero(first)
         self.sizes = (r, p.dim - r)
-        m = hermitian_stack(_conj_t(self.order) @ p._into(a.mat) @ self.order)
+        m = hermitian_stack(p._into(a.mat)[self.order])
         self.a_pp, self.a_qq = m[:r, :r].copy(), m[r:, r:].copy()
         self.a_pq, self.a_qp = m[:r, r:].copy(), m[r:, :r].copy()
         self.eye_p, self.eye_q = np.eye(r), np.eye(p.dim - r)
@@ -351,7 +351,9 @@ class _BlockIntegrand:
 
     def restore(self, m: np.ndarray) -> np.ndarray:
         """A matrix of the reordered basis in the original coordinates."""
-        return self.p._back(self.order @ m @ _conj_t(self.order))
+        out = np.empty_like(m)
+        out[self.order] = m
+        return self.p._back(out)
 
 
 def tau_integral(a: HermitianOperator, p: OrthoProjection, tol: float = 1e-8) -> TauResult:
@@ -375,7 +377,7 @@ def tau_integral(a: HermitianOperator, p: OrthoProjection, tol: float = 1e-8) ->
     m, err = _integrate_matrix(f, blocks.sizes, 0.0, 1.0, tol, 100 * max(tol, 1e-12), "tau")
     m = blocks.restore(m)
     tau = HermitianOperator(0.5 * (m + m.conj().T))
-    return TauResult(tau=tau, trace=tau.trace(), method="integral", quadrature_error_estimate=err)
+    return TauResult(tau=tau, trace=tau.trace(), quadrature_error_estimate=err)
 
 
 def tau_epsilon_shift(a: HermitianOperator, p: OrthoProjection, eps: float) -> HermitianOperator:

@@ -192,24 +192,28 @@ class TestSigmaTrace:
         assert sigma_trace(blocked) == pytest.approx(0.0, abs=1e-10)
 
     def test_toy_half_offdiagonal(self):
-        assert sigma_trace(toy_system(0.5)) == pytest.approx(2 * LN2, abs=1e-10)
+        assert sigma_trace(toy_system(0.5j)) == pytest.approx(2 * LN2, abs=1e-10)
 
     def test_toy_quarter_offdiagonal(self):
         # 2 h(1/2) - h(3/4) - h(1/4), frozen from 40-digit evaluation
         expected = 0.2616240718822739182584036124674354208202
-        assert sigma_trace(toy_system(0.25)) == pytest.approx(expected, abs=1e-12)
         assert sigma_trace(toy_system(0.25j)) == pytest.approx(expected, abs=1e-12)
+        assert sigma_trace(toy_system(-0.25j)) == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("offdiag,dtype", [(0.25, np.float64), (0.25j, np.float64),
-                                               (0.25 * np.exp(1j * np.pi / 5), np.complex128)])
-    def test_check_svd_arithmetic(self, monkeypatch, offdiag, dtype):
-        # real and imaginary off-diagonals take the real SVD, a genuinely complex one the complex SVD
+    def test_check_svd_arithmetic(self, monkeypatch):
+        # the imaginary off-diagonal's check takes the real SVD of its imaginary part
         svd, seen = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda b, **kw: seen.append((b.shape, b.dtype)) or svd(b, **kw))
+        monkeypatch.setattr(np.linalg, "svd", lambda b, **kw: seen.append(b.copy()) or svd(b, **kw))
         expected = 0.2616240718822739182584036124674354208202
-        assert sigma_trace(toy_system(offdiag)) == pytest.approx(expected, abs=1e-12)
+        assert sigma_trace(toy_system(0.25j)) == pytest.approx(expected, abs=1e-12)
         # the 1 x 1 even-odd block of C; the regions' blocks are empty
-        assert [d for shape, d in seen if shape == (1, 1)] == [np.dtype(dtype)]
+        assert [(b.dtype, b.tolist()) for b in seen if b.shape == (1, 1)] == [(np.float64, [[0.25]])]
+
+    @pytest.mark.parametrize("offdiag", [0.25, 0.25 * np.exp(1j * np.pi / 5)], ids=["real", "complex"])
+    def test_refuses_an_offdiagonal_with_a_real_part(self, offdiag):
+        # the sublattice check: every odd-separation entry of the tables is purely imaginary
+        with pytest.raises(ArithmeticError, match="sublattice"):
+            toy_system(offdiag)
 
     @pytest.mark.parametrize("perturb", [
         lambda w: w + np.r_[1e-6, np.zeros(w.size - 1)],             # moves the trace
@@ -301,7 +305,7 @@ class TestSigmaTrace:
     def test_spectrum_escaping_unit_interval_raises(self):
         # spectrum 1/2 -+ 0.6 = (-0.1, 1.1): no covariance of a quasi-free state
         with pytest.raises(ArithmeticError, match="escapes"):
-            sigma_trace(toy_system(0.6))
+            sigma_trace(toy_system(0.6j))
 
     def test_region_swap_symmetry(self):
         a = mutual_information_value(IntervalConfig(intervals=STANDARD, resolution=16))
@@ -494,7 +498,6 @@ class TestPinnedEigenvalues:
         for wsys in systems:
             ws = workspace(wsys)
             sites = system_sites(wsys)
-            assert wsys.part == 1          # every odd-separation entry is imaginary
             for region, rows in zip((0, 1, None), [*region_rows(wsys), np.arange(sites.size)]):
                 gathered = [row_of[s] for s in sites[rows]]
                 block = fermion._square_block(wsys, ws, region)
@@ -539,6 +542,12 @@ class TestEntropyKernel:
     def test_xlogx_rejects_negative_beyond_slack(self):
         with pytest.raises(ArithmeticError):
             xlogx(np.array([0.5, -1e-7]))
+
+    def test_xlogx_slack_scales_with_each_spectrum(self):
+        # -1e-8 max(1, max |w|) along the last axis: eigh's zero eigenvalues of a large PSD matrix pass
+        assert xlogx(np.array([-0.5, 1e8]))[0] == 0.0
+        with pytest.raises(ArithmeticError, match="-1.000e-07"):
+            xlogx(np.array([[-0.5, 1e8], [-1e-7, 1.0]]))
 
     def test_binary_entropy_sum_matches_scalar_reference(self):
         w = np.random.default_rng(12).uniform(0.0, 1.0, size=257)

@@ -151,6 +151,16 @@ class TestTauSpectral:
             q = np.eye(dim) - p.mat
             assert np.linalg.norm(p.mat @ t @ q) <= 1e-10
 
+    @pytest.mark.parametrize("scale", [1e8, 1e9])
+    def test_large_rank_deficient_psd_matches_integral(self, scale):
+        # A = s M M^H / 3 is PSD of rank 3; eigh returns its zero eigenvalues down to -3.1e-8 at
+        # s = 1e8 and -1.1e-6 at 1e9, which _check_psd accepts (-1e-10 ||A||), and so does x ln x
+        a = HermitianOperator(scale * psd_from_factor(gaussian_matrix(np.random.default_rng(3), 6, 3)))
+        p = OrthoProjection.from_mask(6, [0, 2, 4])
+        assert a.eigenvalues[0] < -1e-8
+        spectral_ = tau.tau_spectral(a, p).tau.mat
+        assert np.linalg.norm(spectral_ - tau.tau_integral(a, p, tol=1e-8 * scale).tau.mat) <= 3e-11 * scale
+
     def test_near_commuting_wide_spectrum(self):
         # tau_A is decades below its two terms P A ln A P + (1-P) A ln A (1-P) and B ln B, each
         # Hermitian only to about eps ||A ln A||; judged against ||tau||, 26 of these 30 raised
@@ -498,6 +508,17 @@ class TestBlockIntegrand:
             for x, got, bound in zip(t.tolist(), assembled(blocks, t), bounds):
                 ref = exact_integrand(a, p.membership, x)
                 assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
+
+    def test_integrals_of_rank_zero_and_full_rank_vanish(self):
+        # one of the two blocks is empty and the other's integrand is 0, as tau_spectral's tau is
+        a = random_psd(np.random.default_rng(37), 4)
+        for p in (OrthoProjection.from_mask(4, []), OrthoProjection.from_mask(4, range(4))):
+            assert tau._BlockIntegrand(a, p).sizes == (0, 4)
+            assert not tau.tau_integral(a, p).tau.mat.any()
+            assert tau.truncated_trace(a, p, 0.1) == 0.0
+            assert tau.key_trace_bound(a, p, 0.1) == (0.0, 0.0)
+            assert tau.tail_integral_identity_gap(a, p) == 0.0
+            assert tau.tau_spectral(a, p).trace == 0.0
 
     def test_integrals_reject_non_psd_and_mismatch(self):
         for a, p in ((HermitianOperator(np.diag([1.0, -1.0])), OrthoProjection.from_mask(2, [0])),
