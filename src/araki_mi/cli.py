@@ -38,40 +38,40 @@ def _write(text: str, out) -> None:
         out.write(text)
 
 
-def _load_json_arg(inline: str | None, path: str | None, flag: str):
+def _load_json(inline: str | None, path: str | None):
     if inline is not None:
         return json.loads(inline)
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    raise ValueError(f"{flag} required")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-def _field(payload: dict, name: str, flag: str):
-    """payload[name]; a usage error naming the field if the JSON object lacks it."""
-    if name not in payload:
-        raise ValueError(f'{flag} JSON object has no "{name}" field')
-    return payload[name]
+def _fields(payload: dict, flag: str, names: tuple[str, ...]) -> dict:
+    """payload, if it holds names[0] and no field outside `names`; else a usage error naming the field."""
+    if names[0] not in payload:
+        raise ValueError(f'{flag} JSON object has no "{names[0]}" field')
+    unread = [name for name in payload if name not in names]
+    if unread:
+        raise ValueError(f"{flag} JSON object has fields no code reads: {', '.join(map(json.dumps, unread))}")
+    return payload
 
 
-def _interval_config(args) -> fermion.IntervalConfig:
-    if args.input:
-        payload = _load_json_arg(None, args.input, "--input")
+def _interval_config(args, resolution: float) -> fermion.IntervalConfig:
+    """From --intervals, or from the --input object, whose fields override the flags."""
+    if args.input is None:
+        payload = {"intervals": json.loads(args.intervals)}
+    else:
+        payload = _load_json(None, args.input)
         if not isinstance(payload, dict):
             raise ValueError('--input must hold a JSON object {"intervals": ...}')
-        intervals = _field(payload, "intervals", "--input")
-        resolution = payload.get("resolution", args.resolution)
-        components = payload.get("components", args.components)
-    else:
-        intervals = _load_json_arg(args.intervals, None, "--intervals")
-        resolution = args.resolution
-        components = args.components
-    return fermion.IntervalConfig(intervals=intervals, resolution=resolution, components=components)
+        # converge reads its resolutions from --resolutions only
+        _fields(payload, "--input", ("intervals", "components") + (("resolution",) if args.command == "mi" else ()))
+    return fermion.IntervalConfig(intervals=payload["intervals"], resolution=payload.get("resolution", resolution),
+                                  components=payload.get("components", args.components))
 
 
 def cmd_mi(args) -> int:
-    cfg = _interval_config(args)
-    fractions = [float(f) for f in args.fractions.split(",")] if args.fractions else [0.25, 0.5, 0.75, 1.0]
+    cfg = _interval_config(args, args.resolution)
+    fractions = [float(f) for f in args.fractions.split(",")] if args.fractions is not None else [0.25, 0.5, 0.75, 1.0]
     series = fermion.mi_convergence(cfg, fractions)
     if args.format == "csv":
         _write(csv_lines(("window", "value"), zip(series.window_sizes, series.values)), args.out)
@@ -87,9 +87,8 @@ def cmd_mi(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    cfg = _interval_config(args)
     resolutions = [float(r) for r in args.resolutions.split(",")]
-    study = fermion.resolution_study(cfg, resolutions)
+    study = fermion.resolution_study(_interval_config(args, resolutions[0]), resolutions)
     if args.format == "csv":
         _write(csv_lines(("resolution", "value"), zip(study["resolutions"], study["values"])), args.out)
     else:
@@ -117,9 +116,9 @@ def cmd_fan_audit(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    gram_payload = _load_json_arg(args.gram, args.input, "--gram")
+    gram_payload = _load_json(args.gram, args.input)
     if isinstance(gram_payload, dict):
-        gram_payload = _field(gram_payload, "gram", "--gram" if args.gram is not None else "--input")
+        gram_payload = _fields(gram_payload, "--gram" if args.gram is not None else "--input", ("gram",))["gram"]
     g = lattice.GramMatrix(gram_payload)
     emb = lattice.embed_rational(g)
     k, int_rows = lattice.integralize(emb)
@@ -147,6 +146,9 @@ def cmd_index_analog(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):   # no abbreviated flags; the subcommands' parsers are _Parsers too
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):   # raised, so that main writes the JSON diagnostic
         raise ValueError(f"{self.prog}: {message}")
 
@@ -162,18 +164,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
+    def source(p, inline, example, fields):     # the inline flag or an --input file, not both
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument(inline, help=f'inline JSON, e.g. "{example}"')
+        group.add_argument("--input", help=f"JSON file {{{fields}}}")
+
     p = sub.add_parser("mi", help="mutual information for two disjoint intervals")
-    p.add_argument("--intervals", help='inline JSON, e.g. "[[0,1],[2,3]]"')
-    p.add_argument("--input", help="JSON config file")
+    source(p, "--intervals", "[[0,1],[2,3]]", '"intervals": [...], "resolution": r, "components": c')
     p.add_argument("--resolution", type=float, default=64)
     p.add_argument("--components", type=int, default=1)
     p.add_argument("--fractions", help="comma-separated window fractions ending at 1")
     common(p)
 
     p = sub.add_parser("converge", help="resolution study with Richardson extrapolation")
-    p.add_argument("--intervals")
-    p.add_argument("--input")
-    p.add_argument("--resolution", type=float, default=64)
+    source(p, "--intervals", "[[0,1],[2,3]]", '"intervals": [...], "components": c')
     p.add_argument("--components", type=int, default=1)
     p.add_argument("--resolutions", default="32,64,128,256")
     common(p)
@@ -188,11 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     common(p)
 
-    p = sub.add_parser("embed", help="exact rational embedding of an integral lattice")
-    p.add_argument("--gram", help='inline JSON matrix, e.g. "[[2,-1],[-1,2]]"')
-    p.add_argument("--input", help='JSON file {"gram": [[...], ...]}')
+    p = sub.add_parser("embed", help="exact rational embedding of an integral lattice (JSON output)")
+    source(p, "--gram", "[[2,-1],[-1,2]]", '"gram": [[...], ...]')
     p.add_argument("--dense-limit", type=int, default=512)
-    common(p)
+    p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("index-analog", help="entropy/index gap on random states")
     p.add_argument("--k", type=int, default=2)

@@ -153,9 +153,8 @@ def embed_rational(g: GramMatrix) -> RationalEmbedding:
             dot = sum((segments[s] * rows[j][s] * proj[s] for s in range(j)), Fraction(0))
             proj.append((gm[step][j] - dot) / residuals[j].numerator)
         proj_sq = sum((length * proj[s] ** 2 for s, length in enumerate(segments)), Fraction(0))
+        # a Schur complement of g, so positive: GramMatrix has checked g by Sylvester's criterion
         residual = Fraction(gm[step][step]) - proj_sq
-        if residual <= 0:
-            raise ValueError(f"nonpositive residual {residual} at step {step + 1}: input not positive definite")
         p, q = residual.numerator, residual.denominator
         for row in rows:
             row.append(Fraction(0))
@@ -177,17 +176,8 @@ def embed_rational(g: GramMatrix) -> RationalEmbedding:
 
 def integralize(e: RationalEmbedding) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """Minimal integer k with k A_i integral, and the segment values of k A_i."""
-    k = e.k
-    int_rows = []
-    for row in e.rows:
-        scaled = []
-        for v in row:
-            kv = k * v
-            if kv.denominator != 1:
-                raise ArithmeticError("lcm scaling failed to clear a denominator")
-            scaled.append(kv.numerator)
-        int_rows.append(tuple(scaled))
-    return k, tuple(int_rows)
+    k = e.k     # the lcm of the denominators, so every k * v is an integer
+    return k, tuple(tuple((k * v).numerator for v in row) for row in e.rows)
 
 
 def sublattice_index(g: GramMatrix, k: int) -> int:
@@ -209,22 +199,13 @@ def is_even(g: GramMatrix) -> bool:
 def exact_ldl_pivots(g: GramMatrix) -> List[Fraction]:
     """Pivots (Schur complements) of the exact LDL^T decomposition of g.
 
-    Independent cross-check: the step residuals of embed_rational must equal
-    these pivots.
+    The m-th pivot is the ratio of the leading principal minors of orders m
+    and m - 1, read from the Bareiss pass that validates g.  Independent
+    cross-check: the step residuals of embed_rational, found by forward
+    substitution, must equal these pivots.
     """
-    n = g.n
-    a = [[Fraction(g.entries[i][j]) for j in range(n)] for i in range(n)]
-    pivots = []
-    for k in range(n):
-        piv = a[k][k]
-        if piv <= 0:
-            raise ValueError("matrix is not positive definite")
-        pivots.append(piv)
-        for i in range(k + 1, n):
-            factor = a[i][k] / piv
-            for j in range(k, n):
-                a[i][j] -= factor * a[k][j]
-    return pivots
+    minors = list(_bareiss_pivots(g.entries))
+    return [Fraction(m, prev) for prev, m in zip([1, *minors], minors)]
 
 
 ROOT_LATTICE_GRAMS = {

@@ -176,6 +176,8 @@ def fourier_eigenvalues(spec: SmoothKernelSpec) -> np.ndarray:
 
 def fit_decay_slope(values: np.ndarray, n_lo: int, n_hi: int, floor: float = 1e-13) -> float:
     """Least-squares slope of log mu_n vs log n over indices [n_lo, n_hi] (1-based)."""
+    if n_lo < 1:
+        raise ValueError(f"indices are 1-based: n_lo must be at least 1, got {n_lo!r}")
     v = np.asarray(values, dtype=float)
     scale = v[0] if v.size and v[0] > 0 else 1.0
     ns, ys = [], []

@@ -323,11 +323,15 @@ class _BlockIntegrand:
     are Y and X_Q + W^H Y W, so the integrand's are t X_P K Y = t (Y - X_P) and
     t W^H Y W.  X_Q and X_P enter only through thin products, so they are
     solves; Y is the one inverse, and no block is a difference of inverses.
+    `scale`, max(1, ||A||), scales the quadratures' error budgets: the
+    integrand and its rounding grow with ||A||, so a budget absolute in tol
+    refuses large A that the integral resolves.
     """
 
     def __init__(self, a: HermitianOperator, p: OrthoProjection):
         _check_dims(a, p)
         _check_psd(a.eigenvalues)
+        self.scale = max(1.0, a.operator_norm())
         first = p.membership
         if 2 * np.count_nonzero(first) > p.dim:
             first = ~first
@@ -374,7 +378,7 @@ def tau_integral(a: HermitianOperator, p: OrthoProjection, tol: float = 1e-8) ->
         x = s[live] / r
         return live, [block * (2.0 * x / (r * r)).reshape(-1, 1, 1) for block in blocks(x * x)]
 
-    m, err = _integrate_matrix(f, blocks.sizes, 0.0, 1.0, tol, 100 * max(tol, 1e-12), "tau")
+    m, err = _integrate_matrix(f, blocks.sizes, 0.0, 1.0, tol, 100 * max(tol, 1e-12) * blocks.scale, "tau")
     m = blocks.restore(m)
     tau = HermitianOperator(0.5 * (m + m.conj().T))
     return TauResult(tau=tau, trace=tau.trace(), quadrature_error_estimate=err)
@@ -382,8 +386,8 @@ def tau_integral(a: HermitianOperator, p: OrthoProjection, tol: float = 1e-8) ->
 
 def tau_epsilon_shift(a: HermitianOperator, p: OrthoProjection, eps: float) -> HermitianOperator:
     """tau_{A + eps I}; always <= tau_A in the PSD order."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     _check_dims(a, p)
     return HermitianOperator(p._back(_tau_shifted(p._into(a.mat), p.membership, eps)))
 
@@ -391,6 +395,8 @@ def tau_epsilon_shift(a: HermitianOperator, p: OrthoProjection, eps: float) -> H
 def resolvent_bound_check(a: HermitianOperator, p: OrthoProjection,
                           t_samples: Sequence[float]) -> list[dict]:
     """Check ||(t+B)^{-1} A|| <= ||A||^{1/2} / t^{1/2} at each sampled t."""
+    if not all(0 < t < math.inf for t in t_samples):
+        raise ValueError(f"every t must be positive and finite, got {list(t_samples)!r}")
     _check_dims(a, p)
     lhs, rhs = _resolvent_bounds(p._into(a.mat), a.eigenvalues, p.membership, t_samples)
     return [{"t": float(t), "lhs": l, "rhs": r, "margin": r - l, "ok": l <= r + 1e-10}
@@ -431,13 +437,12 @@ def truncated_trace(a: HermitianOperator, p: OrthoProjection, eps: float,
         t = eps ** (1.0 - v)
         return slice(None), [block * (-math.log(eps) * t).reshape(-1, 1, 1) for block in blocks(t)]
 
-    d, _ = _integrate_matrix(f, blocks.sizes, 0.0, 1.0, tol, 100 * max(tol, 1e-12), "D_eps")
+    d, _ = _integrate_matrix(f, blocks.sizes, 0.0, 1.0, tol, 100 * max(tol, 1e-12) * blocks.scale, "D_eps")
     return float(np.trace(d.real))
 
 
 def key_trace_bound(a: HermitianOperator, p: OrthoProjection, eps: float) -> tuple[float, float]:
     """(Tr D_eps, eps-independent bound); 0 <= Tr D_eps <= bound."""
-    _check_psd(a.eigenvalues)
     d_eps = truncated_trace(a, p, eps)
     bound = key_bound_constant(a, p)
     if d_eps < -1e-8:
@@ -463,7 +468,7 @@ def tail_integral_identity_gap(a: HermitianOperator, p: OrthoProjection, tol: fl
         v2 = v[live] * v[live]
         return live, [block * (2.0 / (v2 * v[live])).reshape(-1, 1, 1) for block in blocks(1.0 / v2)]
 
-    tail, _ = _integrate_matrix(f, blocks.sizes, 0.0, 1.0, tol, 100 * tol, "tail")
+    tail, _ = _integrate_matrix(f, blocks.sizes, 0.0, 1.0, tol, 100 * tol * blocks.scale, "tail")
 
     def xlog1p(w: np.ndarray) -> np.ndarray:
         return np.clip(w, 0.0, None) * np.log1p(np.clip(w, 0.0, None))

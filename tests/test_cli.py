@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import araki_mi
-from araki_mi import audits, fermion, rand
+from araki_mi import audits, cli, fermion, rand
 from araki_mi.cli import build_parser, main
 from araki_mi.fermion import IntervalConfig, mi_convergence
 from araki_mi.report import AuditReport, canonical_json, csv_lines
@@ -106,6 +107,114 @@ class TestSharedParser:
         assert [call(argv) for argv in argvs] == singles
         assert build_parser.cache_info().misses == 1
         assert [code for code, *_ in singles] == ([2, 0] if name.startswith("usage") else [0, 0])
+
+
+class TestEveryFlagIsRead:
+    """A small request of each subcommand reads every dest of its parser: a flag no code reads changes no answer."""
+
+    REQUESTS = {
+        "mi": ["--intervals", "[[0,1],[2,3]]", "--resolution", "8"],
+        "converge": ["--intervals", "[[0,1],[2,3]]", "--resolutions", "8,16"],
+        "tau-audit": ["--trials", "1"],
+        "fan-audit": ["--trials", "1"],
+        "embed": ["--gram", "[[2]]"],
+        "index-analog": ["--trials", "1"],
+    }
+
+    @staticmethod
+    def subparsers():
+        parser = build_parser()
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_every_subcommand_has_a_request(self):
+        assert set(self.subparsers()) == set(self.REQUESTS)
+
+    @pytest.mark.parametrize("command", list(REQUESTS))
+    def test_every_dest_is_read(self, capsys, monkeypatch, command):
+        reads = set()
+
+        class RecordingNamespace(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        class RecordingParser:
+            def parse_args(self, argv):
+                return RecordingNamespace(**vars(build_parser().parse_args(argv)))
+
+        monkeypatch.setattr(cli, "build_parser", RecordingParser)
+        assert main([command, *self.REQUESTS[command]]) == 0
+        actions = self.subparsers()[command]._actions
+        assert {a.dest for a in actions if a.default is not argparse.SUPPRESS} - reads == set()
+
+
+class TestNoSecondSpelling:
+    """Usage errors for inputs that no code would read, and for a flag given in two ways."""
+
+    @staticmethod
+    def config(tmp_path, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        return str(cfg)
+
+    def usage_detail(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        return json.loads(err)["detail"]
+
+    @pytest.mark.parametrize("value", ["5", "0", "1e9"])
+    def test_converge_has_no_resolution_flag(self, capsys, value):
+        # it was parsed, validated and dropped; abbreviated, it would rebind to --resolutions
+        detail = self.usage_detail(capsys, "converge", "--intervals", "[[0,1],[2,3]]", "--resolution", value)
+        assert "unrecognized arguments: --resolution" in detail
+
+    def test_converge_input_refuses_a_resolution_field(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, {"intervals": [[0, 1], [2, 3]], "resolution": 8})
+        assert '"resolution"' in self.usage_detail(capsys, "converge", "--input", cfg, "--resolutions", "8,16")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_embed_has_no_format_flag(self, capsys, fmt):
+        # embed writes JSON whatever the flag said
+        detail = self.usage_detail(capsys, "embed", "--gram", "[[2,-1],[-1,2]]", "--format", fmt)
+        assert "unrecognized arguments: --format" in detail
+
+    def test_misspelt_input_field_is_named(self, capsys, tmp_path):
+        # it ran at the default resolution 64
+        cfg = self.config(tmp_path, {"intervals": [[0, 1], [2, 3]], "resolutoin": 128})
+        assert '"resolutoin"' in self.usage_detail(capsys, "mi", "--input", cfg)
+
+    def test_inline_gram_object_field_is_named(self, capsys):
+        assert '"name"' in self.usage_detail(capsys, "embed", "--gram", '{"gram": [[2]], "name": "A1"}')
+
+    def test_empty_fractions_is_a_value(self, capsys):
+        # it ran the default four windows
+        self.usage_detail(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "8", "--fractions", "")
+
+    @pytest.mark.parametrize("argv", [
+        ("mi", "--intervals", "[[0,1],[2,3]]", "--res", "8", "--frac", "1"),
+        ("converge", "--intervals", "[[0,1],[2,3]]", "--resolution", "8,16"),
+        ("index-analog", "--tri", "1"),
+        ("embed", "--gram", "[[2]]", "--dense", "4"),
+    ])
+    def test_abbreviated_flag_refused(self, capsys, argv):
+        assert "unrecognized arguments" in self.usage_detail(capsys, *argv)
+
+    @pytest.mark.parametrize("command,inline", [("mi", "[[0,1],[2,3]]"), ("converge", "[[0,1],[2,3]]"),
+                                                ("embed", "[[2]]")])
+    def test_two_sources_refused(self, capsys, tmp_path, command, inline):
+        flag = "--gram" if command == "embed" else "--intervals"
+        cfg = self.config(tmp_path, {flag[2:]: json.loads(inline)})
+        assert "not allowed with" in self.usage_detail(capsys, command, flag, inline, "--input", cfg)
+
+    @pytest.mark.parametrize("command", ["mi", "converge", "embed"])
+    def test_no_source_refused(self, capsys, command):
+        assert "is required" in self.usage_detail(capsys, command)
+
+    def test_input_field_overrides_its_flag(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, {"intervals": [[0, 1], [2, 3]], "resolution": 8, "components": 2})
+        from_input = run(capsys, "mi", "--input", cfg, "--resolution", "16", "--components", "1")
+        from_flags = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "8", "--components", "2")
+        assert from_input == from_flags and from_input[0] == 0
 
 
 class TestMICommand:

@@ -488,6 +488,21 @@ class TestPinnedEigenvalues:
                 assert np.array_equal(bits(_eigvalsh_eigenvalues(block)), bits(expected))
 
     @pytest.mark.parametrize("intervals,resolution", SYSTEMS)
+    def test_hardy_kernel_equals_the_kernel_written_out(self, intervals, resolution):
+        # hardy_kernel is built by the tables and copies it checks; here sym(d) = (k(d) + conj k(-d)) / 2
+        # is evaluated at every d = s_i - s_j directly, with k(0) = 1/2, k(d) = -i/(pi d) at odd d, else 0
+        def k(d):
+            odd = d % 2 != 0
+            out = np.where(d == 0, 0.5, 0.0).astype(complex)
+            out[odd] = -1j / (math.pi * d[odd])
+            return out
+
+        for wsys in self.systems_with_windows(intervals, resolution):
+            sites = system_sites(wsys)
+            d = sites[:, None] - sites[None, :]
+            assert np.array_equal(bits(hardy_kernel(sites)), bits(0.5 * (k(d) + np.conj(k(-d)))))
+
+    @pytest.mark.parametrize("intervals,resolution", SYSTEMS)
     def test_blocks_copied_from_tables_are_gathers_of_the_kernel(self, intervals, resolution):
         # regions, windows, the parity blocks of each region, B and C, signed zeros included
         systems = self.systems_with_windows(intervals, resolution)

@@ -148,6 +148,20 @@ class TestEmbedRational:
         g = root_lattice(name)
         assert list(embed_rational(g).residuals) == exact_ldl_pivots(g)
 
+    def test_pivots_equal_a_fraction_elimination(self):
+        # the pivots come from the Bareiss minors; an LDL^T elimination in Fractions is the oracle
+        def eliminated(g):
+            a = [[Fraction(x) for x in row] for row in g.entries]
+            for k in range(g.n):
+                for i in range(k + 1, g.n):
+                    factor = a[i][k] / a[k][k]
+                    a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+            return [a[k][k] for k in range(g.n)]
+
+        rng = np.random.default_rng(7)
+        for g in [root_lattice(name) for name in ROOT_NAMES] + [random_gram(rng, n) for n in range(1, 7)]:
+            assert exact_ldl_pivots(g) == eliminated(g)
+
     def test_random_corpus(self):
         rng = np.random.default_rng(42)
         for _ in range(30):

@@ -199,6 +199,11 @@ class TestSmoothKernel:
         prof = singular_profile(full_grid_kernel(spec))
         assert fit_decay_slope(prof.values, 5, 32) <= -6.0
 
+    def test_decay_fit_refuses_index_zero(self):
+        # index 0 read v[-1] and raised "math domain error"
+        with pytest.raises(ValueError, match="1-based"):
+            fit_decay_slope(np.linspace(1.0, 0.1, 10), 0, 5)
+
     def test_fourier_diagonalization_matches_dense(self):
         spec = SmoothKernelSpec(cube_side=2.0, grid=48, dims=1,
                                 symbol=gaussian_bump_symbol(2.0, 0.3))

@@ -172,7 +172,21 @@ class TestTauSpectral:
             assert abs(res.trace - closed) <= 1e-13 * np.linalg.norm(xlogx(a.eigenvalues))
 
 
+def large_psd(scale):
+    """A = s M M^H (M a 6 x 3 complex Gaussian from seed 3), rank 3, with the mask [0, 2, 4]."""
+    m = gaussian_matrix(np.random.default_rng(3), 6, 3)
+    return HermitianOperator(scale * (m @ m.conj().T)), OrthoProjection.from_mask(6, [0, 2, 4])
+
+
 class TestTauIntegral:
+    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    def test_default_tol_resolves_large_psd(self, scale):
+        # the error budgets scale with max(1, ||A||); absolute ones raised ConvergenceError here
+        a, p = large_psd(scale)
+        gap = np.linalg.norm(tau.tau_integral(a, p).tau.mat - tau.tau_spectral(a, p).tau.mat)
+        assert gap <= 1e-11 * scale
+        assert tau.tail_integral_identity_gap(a, p) <= 1e-11 * scale
+
     def test_commuting_gives_zero(self):
         a, p = commuting_instance()
         assert np.linalg.norm(tau.tau_integral(a, p).tau.mat) <= 1e-8
@@ -247,6 +261,13 @@ class TestEpsilonShift:
         with pytest.raises(ValueError):
             tau.tau_epsilon_shift(a, p, 0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        # refused by name, not as "matrix is not Hermitian (defect nan)"
+        a, p = hand_instance()
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            tau.tau_epsilon_shift(a, p, eps)
+
 
 class TestResolventBound:
     def test_identity_case(self):
@@ -261,6 +282,13 @@ class TestResolventBound:
         rows = tau.resolvent_bound_check(a, p, [0.01])
         assert rows[0]["rhs"] == pytest.approx(math.sqrt(2) * 10, abs=1e-10)
         assert rows[0]["ok"]
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_t_not_positive_and_finite(self, t):
+        # NaN reached the SVD, which raised LinAlgError
+        a, p = hand_instance()
+        with pytest.raises(ValueError, match="every t must be positive and finite"):
+            tau.resolvent_bound_check(a, p, [1.0, t])
 
     def test_randomized_battery(self):
         rep = audits.resolvent_audit(trials=100, seed=20)
