@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -211,7 +212,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         # Opened, like a shell redirection, before the command runs, so that an
         # unwritable path is refused before the work rather than after it.
-        path = args.output
+        # Opening would truncate the --input file unread, so -o naming it is refused.
+        path, source = args.output, getattr(args, "input", None)
+        if None not in (path, source) and all(map(os.path.exists, (path, source))) and os.path.samefile(path, source):
+            raise ValueError(f"--output {path!r} names the --input file, which would be truncated before it is read")
         with nullcontext() if path in (None, "-") else open(path, "w", encoding="utf-8") as out:
             args.out = out
             # Looked up by name at call time, so the cached parser holds no command function.

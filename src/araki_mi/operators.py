@@ -45,23 +45,18 @@ def _frobenius(m: np.ndarray):
     return np.sqrt(np.einsum("...ij,...ij->...", v, v))
 
 
-def check_hermitian(m: np.ndarray, what: str = "matrix") -> None:
-    """ValueError unless each matrix of a complex (..., n, n) stack is Hermitian to
-    HERMITICITY_TOL relative to max(1, its Frobenius norm)."""
-    defect = _frobenius(m - _conj_t(m))
-    if not (defect <= HERMITICITY_TOL * np.maximum(1.0, _frobenius(m))).all():    # NaN fails too
-        raise ValueError(f"{what} is not Hermitian (defect {np.max(defect):.3e})")
-
-
 def symmetrised(m: np.ndarray) -> np.ndarray:
     """(m + m^dagger) / 2 of a matrix or of each matrix of a stack."""
     return 0.5 * (m + _conj_t(m))
 
 
 def hermitian_stack(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Symmetrised copy of a complex (..., n, n) stack; ValueError unless each is Hermitian to HERMITICITY_TOL."""
+    """Symmetrised copy of a complex (..., n, n) stack; ValueError unless each matrix is
+    Hermitian to HERMITICITY_TOL relative to max(1, its Frobenius norm)."""
     # The conjugate is formed twice so that no full-size copy outlives its use.
-    check_hermitian(m, what)
+    defect = _frobenius(m - _conj_t(m))
+    if not (defect <= HERMITICITY_TOL * np.maximum(1.0, _frobenius(m))).all():    # NaN fails too
+        raise ValueError(f"{what} is not Hermitian (defect {np.max(defect):.3e})")
     return symmetrised(m)
 
 

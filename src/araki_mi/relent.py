@@ -204,14 +204,10 @@ def entropy_index_gap(k: int, rho: DensityMatrix, e: TraceExpectation) -> tuple[
 def _entropy_index_gaps(rho: np.ndarray, w_rho: np.ndarray, e: TraceExpectation) -> np.ndarray:
     """S(rho, rho.E) of a state or a stack of states on k (x) k with eigenvalues w_rho.
 
-    ArithmeticError if one exceeds the index bound ln(k^2).
+    Returned as computed: the caller compares it with the index bound ln(k^2).
     """
     _, w_sigma, u_sigma = _density_stack(conditional_expectation(rho, e))
-    s = _relative_entropies(rho, w_rho, w_sigma, u_sigma)
-    bound = math.log(e.shape.total)
-    if np.any(s > bound + 1e-8):
-        raise ArithmeticError(f"index bound violated: {np.max(s)} > ln(k^2) = {bound}")
-    return s
+    return _relative_entropies(rho, w_rho, w_sigma, u_sigma)
 
 
 def pimsner_popa_margin(a: np.ndarray, e: TraceExpectation) -> float:

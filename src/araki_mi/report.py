@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import Any, Iterable, Sequence
 
@@ -39,8 +38,6 @@ def canonical_json(obj: Any) -> str:
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
-    if isinstance(obj, Fraction):
-        return f'"{obj.numerator}/{obj.denominator}"'
     if isinstance(obj, str):    # control characters escaped, non-ASCII kept as is
         return encode_basestring(obj)
     if isinstance(obj, dict):

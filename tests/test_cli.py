@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import araki_mi
-from araki_mi import audits, cli, fermion, rand
+from araki_mi import audits, cli, fermion, rand, relent, spectral, tau
 from araki_mi.cli import build_parser, main
 from araki_mi.fermion import IntervalConfig, mi_convergence
 from araki_mi.report import AuditReport, canonical_json, csv_lines
@@ -216,6 +216,19 @@ class TestNoSecondSpelling:
         from_flags = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "8", "--components", "2")
         assert from_input == from_flags and from_input[0] == 0
 
+    @pytest.mark.parametrize("command,payload,argv", [
+        ("mi", {"intervals": [[0, 1], [2, 3]]}, ("--resolution", "8")),
+        ("embed", {"gram": [[2, -1], [-1, 2]]}, ()),
+    ])
+    def test_output_naming_the_input_file_refused(self, capsys, tmp_path, command, payload, argv):
+        # opening -o truncated the --input file before the command read it; the path is spelt
+        # differently, so the refusal compares files, not strings
+        cfg = self.config(tmp_path, payload)
+        before = Path(cfg).read_bytes()
+        detail = self.usage_detail(capsys, command, "--input", cfg, *argv, "-o", str(tmp_path / "." / "cfg.json"))
+        assert "--output" in detail and "--input" in detail
+        assert Path(cfg).read_bytes() == before
+
 
 class TestMICommand:
     def test_json_output(self, capsys):
@@ -295,6 +308,14 @@ class TestMICommand:
             assert (code, out) == (2, "")
             assert "endpoint" in json.loads(err)["detail"]
 
+    def test_decreasing_window_series_is_numerical(self, capsys, monkeypatch):
+        values = iter((0.3, 0.2, 0.25, 0.26))
+        monkeypatch.setattr(fermion, "sigma_trace", lambda sys: next(values))
+        code, out, err = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "8")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "numerical"
+        assert "nondecreasing" in json.loads(err)["detail"]
+
     def test_one_fraction_reports_infinite_error(self, capsys):
         code, out, _ = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "16",
                            "--fractions", "1")
@@ -334,6 +355,31 @@ class TestAuditCommands:
         code, out, _ = run(capsys, "index-analog", "--k", "2", "--trials", "20", "--seed", "1")
         assert code == 0
         assert all(rep["violations"] == 0 for rep in json.loads(out))
+
+    # One kernel per suite shifted past its bound: every trial is a violation, counted by the
+    # audit and reported as exit 1, never raised by the kernel as a numerical failure.
+    SHIFTED_KERNELS = [
+        ("tau-audit", "pinch", tau, "_pinched", lambda f: lambda *a: f(*a) + 10.0),
+        ("tau-audit", "epsilon_shift", tau, "_tau_shifted",
+         lambda f: lambda a, *r: f(a, *r) + 10.0 * np.eye(len(a[0]))),
+        ("tau-audit", "resolvent_bound", tau, "_resolvent_bounds", lambda f: lambda *a: (f(*a)[0] + 10.0, f(*a)[1])),
+        ("tau-audit", "integrand_psd", tau, "_resolvent_integrand",
+         lambda f: lambda a, *r: f(a, *r) - 10.0 * np.eye(len(a[0]))),
+        ("fan-audit", "fan_inequality", spectral, "_fan_margins", lambda f: lambda *a: f(*a) - 10.0),
+        ("fan-audit", "half_power_bound", spectral, "HALF_POWER_CONST", lambda c: 0.1),
+        ("index-analog", "entropy_index_gap", relent, "_relative_entropies", lambda f: lambda *a: f(*a) + 10.0),
+        ("index-analog", "pimsner_popa", relent, "_pimsner_popa_margins", lambda f: lambda *a: f(*a) - 10.0),
+    ]
+
+    @pytest.mark.parametrize("command,suite,module,name,shifted", SHIFTED_KERNELS,
+                             ids=[case[1] for case in SHIFTED_KERNELS])
+    def test_every_suite_reports_violations_as_exit_1(self, capsys, monkeypatch, command, suite, module, name,
+                                                      shifted):
+        monkeypatch.setattr(module, name, shifted(getattr(module, name)))
+        code, out, _ = run(capsys, command, "--trials", "5")
+        assert code == 1
+        report = next(rep for rep in json.loads(out) if rep["suite"] == suite)
+        assert report["violations"] == report["trials"] == 5
 
     def test_negative_trials_usage_error(self, capsys):
         assert_usage_error(capsys, "fan-audit", "--trials", "-1")

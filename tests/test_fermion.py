@@ -28,6 +28,7 @@ from araki_mi.fermion import (
     sigma_trace,
 )
 from araki_mi.operators import _eigh_eigenvalues, _eigvalsh_eigenvalues, xlogx
+from araki_mi.relent import BipartiteShape, DensityMatrix, mutual_information
 
 LN2 = math.log(2.0)
 STANDARD = ((0.0, 1.0), (2.0, 3.0))
@@ -575,10 +576,9 @@ class TestEntropyKernel:
 
     def test_binary_entropy_sum_range_check(self):
         assert fermion._binary_entropy_sums(np.array([])) == [0.0]
-        with pytest.raises(ArithmeticError, match="outside"):
-            fermion._binary_entropy_sums(np.array([0.5, 1.0 + 1e-7]))
-        with pytest.raises(ArithmeticError, match="outside"):
-            fermion._binary_entropy_sums(np.array([0.5]), np.array([-1e-7]))
+        # sigma_trace checks the spectrum of C against [0, 1]; here rounding outside it is clamped
+        assert fermion._binary_entropy_sums(np.array([0.5, 1.0 + 1e-7]), np.array([-1e-7])) == \
+            fermion._binary_entropy_sums(np.array([0.5, 1.0]), np.array([0.0]))
 
     def test_binary_entropy_sums_equal_one_spectrum_at_a_time(self):
         # the kernel before it took several spectra: two x ln x passes per spectrum
@@ -695,6 +695,51 @@ class TestContinuumOracle:
         study = resolution_study(IntervalConfig(intervals=intervals, resolution=16, split=split),
                                  [16, 32, 64, 128])
         assert abs(study["extrapolated"] - continuum_mi(intervals, split)) <= study["uncertainty"]
+
+
+def jordan_wigner_annihilators(n: int) -> list[np.ndarray]:
+    """c_j = Z (x) ... (x) Z (x) sigma^- (x) 1 (x) ... (x) 1 on n modes, mode 0 the leftmost factor."""
+    z, lower = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])
+    ops = []
+    for j in range(n):
+        c = np.ones((1, 1))
+        for factor in [z] * j + [lower] + [np.eye(2)] * (n - j - 1):
+            c = np.kron(c, factor)
+        ops.append(c)
+    return ops
+
+
+class TestFockSpaceOracle:
+    """The paper's definition end to end: the Gaussian state of C on Fock space through relent.
+
+    rho ~ exp(-sum h_ij c_i^dagger c_j) with h = ln((1 - C)/C) (Peschel, J. Phys. A 36 (2003)
+    L205) has <c_i^dagger c_j> = C_ji, and its mutual information between the modes of region
+    1 (the first 2^n1 tensor factor) and the rest is an independent route to sigma_trace.
+    """
+
+    @pytest.mark.parametrize("intervals,resolution", [
+        (((0, 1), (2, 3)), 4),
+        (((0, 1), (1.5, 2.5)), 4),
+        (((0, 0.75), (1.25, 2), (2.5, 3.25)), 3),
+    ])
+    def test_relative_entropy_route_equals_sigma_trace(self, intervals, resolution):
+        cfg = IntervalConfig(intervals=intervals, resolution=resolution)
+        sys = build_covariance(cfg)
+        n, n1 = sys.size, sum(count for _, count in sys.runs[:sys.split])
+        assert n <= 8                           # the dense Fock-space build grows as 4^n
+        c = hardy_kernel(system_sites(sys))     # region 1's sites first
+        w, u = np.linalg.eigh(c)
+        h = (u * np.log((1.0 - w) / w)) @ u.conj().T
+        ops = jordan_wigner_annihilators(n)
+        ham = sum(h[i, j] * ops[i].T @ ops[j] for i in range(n) for j in range(n))
+        e, v = np.linalg.eigh(0.5 * (ham + ham.conj().T))
+        rho = (v * np.exp(-(e - e[0]))) @ v.conj().T
+        rho = rho / np.trace(rho).real
+        two_point = np.array([[np.trace(rho @ ops[i].T @ ops[j]) for j in range(n)] for i in range(n)])
+        assert np.max(np.abs(two_point - c.T)) <= 1e-12
+        mi = mutual_information(DensityMatrix(0.5 * (rho + rho.conj().T)), BipartiteShape(2**n1, 2**(n - n1)))
+        assert mi > 1e-3
+        assert mi == pytest.approx(sigma_trace(sys), abs=1e-12)
 
 
 class TestScalingInvariance:
