@@ -409,23 +409,3 @@ def resolution_study(config: IntervalConfig, resolutions: Sequence[float]) -> di
     return {"resolutions": res, "values": values,
             "extrapolated": extrapolated, "uncertainty": err}
 
-
-def continuum_mi(intervals: Sequence[Sequence[float]], split: int = 1) -> float:
-    """Continuum mutual information, in nats, between the first `split` intervals and the rest.
-
-    Casini-Fosco-Huerta (J. Stat. Mech. 2005, arXiv:cond-mat/0505563): a
-    c = 1 Dirac fermion, which the lattice's doubled Fermi point makes this
-    model at one component, has on a union of intervals (a_i, b_i) the entropy
-
-        S = (1/3) [sum_i ln(b_i - a_i)
-                   + sum_{i<j} ln(|a_j - b_i| |b_j - a_i| / (|a_j - a_i| |b_j - b_i|))]
-
-    plus a cut-off constant per interval.  In S_1 + S_2 - S_12 only the pairs
-    with one interval in each region are left.
-    """
-    ivs = _checked_intervals(intervals, split)
-    total = 0.0
-    for a1, b1 in ivs[:split]:
-        for a2, b2 in ivs[split:]:
-            total += math.log(abs(a2 - a1) * abs(b2 - b1) / (abs(a2 - b1) * abs(b2 - a1)))
-    return total / 3.0

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterator, List, Sequence, Tuple
 
 # Most Fraction references dense_vectors will build (rank x r), whatever max_r allows.
@@ -185,11 +184,6 @@ def sublattice_index(g: GramMatrix, k: int) -> int:
     if k < 1:
         raise ValueError("k must be a positive integer")
     return k ** g.n
-
-
-def coset_count(n: int, k: int) -> int:
-    """Brute-force enumeration of Z^n / k Z^n, as an oracle for sublattice_index."""
-    return len({tuple(c % k for c in v) for v in product(range(k), repeat=n)})
 
 
 def is_even(g: GramMatrix) -> bool:

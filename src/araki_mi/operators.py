@@ -1,4 +1,4 @@
-"""Finite Hermitian operators with cached spectral data, and orthogonal projections."""
+"""Finite Hermitian operators with cached spectral data, and coordinate-mask projections."""
 
 from __future__ import annotations
 
@@ -58,11 +58,6 @@ def hermitian_stack(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     if not (defect <= HERMITICITY_TOL * np.maximum(1.0, _frobenius(m))).all():    # NaN fails too
         raise ValueError(f"{what} is not Hermitian (defect {np.max(defect):.3e})")
     return symmetrised(m)
-
-
-def hermitian_matrix(mat, what: str = "matrix") -> np.ndarray:
-    """Square complex matrix, symmetrised; ValueError unless Hermitian to HERMITICITY_TOL."""
-    return hermitian_stack(_square_complex(mat), what)
 
 
 def checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +235,7 @@ class HermitianOperator:
     """A Hermitian matrix together with its (lazily computed) eigendecomposition."""
 
     def __init__(self, mat):
-        self.mat = hermitian_matrix(mat)
+        self.mat = hermitian_stack(_square_complex(mat))
         self.dim = self.mat.shape[0]
         self._w: Optional[np.ndarray] = None
         self._u: Optional[np.ndarray] = None
@@ -273,61 +268,42 @@ class HermitianOperator:
 
 
 class OrthoProjection:
-    """Orthogonal projection, kept as a coordinate mask in a basis.
+    """Orthogonal projection onto the coordinates `mask`, a sorted index tuple.
 
-    `mask` is the sorted index tuple of the kept columns of `basis`, a
-    unitary: None for the standard basis of `from_mask`, and for a
-    projection given as a matrix its eigenvectors, from one eigh here.  The
-    dense matrix of a mask projection is built on first access to `mat`.
+    A projection given as a matrix is a mask in its own eigenbasis, and
+    everything computed here is unitarily covariant or invariant, so a caller
+    with a dense P rotates its operators to P's eigenbasis first.  `from_mask`
+    is the one constructor.
     """
-
-    def __init__(self, mat):
-        m = hermitian_matrix(mat, "projection")
-        if not np.linalg.norm(m @ m - m) <= 1e-12 * max(1.0, float(np.linalg.norm(m))):
-            raise ValueError("projection is not idempotent")
-        w, self.basis = np.linalg.eigh(m)
-        self._mat, self.dim, self.mask = m, m.shape[0], tuple(np.flatnonzero(w > 0.5).tolist())
 
     @classmethod
     def from_mask(cls, dim: int, indices: Iterable[int]) -> "OrthoProjection":
+        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 0:
+            raise ValueError(f"dim must be a non-negative integer, got {dim!r}")
         indices = list(indices)
         if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in indices):
             raise ValueError("mask indices must be integers")
         idx = tuple(sorted(set(int(i) for i in indices)))
         if idx and (idx[0] < 0 or idx[-1] >= dim):
             raise ValueError("mask indices out of range")
-        # A diagonal 0/1 matrix is Hermitian and idempotent by construction.
-        p = cls.__new__(cls)
-        p._mat, p.dim, p.mask, p.basis = None, dim, idx, None
+        p = cls()
+        p.dim, p.mask = int(dim), idx
         return p
 
     @property
     def mat(self) -> np.ndarray:
-        if self._mat is None:
-            self._mat = np.diag(self.membership.astype(complex))
-        return self._mat
+        """The dense diagonal 0/1 matrix."""
+        return np.diag(self.membership.astype(complex))
 
     @property
     def membership(self) -> np.ndarray:
-        """Boolean vector marking the kept coordinates of the basis."""
+        """Boolean vector marking the kept coordinates."""
         inside = np.zeros(self.dim, dtype=bool)
         inside[np.asarray(self.mask, dtype=int)] = True
         return inside
 
     def rank(self) -> int:
         return len(self.mask)
-
-    def _into(self, m: np.ndarray) -> np.ndarray:
-        """V^dagger m V on the last two axes, V the basis; m itself for the standard basis."""
-        return m if self.basis is None else _conj_t(self.basis) @ m @ self.basis
-
-    def _back(self, m: np.ndarray) -> np.ndarray:
-        """V m V^dagger on the last two axes, the inverse of `_into`; m itself for the standard basis."""
-        return m if self.basis is None else self.basis @ m @ _conj_t(self.basis)
-
-    def _vectors(self, u: np.ndarray) -> np.ndarray:
-        """V^dagger u, the columns of u in the basis; u itself for the standard basis."""
-        return u if self.basis is None else _conj_t(self.basis) @ u
 
     def __repr__(self):
         return f"OrthoProjection(dim={self.dim}, rank={self.rank()})"

@@ -41,11 +41,6 @@ def random_psd(rng: np.random.Generator, dim: int) -> HermitianOperator:
     return HermitianOperator(psd_from_factor(gaussian_matrix(rng, dim, dim)))
 
 
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(gaussian_matrix(rng, dim, dim))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:
     rank = dim if rank is None else rank
     return DensityMatrix(density_from_factor(gaussian_matrix(rng, dim, rank)))
@@ -55,9 +50,3 @@ def random_block_projection(rng: np.random.Generator, dim: int) -> OrthoProjecti
     """Coordinate-mask projection with rank in [1, dim-1]."""
     return OrthoProjection.from_mask(dim, np.flatnonzero(block_membership(rng, dim)))
 
-
-def random_projection(rng: np.random.Generator, dim: int, rank: int) -> OrthoProjection:
-    """General (non-block) projection of the given rank."""
-    u = random_unitary(rng, dim)
-    v = u[:, :rank]
-    return OrthoProjection(v @ v.conj().T)

@@ -183,15 +183,6 @@ def conditional_expectation(x: np.ndarray, e: TraceExpectation) -> np.ndarray:
     return np.kron(red, np.eye(shape.dim_b))
 
 
-def expectation_state(rho: DensityMatrix, e: TraceExpectation) -> DensityMatrix:
-    """Density matrix of the composed functional omega . E.
-
-    E is self-adjoint for the trace inner product, so this is just E(rho)
-    (already unit trace).
-    """
-    return DensityMatrix(conditional_expectation(rho.mat, e))
-
-
 def entropy_index_gap(k: int, rho: DensityMatrix, e: TraceExpectation) -> tuple[float, float]:
     """Relative entropy S(rho, rho.E) against the index bound ln(k^2) for k (x) k."""
     if k < 1:
@@ -210,16 +201,13 @@ def _entropy_index_gaps(rho: np.ndarray, w_rho: np.ndarray, e: TraceExpectation)
     return _relative_entropies(rho, w_rho, w_sigma, u_sigma)
 
 
-def pimsner_popa_margin(a: np.ndarray, e: TraceExpectation) -> float:
-    """Smallest eigenvalue of E(a) - a / d^2, d the traced factor dimension.
-
-    Nonnegative for PSD a: the expectation has index d^2.
-    """
-    return float(_pimsner_popa_margins(_square_complex(a), e))
-
-
 def _pimsner_popa_margins(a: np.ndarray, e: TraceExpectation) -> np.ndarray:
-    """pimsner_popa_margin of a matrix or of each matrix of a stack (one eigvalsh call)."""
+    """Smallest eigenvalue of E(a) - a / d^2, d the traced factor dimension, of a matrix or of
+    each matrix of a stack (one eigvalsh call).
+
+    Nonnegative for PSD a, as the expectation has index d^2; returned as
+    computed, so the caller decides.
+    """
     d = e.shape.dim_a if e.traced_factor == "A" else e.shape.dim_b
     diff = conditional_expectation(a, e) - a / d**2
     return np.linalg.eigvalsh(0.5 * (diff + _conj_t(diff)))[..., 0]

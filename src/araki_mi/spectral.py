@@ -15,8 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import OrthoProjection
-
 HALF_POWER_CONST = math.sqrt(2.0) + 1.0
 
 
@@ -59,25 +57,16 @@ def singular_profile(f: np.ndarray) -> SingularProfile:
 
 
 def _fan_margins(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """mu_{n+1}(F) + mu_{m+1}(G) - mu_{n+m+1}(F+G) over all valid (n, m), along a last axis."""
+    """mu_{n+1}(F) + mu_{m+1}(G) - mu_{n+m+1}(F+G) over all valid (n, m), along a last axis.
+
+    Of a pair or of stacks of pairs, returned as computed: the caller decides.
+    """
     # gesdd returns singular values nonincreasing and nonnegative, so they need no check
     mu_s = np.linalg.svd(f + g, compute_uv=False)
     mu_f = np.linalg.svd(f, compute_uv=False)
     mu_g = np.linalg.svd(g, compute_uv=False)
     n, k = np.triu_indices(mu_s.shape[-1])  # all n <= k, with m = k - n
     return mu_f[..., n] + mu_g[..., k - n] - mu_s[..., k]
-
-
-def fan_inequality_check(f: np.ndarray, g: np.ndarray, tol: float = 1e-10) -> dict:
-    """mu_{n+m+1}(F+G) <= mu_{n+1}(F) + mu_{m+1}(G) over all valid (n, m)."""
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    if f.shape != g.shape:
-        raise ValueError("shapes must match")
-    margins = _fan_margins(f, g)
-    worst = float(margins.min()) if margins.size else math.inf
-    return {"checked": int(margins.size), "violations": int(np.count_nonzero(margins < -tol)),
-            "worst_margin": worst}
 
 
 def _offdiag_half_traces(f: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,19 +79,6 @@ def _offdiag_half_traces(f: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray,
     f1 = np.where(inside[..., :, None] != inside[..., None, :], f, 0j)
     lhs = _half_power_sums(np.linalg.svd(f1, compute_uv=False))
     return lhs, HALF_POWER_CONST * _half_power_sums(np.linalg.svd(f, compute_uv=False))
-
-
-def offdiag_half_trace(f: np.ndarray, p: OrthoProjection) -> tuple[float, float]:
-    """Half-power trace of F1 = PF(1-P) + (1-P)FP against (sqrt(2)+1) Tr |F|^{1/2}.
-
-    Both sides are unitarily invariant, so F is taken to P's basis, where P
-    is a mask.
-    """
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (p.dim, p.dim):
-        raise ValueError("shape mismatch")
-    lhs, rhs = _offdiag_half_traces(p._into(f), p.membership)
-    return float(lhs), float(rhs)
 
 
 @dataclass

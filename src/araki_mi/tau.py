@@ -1,8 +1,13 @@
 """Pinching and the tau operator.
 
-For positive A and a projection P, with B = PAP + (1-P)A(1-P),
+A projection P is a coordinate mask (`OrthoProjection`).  For positive A,
+with B = PAP + (1-P)A(1-P),
 
     tau_A = P A ln A P + (1-P) A ln A (1-P) - B ln B.
+
+A projection given as a matrix is a mask in its own eigenbasis, and tau and
+the pinch are unitarily covariant, so a caller with a dense P rotates A to
+that basis first.
 
 Two evaluation routes are provided: spectral functional calculus, and the
 resolvent-integral representation
@@ -10,26 +15,21 @@ resolvent-integral representation
     tau_A = int_0^inf t ( P (t+A)^{-1} P + (1-P)(t+A)^{-1}(1-P) - (t+B)^{-1} ) dt,
 
 whose integrand is positive semidefinite (operator convexity of 1/x).  B is
-block diagonal in a basis adapted to P, and so is the integrand; the
-quadratures integrate its two diagonal blocks, from the Schur complement of
-t + A by thin solves and one inverse, without eigendecomposing A or B
+block diagonal once the coordinates are reordered, and so is the integrand;
+the quadratures integrate its two diagonal blocks, from the Schur complement
+of t + A by thin solves and one inverse, without eigendecomposing A or B
 (`_BlockIntegrand`).  The integrand changes near t = the eigenvalues of A and
 of its blocks, often decades apart, so each quadrature substitutes a map that
 spreads the decades out (t = x^2 with x = s/(1-s); eps^(1-v); 1/v^2): the 21
 tau instances of the benchmark's oracle-mix at seed 0 take 5 775 integrand
 nodes, 12 369 with the maps t = s/(1-s), t and 1/u.  `resolvent_integrand`,
-the direct definition, stays for the positivity audit and as the tests'
-oracle.  The integrals use the module's own adaptive 21-point Gauss-Kronrod
-rule (`_quad_gk21`), which follows scipy's `quad_vec` (quadrature="gk21")
-step for step, with one stacked integrand call per round.  Also here:
-tau_{A+eps} <= tau_A, the resolvent bound ||(t+B)^{-1} A|| <= ||A||^{1/2} t^{-1/2}
-and the uniform bound on Tr D_eps.
-
-Every kernel takes P as a coordinate mask.  The public functions take A (and B)
-to P's basis (`OrthoProjection._into`), where P is its mask, and map matrix
-results back: tau and the pinch are unitarily covariant, and the traces and
-norms here are invariant.  For a mask projection both maps return the array
-itself.
+the direct definition, stays as the tests' oracle.  The integrals use the
+module's own adaptive 21-point Gauss-Kronrod rule (`_quad_gk21`), which
+follows scipy's `quad_vec` (quadrature="gk21") step for step, with one
+stacked integrand call per round.  Also here: the uniform bound on Tr D_eps,
+and the stacked kernels of the audits (tau_{A+eps} <= tau_A, the resolvent
+bound ||(t+B)^{-1} A|| <= ||A||^{1/2} t^{-1/2} and the integrand's
+positivity), which return what the audit compares and leave it the decision.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -223,14 +223,13 @@ class TauResult:
 def pinch(a: HermitianOperator, p: OrthoProjection) -> HermitianOperator:
     """B = PAP + (1-P)A(1-P) = (A + UAU)/2 with U = 2P - 1."""
     _check_dims(a, p)
-    return HermitianOperator(p._back(_pinched(p._into(a.mat), a.eigenvalues, p.membership)))
+    return HermitianOperator(_pinched(a.mat, a.eigenvalues, p.membership))
 
 
 # The kernels below take a matrix or a (..., d, d) stack with P given as the
 # (..., d) boolean membership of mask projections, and do every LAPACK step
-# as one stacked call.  The public single-instance functions are their
-# unstacked case; stacked LAPACK calls give each matrix the bits of its own
-# call.
+# as one stacked call; stacked LAPACK calls give each matrix the bits of its
+# own call, so a single matrix is their unstacked case.
 
 def _block_compress(m: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """PMP + (1-P)M(1-P) for the mask P with membership `inside`.
@@ -295,8 +294,7 @@ def _resolvent_bounds(a: np.ndarray, w_a: np.ndarray, inside: np.ndarray,
 def tau_spectral(a: HermitianOperator, p: OrthoProjection) -> TauResult:
     """tau via functional calculus with f(x) = x ln x (f(0) := 0)."""
     _check_dims(a, p)
-    tau = HermitianOperator(p._back(_tau_spectral(p._into(a.mat), a.eigenvalues, p._vectors(a.eigenvectors),
-                                                  p.membership)))
+    tau = HermitianOperator(_tau_spectral(a.mat, a.eigenvalues, a.eigenvectors, p.membership))
     return TauResult(tau=tau, trace=tau.trace())
 
 
@@ -306,16 +304,16 @@ def resolvent_integrand(a: HermitianOperator, b: HermitianOperator, p: OrthoProj
 
     For a 1-D array t, the (k, n, n) stack of the integrand at each t.
     """
-    out = p._back(_resolvent_integrand(p._into(a.mat), p._into(b.mat), p.membership, t))
+    out = _resolvent_integrand(a.mat, b.mat, p.membership, t)
     return out if np.ndim(t) else out[0]
 
 
 class _BlockIntegrand:
     """The resolvent integrand of (A, P) as its two diagonal blocks.
 
-    A is taken to P's basis, where P is a mask, and its coordinates are
-    reordered, the smaller of the ranges of P and 1 - P first (the integrand
-    is symmetric in the two); B and the integrand are block diagonal there.
+    The coordinates of A are reordered, the smaller of the ranges of P and
+    1 - P first (the integrand is symmetric in the two); B and the integrand
+    are block diagonal there.
     At a 1-D array t it gives the (k, p, p) and (k, q, q) stacks of the
     blocks: with X_P = (t + A_PP)^{-1}, X_Q = (t + A_QQ)^{-1}, W^H = X_Q A_QP,
     K = A_PQ W^H, Y = (t + A_PP - K)^{-1}, the PP and QQ blocks of (t + A)^{-1}
@@ -334,12 +332,11 @@ class _BlockIntegrand:
         first = p.membership
         if 2 * np.count_nonzero(first) > p.dim:
             first = ~first
-        self.p = p
         order = np.argsort(~first, kind="stable")
         self.order = np.ix_(order, order)
         r = np.count_nonzero(first)
         self.sizes = (r, p.dim - r)
-        m = hermitian_stack(p._into(a.mat)[self.order])
+        m = hermitian_stack(a.mat[self.order])
         self.a_pp, self.a_qq = m[:r, :r].copy(), m[r:, r:].copy()
         self.a_pq, self.a_qp = m[:r, r:].copy(), m[r:, :r].copy()
         self.eye_p, self.eye_q = np.eye(r), np.eye(p.dim - r)
@@ -353,10 +350,10 @@ class _BlockIntegrand:
         return tt * (np.linalg.solve(shifted, k) @ y), tt * (w_h @ y @ _conj_t(w_h))
 
     def restore(self, m: np.ndarray) -> np.ndarray:
-        """A matrix of the reordered basis in the original coordinates."""
+        """A matrix of the reordered coordinates in the original ones."""
         out = np.empty_like(m)
         out[self.order] = m
-        return self.p._back(out)
+        return out
 
 
 def tau_integral(a: HermitianOperator, p: OrthoProjection, tol: float = 1e-8) -> TauResult:
@@ -381,25 +378,6 @@ def tau_integral(a: HermitianOperator, p: OrthoProjection, tol: float = 1e-8) ->
     m = blocks.restore(m)
     tau = HermitianOperator(0.5 * (m + m.conj().T))
     return TauResult(tau=tau, trace=tau.trace(), quadrature_error_estimate=err)
-
-
-def tau_epsilon_shift(a: HermitianOperator, p: OrthoProjection, eps: float) -> HermitianOperator:
-    """tau_{A + eps I}; always <= tau_A in the PSD order."""
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    _check_dims(a, p)
-    return HermitianOperator(p._back(_tau_shifted(p._into(a.mat), p.membership, eps)))
-
-
-def resolvent_bound_check(a: HermitianOperator, p: OrthoProjection,
-                          t_samples: Sequence[float]) -> list[dict]:
-    """Check ||(t+B)^{-1} A|| <= ||A||^{1/2} / t^{1/2} at each sampled t."""
-    if not all(0 < t < math.inf for t in t_samples):
-        raise ValueError(f"every t must be positive and finite, got {list(t_samples)!r}")
-    _check_dims(a, p)
-    lhs, rhs = _resolvent_bounds(p._into(a.mat), a.eigenvalues, p.membership, t_samples)
-    return [{"t": float(t), "lhs": l, "rhs": r, "margin": r - l, "ok": l <= r + 1e-10}
-            for t, l, r in zip(t_samples, lhs.tolist(), rhs.tolist())]
 
 
 def key_bound_constant(a: HermitianOperator, p: OrthoProjection) -> float:
@@ -466,5 +444,5 @@ def tail_integral_identity_gap(a: HermitianOperator, p: OrthoProjection, tol: fl
     def xlog1p(w: np.ndarray) -> np.ndarray:
         return np.clip(w, 0.0, None) * np.log1p(np.clip(w, 0.0, None))
 
-    closed = p._back(_block_compress(p._into(a.apply(xlog1p)), p.membership)) - pinch(a, p).apply(xlog1p)
+    closed = _block_compress(a.apply(xlog1p), p.membership) - pinch(a, p).apply(xlog1p)
     return float(np.linalg.norm(blocks.restore(tail) - closed))

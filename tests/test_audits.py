@@ -128,7 +128,7 @@ def test_large_matrices_go_one_at_a_time(monkeypatch):
     assert set(calls.calls) == {(1, 144)}
 
 
-# ---- trial-by-trial reference: the public single-instance functions ------------------
+# ---- trial-by-trial reference: the library on one instance at a time -----------------
 
 def trial_rows(one, trials, seed):
     streams = np.random.SeedSequence(seed).spawn(trials)
@@ -151,7 +151,7 @@ def epsilon_shift_trial(rng, i, max_dim=10):
     a = rand.random_psd(rng, dim)
     p = rand.random_block_projection(rng, dim)
     t0 = tau.tau_spectral(a, p).tau
-    margin = min(float(np.linalg.eigvalsh(t0.mat - tau.tau_epsilon_shift(a, p, eps).mat)[0])
+    margin = min(float(np.linalg.eigvalsh(t0.mat - tau._tau_shifted(a.mat, p.membership, eps))[0])
                  for eps in (0.1, 0.01))
     return {"trial": i, "dim": dim, "margin": margin}
 
@@ -160,8 +160,8 @@ def resolvent_trial(rng, i, max_dim=12):
     dim = int(rng.integers(2, max_dim + 1))
     a = rand.random_psd(rng, dim)
     p = rand.random_block_projection(rng, dim)
-    rows = tau.resolvent_bound_check(a, p, audits.T_SAMPLES)
-    return {"trial": i, "dim": dim, "margin": min(r["margin"] for r in rows)}
+    lhs, rhs = tau._resolvent_bounds(a.mat, a.eigenvalues, p.membership, audits.T_SAMPLES)
+    return {"trial": i, "dim": dim, "margin": min((rhs - lhs).tolist())}
 
 
 def integrand_trial(rng, i, max_dim=10):
@@ -180,15 +180,15 @@ def fan_trial(rng, i, max_dim=20):
     dim = int(rng.integers(2, max_dim + 1))
     f = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rep = spectral.fan_inequality_check(f, g)
-    return {"trial": i, "dim": dim, "margin": rep["worst_margin"], "checked": rep["checked"]}
+    margins = spectral._fan_margins(f, g)
+    return {"trial": i, "dim": dim, "margin": min(margins.tolist()), "checked": margins.size}
 
 
 def half_power_trial(rng, i, max_dim=20):
     dim = int(rng.integers(2, max_dim + 1))
     f = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    lhs, rhs = spectral.offdiag_half_trace(f, rand.random_block_projection(rng, dim))
-    return {"trial": i, "dim": dim, "margin": rhs - lhs}
+    lhs, rhs = spectral._offdiag_half_traces(f, rand.random_block_projection(rng, dim).membership)
+    return {"trial": i, "dim": dim, "margin": float(rhs - lhs)}
 
 
 def index_trial(rng, i, k=3):
@@ -199,7 +199,7 @@ def index_trial(rng, i, k=3):
 
 def pimsner_popa_trial(rng, i, k=3, m=3):
     e = TraceExpectation(shape=BipartiteShape(k, m), traced_factor="A")
-    return {"trial": i, "margin": relent.pimsner_popa_margin(rand.random_psd(rng, k * m).mat, e)}
+    return {"trial": i, "margin": float(relent._pimsner_popa_margins(rand.random_psd(rng, k * m).mat, e))}
 
 
 @pytest.mark.parametrize("audit,one", [
@@ -215,6 +215,45 @@ def pimsner_popa_trial(rng, i, k=3, m=3):
 @pytest.mark.parametrize("seed", [0, 17])
 def test_rows_equal_trial_by_trial_library_calls(audit, one, seed):
     assert audit(60, seed).rows == trial_rows(one, 60, seed)
+
+
+# ---- extremal instances: each kernel on its bound, in closed form ---------------------
+# Each assertion is tight enough that scaling either side of the inequality by 1 + 1e-6 fails it.
+
+def test_fan_margins_on_diagonal_pair():
+    # F = G = diag(3, 2, 1): mu(F + G) = (6, 4, 2); the (n, m) = (0, 0) margin is 3 + 3 - 6 = 0
+    f = np.diag([3.0, 2.0, 1.0]).astype(complex)
+    assert spectral._fan_margins(f, f).tolist() == [0.0, 1.0, 2.0, 1.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_offdiag_half_traces_on_all_ones(n):
+    # F = all ones, P the first n/2 coordinates: F1 has singular values n/2 twice and F has n once,
+    # so Tr |F1|^{1/2} = 2 sqrt(n/2) = sqrt(2) Tr |F|^{1/2}.  The zero singular values come out at
+    # about eps n, and their square roots add up to 5e-9 relative.
+    lhs, rhs = spectral._offdiag_half_traces(np.ones((n, n), dtype=complex), np.arange(n) < n // 2)
+    assert lhs == pytest.approx(math.sqrt(2.0 * n), rel=1e-7)
+    assert rhs == pytest.approx(spectral.HALF_POWER_CONST * math.sqrt(n), rel=1e-7)
+
+
+def maximally_entangled(k: int) -> np.ndarray:
+    v = np.eye(k).ravel() / math.sqrt(k)
+    return np.outer(v, v).astype(complex)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_entropy_index_gap_saturates_on_maximally_entangled_state(k):
+    # rho pure, rho.E = 1/k^2: S(rho, rho.E) = ln k^2
+    e = TraceExpectation(shape=BipartiteShape(k, k), traced_factor="A")
+    rho, w_rho, _ = relent._density_stack(maximally_entangled(k))
+    assert abs(float(relent._entropy_index_gaps(rho, w_rho, e)) - math.log(k * k)) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_pimsner_popa_margin_vanishes_on_maximally_entangled_projector(k):
+    # a = |Omega><Omega|: E(a) = 1/k^2, so E(a) - a/k^2 = (1 - a)/k^2, whose smallest eigenvalue is 0
+    e = TraceExpectation(shape=BipartiteShape(k, k), traced_factor="A")
+    assert abs(float(relent._pimsner_popa_margins(maximally_entangled(k), e))) <= 1e-15
 
 
 # ---- the k limit -----------------------------------------------------------------------

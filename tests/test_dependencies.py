@@ -1,4 +1,4 @@
-"""The runtime dependencies the package declares are the ones it imports."""
+"""The runtime dependencies the package declares are the ones it imports, and every public name is used."""
 
 import ast
 import re
@@ -12,6 +12,8 @@ import araki_mi
 
 PACKAGE = Path(araki_mi.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+README = PACKAGE.parents[1] / "README.md"
+BENCH = PACKAGE.parents[1] / "bench"
 TESTS = Path(__file__).resolve().parent
 
 
@@ -66,3 +68,53 @@ def test_tau_integrals_load_no_scipy():
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The module's top-level functions, classes and assigned names without a leading underscore."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defined.update((target.id, node) for target in node.targets if isinstance(target, ast.Name))
+    return {name: node for name, node in defined.items() if not name.startswith("_")}
+
+
+def package_reads(node: ast.AST, module: str | None = None) -> set[tuple[str, str]]:
+    """(module, name) pairs that `node` reads: `from .m import name`, `m.name`, and, inside
+    `module` itself, a bare `name`."""
+    reads = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom) and (sub.level == 1 or (sub.module or "").startswith("araki_mi.")):
+            if sub.module:
+                reads.update((sub.module.rsplit(".", 1)[-1], alias.name) for alias in sub.names)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            reads.add((sub.value.id, sub.attr))
+        elif module is not None and isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads.add((module, sub.id))
+    return reads
+
+
+def readme_library_api() -> set[tuple[str, str]]:
+    """The `module.name` entries of the README's "Library API" section."""
+    section = README.read_text(encoding="utf-8").split("## Library API", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`(\w+)\.(\w+)`", section))
+
+
+def test_every_public_name_is_read_or_listed():
+    # A public name must be read by the package outside its own definition, or by the benchmark's
+    # scripts, or be listed as library API in the README; `cli.cmd_*` is read through main's
+    # dispatch by name.  A name that only the tests read belongs in the tests.
+    trees = {Path(name).stem: tree for name, tree in module_trees().items()}
+    tops = [(top, package_reads(top, module)) for module, tree in trees.items() for top in tree.body]
+    bench = set().union(*(package_reads(tree) for tree in module_trees(BENCH).values()))
+    defined = {(module, name): node for module, tree in trees.items()
+               for name, node in public_definitions(tree).items()}
+    listed = readme_library_api()
+    unread = sorted(f"{module}.{name}" for (module, name), node in defined.items()
+                    if not (module == "cli" and name.startswith("cmd_")) and (module, name) not in listed
+                    and (module, name) not in bench and not any((module, name) in reads
+                                                                 for top, reads in tops if top is not node))
+    assert unread == []
+    assert listed <= defined.keys()

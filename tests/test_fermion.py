@@ -19,7 +19,6 @@ from araki_mi.fermion import (
     CovarianceSystem,
     IntervalConfig,
     build_covariance,
-    continuum_mi,
     hardy_kernel,
     mi_convergence,
     mutual_information_value,
@@ -27,8 +26,10 @@ from araki_mi.fermion import (
     richardson,
     sigma_trace,
 )
-from araki_mi.operators import _eigh_eigenvalues, _eigvalsh_eigenvalues, xlogx
+from araki_mi.operators import HermitianOperator, OrthoProjection, _eigh_eigenvalues, _eigvalsh_eigenvalues, xlogx
 from araki_mi.relent import BipartiteShape, DensityMatrix, mutual_information
+from araki_mi.tau import tau_spectral
+from oracles import continuum_mi
 
 LN2 = math.log(2.0)
 STANDARD = ((0.0, 1.0), (2.0, 3.0))
@@ -695,6 +696,21 @@ class TestContinuumOracle:
         study = resolution_study(IntervalConfig(intervals=intervals, resolution=16, split=split),
                                  [16, 32, 64, 128])
         assert abs(study["extrapolated"] - continuum_mi(intervals, split)) <= study["uncertainty"]
+
+
+class TestTauRoute:
+    """The paper's definition through the `tau` module: for the free fermion, Araki's relative
+    entropy is Tr tau_C + Tr tau_{1-C} with P the region-1 mask, since Tr tau_A = Tr A ln A - Tr B ln B."""
+
+    @pytest.mark.parametrize("resolution", [16, 32])    # 32 and 64 sites
+    def test_tau_traces_equal_mutual_information(self, resolution):
+        # measured relative gaps: 9.7e-13 at 32 sites, 8.6e-13 at 64
+        config = IntervalConfig(intervals=STANDARD, resolution=resolution)
+        sys = build_covariance(config)
+        c = hardy_kernel(system_sites(sys))
+        p = OrthoProjection.from_mask(sys.size, region_rows(sys)[0])
+        value = sum(tau_spectral(HermitianOperator(m), p).trace for m in (c, np.eye(sys.size) - c))
+        assert value == pytest.approx(mutual_information_value(config), rel=1e-11)
 
 
 def jordan_wigner_annihilators(n: int) -> list[np.ndarray]:

@@ -14,7 +14,6 @@ from araki_mi.lattice import (
     GramMatrix,
     RationalEmbedding,
     _bareiss_pivots,
-    coset_count,
     embed_rational,
     exact_ldl_pivots,
     integer_determinant,
@@ -23,6 +22,7 @@ from araki_mi.lattice import (
     root_lattice,
     sublattice_index,
 )
+from oracles import coset_count
 
 ROOT_NAMES = ("A1", "A2", "A3", "D4", "E8")
 
