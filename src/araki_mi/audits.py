@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import rand, relent, spectral, tau
-from .operators import checked_eigh, hermitian_stack
+from .operators import hermitian_stack
 from .relent import BipartiteShape, TraceExpectation
 from .report import AuditReport
 
@@ -110,7 +110,7 @@ def _psd_and_mask(rng: np.random.Generator, dim: int) -> tuple:
 def _psd(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, eigenvalues, eigenvectors) of the random_psd operators of a stack of factors."""
     a = hermitian_stack(rand.psd_from_factor(factors))
-    return (a, *checked_eigh(a))
+    return (a, *np.linalg.eigh(a))
 
 
 def pinch_audit(trials: int, seed: int) -> AuditReport:

@@ -26,9 +26,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operators import RECOMPOSITION_TOL, _eigh_eigenvalues, _eigvalsh_eigenvalues, xlogx
+from .operators import _eigh_eigenvalues, _eigvalsh_eigenvalues, xlogx
 
 SPECTRUM_SLACK = 1e-9
+RECOMPOSITION_TOL = 1e-9    # the eigenvalues of C against its trace and Frobenius norm
 TWO_PATH_TOL = 1e-9
 MAX_SITES = 4096        # a solve's workspace holds one dense n x n complex matrix, 256 MiB
                         # at the limit; the largest admitted mi peaks at about 300 MiB RSS (README)
@@ -53,9 +54,10 @@ def _endpoint(x) -> float:
 def _checked_intervals(intervals, split: int) -> Tuple[Tuple[float, float], ...]:
     """Nonempty intervals with disjoint closures, as float pairs, split into two nonempty regions."""
     try:
-        ivs = tuple((_endpoint(a), _endpoint(b)) for a, b in intervals)
-    except TypeError as exc:
+        pairs = [(a, b) for a, b in intervals]
+    except (TypeError, ValueError) as exc:      # not iterable, or an interval of other than two entries
         raise ValueError(f"intervals must be [a, b] pairs of numbers ({exc})") from None
+    ivs = tuple((_endpoint(a), _endpoint(b)) for a, b in pairs)
     if len(ivs) < 2:
         raise ValueError("need at least two intervals")
     for a, b in ivs:
@@ -205,19 +207,6 @@ def _fill(out: np.ndarray, tables, lowest, rows, cols, part: Optional[int] = Non
             c += k
         r += m
     return out
-
-
-def hardy_kernel(sites: np.ndarray) -> np.ndarray:
-    """Half-frequency band projection kernel on the given integer sites, symmetrised.
-
-    Entry (i, j) is sym(s_i - s_j), filled for every row from the tables of
-    `_kernel_tables` over the runs of consecutive sites, in Fortran order.
-    """
-    edges = np.r_[0, np.flatnonzero(np.diff(sites) != 1) + 1, sites.size]
-    runs = [(int(sites[a]), int(b - a)) for a, b in zip(edges, edges[1:])]
-    shares = [(i, s, 1, n) for i, (s, n) in enumerate(runs)]
-    c = np.empty((sites.size, sites.size), dtype=complex, order="F")
-    return _fill(c, *_kernel_tables(runs), shares, shares)
 
 
 def build_covariance(config: IntervalConfig) -> CovarianceSystem:

@@ -9,7 +9,6 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-RECOMPOSITION_TOL = 1e-9
 ENTROPY_SLACK = 1e-8
 
 
@@ -58,19 +57,6 @@ def hermitian_stack(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     if not (defect <= HERMITICITY_TOL * np.maximum(1.0, _frobenius(m))).all():    # NaN fails too
         raise ValueError(f"{what} is not Hermitian (defect {np.max(defect):.3e})")
     return symmetrised(m)
-
-
-def checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a Hermitian matrix or (..., n, n) stack, one LAPACK call for the stack.
-
-    ArithmeticError if some u diag(w) u^dagger misses its matrix by more than
-    RECOMPOSITION_TOL relative to max(1, ||m||).
-    """
-    w, u = np.linalg.eigh(m)
-    recomp = _frobenius((u * w[..., None, :]) @ _conj_t(u) - m)
-    if (recomp > RECOMPOSITION_TOL * np.maximum(1.0, _frobenius(m))).any():
-        raise ArithmeticError(f"eigendecomposition failed to recompose ({np.max(recomp):.3e})")
-    return w, u
 
 
 @functools.cache
@@ -242,7 +228,7 @@ class HermitianOperator:
 
     def _decompose(self):
         if self._w is None:
-            self._w, self._u = checked_eigh(self.mat)
+            self._w, self._u = np.linalg.eigh(self.mat)
         return self._w, self._u
 
     @property
@@ -289,11 +275,6 @@ class OrthoProjection:
         p = cls()
         p.dim, p.mask = int(dim), idx
         return p
-
-    @property
-    def mat(self) -> np.ndarray:
-        """The dense diagonal 0/1 matrix."""
-        return np.diag(self.membership.astype(complex))
 
     @property
     def membership(self) -> np.ndarray:

@@ -42,8 +42,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .operators import (HermitianOperator, OrthoProjection, _conj_t, checked_eigh,
-                        functional_calculus, hermitian_stack, spectral_norms, symmetrised, xlogx)
+from .operators import (HermitianOperator, OrthoProjection, _conj_t, functional_calculus, spectral_norms,
+                        symmetrised, xlogx)
 
 PSD_TOL = 1e-10
 EIG_FLOOR = 1e-12      # eigenvalues of B - A at or below this count as zero
@@ -229,7 +229,10 @@ def pinch(a: HermitianOperator, p: OrthoProjection) -> HermitianOperator:
 # The kernels below take a matrix or a (..., d, d) stack with P given as the
 # (..., d) boolean membership of mask projections, and do every LAPACK step
 # as one stacked call; stacked LAPACK calls give each matrix the bits of its
-# own call, so a single matrix is their unstacked case.
+# own call, so a single matrix is their unstacked case.  A is symmetrised
+# (`hermitian_stack`'s output, as is every `HermitianOperator.mat`), and so are
+# its selections, permutations and diagonal shifts: symmetrising one returns it
+# bit for bit, so none of them is checked or symmetrised again.
 
 def _block_compress(m: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """PMP + (1-P)M(1-P) for the mask P with membership `inside`.
@@ -243,28 +246,28 @@ def _block_compress(m: np.ndarray, inside: np.ndarray) -> np.ndarray:
 
 
 def _pinched(a: np.ndarray, w_a: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Symmetrised pinch B of PSD A with eigenvalues w_a."""
+    """Pinch B of PSD A with eigenvalues w_a."""
     _check_psd(w_a)
-    return hermitian_stack(_block_compress(a, inside))
+    return _block_compress(a, inside)
 
 
 def _tau_spectral(a: np.ndarray, w_a: np.ndarray, u_a: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Symmetrised tau_A of PSD A = u_a diag(w_a) u_a^dagger, f(x) = x ln x.
 
-    Both terms are u f(w) u^dagger of eigenpairs that `checked_eigh` has
-    verified, so they are Hermitian by construction, up to rounding of
-    order n eps ||A ln A||.
+    Both terms are u f(w) u^dagger of eigenpairs from eigh, a backward-stable
+    solver, so they are Hermitian by construction, up to rounding of order
+    n eps ||A ln A||.
     """
     b = _pinched(a, w_a, inside)
     fa = _block_compress(functional_calculus(w_a, u_a, xlogx), inside)
-    fb = functional_calculus(*checked_eigh(b), xlogx)
+    fb = functional_calculus(*np.linalg.eigh(b), xlogx)
     return symmetrised(fa - fb)
 
 
 def _tau_shifted(a: np.ndarray, inside: np.ndarray, eps: float) -> np.ndarray:
     """Symmetrised tau_{A + eps I}."""
-    shifted = hermitian_stack(a + eps * np.eye(a.shape[-1]))
-    return _tau_spectral(shifted, *checked_eigh(shifted), inside)
+    shifted = a + eps * np.eye(a.shape[-1])
+    return _tau_spectral(shifted, *np.linalg.eigh(shifted), inside)
 
 
 def _resolvent_integrand(a: np.ndarray, b: np.ndarray, inside: np.ndarray, t) -> np.ndarray:
@@ -336,7 +339,7 @@ class _BlockIntegrand:
         self.order = np.ix_(order, order)
         r = np.count_nonzero(first)
         self.sizes = (r, p.dim - r)
-        m = hermitian_stack(a.mat[self.order])
+        m = a.mat[self.order]     # a permutation of a symmetrised matrix, so symmetrised
         self.a_pp, self.a_qq = m[:r, :r].copy(), m[r:, r:].copy()
         self.a_pq, self.a_qp = m[:r, r:].copy(), m[r:, :r].copy()
         self.eye_p, self.eye_q = np.eye(r), np.eye(p.dim - r)

@@ -32,6 +32,16 @@ def continuum_mi(intervals: Sequence[Sequence[float]], split: int = 1) -> float:
     return total / 3.0
 
 
+def hardy_kernel(sites: np.ndarray) -> np.ndarray:
+    """The covariance C on integer lattice sites: (K + K^H) / 2 with K built entry by entry from
+    the n x n separations, K = 1/2 on the diagonal, -i/(pi d) at odd separation d and 0 at even d."""
+    delta = sites[:, None] - sites[None, :]
+    odd = (delta % 2) != 0
+    k = np.where(odd, -1j / (math.pi * np.where(odd, delta, 1)), 0.0)
+    np.fill_diagonal(k, 0.5)
+    return 0.5 * (k + k.conj().T)
+
+
 def coset_count(n: int, k: int) -> int:
     """Brute-force enumeration of Z^n / k Z^n, as an oracle for `lattice.sublattice_index`."""
     return len({tuple(c % k for c in v) for v in product(range(k), repeat=n)})

@@ -11,7 +11,7 @@ import numpy as np
 
 from araki_mi import audits, fermion, lattice, relent, spectral, tau
 from araki_mi.rand import random_block_projection, random_density, random_psd
-from oracles import coset_count
+from oracles import coset_count, hardy_kernel
 
 LN2 = math.log(2.0)
 
@@ -97,7 +97,7 @@ def test_criterion_5_two_path_entropy_identity():
             inner = w[(w > 0.0) & (w < 1.0)]
             return float(-np.sum(inner * np.log(inner) + (1 - inner) * np.log(1 - inner)))
 
-        c = fermion.hardy_kernel(np.concatenate([np.arange(s, s + n) for s, n in sys_.runs]))
+        c = hardy_kernel(np.concatenate([np.arange(s, s + n) for s, n in sys_.runs]))
         r1 = np.arange(sum(n for _, n in sys_.runs[:sys_.split]))
         r2 = np.arange(r1.size, c.shape[0])
         expected = (entropy(c[np.ix_(r1, r1)])

@@ -140,7 +140,7 @@ def pinch_trial(rng, i, max_dim=12):
     a = rand.random_psd(rng, dim)
     p = rand.random_block_projection(rng, dim)
     b = tau.pinch(a, p)
-    u = 2 * p.mat - np.eye(dim)
+    u = 2 * np.diag(p.membership) - np.eye(dim)
     gap = float(np.linalg.norm(b.mat - 0.5 * (a.mat + u @ a.mat @ u)))
     half = float(np.linalg.eigvalsh(b.mat - 0.5 * a.mat)[0])
     return {"trial": i, "dim": dim, "identity_gap": gap, "margin": min(half, 1e-12 - gap)}

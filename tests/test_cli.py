@@ -260,6 +260,17 @@ class TestMICommand:
     def test_non_list_intervals_usage_error(self, capsys):
         assert_usage_error(capsys, "mi", "--intervals", "5")
 
+    @pytest.mark.parametrize("intervals,python_message", [
+        ("[[0,1,5],[2,3]]", "too many values to unpack (expected 2"),
+        ("[[0],[2,3]]", "not enough values to unpack (expected 2, got 1)"),
+        ('"ab"', "not enough values to unpack (expected 2, got 1)"),     # a string iterates as "a", "b"
+    ])
+    def test_malformed_interval_names_the_field(self, capsys, intervals, python_message):
+        code, out, err = run(capsys, "mi", "--intervals", intervals)
+        assert (code, out) == (2, "")
+        detail = json.loads(err)["detail"]
+        assert detail.startswith(f"intervals must be [a, b] pairs of numbers ({python_message}")
+
     def test_infinite_endpoint_usage_error(self, capsys):
         assert_usage_error(capsys, "mi", "--intervals", "[[0,1],[2,Infinity]]")
 
@@ -281,7 +292,6 @@ class TestMICommand:
         def no_alloc(*args, **kwargs):
             pytest.fail("allocated despite the site limit")
 
-        monkeypatch.setattr(fermion, "hardy_kernel", no_alloc)
         monkeypatch.setattr(fermion, "_kernel_tables", no_alloc)
         monkeypatch.setattr(fermion.np, "arange", no_alloc)
         assert_usage_error(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "1e9")

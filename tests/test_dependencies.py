@@ -118,3 +118,14 @@ def test_every_public_name_is_read_or_listed():
                                                                  for top, reads in tops if top is not node))
     assert unread == []
     assert listed <= defined.keys()
+
+
+def test_oracles_read_only_input_checks_and_draws():
+    # An oracle that reached into the construction under test would judge the package by itself.
+    reads = set()
+    for node in ast.walk(ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            reads.update((alias.name, None) for alias in node.names if alias.name.split(".")[0] == "araki_mi")
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "araki_mi"):
+            reads.update((node.module, alias.name) for alias in node.names)
+    assert reads <= {("araki_mi.fermion", "_checked_intervals"), ("araki_mi.rand", "gaussian_matrix")}

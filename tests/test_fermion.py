@@ -19,7 +19,6 @@ from araki_mi.fermion import (
     CovarianceSystem,
     IntervalConfig,
     build_covariance,
-    hardy_kernel,
     mi_convergence,
     mutual_information_value,
     resolution_study,
@@ -29,7 +28,7 @@ from araki_mi.fermion import (
 from araki_mi.operators import HermitianOperator, OrthoProjection, _eigh_eigenvalues, _eigvalsh_eigenvalues, xlogx
 from araki_mi.relent import BipartiteShape, DensityMatrix, mutual_information
 from araki_mi.tau import tau_spectral
-from oracles import continuum_mi
+from oracles import continuum_mi, hardy_kernel
 
 LN2 = math.log(2.0)
 STANDARD = ((0.0, 1.0), (2.0, 3.0))
@@ -89,9 +88,9 @@ def bits(a) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def lattice_sites(intervals, resolution) -> np.ndarray:
-    blocks = fermion._site_blocks(IntervalConfig(intervals=intervals, resolution=resolution))
-    return np.concatenate([np.arange(s, s + n) for s, n in blocks])
+def gathered_kernel(sys: CovarianceSystem) -> np.ndarray:
+    """C as `sigma_trace` reduces it: copied from the system's tables into a workspace."""
+    return fermion._square_block(sys, workspace(sys), None)
 
 
 # the mi-sweep geometries of the benchmark
@@ -137,26 +136,19 @@ class TestIntervalConfig:
 
 
 class TestHardyKernel:
+    """The C that `sigma_trace` reduces, gathered from the tables, against the oracle C of `oracles`."""
+
     def test_single_site(self):
-        assert np.allclose(hardy_kernel(np.array([3])), [[0.5]])
+        assert np.allclose(gathered_kernel(system_on(np.array([3]))), [[0.5]])
 
     def test_adjacent_sites(self):
         kappa = 1.0 / math.pi
         expected = np.array([[0.5, 1j * kappa], [-1j * kappa, 0.5]])
-        assert np.allclose(hardy_kernel(np.array([0, 1])), expected, atol=1e-15)
+        assert np.allclose(gathered_kernel(system_on(np.array([0, 1]))), expected, atol=1e-15)
 
     def test_even_separation_vanishes(self):
-        k = hardy_kernel(np.array([0, 2]))
+        k = gathered_kernel(system_on(np.array([0, 2])))
         assert k[0, 1] == 0.0
-
-    @staticmethod
-    def symmetrised_formula(sites):
-        """(K + K^H) / 2 with K built entry by entry from the n x n separations."""
-        delta = sites[:, None] - sites[None, :]
-        odd = (delta % 2) != 0
-        k = np.where(odd, -1j / (math.pi * np.where(odd, delta, 1)), 0.0)
-        np.fill_diagonal(k, 0.5)
-        return 0.5 * (k + k.conj().T)
 
     @pytest.mark.parametrize("intervals,resolutions", [
         *((json.loads(g), (16, 32, 48, 64, 80, 96)) for g in SWEEP_GEOMETRIES),
@@ -166,22 +158,22 @@ class TestHardyKernel:
     def test_gathered_matrix_bit_identical_to_formula(self, intervals, resolutions):
         # signed zeros included: the bits of eigh, so the reported digits, depend on them
         for resolution in resolutions:
-            sites = lattice_sites(intervals, resolution)
-            c = hardy_kernel(sites)
+            sys = build_covariance(IntervalConfig(intervals=intervals, resolution=resolution))
+            c = gathered_kernel(sys)
             assert c.flags.f_contiguous      # the layout LAPACK reduces in place
-            assert np.array_equal(bits(c), bits(self.symmetrised_formula(sites)))
+            assert np.array_equal(bits(c), bits(hardy_kernel(system_sites(sys))))
 
     # one site, no two sites adjacent, runs out of order, and runs 10**12 sites apart (tables per pair
     # of runs, never one table over the whole span)
     @pytest.mark.parametrize("sites", [np.array([3]), 2 * np.arange(6), np.r_[np.arange(5, 9), np.arange(-3, 2)],
                                        np.r_[np.arange(4), 10**12 + np.arange(3)]])
     def test_scattered_sites_bit_identical_to_formula(self, sites):
-        assert np.array_equal(bits(hardy_kernel(sites)), bits(self.symmetrised_formula(sites)))
+        assert np.array_equal(bits(gathered_kernel(system_on(sites))), bits(hardy_kernel(sites)))
 
     @pytest.mark.parametrize("resolution", [8, 16, 32])
     def test_spectrum_in_unit_interval(self, resolution):
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=resolution))
-        w = np.linalg.eigvalsh(hardy_kernel(system_sites(sys)))
+        w = np.linalg.eigvalsh(gathered_kernel(sys))
         assert np.max(np.abs(w - np.clip(w, 0.0, 1.0))) <= 1e-9
 
 
@@ -475,7 +467,7 @@ class TestPinnedEigenvalues:
     @pytest.mark.parametrize("intervals,resolution", SYSTEMS)
     def test_bits_of_eigh_with_windows(self, intervals, resolution):
         for wsys in self.systems_with_windows(intervals, resolution):
-            c = hardy_kernel(system_sites(wsys))
+            c = gathered_kernel(wsys)
             assert c.flags.f_contiguous
             self.assert_bits_of_eigh(c)
 
@@ -491,7 +483,7 @@ class TestPinnedEigenvalues:
 
     @pytest.mark.parametrize("intervals,resolution", SYSTEMS)
     def test_hardy_kernel_equals_the_kernel_written_out(self, intervals, resolution):
-        # hardy_kernel is built by the tables and copies it checks; here sym(d) = (k(d) + conj k(-d)) / 2
+        # the oracle C against a second writing of it: sym(d) = (k(d) + conj k(-d)) / 2
         # is evaluated at every d = s_i - s_j directly, with k(0) = 1/2, k(d) = -i/(pi d) at odd d, else 0
         def k(d):
             odd = d % 2 != 0
@@ -603,7 +595,6 @@ class TestSiteLimit:
         def no_alloc(*args, **kwargs):
             raise AssertionError("allocated despite the site limit")
 
-        monkeypatch.setattr(fermion, "hardy_kernel", no_alloc)
         monkeypatch.setattr(fermion, "_kernel_tables", no_alloc)
         monkeypatch.setattr(fermion.np, "arange", no_alloc)
         cfg = IntervalConfig(intervals=STANDARD, resolution=fermion.MAX_SITES)

@@ -100,7 +100,7 @@ class TestOffdiagHalfTrace:
             dim = int(rng.integers(2, 12))
             f = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             p = random_block_projection(rng, dim)
-            pm = p.mat
+            pm = np.diag(p.membership)
             qm = np.eye(dim) - pm
             seen.clear()
             spectral._offdiag_half_traces(f, p.membership)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from araki_mi import audits, tau
-from araki_mi.operators import HermitianOperator, OrthoProjection, xlogx
-from araki_mi.rand import gaussian_matrix, psd_from_factor, random_block_projection, random_psd
+from araki_mi.operators import HermitianOperator, OrthoProjection, hermitian_stack, xlogx
+from araki_mi.rand import (block_membership, gaussian_matrix, psd_from_factor, random_block_projection,
+                           random_psd)
 from oracles import random_unitary
 
 LN2 = math.log(2.0)
@@ -39,7 +40,7 @@ class TestPinch:
             a = random_psd(rng, dim)
             p = random_block_projection(rng, dim)
             b = tau.pinch(a, p)
-            u = 2 * p.mat - np.eye(dim)
+            u = 2 * np.diag(p.membership) - np.eye(dim)
             assert np.linalg.norm(b.mat - 0.5 * (a.mat + u @ a.mat @ u)) <= 1e-12
             assert np.linalg.eigvalsh(b.mat - 0.5 * a.mat)[0] >= -1e-10
 
@@ -56,9 +57,45 @@ class TestBlockCompress:
             dim = int(rng.integers(2, 12))
             m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             p = random_block_projection(rng, dim)
-            pm = p.mat
+            pm = np.diag(p.membership)
             qm = np.eye(dim) - pm
             assert np.array_equal(tau._block_compress(m, p.membership), pm @ m @ pm + qm @ m @ qm)
+
+
+class TestSymmetrisedInputs:
+    """The pinch, A + eps I and the reordered A of the integrals are used as they are: each is
+    bit for bit its own symmetrisation when A is symmetrised, as the audits' stacks and every
+    `HermitianOperator.mat` are."""
+
+    @staticmethod
+    def assert_own_symmetrisation(m):
+        assert np.array_equal(hermitian_stack(m).view(np.uint64), np.ascontiguousarray(m).view(np.uint64))
+
+    def test_audit_stacks(self):
+        rng = np.random.default_rng(22)
+        for dim in range(2, 41):
+            a = hermitian_stack(psd_from_factor(np.stack([gaussian_matrix(rng, dim, dim) for _ in range(3)])))
+            inside = np.stack([block_membership(rng, dim) for _ in range(3)])
+            self.assert_own_symmetrisation(tau._block_compress(a, inside))
+            for eps in audits.EPS_VALUES:
+                self.assert_own_symmetrisation(a + eps * np.eye(dim))
+
+    def test_operators(self):
+        # a random_psd, a rotated spectrum with zero eigenvalues (Hermitian only to rounding before
+        # HermitianOperator symmetrises it), and a diagonal with signed-zero off-diagonal entries
+        rng = np.random.default_rng(23)
+        for dim in range(2, 41):
+            u = random_unitary(rng, dim)
+            w = rng.uniform(0.0, 2.0, dim)
+            w[:dim // 3] = 0.0
+            zeros = np.full((dim, dim), complex(-0.0, -0.0))
+            np.fill_diagonal(zeros, w)
+            for a in (random_psd(rng, dim), HermitianOperator((u * w) @ u.conj().T), HermitianOperator(zeros)):
+                p = random_block_projection(rng, dim)
+                self.assert_own_symmetrisation(tau._block_compress(a.mat, p.membership))
+                for eps in audits.EPS_VALUES:
+                    self.assert_own_symmetrisation(a.mat + eps * np.eye(dim))
+                self.assert_own_symmetrisation(a.mat[tau._BlockIntegrand(a, p).order])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -115,8 +152,8 @@ class TestTauSpectral:
             a = random_psd(rng, dim)
             p = random_block_projection(rng, dim)
             t = tau.tau_spectral(a, p).tau.mat
-            q = np.eye(dim) - p.mat
-            assert np.linalg.norm(p.mat @ t @ q) <= 1e-10
+            pm = np.diag(p.membership)
+            assert np.linalg.norm(pm @ t @ (np.eye(dim) - pm)) <= 1e-10
 
     @pytest.mark.parametrize("scale", [1e8, 1e9])
     def test_large_rank_deficient_psd_matches_integral(self, scale):
