@@ -78,10 +78,6 @@ class DensityMatrix:
         v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim) / dim)
-
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
 

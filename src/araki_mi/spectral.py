@@ -48,9 +48,6 @@ class SingularProfile:
         self.values = _checked_singular_values(np.asarray(self.values, dtype=float))
         self.half_power_partials = _half_power_partials(self.values)
 
-    def half_power_sum(self) -> float:
-        return float(_half_power_sums(self.values))
-
 
 def singular_profile(f: np.ndarray) -> SingularProfile:
     return SingularProfile(values=np.linalg.svd(np.asarray(f, dtype=complex), compute_uv=False))

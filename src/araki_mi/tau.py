@@ -20,16 +20,16 @@ the quadratures integrate its two diagonal blocks, from the Schur complement
 of t + A by thin solves and one inverse, without eigendecomposing A or B
 (`_BlockIntegrand`).  The integrand changes near t = the eigenvalues of A and
 of its blocks, often decades apart, so each quadrature substitutes a map that
-spreads the decades out (t = x^2 with x = s/(1-s); eps^(1-v); 1/v^2): the 21
-tau instances of the benchmark's oracle-mix at seed 0 take 5 775 integrand
-nodes, 12 369 with the maps t = s/(1-s), t and 1/u.  `resolvent_integrand`,
-the direct definition, stays as the tests' oracle.  The integrals use the
+spreads the decades out (t = x^2 with x = s/(1-s); 1/v^2): the 21 tau
+instances of the benchmark's oracle-mix at seed 0 take 4 452 integrand
+nodes, 8 778 with the maps t = s/(1-s) and 1/u.  `resolvent_integrand`, the
+direct definition, stays as the tests' oracle.  The integrals use the
 module's own adaptive 21-point Gauss-Kronrod rule (`_quad_gk21`), which
 follows scipy's `quad_vec` (quadrature="gk21") step for step, with one
-stacked integrand call per round.  Also here: the uniform bound on Tr D_eps,
-and the stacked kernels of the audits (tau_{A+eps} <= tau_A, the resolvent
-bound ||(t+B)^{-1} A|| <= ||A||^{1/2} t^{-1/2} and the integrand's
-positivity), which return what the audit compares and leave it the decision.
+stacked integrand call per round.  Also here: Tr D_eps and its uniform bound,
+in closed form from spectra, and the stacked kernels of the audits
+(tau_{A+eps} <= tau_A, the resolvent bound ||(t+B)^{-1} A|| <= ||A||^{1/2} t^{-1/2}
+and the integrand's positivity), which return what the audit compares.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .operators import (HermitianOperator, OrthoProjection, _conj_t, functional_
                         symmetrised, xlogx)
 
 PSD_TOL = 1e-10
-EIG_FLOOR = 1e-12      # eigenvalues of B - A at or below this count as zero
+EIG_FLOOR = 1e-12      # singular values of A_PQ (so eigenvalues of B - A) at or below this count as zero
 
 
 class ConvergenceError(RuntimeError):
@@ -384,41 +384,38 @@ def tau_integral(a: HermitianOperator, p: OrthoProjection, tol: float = 1e-8) ->
 
 
 def key_bound_constant(a: HermitianOperator, p: OrthoProjection) -> float:
-    """Epsilon-independent bound on Tr D_eps from the eigenvalues of B - A.
+    """Epsilon-independent bound on Tr D_eps from the singular values sigma of A_PQ.
 
-    Sum over nonzero eigenvalues lam of B - A of
-    pi ||A||^{1/2} |lam|^{1/2} + 3 |lam| ln((1 + |lam|)/|lam|).
+    Sum over nonzero eigenvalues lam of B - A of pi ||A||^{1/2} |lam|^{1/2} +
+    3 |lam| ln((1 + |lam|)/|lam|); B - A = -(PAQ + QAP), so they are +-sigma.
     """
-    b = pinch(a, p)
-    lams = np.linalg.eigvalsh(b.mat - a.mat)
-    norm_a = a.operator_norm()
-    total = 0.0
-    for lam in np.abs(lams):
-        if lam <= EIG_FLOOR:
-            continue
-        total += math.pi * math.sqrt(norm_a) * math.sqrt(lam) + 3.0 * lam * math.log((1.0 + lam) / lam)
-    return total
+    _check_dims(a, p)
+    _check_psd(a.eigenvalues)
+    sigma = np.linalg.svd(a.mat[np.ix_(p.membership, ~p.membership)], compute_uv=False)
+    sigma = sigma[sigma > EIG_FLOOR]
+    return 2.0 * float(np.sum(math.pi * math.sqrt(a.operator_norm()) * np.sqrt(sigma)
+                              + 3.0 * sigma * np.log((1.0 + sigma) / sigma)))
 
 
-def truncated_trace(a: HermitianOperator, p: OrthoProjection, eps: float,
-                    tol: float = 1e-10) -> float:
-    """Tr D_eps = Tr int_eps^1 t((t+A)^{-1} - (t+B)^{-1}) dt by quadrature.
+def truncated_trace(a: HermitianOperator, p: OrthoProjection, eps: float) -> float:
+    """Tr D_eps = Tr int_eps^1 t((t+A)^{-1} - (t+B)^{-1}) dt, from spectra.
 
-    Substitutes t = eps^(1-v), v in [0, 1], Jacobian -ln(eps) t: each decade of
-    [eps, 1] gets the same length of v.  Oracle-mix (seed 0): 1 323 nodes (t: 3 591).
+    int_eps^1 t/(t+x) dt = 1 - eps - f(x), f(x) = x ln(1 + (1-eps)/(eps+x)), so
+    Tr D_eps is f summed over the eigvalsh spectra of A_PP and A_QQ minus over
+    that of A (exactly 0 when P is 0 or 1).  Below 0, the rounding of a PSD A
+    where f stops being defined at -eps, f is its tangent x ln(1/eps).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    blocks = _BlockIntegrand(a, p)
+    _check_dims(a, p)
+    w_a = np.linalg.eigvalsh(a.mat)
+    _check_psd(w_a)
 
-    def f(v: np.ndarray) -> tuple:
-        t = eps ** (1.0 - v)
-        return slice(None), [block * (-math.log(eps) * t).reshape(-1, 1, 1) for block in blocks(t)]
+    def total(w: np.ndarray) -> float:
+        return float(np.sum(w * np.log1p((1.0 - eps) / (eps + np.clip(w, 0.0, None)))))
 
-    d, _ = _integrate_matrix(f, blocks.sizes, 0.0, 1.0, tol, 100 * max(tol, 1e-12) * blocks.scale, "D_eps")
-    return float(np.trace(d.real))
+    sides = (p.membership, ~p.membership)
+    return total(np.concatenate([np.linalg.eigvalsh(a.mat[np.ix_(s, s)]) for s in sides])) - total(w_a)
 
 
 def key_trace_bound(a: HermitianOperator, p: OrthoProjection, eps: float) -> tuple[float, float]:
@@ -426,15 +423,13 @@ def key_trace_bound(a: HermitianOperator, p: OrthoProjection, eps: float) -> tup
     return truncated_trace(a, p, eps), key_bound_constant(a, p)
 
 
-def tail_integral_identity_gap(a: HermitianOperator, p: OrthoProjection, tol: float = 1e-9) -> float:
+def tail_integral_identity_gap(a: HermitianOperator, p: OrthoProjection) -> float:
     """Frobenius gap between int_1^inf of the integrand and its closed form.
 
     The closed form is -B ln(B+1) + P A ln(A+1) P + (1-P) A ln(A+1) (1-P).  The
-    quadrature substitutes t = 1/v^2, v in (0, 1], Jacobian 2/v^3: the O(t^{-2})
-    decay becomes O(v).  Oracle-mix (seed 0): 1 323 nodes (t = 1/u: 2 205).
+    quadrature (tol 1e-9) substitutes t = 1/v^2, v in (0, 1], Jacobian 2/v^3:
+    the O(t^{-2}) decay becomes O(v).  Oracle-mix (seed 0): 1 323 nodes (1/u: 2 205).
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     blocks = _BlockIntegrand(a, p)
 
     def f(v: np.ndarray) -> tuple:
@@ -442,7 +437,7 @@ def tail_integral_identity_gap(a: HermitianOperator, p: OrthoProjection, tol: fl
         v2 = v[live] * v[live]
         return live, [block * (2.0 / (v2 * v[live])).reshape(-1, 1, 1) for block in blocks(1.0 / v2)]
 
-    tail, _ = _integrate_matrix(f, blocks.sizes, 0.0, 1.0, tol, 100 * tol * blocks.scale, "tail")
+    tail, _ = _integrate_matrix(f, blocks.sizes, 0.0, 1.0, 1e-9, 1e-7 * blocks.scale, "tail")
 
     def xlog1p(w: np.ndarray) -> np.ndarray:
         return np.clip(w, 0.0, None) * np.log1p(np.clip(w, 0.0, None))

@@ -56,7 +56,7 @@ class TestVonNeumannEntropy:
         assert von_neumann_entropy(DensityMatrix.pure([1, 0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_qubit(self):
-        assert von_neumann_entropy(DensityMatrix.maximally_mixed(2)) == pytest.approx(LN2, abs=1e-12)
+        assert von_neumann_entropy(DensityMatrix(np.eye(2) / 2)) == pytest.approx(LN2, abs=1e-12)
 
     def test_quarter_mixture(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]))
@@ -83,17 +83,17 @@ class TestRelativeEntropy:
 
     def test_pure_vs_mixed(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]))
-        sigma = DensityMatrix.maximally_mixed(2)
+        sigma = DensityMatrix(np.eye(2) / 2)
         assert relative_entropy(rho, sigma) == pytest.approx(LN2, abs=1e-12)
 
     def test_support_violation_is_infinite(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         sigma = DensityMatrix(np.diag([1.0, 0.0]))
         assert relative_entropy(rho, sigma) == math.inf
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            relative_entropy(DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(3))
+            relative_entropy(DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(3) / 3))
 
     def test_positivity_randomized(self):
         rng = np.random.default_rng(11)

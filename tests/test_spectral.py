@@ -23,7 +23,7 @@ class TestSingularProfile:
     def test_zero_matrix(self):
         prof = singular_profile(np.zeros((4, 4)))
         assert np.all(prof.values == 0.0)
-        assert prof.half_power_sum() == 0.0
+        assert prof.half_power_partials[-1] == 0.0
 
     def test_rank_one(self):
         u = np.array([1.0, 0.0, 0.0])

@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,12 @@ class TestTauSpectral:
             assert abs(res.trace - closed) <= 1e-13 * np.linalg.norm(xlogx(a.eigenvalues))
 
 
+def mask_projections(rng, n):
+    """Random masks of dim n of rank 0, 1, n - 1 and n."""
+    for rank in sorted({0, 1, n - 1, n}):
+        yield OrthoProjection.from_mask(n, rng.choice(n, size=rank, replace=False))
+
+
 def large_psd(scale):
     """A = s M M^H (M a 6 x 3 complex Gaussian from seed 3), rank 3, with the mask [0, 2, 4]."""
     m = gaussian_matrix(np.random.default_rng(3), 6, 3)
@@ -215,8 +222,7 @@ class TestTauIntegral:
         with pytest.raises(ValueError):
             tau.tau_integral(a, p, tol=0.0)
 
-    @pytest.mark.parametrize("integral", [tau.tau_integral, tau.tail_integral_identity_gap,
-                                          lambda a, p, tol: tau.truncated_trace(a, p, 0.1, tol)])
+    @pytest.mark.parametrize("integral", [tau.tau_integral])
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_integrals_refuse_bad_tolerance_before_work(self, monkeypatch, integral, tol):
         # no integrand is built
@@ -307,6 +313,56 @@ class TestKeyTraceBound:
             assert d <= bound + 1e-6
             prev = d
 
+    def test_bound_equals_its_definition(self):
+        # the definition: the sum over the eigenvalues lam of the n x n matrix B - A with
+        # |lam| > EIG_FLOOR; A of full rank, rank n // 2 and rank 1
+        rng = np.random.default_rng(39)
+        for n in range(2, 41):
+            for rank_a in sorted({1, n // 2, n}):
+                g = gaussian_matrix(rng, n, rank_a)
+                a = HermitianOperator(g @ g.conj().T / n)
+                root_norm = math.sqrt(a.operator_norm())
+                for p in mask_projections(rng, n):
+                    lams = np.abs(np.linalg.eigvalsh(tau.pinch(a, p).mat - a.mat))
+                    ref = sum(math.pi * root_norm * math.sqrt(lam) + 3.0 * lam * math.log((1.0 + lam) / lam)
+                              for lam in lams[lams > tau.EIG_FLOOR].tolist())
+                    assert abs(tau.key_bound_constant(a, p) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("scale", [1e6, 1e10])
+    def test_truncated_trace_against_60_digits(self, scale):
+        # The reference sums f(x) = x ln(1 + (1-eps)/(eps+x)) over the spectra of the rounded A
+        # and of its blocks, found at 60 digits.  eigvalsh finds each eigenvalue to about
+        # n eps_mach ||A||, which moves f by at most ln(1/eps) times that.
+        mpmath = pytest.importorskip("mpmath")
+        a, p = large_psd(scale)
+        eps = 0.01
+        inside = p.membership
+        with mpmath.workdps(60):
+            def total(m):
+                w = mpmath.eighe(mpmath.matrix(m.tolist()), eigvals_only=True)
+                return sum(x * mpmath.log1p((1 - mpmath.mpf(eps)) / (eps + x)) for x in w)
+
+            exact = (total(a.mat[np.ix_(inside, inside)]) + total(a.mat[np.ix_(~inside, ~inside)])
+                     - total(a.mat))
+            error = float(abs(tau.truncated_trace(a, p, eps) - exact))
+        assert error <= a.dim * np.finfo(float).eps * a.operator_norm() * (1.0 + math.log(1.0 / eps))
+
+    def test_key_estimate_takes_no_quadrature(self, monkeypatch):
+        # regression guard: both sides are closed forms; the bound's one decomposition is
+        # the svd of the p x q block A_PQ, and Tr D_eps's are eigvalsh of A, A_PP and A_QQ
+        calls = recorded_linalg(monkeypatch)
+        monkeypatch.setattr(tau, "_quad_gk21", lambda *args: pytest.fail("quadrature"))
+        a = random_psd(np.random.default_rng(40), 9)
+        a.eigenvalues  # the PSD check and ||A|| read them: decomposed here, its calls cleared below
+        p = OrthoProjection.from_mask(9, [1, 4, 6])
+        calls.clear()
+        tau.key_bound_constant(a, p)
+        assert [(name, m.shape) for name, m in calls] == [("svd", (3, 6))]
+        calls.clear()
+        tau.truncated_trace(a, p, 0.01)
+        assert [(name, m.shape) for name, m in calls] == [("eigvalsh", (9, 9)), ("eigvalsh", (3, 3)),
+                                                          ("eigvalsh", (6, 6))]
+
 
 class TestIntegralRepresentation:
     def test_integrand_psd_battery(self):
@@ -369,24 +425,31 @@ def near_commuting_instance(rng):
     return HermitianOperator(v @ m @ v.conj().T), p
 
 
-def closed_truncated_trace(a, b, eps):
-    """Tr D_eps = sum over spec B of mu ln((1+mu)/(eps+mu)) minus the same sum over spec A."""
-    def total(w):
-        w = np.clip(w, 0.0, None)
-        return float(np.sum(w * np.log1p((1.0 - eps) / (eps + w))))
+def quadrature_truncated_trace(a, p, eps):
+    """Tr D_eps by GK21 quadrature of the block integrand over [eps, 1], to tol 1e-10.
 
-    return total(np.linalg.eigvalsh(b)) - total(np.linalg.eigvalsh(a))
+    Substitutes t = eps^(1-v), v in [0, 1], Jacobian -ln(eps) t: each decade of
+    [eps, 1] gets the same length of v.
+    """
+    blocks = tau._BlockIntegrand(a, p)
+
+    def f(v):
+        t = eps ** (1.0 - v)
+        return slice(None), [block * (-math.log(eps) * t).reshape(-1, 1, 1) for block in blocks(t)]
+
+    d, _ = tau._integrate_matrix(f, blocks.sizes, 0.0, 1.0, 1e-10, 1e-8 * blocks.scale, "D_eps")
+    return float(np.trace(d.real))
 
 
 class TestWideSpectrum:
     # Node counts of the 30 instances, counted through _BlockIntegrand.__call__:
-    # 16 464, 1 890 and 9 198 with the maps t = x^2, eps^(1-v) and 1/v^2, against
-    # 27 846, 4 578 and 18 858 with t = s/(1-s), t itself and 1/u, which also
-    # missed tau by up to 24 times the bound below.  The budgets leave about 15 %.
-    BUDGETS = {"tau": 19_000, "d_eps": 2_200, "tail": 10_600}
+    # 16 464 and 9 198 with the maps t = x^2 and 1/v^2, against 27 846 and 18 858
+    # with t = s/(1-s) and 1/u, which also missed tau by up to 24 times the bound
+    # below.  The budgets leave about 15 %.
+    BUDGETS = {"tau": 19_000, "tail": 10_600}
 
     def test_wide_spectrum_battery(self, monkeypatch):
-        nodes = {name: 0 for name in self.BUDGETS}
+        nodes = Counter()
         quadrature = ["tau"]
         integrand = tau._BlockIntegrand.__call__
 
@@ -403,9 +466,9 @@ class TestWideSpectrum:
             gap = np.linalg.norm(tau.tau_integral(a, p).tau.mat - tau.tau_spectral(a, p).tau.mat)
             # the requested tolerance, plus the rounding of terms of size ||A ln A||
             assert gap <= 1e-8 + 1e-14 * np.linalg.norm(xlogx(a.eigenvalues))
-            quadrature[0] = "d_eps"
-            d_eps = tau.truncated_trace(a, p, eps)
-            assert abs(d_eps - closed_truncated_trace(a.mat, tau.pinch(a, p).mat, eps)) <= 1e-13 * norm_a
+            quadrature[0] = "oracle"
+            d_eps = quadrature_truncated_trace(a, p, eps)
+            assert abs(tau.truncated_trace(a, p, eps) - d_eps) <= 1e-13 * norm_a
             quadrature[0] = "tail"
             assert tau.tail_integral_identity_gap(a, p) <= 1e-12 * norm_a
         for name, budget in self.BUDGETS.items():
@@ -484,18 +547,13 @@ class TestBlockIntegrand:
     # that neither form keeps 1e-12
     T = np.array([0.1, 0.3, 1.0, 4.5, 1e3, 1e5, 1e8])
 
-    @staticmethod
-    def projections(rng, n):
-        for rank in sorted({0, 1, n - 1, n}):
-            yield OrthoProjection.from_mask(n, rng.choice(n, size=rank, replace=False))
-
     def test_equals_direct_integrand(self):
         rng = np.random.default_rng(35)
         for _ in range(40):
             n = int(rng.integers(1, 13))
             rank_a = int(rng.integers(1, n + 1))
             a = HermitianOperator(psd_from_factor(gaussian_matrix(rng, n, rank_a)))
-            for p in self.projections(rng, n):
+            for p in mask_projections(rng, n):
                 blocks = tau._BlockIntegrand(a, p)
                 assert min(blocks.sizes) == blocks.sizes[0] == min(p.rank(), n - p.rank())
                 direct = tau.resolvent_integrand(a, tau.pinch(a, p), p, self.T)
@@ -555,6 +613,17 @@ def recorded_quadratures(monkeypatch):
     return calls
 
 
+def recorded_linalg(monkeypatch):
+    """Record (name, matrix) of every np.linalg decomposition, inverse and solve."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals", "inv", "solve", "qr", "cholesky"):
+        def call(m, *args, original=getattr(np.linalg, name), name=name, **kwargs):
+            calls.append((name, m))
+            return original(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, call)
+    return calls
+
+
 def quad_vec_oracle(f, lo, hi, tol):
     """scipy's quad_vec on the scalar form of a batched integrand."""
     quad_vec = pytest.importorskip("scipy.integrate").quad_vec
@@ -611,9 +680,8 @@ class TestGK21Quadrature:
             a = random_psd(rng, dim)
             p = random_block_projection(rng, dim)
             tau.tau_integral(a, p)
-            tau.truncated_trace(a, p, float(10.0 ** rng.uniform(-3.0, -1.0)))
             tau.tail_integral_identity_gap(a, p)
-        assert len(calls) == 36
+        assert len(calls) == 24
         for f, lo, hi, tol, y, err in calls:
             y_ref, err_ref = quad_vec_oracle(f, lo, hi, tol)
             assert np.array_equal(y, y_ref)
@@ -626,7 +694,6 @@ class TestGK21Quadrature:
         a = random_psd(rng, 5)
         p = random_block_projection(rng, 5)
         tau.tau_integral(a, p)
-        tau.truncated_trace(a, p, 0.01)
         tau.tail_integral_identity_gap(a, p)
         blocks = tau._BlockIntegrand(a, p)
         eye_p, eye_q = (np.eye(d) for d in blocks.sizes)
@@ -645,17 +712,12 @@ class TestGK21Quadrature:
             x = s / r
             return integrand(x * x) * (2.0 * x / (r * r))
 
-        def logarithmic(v):
-            # t = eps^(1-v), numpy's power as in the batched form (C pow() differs on about 1 in 20)
-            t = float(np.power(0.01, 1.0 - v))
-            return integrand(t) * (-math.log(0.01) * t)
-
         def inverse_square(v):
             # t = 1/v^2
             v2 = v * v
             return integrand(1.0 / v2) * (2.0 / (v2 * v))
 
-        for (f, lo, hi, _, _, _), form in zip(calls, (squared, logarithmic, inverse_square)):
+        for (f, lo, hi, _, _, _), form in zip(calls, (squared, inverse_square)):
             x = rng.uniform(lo, hi, 1500)
             expected = [np.concatenate([m.real, m.imag]) for m in map(form, x.tolist())]
             assert np.array_equal(f(x), np.array(expected))
@@ -663,12 +725,7 @@ class TestGK21Quadrature:
     def test_quadratures_solve_and_invert_only(self, monkeypatch):
         # regression guard: the integral route takes no eigendecomposition of A, B or their
         # blocks, so it stays independent of tau_spectral
-        calls, in_quadrature = [], []
-        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals", "inv", "solve", "qr", "cholesky"):
-            def call(m, *args, original=getattr(np.linalg, name), name=name, **kwargs):
-                calls.append((name, m))
-                return original(m, *args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, call)
+        calls, in_quadrature = recorded_linalg(monkeypatch), []
         quadrature = tau._quad_gk21
 
         def recorded(f, lo, hi, tol):
@@ -684,10 +741,9 @@ class TestGK21Quadrature:
         mask = random_block_projection(rng, 9)
         calls.clear()
         tau.tau_integral(a, mask)
-        tau.truncated_trace(a, mask, 0.01)
         assert {name for name, _ in calls} == {"solve", "inv"}
         tau.tail_integral_identity_gap(a, mask)  # its closed form, after the quadrature, diagonalizes B
-        assert in_quadrature == [{"solve", "inv"}] * 3
+        assert in_quadrature == [{"solve", "inv"}] * 2
 
     def test_polynomial_exact_on_one_interval(self):
         powers = np.array([0, 1, 7, 20, 31])
