@@ -313,6 +313,15 @@ class TestKeyTraceBound:
             assert d <= bound + 1e-6
             prev = d
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -1.0, math.nan])
+    def test_truncated_trace_refuses_bad_eps_before_work(self, monkeypatch, eps):
+        # no spectrum is taken
+        calls = recorded_linalg(monkeypatch)
+        a, p = hand_instance()
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+            tau.truncated_trace(a, p, eps)
+        assert calls == []
+
     def test_bound_equals_its_definition(self):
         # the definition: the sum over the eigenvalues lam of the n x n matrix B - A with
         # |lam| > EIG_FLOOR; A of full rank, rank n // 2 and rank 1
