@@ -31,8 +31,9 @@ from .operators import _eigh_eigenvalues, _eigvalsh_eigenvalues, xlogx
 SPECTRUM_SLACK = 1e-9
 RECOMPOSITION_TOL = 1e-9    # the eigenvalues of C against its trace and Frobenius norm
 TWO_PATH_TOL = 1e-9
-MAX_SITES = 4096        # a solve's workspace holds one dense n x n complex matrix, 256 MiB
-                        # at the limit; the largest admitted mi peaks at about 300 MiB RSS (README)
+MAX_SITES = 4096        # a request's one workspace holds a dense n x n complex matrix of its largest
+                        # system, 256 MiB at the limit; an mi or converge that reaches it peaks at
+                        # about 300 MiB RSS (README)
 
 
 def _fits_float(x: numbers.Real) -> bool:
@@ -283,7 +284,12 @@ def _sublattice_entropies(*spectra) -> list[float]:
     return [2.0 * h + pad * math.log(2.0) for h, (_, pad) in zip(sums, spectra)]
 
 
-def sigma_trace(sys: CovarianceSystem) -> float:
+def _new_workspace(n: int) -> np.ndarray:
+    """The float64 workspace of an n-site solve: one n x n complex matrix and 4 n + 16 entries."""
+    return np.empty(2 * n * n + 4 * n + 16)
+
+
+def sigma_trace(sys: CovarianceSystem, _workspace: Optional[np.ndarray] = None) -> float:
     """Tr sigma_C = S_1 + S_2 - S_12, computed by two independent routes.
 
     The returned value takes S_12 from `_eigh_eigenvalues` of C: zhetrd and
@@ -296,14 +302,16 @@ def sigma_trace(sys: CovarianceSystem) -> float:
     from half-size real SVDs of the even x odd blocks B of C and of each
     region, which share no factorization with the first route.
 
-    Every matrix is copied from the system's tables into one float64
-    workspace of 2 n^2 + 4 n + 16 entries, and no stage holds a second
-    n x n array: each region block, reduced in place by zhetrd + dsterf;
-    each block B and its SVD; then C, which zhetrd reduces in place, and
-    dstedc's workspaces carved from the same array.
+    Every matrix is copied from the system's tables into the start of one
+    float64 workspace of 2 n^2 + 4 n + 16 entries, and no stage holds a
+    second n x n array: each region block, reduced in place by zhetrd +
+    dsterf; each block B and its SVD; then C, which zhetrd reduces in place,
+    and dstedc's workspaces carved from the same array.  `_workspace` is a
+    caller's workspace sized for this or a larger system (`mi_convergence`
+    and `resolution_study` solve every system of a request in one); a fresh
+    one is allocated without it.
     """
-    n = sys.size
-    ws = np.empty(2 * n * n + 4 * n + 16)
+    ws = _new_workspace(sys.size) if _workspace is None else _workspace
     w1, w2 = (_eigvalsh_eigenvalues(_square_block(sys, ws, region)) for region in (0, 1))
     svds = [_sublattice_singular_values(sys, ws, region) for region in (0, 1, None)]
     c = _square_block(sys, ws, None)
@@ -350,13 +358,11 @@ def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) ->
     if not all(0.0 < f <= 1.0 for f in fracs) or fracs[-1] != 1.0:
         raise ValueError("window fractions must lie in (0, 1] and end at 1")
     sys = build_covariance(config)
-    sizes, values = [], []
-    for f in fracs:
-        wsys = sys if f == 1.0 else _windowed_system(sys, f)
-        sizes.append(wsys.size)
-        values.append(config.components * sigma_trace(wsys))
+    windows = [sys if f == 1.0 else _windowed_system(sys, f) for f in fracs]
+    ws = _new_workspace(sys.size)       # every window solves in the full system's workspace
+    values = [config.components * sigma_trace(wsys, ws) for wsys in windows]
     err = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
-    return MISeries(window_sizes=tuple(sizes), values=tuple(values),
+    return MISeries(window_sizes=tuple(wsys.size for wsys in windows), values=tuple(values),
                     extrapolated=values[-1], extrapolation_error=err)
 
 
@@ -387,13 +393,13 @@ def richardson(values: Sequence[float]) -> tuple[float, float]:
 def resolution_study(config: IntervalConfig, resolutions: Sequence[float]) -> dict:
     """MI at each resolution plus a Richardson extrapolation to the continuum."""
     res = [float(r) for r in resolutions]
-    if any(r2 <= r1 for r1, r2 in zip(res, res[1:])):
-        raise ValueError("resolutions must be increasing")
-    values = []
-    for r in res:
-        cfg = IntervalConfig(intervals=config.intervals, resolution=r,
-                             split=config.split, components=config.components)
-        values.append(mutual_information_value(cfg))
+    if not res or any(r2 <= r1 for r1, r2 in zip(res, res[1:])):
+        raise ValueError("resolutions must be nonempty and increasing")
+    # Every system is built, and an oversized one refused, before the first solve;
+    # all of them then solve in the largest one's workspace.
+    systems = [build_covariance(replace(config, resolution=r)) for r in res]
+    ws = _new_workspace(max(s.size for s in systems))
+    values = [config.components * sigma_trace(s, ws) for s in systems]
     extrapolated, err = richardson(values)
     return {"resolutions": res, "values": values,
             "extrapolated": extrapolated, "uncertainty": err}

@@ -118,13 +118,6 @@ class RationalEmbedding:
     def k(self) -> int:
         return math.lcm(*(v.denominator for row in self.rows for v in row))
 
-    def inner(self, i: int, j: int) -> Fraction:
-        return sum((length * self.rows[i][s] * self.rows[j][s]
-                    for s, length in enumerate(self.segment_lengths)), Fraction(0))
-
-    def gram(self) -> List[List[Fraction]]:
-        return [[self.inner(i, j) for j in range(self.n)] for i in range(self.n)]
-
     def dense_vectors(self, max_r: int = 100_000) -> List[List[Fraction]]:
         if self.r > max_r:
             raise ValueError(f"embedding dimension {self.r} too large to expand densely")

@@ -72,12 +72,6 @@ class DensityMatrix:
         self.mat, self.eigenvalues, self.eigenvectors = _density_stack(_square_complex(mat))
         self.dim = self.mat.shape[0]
 
-    @classmethod
-    def pure(cls, vec) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
 

@@ -1,6 +1,7 @@
 """Oracles and instance generators that only the tests use, kept out of the package."""
 
 import math
+from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
@@ -40,6 +41,13 @@ def hardy_kernel(sites: np.ndarray) -> np.ndarray:
     k = np.where(odd, -1j / (math.pi * np.where(odd, delta, 1)), 0.0)
     np.fill_diagonal(k, 0.5)
     return 0.5 * (k + k.conj().T)
+
+
+def exact_gram(emb) -> list[list[Fraction]]:
+    """The Gram matrix of a run-length embedding's vectors in `Fraction` arithmetic: A_i . A_j sums,
+    over the constant coordinate segments, the segment's length times the two values on it."""
+    return [[sum((length * x * y for length, x, y in zip(emb.segment_lengths, a, b)), Fraction(0))
+             for b in emb.rows] for a in emb.rows]
 
 
 def coset_count(n: int, k: int) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 
 from araki_mi import audits, fermion, lattice, relent, spectral, tau
 from araki_mi.rand import random_block_projection, random_density, random_psd
-from oracles import coset_count, hardy_kernel
+from oracles import coset_count, exact_gram, hardy_kernel
 
 LN2 = math.log(2.0)
 
@@ -124,14 +124,14 @@ def test_criterion_6_lattice_embedding_exactness():
         count += 1
     for g in corpus:
         emb = lattice.embed_rational(g)
-        gram = emb.gram()
+        gram = exact_gram(emb)
         ok = ok and all(gram[i][j] == g.entries[i][j] for i in range(g.n) for j in range(g.n))
         k, int_rows = lattice.integralize(emb)
         scaled = lattice.RationalEmbedding(
             segment_lengths=emb.segment_lengths,
             rows=tuple(tuple(lattice.Fraction(x) for x in row) for row in int_rows),
             residuals=emb.residuals)
-        sg = scaled.gram()
+        sg = exact_gram(scaled)
         ok = ok and all(sg[i][j] == k * k * g.entries[i][j] for i in range(g.n) for j in range(g.n))
     for n in (1, 2, 3):
         for k in (1, 2, 3):
@@ -144,7 +144,8 @@ def test_criterion_6_lattice_embedding_exactness():
 
 def test_criterion_7_entropy_index_analog():
     e = relent.TraceExpectation(relent.BipartiteShape(2, 2), "A")
-    bell = relent.DensityMatrix.pure([1, 0, 0, 1])
+    v = np.array([1.0, 0.0, 0.0, 1.0])
+    bell = relent.DensityMatrix(np.outer(v, v.conj()) / 2)
     s, bound = relent.entropy_index_gap(2, bell, e)
     saturation_ok = abs(s - 2 * LN2) <= 1e-9 and abs(bound - 2 * LN2) <= 1e-12
     rng = np.random.default_rng(701)

@@ -320,7 +320,7 @@ class TestMICommand:
 
     def test_decreasing_window_series_is_numerical(self, capsys, monkeypatch):
         values = iter((0.3, 0.2, 0.25, 0.26))
-        monkeypatch.setattr(fermion, "sigma_trace", lambda sys: next(values))
+        monkeypatch.setattr(fermion, "sigma_trace", lambda sys, _workspace: next(values))
         code, out, err = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "8")
         assert (code, out) == (3, "")
         assert json.loads(err)["error"] == "numerical"
@@ -334,6 +334,17 @@ class TestMICommand:
 
 
 class TestConvergeCommand:
+    def test_oversized_resolution_refused_before_any_eigensolve(self, capsys, monkeypatch):
+        # converge builds the system of every resolution before it solves the first
+        def no_solve(*args, **kwargs):
+            raise RuntimeError("solved despite the site limit")
+
+        monkeypatch.setattr(fermion, "_eigh_eigenvalues", no_solve)
+        monkeypatch.setattr(fermion, "_eigvalsh_eigenvalues", no_solve)
+        code, out, err = run(capsys, "converge", "--intervals", "[[0,1],[2,3]]", "--resolutions", "32,1e9")
+        assert (code, out) == (2, "")
+        assert f"exceed the limit of {fermion.MAX_SITES}" in json.loads(err)["detail"]
+
     def test_json_study(self, capsys):
         code, out, _ = run(capsys, "converge", "--intervals", "[[0,1],[2,3]]",
                            "--resolutions", "8,16,32")

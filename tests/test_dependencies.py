@@ -4,6 +4,7 @@ import ast
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,26 @@ def test_every_public_name_is_read_or_listed():
                                                                  for top, reads in tops if top is not node))
     assert unread == []
     assert listed <= defined.keys()
+
+
+def attribute_reads(node: ast.AST) -> Counter:
+    """How often `node` reads each attribute name `x.name`."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def test_every_public_method_is_read():
+    # The methods and properties of the public classes are held to the same rule, by name: one is
+    # read where the package reads any `.name` outside the method's own definition, or the
+    # benchmark's scripts read it.
+    trees = module_trees()
+    package = sum((attribute_reads(tree) for tree in trees.values()), Counter())
+    bench = sum((attribute_reads(tree) for tree in module_trees(BENCH).values()), Counter())
+    unread = sorted(f"{Path(module).stem}.{cls.name}.{fn.name}" for module, tree in trees.items()
+                    for cls in public_definitions(tree).values() if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                    and not bench[fn.name] and package[fn.name] == attribute_reads(fn)[fn.name])
+    assert unread == []
 
 
 def test_oracles_read_only_input_checks_and_draws():

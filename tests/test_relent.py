@@ -24,7 +24,8 @@ H_QUARTER = 0.5623351446188083502880303152244588576654
 
 
 def bell_state() -> DensityMatrix:
-    return DensityMatrix.pure([1, 0, 0, 1])
+    v = np.array([1.0, 0.0, 0.0, 1.0])
+    return DensityMatrix(np.outer(v, v.conj()) / 2)
 
 
 class TestDensityMatrix:
@@ -53,7 +54,7 @@ class TestDensityMatrix:
 
 class TestVonNeumannEntropy:
     def test_pure_state(self):
-        assert von_neumann_entropy(DensityMatrix.pure([1, 0])) == pytest.approx(0.0, abs=1e-12)
+        assert von_neumann_entropy(DensityMatrix(np.diag([1.0, 0.0]))) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_qubit(self):
         assert von_neumann_entropy(DensityMatrix(np.eye(2) / 2)) == pytest.approx(LN2, abs=1e-12)
