@@ -19,18 +19,22 @@ yields a nondecreasing sequence converging to the full value.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operators import _eigh_eigenvalues, _eigvalsh_eigenvalues, xlogx
+from .operators import _eigh_eigenvalues, _eigvalsh_eigenvalues, _pinned_lapack, xlogx
 
 SPECTRUM_SLACK = 1e-9
 RECOMPOSITION_TOL = 1e-9    # the eigenvalues of C against its trace and Frobenius norm
 TWO_PATH_TOL = 1e-9
+LANE_MIN_SITES = 256    # a smaller solve stays on the main thread (README)
 MAX_SITES = 4096        # a request's one workspace holds a dense n x n complex matrix of its largest
                         # system, 256 MiB at the limit; an mi or converge that reaches it peaks at
                         # about 300 MiB RSS (README)
@@ -275,62 +279,127 @@ def _sublattice_singular_values(sys: CovarianceSystem, ws: np.ndarray, region: O
 
 
 def _sublattice_entropies(*spectra) -> list[float]:
-    """Entropy sums h(spec m) of matrices m = [[I/2, B], [B^H, I/2]], from (svd(B), |rows - columns| of B).
-
-    spec m = 1/2 +- svd(B), padded with |rows - columns| eigenvalues 1/2
-    (entropy ln 2 each).
-    """
+    """Entropy sums h(spec m) of matrices m = [[I/2, B], [B^H, I/2]], from (svd(B), |rows - columns| of B):
+    each padding eigenvalue 1/2 adds ln 2."""
     sums = _binary_entropy_sums(*(0.5 + s for s, _ in spectra))
     return [2.0 * h + pad * math.log(2.0) for h, (_, pad) in zip(sums, spectra)]
 
 
-def _new_workspace(n: int) -> np.ndarray:
-    """The float64 workspace of an n-site solve: one n x n complex matrix and 4 n + 16 entries."""
-    return np.empty(2 * n * n + 4 * n + 16)
+def _covariance_spectrum(sys: CovarianceSystem, ws: np.ndarray):
+    """(eigenvalues, ||C||_F, Tr C) of C, copied into the start of ws and reduced there; the norm is
+    np.linalg.norm's bit for bit, from its dot products of views of C, without calling np.linalg."""
+    c = _square_block(sys, ws, None)
+    v = c.ravel(order="K")
+    norm, trace = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)), np.trace(c).real
+    return _eigh_eigenvalues(c, ws), norm, trace
 
 
-def sigma_trace(sys: CovarianceSystem, _workspace: Optional[np.ndarray] = None) -> float:
+def _system_jobs(sys: CovarianceSystem) -> list:
+    """(workspace entries, sites, main thread only, solve(ws)) of each region's eigenvalues, the SVDs
+    of the blocks B of each region and C, and C's eigenvalues.  Two regions that are single runs of
+    equal length have equal blocks and share a job; so do their B when the runs start on one parity."""
+    runs, n = sys.runs, sys.size
+    sizes = [[sum(k for *_, k in _shares(sys, r, parity)) for parity in (None, 0, 1)] for r in (0, 1, None)]
+    eig = [(2 * m * m, m, False, lambda ws, r=r: _eigvalsh_eigenvalues(_square_block(sys, ws, r)))
+           for r, (m, _, _) in zip((0, 1), sizes)]
+    svd = [(p * q, max(p, q), True, lambda ws, r=r: _sublattice_singular_values(sys, ws, r))
+           for r, (_, p, q) in zip((0, 1, None), sizes)]
+    if sys.split == 1 and len(runs) == 2 and runs[0][1] == runs[1][1]:    # svd[0] if one parity
+        eig[1], svd[1] = eig[0], svd[runs[0][0] % 2 != runs[1][0] % 2]
+    return [*eig, *svd, (2 * n * n + 4 * n + 16, n, False, lambda ws: _covariance_spectrum(sys, ws))]
+
+
+def _lanes() -> int:
+    """2 where the OpenBLAS of `_pinned_lapack` runs one thread and the process may use two CPUs, else 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return 2 if cpus >= 2 and _pinned_lapack() is not None and getattr(ctypes.CDLL(
+        np.linalg._umath_linalg.__file__), "scipy_openblas_get_num_threads64_", int)() == 1 else 1
+
+
+def _run_jobs(jobs: list, ws: np.ndarray) -> list:
+    """The result, or the exception raised, of each job of `_system_jobs`, solved in a slice of ws.
+
+    One lane runs the jobs in order at the start of ws.  Two run the job of largest need last,
+    alone; the others go, most sites first, to the lane with fewer sites^3 so far: the main
+    thread in ws[:split], or a worker in ws[split:] if the job fits, calls no np.linalg and has
+    LANE_MIN_SITES sites.  split, a multiple of 64 bytes, keeps the alignment of ws.
+    """
+    out, main, worker_jobs, alone, split = [None] * len(jobs), list(range(len(jobs))), [], [], 0
+
+    def run(lane, at):
+        for i in lane:
+            try:
+                out[i] = jobs[i][3](ws[at:])
+            except Exception as exc:        # raised by the caller, in order, after the worker is joined
+                out[i] = exc
+
+    if _lanes() == 2:
+        alone = [main.pop(max(main, key=lambda i: jobs[i][0]))]     # main[i] == i before the pop
+        split, load = -(-max(jobs[i][0] for i in main) // 8) * 8, [0, 0]
+        for i in sorted(main, key=lambda i: -jobs[i][1]):
+            need, sites, main_only, _ = jobs[i]
+            lane = int(not main_only and sites >= LANE_MIN_SITES and need <= ws.size - split and load[1] < load[0])
+            load[lane] += sites ** 3
+            worker_jobs += [i] * lane
+    worker = threading.Thread(target=run, args=(sorted(worker_jobs), split))
+    if worker_jobs:
+        worker.start()
+    try:
+        run([i for i in main if i not in worker_jobs], 0)
+    finally:
+        if worker_jobs:
+            worker.join()
+    run(alone, 0)
+    return out
+
+
+def _sigma_traces(systems: Sequence[CovarianceSystem]) -> list[float]:
+    """sigma_trace of each system, from one `_run_jobs` of their distinct jobs in one workspace sized
+    for the largest C; errors surface system by system, as in a loop over the systems."""
+    slots = [_system_jobs(sys) for sys in systems]
+    jobs = list({id(job): job for jobs in slots for job in jobs}.values())
+    done = dict(zip(map(id, jobs), _run_jobs(jobs, np.empty(max(job[0] for job in jobs)))))
+    values = []
+    for jobs in slots:
+        results = [done[id(job)] for job in jobs]
+        if errors := [result for result in results if isinstance(result, Exception)]:
+            raise errors[0]
+        w1, w2, *svds, (w, norm, trace) = results
+        miss = max(abs(w.sum() - trace), abs(np.linalg.norm(w) - norm))
+        if miss > RECOMPOSITION_TOL * max(1.0, norm):
+            raise ArithmeticError(f"covariance eigenvalues miss the trace or norm of C ({miss:.3e})")
+        if w[0] < -SPECTRUM_SLACK or w[-1] > 1.0 + SPECTRUM_SLACK:
+            raise ArithmeticError(f"covariance spectrum escapes [0, 1]: [{w[0]}, {w[-1]}]")
+        s1, s2, s12 = _binary_entropy_sums(w1, w2, w)
+        value = s1 + s2 - s12
+        h1, h2, h12 = _sublattice_entropies(*svds)
+        check = h1 + h2 - h12
+        if abs(check - value) > TWO_PATH_TOL * max(1.0, abs(value)):
+            raise ArithmeticError(f"sigma trace routes disagree: eigensolve {value} vs sublattice SVD {check}")
+        if value < -SPECTRUM_SLACK:
+            raise ArithmeticError(f"negative mutual information {value}")
+        values.append(value)
+    return values
+
+
+def sigma_trace(sys: CovarianceSystem) -> float:
     """Tr sigma_C = S_1 + S_2 - S_12, computed by two independent routes.
 
-    The returned value takes S_12 from `_eigh_eigenvalues` of C: zhetrd and
-    dstedc of numpy's LAPACK, the bits of `eigh` without the eigenvectors of
-    C (the reported digits are pinned to that LAPACK path; np.linalg.eigh
-    itself where numpy's LAPACK lacks the symbols).  Those eigenvalues
-    must sum to Tr C, have 2-norm ||C||_F and lie in [0, 1] up to
-    SPECTRUM_SLACK.  S_X comes from `_eigvalsh_eigenvalues` of each region
+    The returned value takes S_12 from `_eigh_eigenvalues` of C, the bits of
+    `eigh` without the eigenvectors of C (the reported digits are pinned to
+    that LAPACK path).  Those eigenvalues must sum to Tr C, have 2-norm
+    ||C||_F and lie in [0, 1] up to SPECTRUM_SLACK.  S_X comes from `_eigvalsh_eigenvalues` of each region
     block, the bits of `eigvalsh`.  The check recomputes all three entropies
     from half-size real SVDs of the even x odd blocks B of C and of each
     region, which share no factorization with the first route.
 
-    Every matrix is copied from the system's tables into the start of one
-    float64 workspace of 2 n^2 + 4 n + 16 entries, and no stage holds a
-    second n x n array: each region block, reduced in place by zhetrd +
-    dsterf; each block B and its SVD; then C, which zhetrd reduces in place,
-    and dstedc's workspaces carved from the same array.  `_workspace` is a
-    caller's workspace sized for this or a larger system (`mi_convergence`
-    and `resolution_study` solve every system of a request in one); a fresh
-    one is allocated without it.
+    Each matrix is copied from the tables into one float64 workspace of
+    2 n^2 + 4 n + 16 entries per request and reduced in place; equal region
+    blocks are solved once, and on one OpenBLAS thread the solves run on two
+    threads in disjoint slices of it (`_run_jobs`).  Each LAPACK call sees
+    the same input and layout on either lane count: no bit depends on it.
     """
-    ws = _new_workspace(sys.size) if _workspace is None else _workspace
-    w1, w2 = (_eigvalsh_eigenvalues(_square_block(sys, ws, region)) for region in (0, 1))
-    svds = [_sublattice_singular_values(sys, ws, region) for region in (0, 1, None)]
-    c = _square_block(sys, ws, None)
-    norm, trace = float(np.linalg.norm(c)), np.trace(c).real
-    w = _eigh_eigenvalues(c, ws)
-    miss = max(abs(w.sum() - trace), abs(np.linalg.norm(w) - norm))
-    if miss > RECOMPOSITION_TOL * max(1.0, norm):
-        raise ArithmeticError(f"covariance eigenvalues miss the trace or norm of C ({miss:.3e})")
-    if w[0] < -SPECTRUM_SLACK or w[-1] > 1.0 + SPECTRUM_SLACK:
-        raise ArithmeticError(f"covariance spectrum escapes [0, 1]: [{w[0]}, {w[-1]}]")
-    s1, s2, s12 = _binary_entropy_sums(w1, w2, w)
-    value = s1 + s2 - s12
-    h1, h2, h12 = _sublattice_entropies(*svds)
-    check = h1 + h2 - h12
-    if abs(check - value) > TWO_PATH_TOL * max(1.0, abs(value)):
-        raise ArithmeticError(f"sigma trace routes disagree: eigensolve {value} vs sublattice SVD {check}")
-    if value < -SPECTRUM_SLACK:
-        raise ArithmeticError(f"negative mutual information {value}")
-    return value
+    return _sigma_traces([sys])[0]
 
 
 def mutual_information_value(config: IntervalConfig) -> float:
@@ -359,8 +428,7 @@ def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) ->
         raise ValueError("window fractions must lie in (0, 1] and end at 1")
     sys = build_covariance(config)
     windows = [sys if f == 1.0 else _windowed_system(sys, f) for f in fracs]
-    ws = _new_workspace(sys.size)       # every window solves in the full system's workspace
-    values = [config.components * sigma_trace(wsys, ws) for wsys in windows]
+    values = [config.components * v for v in _sigma_traces(windows)]
     err = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
     return MISeries(window_sizes=tuple(wsys.size for wsys in windows), values=tuple(values),
                     extrapolated=values[-1], extrapolation_error=err)
@@ -395,11 +463,9 @@ def resolution_study(config: IntervalConfig, resolutions: Sequence[float]) -> di
     res = [float(r) for r in resolutions]
     if not res or any(r2 <= r1 for r1, r2 in zip(res, res[1:])):
         raise ValueError("resolutions must be nonempty and increasing")
-    # Every system is built, and an oversized one refused, before the first solve;
-    # all of them then solve in the largest one's workspace.
+    # Every system is built, and an oversized one refused, before the first solve.
     systems = [build_covariance(replace(config, resolution=r)) for r in res]
-    ws = _new_workspace(max(s.size for s in systems))
-    values = [config.components * sigma_trace(s, ws) for s in systems]
+    values = [config.components * v for v in _sigma_traces(systems)]
     extrapolated, err = richardson(values)
     return {"resolutions": res, "values": values,
             "extrapolated": extrapolated, "uncertainty": err}

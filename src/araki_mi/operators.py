@@ -128,26 +128,20 @@ def _tridiagonal(zhetrd, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _eigh_eigenvalues(c: np.ndarray, workspace: Optional[np.ndarray] = None) -> np.ndarray:
     """np.linalg.eigh(c)[0] bit for bit, without the eigenvectors of c; c is overwritten.
 
-    eigh (zheevd, jobz='V') copies c to a Fortran-order buffer that holds c
-    itself and takes its eigenvalues from zhetrd('L'), the reduction to a
-    real tridiagonal, and dstedc('I') of that tridiagonal; this makes the
-    same two calls and skips the back-transformation and the n x n complex
-    eigenvector output.  A complex c in Fortran order is that buffer: zhetrd
-    reduces it in place, so c holds garbage afterwards.  Any other c is
-    first copied to that layout, as eigh copies it.  A C-order buffer
-    cannot stand in for the copy: read in Fortran order it is c^T, which
-    equals conj(c) only up to the signs of zeros, and zhetrd reads those.
-    dstedc still forms the tridiagonal's real eigenvectors: its
-    divide-and-conquer eigenvalues depend on them, and dsterf's (eigvalsh's)
-    differ in the last digits.  Its real workspace and n x n eigenvector
-    array are carved from `workspace`, a contiguous float64 array (2 n^2 +
-    4 n + 8 entries always suffice) that may hold c itself, dead once zhetrd
-    has reduced it, as in `fermion.sigma_trace`; without one they are carved
-    from a fresh array allocated after zhetrd.  zheevd would first
-    rescale a matrix whose largest entry is below ~1e-146 or above ~1e146;
-    this does not, so its bits match eigh's only for matrices inside that
-    range.  Falls back to np.linalg.eigh when numpy's LAPACK lacks the
-    symbols.
+    eigh (zheevd, jobz='V') takes its eigenvalues from zhetrd('L') of a
+    Fortran-order copy of c and dstedc('I') of the tridiagonal; this makes
+    the same two calls without the back-transformation and the n x n complex
+    eigenvectors.  A complex c in Fortran order is reduced in place; any
+    other c is first copied to that layout (a C-order buffer read as Fortran
+    is c^T, which equals conj(c) only up to the signs of zeros, and zhetrd
+    reads those).  dstedc still forms the tridiagonal's real eigenvectors,
+    on which its eigenvalues depend (dsterf's, eigvalsh's, differ in the
+    last digits); its real workspace and eigenvector array are carved from
+    `workspace`, contiguous float64 (2 n^2 + 4 n + 8 entries suffice) that
+    may hold c itself (as in `fermion.sigma_trace`), or from a fresh array
+    allocated after zhetrd.  Unlike zheevd this does not rescale a matrix
+    whose largest entry is below ~1e-146 or above ~1e146, so the bits match
+    only inside that range.  Falls back to np.linalg.eigh without the symbols.
     """
     lapack = _pinned_lapack()
     if lapack is None:

@@ -319,8 +319,7 @@ class TestMICommand:
             assert "endpoint" in json.loads(err)["detail"]
 
     def test_decreasing_window_series_is_numerical(self, capsys, monkeypatch):
-        values = iter((0.3, 0.2, 0.25, 0.26))
-        monkeypatch.setattr(fermion, "sigma_trace", lambda sys, _workspace: next(values))
+        monkeypatch.setattr(fermion, "_sigma_traces", lambda systems: [0.3, 0.2, 0.25, 0.26])
         code, out, err = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "8")
         assert (code, out) == (3, "")
         assert json.loads(err)["error"] == "numerical"

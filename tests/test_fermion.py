@@ -4,6 +4,7 @@ import json
 import math
 import os
 import subprocess
+import threading
 import tracemalloc
 from contextlib import redirect_stdout
 from dataclasses import replace
@@ -220,8 +221,13 @@ class TestSigmaTrace:
         with pytest.raises(ArithmeticError, match="miss the trace or norm"):
             sigma_trace(sys)
 
-    def test_one_eigensolve_real_svds_no_matmul(self, monkeypatch):
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_one_eigensolve_real_svds_no_matmul(self, monkeypatch, lanes):
         # regression guard: no n^3 recomposition of C, and no complex SVD on the lattice covariance
+        # (two lanes solve the region blocks side by side, in either order)
+        monkeypatch.setattr(fermion, "_lanes", lambda: lanes)
+        monkeypatch.setattr(fermion, "LANE_MIN_SITES", 0)
+        order = list if lanes == 1 else sorted
         calls, ufuncs = [], []
 
         class Watched(np.ndarray):
@@ -257,7 +263,7 @@ class TestSigmaTrace:
             monkeypatch.setattr(np, name, lambda *args, name=name, **kwargs: pytest.fail(f"np.{name} called"))
         assert sigma_trace(sys) > 0
         assert [shape for name, shape, _ in calls if name == "_eigh_eigenvalues"] == [(n, n)]
-        assert [shape for name, shape, _ in calls if name == "_eigvalsh_eigenvalues"] == regions
+        assert order(shape for name, shape, _ in calls if name == "_eigvalsh_eigenvalues") == order(regions)
         # np.linalg.eigh and eigvalsh run only as those eigensolves' fallbacks
         pinned = operators._pinned_lapack() is not None
         assert [shape for name, shape, _ in calls if name == "eigh"] == ([] if pinned else [(n, n)])
@@ -300,9 +306,12 @@ class TestSigmaTrace:
         (("mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "64"), [32, 64, 96, 128]),
         (("converge", "--intervals", "[[0,1],[2,3]]", "--resolutions", "16,32,64"), [32, 64, 128]),
     ], ids=["mi", "converge"])
-    def test_one_workspace_per_request(self, monkeypatch, argv, sizes):
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_one_workspace_per_request(self, monkeypatch, argv, sizes, lanes):
         # every window of an mi and every resolution of a converge solves in one workspace of
-        # 2 n^2 + 4 n + 16 doubles, n the size of the request's largest system
+        # 2 n^2 + 4 n + 16 doubles, n the size of the request's largest system, on either lane count
+        monkeypatch.setattr(fermion, "_lanes", lambda: lanes)
+        monkeypatch.setattr(fermion, "LANE_MIN_SITES", 0)
         allocated, solved_in = [], []
         empty, eigh = np.empty, fermion._eigh_eigenvalues
         monkeypatch.setattr(np, "empty", lambda *args, **kwargs: allocated.append(
@@ -313,9 +322,12 @@ class TestSigmaTrace:
             assert main(list(argv)) == 0
         n, m = max(sizes), min(sizes)
         # no float64 array but a workspace holds an m x m complex matrix (zhetrd's work is complex)
-        assert [a.size for a in allocated if a.dtype == np.float64 and a.size >= 2 * m * m] == [2 * n * n + 4 * n + 16]
-        assert [size for size, _ in solved_in] == sizes
-        assert all(workspace is solved_in[0][1] for _, workspace in solved_in)
+        workspaces = [a for a in allocated if a.dtype == np.float64 and a.size >= 2 * m * m]
+        assert [a.size for a in workspaces] == [2 * n * n + 4 * n + 16]
+        # in request order on one lane; on two the largest solve runs alone, after the others
+        solved = [size for size, _ in solved_in]
+        assert solved == sizes if lanes == 1 else (sorted(solved) == sizes and solved[-1] == n)
+        assert all(workspace.base is workspaces[0] for _, workspace in solved_in)
 
     def test_spectrum_escaping_unit_interval_raises(self):
         # spectrum 1/2 -+ 0.6 = (-0.1, 1.1): no covariance of a quasi-free state
@@ -453,6 +465,119 @@ class TestOneBlasThread:
         out = subprocess.run([executable, "-c", code, *argv], capture_output=True, check=True,
                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
         assert hashlib.sha256(out.stdout).hexdigest() == self.DIGESTS[argv]
+
+
+LANE_CHILD = """
+import json, sys, threading
+sys.path.insert(0, sys.argv[1])
+from araki_mi import cli, fermion, operators
+from araki_mi.fermion import IntervalConfig, mi_convergence, resolution_study
+
+lanes = int(sys.argv[2])
+fermion._lanes = lambda: lanes
+fermion.LANE_MIN_SITES = 0          # every solve that fits may go to the worker
+lapack_call, on_worker = operators._lapack_call, []
+def recorded(*args):
+    on_worker.append(threading.current_thread() is not threading.main_thread())
+    return lapack_call(*args)
+operators._lapack_call = recorded
+for intervals, resolutions in (("[[0,1],[2,3]]", "32,64,128"), ("[[0,1],[1.3,2.7]]", "32,64,128")):
+    assert cli.main(["mi", "--intervals", intervals, "--resolution", "128"]) == 0
+    assert cli.main(["converge", "--intervals", intervals, "--resolutions", resolutions]) == 0
+three = IntervalConfig(intervals=((0, 0.75), (1.25, 2), (2.5, 3.25)), resolution=128, split=2)
+print(json.dumps([v.hex() for v in mi_convergence(three, [0.25, 0.5, 0.75, 1.0]).values]))
+print(json.dumps([v.hex() for v in resolution_study(three, [32, 64, 128])["values"]]))
+print(sum(on_worker), len(on_worker), file=sys.stderr)
+"""
+
+
+class TestLanes:
+    """The solves of a request on one or two lanes: the lane count moves no bit, the worker makes
+    no call that the benchmark's tracer wraps, and a failure on it surfaces after it is joined."""
+
+    @staticmethod
+    def child(lanes: int, code: str = LANE_CHILD) -> subprocess.CompletedProcess:
+        src = str(Path(fermion.__file__).resolve().parents[1])
+        return subprocess.run([executable, "-c", code, src, str(lanes)], capture_output=True, text=True,
+                              check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+
+    def test_lane_count_moves_no_bit(self):
+        one, two = self.child(1), self.child(2)
+        assert one.stdout == two.stdout and one.stdout.count("\n") == 6
+        worker_calls, calls = map(int, two.stderr.split())
+        assert int(one.stderr.split()[0]) == 0 and 0 < worker_calls < calls
+
+    def test_worker_calls_nothing_the_tracer_wraps(self):
+        # every np.linalg function and every public araki_mi function (the benchmark tracer's
+        # spans, which share one stack) runs on the main thread during a two-lane request
+        code = """
+import sys, threading
+sys.path[:0] = [sys.argv[1], sys.argv[1] + "/../bench"]
+import numpy as np
+from araki_mi import cli, fermion, operators
+from tracer import Tracer
+fermion._lanes = lambda: 2
+fermion.LANE_MIN_SITES = 0
+threads, lapack_call = [], operators._lapack_call
+def on(name, fn):
+    def wrapper(*args, **kwargs):
+        threads.append((name, threading.current_thread() is threading.main_thread()))
+        return fn(*args, **kwargs)
+    return wrapper
+operators._lapack_call = on("lapack", lapack_call)
+for name in np.linalg.__all__:
+    if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+        setattr(np.linalg, name, on("numpy.linalg." + name, getattr(np.linalg, name)))
+tracer = Tracer().install()         # its np.linalg wrappers call the ones above
+call = tracer._call
+tracer._call = lambda name, fn, args, kwargs: on(name, call)(name, fn, args, kwargs)
+tracer.request = 0
+assert cli.main(["mi", "--intervals", "[[0,1],[1.3,2.7]]", "--resolution", "64"]) == 0
+print()
+print(sorted({name for name, main in threads if not main}), len(threads))
+print(sorted({name.split(".")[0] for name, main in threads if main}))
+"""
+        out = self.child(2, code).stdout.splitlines()
+        assert out[-2].startswith("['lapack'] ")         # the worker made LAPACK calls and nothing else
+        assert out[-1] == "['cli', 'fermion', 'lapack', 'linalg', 'numpy', 'operators', 'report']"
+
+    def test_worker_failure_surfaces_after_join(self, capsys, monkeypatch):
+        monkeypatch.setattr(fermion, "_lanes", lambda: 2)
+        monkeypatch.setattr(fermion, "LANE_MIN_SITES", 0)
+        lapack_call, failed = operators._lapack_call, []
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                failed.append(args[0])
+                raise ArithmeticError("LAPACK failed on the worker")
+            return lapack_call(*args)
+
+        monkeypatch.setattr(operators, "_lapack_call", failing)
+        before = threading.active_count()
+        code = main(["mi", "--intervals", "[[0,1],[1.3,2.7]]", "--resolution", "64"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "") and failed
+        assert json.loads(captured.err) == {"detail": "LAPACK failed on the worker",
+                                            "error": "numerical"}
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("geometry", [json.loads(g) for g in SWEEP_GEOMETRIES] + [[[0, 1], [2, 3.01]]])
+    def test_shared_region_jobs_solve_equal_matrices(self, geometry):
+        # a job shared by the two regions is solved on bit-equal blocks, also in windows of runs of
+        # unequal length (100 and 101 sites: the windows of 25 and 50 sites share their region job)
+        sys = build_covariance(IntervalConfig(intervals=geometry, resolution=100))
+        eig0, eig1, *_ = fermion._system_jobs(sys)
+        assert (eig0 is eig1) == (len(geometry) == 2 and sys.runs[0][1] == sys.runs[1][1])
+        for wsys in [sys] + [fermion._windowed_system(sys, f) for f in (0.25, 0.5, 0.75)]:
+            eig0, eig1, svd0, svd1, *_ = fermion._system_jobs(wsys)
+            ws0, ws1 = workspace(wsys), workspace(wsys)
+            if eig0 is eig1:
+                assert bits(fermion._square_block(wsys, ws0, 0)).tobytes() == bits(
+                    fermion._square_block(wsys, ws1, 1)).tobytes()
+            if svd0 is svd1:
+                blocks = [fermion._block(wsys, ws, fermion._shares(wsys, r, 0), fermion._shares(wsys, r, 1), part=1)
+                          for ws, r in ((ws0, 0), (ws1, 1))]
+                assert bits(blocks[0]).tobytes() == bits(blocks[1]).tobytes()
 
 
 class TestPinnedEigenvalues:
