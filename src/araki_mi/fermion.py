@@ -19,7 +19,6 @@ yields a nondecreasing sequence converging to the full value.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import numbers
 import os
@@ -29,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operators import _eigh_eigenvalues, _eigvalsh_eigenvalues, _pinned_lapack, xlogx
+from .operators import _blas_threads_getter, _eigh_eigenvalues, _eigvalsh_eigenvalues, xlogx
 
 SPECTRUM_SLACK = 1e-9
 RECOMPOSITION_TOL = 1e-9    # the eigenvalues of C against its trace and Frobenius norm
@@ -295,9 +294,8 @@ def _covariance_spectrum(sys: CovarianceSystem, ws: np.ndarray):
 
 
 def _system_jobs(sys: CovarianceSystem) -> list:
-    """(workspace entries, sites, main thread only, solve(ws)) of each region's eigenvalues, the SVDs
-    of the blocks B of each region and C, and C's eigenvalues.  Two regions that are single runs of
-    equal length have equal blocks and share a job; so do their B when the runs start on one parity."""
+    """(workspace entries, sites, main thread only, solve(ws)) of each region's eigenvalues, the SVDs of the
+    blocks B of each region and C, and C's eigenvalues; single-run regions of equal length share one job."""
     runs, n = sys.runs, sys.size
     sizes = [[sum(k for *_, k in _shares(sys, r, parity)) for parity in (None, 0, 1)] for r in (0, 1, None)]
     eig = [(2 * m * m, m, False, lambda ws, r=r: _eigvalsh_eigenvalues(_square_block(sys, ws, r)))
@@ -312,44 +310,41 @@ def _system_jobs(sys: CovarianceSystem) -> list:
 def _lanes() -> int:
     """2 where the OpenBLAS of `_pinned_lapack` runs one thread and the process may use two CPUs, else 1."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return 2 if cpus >= 2 and _pinned_lapack() is not None and getattr(ctypes.CDLL(
-        np.linalg._umath_linalg.__file__), "scipy_openblas_get_num_threads64_", int)() == 1 else 1
+    threads = _blas_threads_getter()
+    return 2 if cpus >= 2 and threads is not None and threads() == 1 else 1
 
 
 def _run_jobs(jobs: list, ws: np.ndarray) -> list:
-    """The result, or the exception raised, of each job of `_system_jobs`, solved in a slice of ws.
-
-    One lane runs the jobs in order at the start of ws.  Two run the job of largest need last,
-    alone; the others go, most sites first, to the lane with fewer sites^3 so far: the main
-    thread in ws[:split], or a worker in ws[split:] if the job fits, calls no np.linalg and has
-    LANE_MIN_SITES sites.  split, a multiple of 64 bytes, keeps the alignment of ws.
-    """
+    """The result or raised exception of each job of `_system_jobs`.  One lane runs them in order in ws;
+    two run the last job of largest need (the last system's C) last, alone in ws, unless a job failed,
+    and the others, most sites first, on the lane with less sites^3 so far: the main thread in ws[:split]
+    (split is 64-byte aligned) or a worker in ws[split:] if it fits, calls no np.linalg, has LANE_MIN_SITES."""
     out, main, worker_jobs, alone, split = [None] * len(jobs), list(range(len(jobs))), [], [], 0
 
-    def run(lane, at):
+    def run(lane, view):
         for i in lane:
             try:
-                out[i] = jobs[i][3](ws[at:])
+                out[i] = jobs[i][3](view)
             except Exception as exc:        # raised by the caller, in order, after the worker is joined
                 out[i] = exc
 
     if _lanes() == 2:
-        alone = [main.pop(max(main, key=lambda i: jobs[i][0]))]     # main[i] == i before the pop
+        alone = [main.pop(max(reversed(main), key=lambda i: jobs[i][0]))]   # main[i] == i before the pop
         split, load = -(-max(jobs[i][0] for i in main) // 8) * 8, [0, 0]
         for i in sorted(main, key=lambda i: -jobs[i][1]):
             need, sites, main_only, _ = jobs[i]
             lane = int(not main_only and sites >= LANE_MIN_SITES and need <= ws.size - split and load[1] < load[0])
             load[lane] += sites ** 3
             worker_jobs += [i] * lane
-    worker = threading.Thread(target=run, args=(sorted(worker_jobs), split))
+    worker = threading.Thread(target=run, args=(sorted(worker_jobs), ws[split:]))
     if worker_jobs:
         worker.start()
     try:
-        run([i for i in main if i not in worker_jobs], 0)
+        run([i for i in main if i not in worker_jobs], ws[:split] if split else ws)
     finally:
         if worker_jobs:
             worker.join()
-    run(alone, 0)
+    run([] if any(isinstance(result, Exception) for result in out) else alone, ws)
     return out
 
 
@@ -388,16 +383,14 @@ def sigma_trace(sys: CovarianceSystem) -> float:
     The returned value takes S_12 from `_eigh_eigenvalues` of C, the bits of
     `eigh` without the eigenvectors of C (the reported digits are pinned to
     that LAPACK path).  Those eigenvalues must sum to Tr C, have 2-norm
-    ||C||_F and lie in [0, 1] up to SPECTRUM_SLACK.  S_X comes from `_eigvalsh_eigenvalues` of each region
-    block, the bits of `eigvalsh`.  The check recomputes all three entropies
-    from half-size real SVDs of the even x odd blocks B of C and of each
-    region, which share no factorization with the first route.
-
-    Each matrix is copied from the tables into one float64 workspace of
-    2 n^2 + 4 n + 16 entries per request and reduced in place; equal region
-    blocks are solved once, and on one OpenBLAS thread the solves run on two
-    threads in disjoint slices of it (`_run_jobs`).  Each LAPACK call sees
-    the same input and layout on either lane count: no bit depends on it.
+    ||C||_F and lie in [0, 1] up to SPECTRUM_SLACK.  S_X comes from
+    `_eigvalsh_eigenvalues` of each region block, the bits of `eigvalsh`.
+    The check recomputes all three entropies from half-size real SVDs of
+    the even x odd blocks B of C and of each region, which share no
+    factorization with the first route.  Each matrix is copied from the
+    tables into one workspace per request (`_sigma_traces`) and reduced in
+    place; equal region blocks are solved once, and at one OpenBLAS thread
+    the solves run on two lanes (`_run_jobs`), which move no bit.
     """
     return _sigma_traces([sys])[0]
 

@@ -89,6 +89,13 @@ def _pinned_lapack():
     return zhetrd, dstedc, dsterf
 
 
+@functools.cache
+def _blas_threads_getter():
+    """() -> the threads that the scipy-openblas behind `_pinned_lapack` runs now, or None without it."""
+    from numpy.linalg import _umath_linalg
+    return _pinned_lapack() and getattr(ctypes.CDLL(_umath_linalg.__file__), "scipy_openblas_get_num_threads64_", None)
+
+
 def _lapack_call(fn, *args) -> None:
     """fn(args..., info, hidden lengths): arrays go by address, ints by reference, and a
     bytes argument is a Fortran string whose length goes last.  ArithmeticError on info != 0."""

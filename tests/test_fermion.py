@@ -327,7 +327,8 @@ class TestSigmaTrace:
         # in request order on one lane; on two the largest solve runs alone, after the others
         solved = [size for size, _ in solved_in]
         assert solved == sizes if lanes == 1 else (sorted(solved) == sizes and solved[-1] == n)
-        assert all(workspace.base is workspaces[0] for _, workspace in solved_in)
+        # each solve gets the workspace or a slice of it
+        assert all(workspace is workspaces[0] or workspace.base is workspaces[0] for _, workspace in solved_in)
 
     def test_spectrum_escaping_unit_interval_raises(self):
         # spectrum 1/2 -+ 0.6 = (-0.1, 1.1): no covariance of a quasi-free state
@@ -540,6 +541,49 @@ print(sorted({name.split(".")[0] for name, main in threads if main}))
         out = self.child(2, code).stdout.splitlines()
         assert out[-2].startswith("['lapack'] ")         # the worker made LAPACK calls and nothing else
         assert out[-1] == "['cli', 'fermion', 'lapack', 'linalg', 'numpy', 'operators', 'report']"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_threads_reads_numpys_openblas(self, threads):
+        if operators._pinned_lapack() is None:
+            pytest.skip("numpy's LAPACK lacks the scipy-openblas symbols")
+        src = str(Path(fermion.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); from araki_mi import operators; "
+                "print(operators._blas_threads_getter()())")
+        out = subprocess.run([executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)})
+        assert out.stdout.split() == [str(threads)]
+
+    @staticmethod
+    def planned(monkeypatch, fail: bool = False) -> tuple[list, list]:
+        """(results, (job, on main thread, byte offset, entries) of each solve) of four stand-in jobs
+        on two lanes in a workspace of 1000 doubles: split is 104, the first job's need rounded up."""
+        monkeypatch.setattr(fermion, "_lanes", lambda: 2)
+        ws, seen = np.empty(1000), []
+
+        def solve(k):
+            def job(view):
+                seen.append((k, threading.current_thread() is threading.main_thread(),
+                             view.ctypes.data - ws.ctypes.data, view.size))
+                if fail and k == 0:
+                    raise ArithmeticError("stand-in failure")
+                return k
+            return job
+
+        # (need, sites, main thread only, solve): the worker takes job 1 only (job 2 is main-only)
+        jobs = [(100, 300, False, solve(0)), (50, 290, False, solve(1)), (30, 280, True, solve(2)),
+                (400, 500, False, solve(3))]
+        return fermion._run_jobs(jobs, ws), sorted(seen)
+
+    def test_lanes_solve_in_disjoint_slices(self, monkeypatch):
+        out, seen = self.planned(monkeypatch)
+        assert out == [0, 1, 2, 3]
+        assert seen == [(0, True, 0, 104), (1, False, 8 * 104, 896), (2, True, 0, 104), (3, True, 0, 1000)]
+
+    def test_failure_skips_the_job_run_alone(self, monkeypatch):
+        # the largest solve, last and alone, does not run once an earlier job has failed
+        out, seen = self.planned(monkeypatch, fail=True)
+        assert isinstance(out[0], ArithmeticError) and out[1:] == [1, 2, None]
+        assert [k for k, *_ in seen] == [0, 1, 2]
 
     def test_worker_failure_surfaces_after_join(self, capsys, monkeypatch):
         monkeypatch.setattr(fermion, "_lanes", lambda: 2)
