@@ -22,7 +22,7 @@ import os
 import sys
 from contextlib import nullcontext
 
-from . import audits, fermion, lattice
+from . import fermion   # the other commands import audits and lattice, which mi and converge never load
 from .report import canonical_json, csv_lines
 
 USAGE_ERROR = 2
@@ -109,14 +109,17 @@ def _emit_audits(reports, args) -> int:
 
 
 def cmd_tau_audit(args) -> int:
+    from . import audits
     return _emit_audits(audits.tau_audit(args.trials, args.seed), args)
 
 
 def cmd_fan_audit(args) -> int:
+    from . import audits
     return _emit_audits(audits.spectral_audit(args.trials, args.seed), args)
 
 
 def cmd_embed(args) -> int:
+    from . import lattice
     gram_payload = _load_json(args.gram, args.input)
     if isinstance(gram_payload, dict):
         gram_payload = _fields(gram_payload, "--gram" if args.gram is not None else "--input", ("gram",))["gram"]
@@ -141,6 +144,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_index_analog(args) -> int:
+    from . import audits
     reports = [audits.index_audit(args.trials, args.seed, k=args.k),
                audits.pimsner_popa_audit(args.trials, args.seed + 1, k=args.k)]
     return _emit_audits(reports, args)

@@ -19,6 +19,7 @@ yields a nondecreasing sequence converging to the full value.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import os
@@ -112,6 +113,7 @@ class CovarianceSystem:
     run and the tables.  ArithmeticError unless every even separation other
     than 0 holds 0, separation 0 holds 1/2 and every odd separation has real
     part 0 (the sublattice structure, with a purely imaginary even x odd block).
+    The check runs once per set of tables: a window shares its parent's.
     """
 
     runs: Tuple[Tuple[int, int], ...]           # (first site, sites) of each run
@@ -196,18 +198,16 @@ def _fill(out: np.ndarray, tables, lowest, rows, cols, part: Optional[int] = Non
     rows and cols list (run, first site, step, sites) of each run's share.
     Each pair of shares is a Toeplitz block, read through a strided view of
     its table: one row down is `step` entries on, one column right `step`
-    entries back.
+    entries back.  A complex entry is 16 bytes, its real part the first 8.
     """
+    dtype, half = (complex, 0) if part is None else (np.float64, 8 * part)
     r = 0
     for i, s, step, m in rows:
         c = 0
         for j, t, _, k in cols:
             if m and k:
-                table = tables[i][j]
-                unit = table.itemsize            # a complex entry; its two float halves for a part
-                buf, dtype = (table, table.dtype) if part is None else (table.view(np.float64), np.float64)
-                offset = (s - t - lowest[i][j]) * unit + (0 if part is None else part * unit // 2)
-                out[r:r + m, c:c + k] = np.ndarray((m, k), dtype, buf, offset, (step * unit, -step * unit))
+                out[r:r + m, c:c + k] = np.ndarray((m, k), dtype, tables[i][j], (s - t - lowest[i][j]) * 16 + half,
+                                                   (16 * step, -16 * step))
             c += k
         r += m
     return out
@@ -220,20 +220,24 @@ def build_covariance(config: IntervalConfig) -> CovarianceSystem:
 
 
 def _binary_entropy_sums(*spectra: np.ndarray) -> list[float]:
-    """sum h(w) over each spectrum, from one x ln x pass over all of them."""
-    parts = [np.asarray(s, dtype=float) for s in spectra]
-    w = np.clip(np.concatenate(parts), 0.0, 1.0)
+    """sum h(w) over each spectrum, from one x ln x pass over all of them.
+
+    Each spectrum is summed strictly left to right from +0.0, not pairwise:
+    the reported digits of every mutual information depend on this order.
+    Its terms follow a +0.0 on a row of a table padded with +0.0, which adds
+    nothing to such a sum, and all rows are accumulated at once.
+    """
+    sizes = np.array([len(s) for s in spectra])
+    w = np.clip(np.concatenate(spectra), 0.0, 1.0)
     wlogw = xlogx(np.stack((w, 1.0 - w)))
-    terms = -(wlogw[0] + wlogw[1])
-    # Each spectrum is summed strictly left to right from +0.0, not pairwise:
-    # the reported digits of every mutual information depend on this order.
-    bounds = np.cumsum([p.size for p in parts])[:-1]
-    return [float(np.add.accumulate(np.concatenate(([0.0], t)))[-1]) for t in np.split(terms, bounds)]
+    rows = np.zeros((sizes.size, sizes.max() + 1))
+    rows[:, 1:][np.arange(sizes.max()) < sizes[:, None]] = -(wlogw[0] + wlogw[1])
+    return np.add.accumulate(rows, axis=1)[:, -1].tolist()
 
 
-def _shares(sys: CovarianceSystem, region: Optional[int], parity: Optional[int] = None) -> list:
-    """(run, first site, step, sites) of each run of region 0, 1 or (None) both, keeping the
-    sites of one parity (0 even, 1 odd) or (None) all of them."""
+def _shares(sys: CovarianceSystem, region: Optional[int], parity: Optional[int] = None) -> tuple[list, int]:
+    """((run, first site, step, sites) of each run of region 0, 1 or (None) both, keeping the
+    sites of one parity (0 even, 1 odd) or (None) all of them; their number of sites)."""
     runs = range(len(sys.runs))
     if region is not None:
         runs = runs[:sys.split] if region == 0 else runs[sys.split:]
@@ -245,26 +249,19 @@ def _shares(sys: CovarianceSystem, region: Optional[int], parity: Optional[int] 
         else:
             first = s + (s - parity) % 2
             shares.append((i, first, 2, (s + n - first + 1) // 2))
-    return shares
+    return shares, sum(m for *_, m in shares)
 
 
-def _block(sys: CovarianceSystem, ws: np.ndarray, rows: list, cols: list, part: Optional[int] = None) -> np.ndarray:
-    """C[rows, cols] (or its real or imaginary part) copied from the tables into the start of
-    the float64 workspace ws, in Fortran order, the layout in which LAPACK reduces it in place."""
-    shape = (sum(m for *_, m in rows), sum(k for *_, k in cols))
-    dtype = complex if part is None else np.float64
-    out = ws[:shape[0] * shape[1] * (2 if part is None else 1)].view(dtype).reshape(shape, order="F")
-    return _fill(out, sys.tables, sys.lowest, rows, cols, part)
+def _block(sys: CovarianceSystem, ws: np.ndarray, rows: tuple, cols: tuple, part: Optional[int] = None) -> np.ndarray:
+    """C[rows, cols] (or its real or imaginary part) for the `_shares` rows and cols, copied from the tables
+    into the start of the float64 workspace ws, in Fortran order, the layout in which LAPACK reduces it in place."""
+    (row_shares, m), (col_shares, k) = rows, cols
+    out = np.ndarray((m, k), complex if part is None else np.float64, ws, order="F")
+    return _fill(out, sys.tables, sys.lowest, row_shares, col_shares, part)
 
 
-def _square_block(sys: CovarianceSystem, ws: np.ndarray, region: Optional[int]) -> np.ndarray:
-    """The block of a region, or (None) C itself, copied into the start of ws."""
-    shares = _shares(sys, region)
-    return _block(sys, ws, shares, shares)
-
-
-def _sublattice_singular_values(sys: CovarianceSystem, ws: np.ndarray, region: Optional[int]):
-    """(svd(B), |rows - columns| of B) of the block B = C[even, odd] of a region or (None) of C.
+def _sublattice_singular_values(sys: CovarianceSystem, ws: np.ndarray, even: tuple, odd: tuple):
+    """(svd(B), |rows - columns| of B) of the block B = C[even, odd] of a region or of C.
 
     The Hardy kernel couples only sites of opposite parity, so C and each
     region block is [[I/2, B], [B^H, I/2]] in the parity split (checked on
@@ -273,21 +270,14 @@ def _sublattice_singular_values(sys: CovarianceSystem, ws: np.ndarray, region: O
     the singular values of its imaginary part, a real matrix copied from the
     tables, and the SVD runs in real arithmetic.
     """
-    b = _block(sys, ws, _shares(sys, region, 0), _shares(sys, region, 1), part=1)
+    b = _block(sys, ws, even, odd, part=1)
     return np.linalg.svd(b, compute_uv=False), abs(b.shape[0] - b.shape[1])
 
 
-def _sublattice_entropies(*spectra) -> list[float]:
-    """Entropy sums h(spec m) of matrices m = [[I/2, B], [B^H, I/2]], from (svd(B), |rows - columns| of B):
-    each padding eigenvalue 1/2 adds ln 2."""
-    sums = _binary_entropy_sums(*(0.5 + s for s, _ in spectra))
-    return [2.0 * h + pad * math.log(2.0) for h, (_, pad) in zip(sums, spectra)]
-
-
-def _covariance_spectrum(sys: CovarianceSystem, ws: np.ndarray):
+def _covariance_spectrum(sys: CovarianceSystem, ws: np.ndarray, rows: tuple):
     """(eigenvalues, ||C||_F, Tr C) of C, copied into the start of ws and reduced there; the norm is
     np.linalg.norm's bit for bit, from its dot products of views of C, without calling np.linalg."""
-    c = _square_block(sys, ws, None)
+    c = _block(sys, ws, rows, rows)
     v = c.ravel(order="K")
     norm, trace = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)), np.trace(c).real
     return _eigh_eigenvalues(c, ws), norm, trace
@@ -295,16 +285,19 @@ def _covariance_spectrum(sys: CovarianceSystem, ws: np.ndarray):
 
 def _system_jobs(sys: CovarianceSystem) -> list:
     """(workspace entries, sites, main thread only, solve(ws)) of each region's eigenvalues, the SVDs of the
-    blocks B of each region and C, and C's eigenvalues; single-run regions of equal length share one job."""
-    runs, n = sys.runs, sys.size
-    sizes = [[sum(k for *_, k in _shares(sys, r, parity)) for parity in (None, 0, 1)] for r in (0, 1, None)]
-    eig = [(2 * m * m, m, False, lambda ws, r=r: _eigvalsh_eigenvalues(_square_block(sys, ws, r)))
-           for r, (m, _, _) in zip((0, 1), sizes)]
-    svd = [(p * q, max(p, q), True, lambda ws, r=r: _sublattice_singular_values(sys, ws, r))
-           for r, (_, p, q) in zip((0, 1, None), sizes)]
+    blocks B of each region and C, and C's eigenvalues; single-run regions of equal length share one job.
+    The share lists and sizes of every block are planned here, once per system, for its jobs."""
+    runs = sys.runs
+    plan = {(r, parity): _shares(sys, r, parity) for r in (0, 1, None) for parity in (None, 0, 1)}
+    eig = [(2 * rows[1] ** 2, rows[1], False, lambda ws, rows=rows: _eigvalsh_eigenvalues(_block(sys, ws, rows, rows)))
+           for rows in (plan[0, None], plan[1, None])]
+    svd = [(even[1] * odd[1], max(even[1], odd[1]), True,
+            lambda ws, even=even, odd=odd: _sublattice_singular_values(sys, ws, even, odd))
+           for even, odd in ((plan[r, 0], plan[r, 1]) for r in (0, 1, None))]
     if sys.split == 1 and len(runs) == 2 and runs[0][1] == runs[1][1]:    # svd[0] if one parity
         eig[1], svd[1] = eig[0], svd[runs[0][0] % 2 != runs[1][0] % 2]
-    return [*eig, *svd, (2 * n * n + 4 * n + 16, n, False, lambda ws: _covariance_spectrum(sys, ws))]
+    n, c = sys.size, plan[None, None]
+    return [*eig, *svd, (2 * n * n + 4 * n + 16, n, False, lambda ws: _covariance_spectrum(sys, ws, c))]
 
 
 def _lanes() -> int:
@@ -336,13 +329,13 @@ def _run_jobs(jobs: list, ws: np.ndarray) -> list:
             lane = int(not main_only and sites >= LANE_MIN_SITES and need <= ws.size - split and load[1] < load[0])
             load[lane] += sites ** 3
             worker_jobs += [i] * lane
-    worker = threading.Thread(target=run, args=(sorted(worker_jobs), ws[split:]))
-    if worker_jobs:
+    worker = threading.Thread(target=run, args=(sorted(worker_jobs), ws[split:])) if worker_jobs else None
+    if worker:
         worker.start()
     try:
         run([i for i in main if i not in worker_jobs], ws[:split] if split else ws)
     finally:
-        if worker_jobs:
+        if worker:
             worker.join()
     run([] if any(isinstance(result, Exception) for result in out) else alone, ws)
     return out
@@ -350,30 +343,35 @@ def _run_jobs(jobs: list, ws: np.ndarray) -> list:
 
 def _sigma_traces(systems: Sequence[CovarianceSystem]) -> list[float]:
     """sigma_trace of each system, from one `_run_jobs` of their distinct jobs in one workspace sized
-    for the largest C; errors surface system by system, as in a loop over the systems."""
+    for the largest C and one entropy pass over the spectra of both routes of every system; errors
+    surface system by system, as in a loop over the systems."""
     slots = [_system_jobs(sys) for sys in systems]
     jobs = list({id(job): job for jobs in slots for job in jobs}.values())
     done = dict(zip(map(id, jobs), _run_jobs(jobs, np.empty(max(job[0] for job in jobs)))))
+    results = [[done[id(job)] for job in jobs] for jobs in slots]
+    solved = list(itertools.takewhile(lambda r: not any(isinstance(x, Exception) for x in r), results))
+    # per system: S_1, S_2, S_12 from the eigenvalues, then their sublattice halves from 1/2 + svd(B)
+    sums = _binary_entropy_sums(*(spectrum for w1, w2, *svds, (w, _, _) in solved
+                                  for spectrum in (w1, w2, w, *(0.5 + s for s, _ in svds)))) if solved else []
     values = []
-    for jobs in slots:
-        results = [done[id(job)] for job in jobs]
-        if errors := [result for result in results if isinstance(result, Exception)]:
-            raise errors[0]
-        w1, w2, *svds, (w, norm, trace) = results
+    for k, (w1, w2, *svds, (w, norm, trace)) in enumerate(solved):
         miss = max(abs(w.sum() - trace), abs(np.linalg.norm(w) - norm))
         if miss > RECOMPOSITION_TOL * max(1.0, norm):
             raise ArithmeticError(f"covariance eigenvalues miss the trace or norm of C ({miss:.3e})")
         if w[0] < -SPECTRUM_SLACK or w[-1] > 1.0 + SPECTRUM_SLACK:
             raise ArithmeticError(f"covariance spectrum escapes [0, 1]: [{w[0]}, {w[-1]}]")
-        s1, s2, s12 = _binary_entropy_sums(w1, w2, w)
+        s1, s2, s12, *halves = sums[6 * k:6 * k + 6]
         value = s1 + s2 - s12
-        h1, h2, h12 = _sublattice_entropies(*svds)
+        # each padding eigenvalue 1/2 of [[I/2, B], [B^H, I/2]] adds ln 2
+        h1, h2, h12 = (2.0 * h + pad * math.log(2.0) for h, (_, pad) in zip(halves, svds))
         check = h1 + h2 - h12
         if abs(check - value) > TWO_PATH_TOL * max(1.0, abs(value)):
             raise ArithmeticError(f"sigma trace routes disagree: eigensolve {value} vs sublattice SVD {check}")
         if value < -SPECTRUM_SLACK:
             raise ArithmeticError(f"negative mutual information {value}")
         values.append(value)
+    if len(solved) < len(results):
+        raise next(x for x in results[len(solved)] if isinstance(x, Exception))
     return values
 
 
@@ -390,7 +388,8 @@ def sigma_trace(sys: CovarianceSystem) -> float:
     factorization with the first route.  Each matrix is copied from the
     tables into one workspace per request (`_sigma_traces`) and reduced in
     place; equal region blocks are solved once, and at one OpenBLAS thread
-    the solves run on two lanes (`_run_jobs`), which move no bit.
+    the solves run on two lanes (`_run_jobs`), which move no bit.  The entropy
+    sums of both routes of every system take one pass per request.
     """
     return _sigma_traces([sys])[0]
 
@@ -402,14 +401,17 @@ def mutual_information_value(config: IntervalConfig) -> float:
 
 def _windowed_system(sys: CovarianceSystem, fraction: float) -> CovarianceSystem:
     """Centered sub-run of every run, with the same tables; windows at growing
-    fractions are nested and commute with the region selector."""
+    fractions are nested and commute with the region selector.  The window is
+    made without __init__: its tables are its parent's, already checked."""
     runs = []
     for i, (first, count) in enumerate(sys.runs):
         w = int(round(fraction * count))
         if w < 1:
             raise ValueError(f"window fraction {fraction} leaves interval {i} empty")
         runs.append((first + (count - w) // 2, w))
-    return replace(sys, runs=tuple(runs))
+    window = object.__new__(CovarianceSystem)
+    window.__dict__.update(vars(sys), runs=tuple(runs))
+    return window
 
 
 def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) -> MISeries:

@@ -96,13 +96,19 @@ def _blas_threads_getter():
     return _pinned_lapack() and getattr(ctypes.CDLL(_umath_linalg.__file__), "scipy_openblas_get_num_threads64_", None)
 
 
+# `_lapack_call` passes an argument by its exact type: an int by reference (ctypes passes a c_int64 by
+# reference where a pointer to one is declared), bytes as they are, and an array as a zero-length ctypes
+# array over the buffer of a.T, which is a's for a 1-D or Fortran-order a and must be contiguous and writable.
+_PASSED = {int: ctypes.c_int64, bytes: bytes}
+_OVER_BUFFER = (ctypes.c_char * 0).from_buffer
+
+
 def _lapack_call(fn, *args) -> None:
     """fn(args..., info, hidden lengths): arrays go by address, ints by reference, and a
     bytes argument is a Fortran string whose length goes last.  ArithmeticError on info != 0."""
     info = ctypes.c_int64(0)
-    refs = [a.ctypes.data if isinstance(a, np.ndarray) else a if isinstance(a, bytes)
-            else ctypes.byref(ctypes.c_int64(a)) for a in args]
-    fn(*refs, ctypes.byref(info), *(len(a) for a in args if isinstance(a, bytes)))
+    fn(*[_PASSED[type(a)](a) if type(a) in _PASSED else _OVER_BUFFER(a.T) for a in args], info,
+       *[len(a) for a in args if type(a) is bytes])
     if info.value:
         raise ArithmeticError(f"LAPACK {fn.__name__} failed (info {info.value})")
 
@@ -226,6 +232,13 @@ class HermitianOperator:
         self.dim = self.mat.shape[0]
         self._w: Optional[np.ndarray] = None
         self._u: Optional[np.ndarray] = None
+
+    @classmethod
+    def _of_symmetrised(cls, mat: np.ndarray) -> "HermitianOperator":
+        """The operator of a matrix the package has just symmetrised, which __init__'s check and copy would not change."""
+        op = cls.__new__(cls)
+        op.mat, op.dim, op._w, op._u = mat, mat.shape[0], None, None
+        return op
 
     def _decompose(self):
         if self._w is None:

@@ -223,7 +223,7 @@ class TauResult:
 def pinch(a: HermitianOperator, p: OrthoProjection) -> HermitianOperator:
     """B = PAP + (1-P)A(1-P) = (A + UAU)/2 with U = 2P - 1."""
     _check_dims(a, p)
-    return HermitianOperator(_pinched(a.mat, a.eigenvalues, p.membership))
+    return HermitianOperator._of_symmetrised(_pinched(a.mat, a.eigenvalues, p.membership))
 
 
 # The kernels below take a matrix or a (..., d, d) stack with P given as the
@@ -297,7 +297,7 @@ def _resolvent_bounds(a: np.ndarray, w_a: np.ndarray, inside: np.ndarray,
 def tau_spectral(a: HermitianOperator, p: OrthoProjection) -> TauResult:
     """tau via functional calculus with f(x) = x ln x (f(0) := 0)."""
     _check_dims(a, p)
-    tau = HermitianOperator(_tau_spectral(a.mat, a.eigenvalues, a.eigenvectors, p.membership))
+    tau = HermitianOperator._of_symmetrised(_tau_spectral(a.mat, a.eigenvalues, a.eigenvectors, p.membership))
     return TauResult(tau=tau, trace=tau.trace())
 
 
@@ -379,7 +379,7 @@ def tau_integral(a: HermitianOperator, p: OrthoProjection, tol: float = 1e-8) ->
 
     m, err = _integrate_matrix(f, blocks.sizes, 0.0, 1.0, tol, 100 * max(tol, 1e-12) * blocks.scale, "tau")
     m = blocks.restore(m)
-    tau = HermitianOperator(0.5 * (m + m.conj().T))
+    tau = HermitianOperator._of_symmetrised(0.5 * (m + m.conj().T))
     return TauResult(tau=tau, trace=tau.trace(), quadrature_error_estimate=err)
 
 

@@ -506,6 +506,18 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-1] == "0 []"
 
+    def test_mi_and_converge_load_no_audit_or_lattice_modules(self):
+        # the audit commands import audits and embed imports lattice, each when it runs
+        src = str(Path(araki_mi.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); from araki_mi import cli; "
+                "rc = [cli.main(['mi', '--intervals', '[[0,1],[2,3]]', '--resolution', '16']), "
+                "cli.main(['converge', '--intervals', '[[0,1],[2,3]]', '--resolutions', '8,16'])]; "
+                "print(); print(rc, sorted(m for m in sys.modules if m.startswith('araki_mi.') "
+                "or m in ('fractions', 'decimal')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == ("[0, 0] ['araki_mi.cli', 'araki_mi.fermion', 'araki_mi.operators', "
+                                               "'araki_mi.report']")
+
     def test_mi_binds_lapack_of_numpy_lazily(self):
         # zhetrd, dstedc and dsterf come from the library np.linalg itself calls (the handle of
         # numpy.linalg._umath_linalg), bound on the first sigma_trace, not at import.

@@ -73,7 +73,15 @@ def workspace(sys: CovarianceSystem) -> np.ndarray:
 
 def sublattice_entropy(sys: CovarianceSystem) -> float:
     """Entropy sum h(spec C) of one covariance from the singular values of its even-odd block."""
-    return fermion._sublattice_entropies(fermion._sublattice_singular_values(sys, workspace(sys), None))[0]
+    even, odd = fermion._shares(sys, None, 0), fermion._shares(sys, None, 1)
+    s, pad = fermion._sublattice_singular_values(sys, workspace(sys), even, odd)
+    return 2.0 * fermion._binary_entropy_sums(0.5 + s)[0] + pad * LN2
+
+
+def square_block(sys: CovarianceSystem, ws: np.ndarray, region) -> np.ndarray:
+    """The block of a region, or (None) C itself, copied into the start of ws."""
+    rows = fermion._shares(sys, region)
+    return fermion._block(sys, ws, rows, rows)
 
 
 def with_table(sys: CovarianceSystem, i: int, j: int, d: int, value: complex) -> CovarianceSystem:
@@ -91,7 +99,7 @@ def bits(a) -> np.ndarray:
 
 def gathered_kernel(sys: CovarianceSystem) -> np.ndarray:
     """C as `sigma_trace` reduces it: copied from the system's tables into a workspace."""
-    return fermion._square_block(sys, workspace(sys), None)
+    return square_block(sys, workspace(sys), None)
 
 
 # the mi-sweep geometries of the benchmark
@@ -256,9 +264,11 @@ class TestSigmaTrace:
         sys = build_covariance(IntervalConfig(intervals=((0.0, 1.0), (1.5, 2.5), (3.0, 3.75)), resolution=16, split=2))
         n = sys.size
         regions = [(rows.size, rows.size) for rows in region_rows(sys)]
-        # every array np.empty makes is watched: the workspace that C and its blocks are copied into included
-        empty = np.empty
+        # every array np.empty makes is watched, the workspace included, and so are C and its blocks,
+        # which are copied into views of the workspace
+        empty, block = np.empty, fermion._block
         monkeypatch.setattr(np, "empty", lambda *args, **kwargs: empty(*args, **kwargs).view(Watched))
+        monkeypatch.setattr(fermion, "_block", lambda *args, **kwargs: block(*args, **kwargs).view(Watched))
         for name in ("matmul", "dot", "vdot", "einsum", "tensordot", "inner", "outer", "kron"):
             monkeypatch.setattr(np, name, lambda *args, name=name, **kwargs: pytest.fail(f"np.{name} called"))
         assert sigma_trace(sys) > 0
@@ -376,6 +386,22 @@ class TestSublatticeCrossCheck:
         shifted = tuple(tuple(lo + (i != j) for j, lo in enumerate(row)) for i, row in enumerate(sys.lowest))
         with pytest.raises(ArithmeticError, match="sublattice"):
             sigma_trace(replace(sys, lowest=shifted))
+
+    def test_tables_checked_once_per_set(self, monkeypatch):
+        # the windows of an mi share their system's checked tables; each resolution of a converge
+        # has its own tables, checked once
+        checked, check = [], CovarianceSystem.__post_init__
+        monkeypatch.setattr(CovarianceSystem, "__post_init__", lambda sys: checked.append(sys.tables) or check(sys))
+        config = IntervalConfig(intervals=STANDARD, resolution=8)
+        assert len(mi_convergence(config, [0.25, 0.5, 0.75, 1.0]).values) == 4
+        assert len(checked) == 1
+        checked.clear()
+        assert len(resolution_study(config, [8, 16, 32])["values"]) == 3
+        assert len(checked) == 3 and len({id(tables) for tables in checked}) == 3
+        # a system built from other tables is still checked
+        with pytest.raises(ArithmeticError, match="sublattice"):
+            with_table(build_covariance(config), 1, 0, 10, 1e-6)
+        assert len(checked) == 5
 
     def test_same_parity_defect_in_one_region_raises(self):
         # one Hermitian entry between two sites of region 2 at an even separation breaks that
@@ -616,8 +642,8 @@ print(sorted({name.split(".")[0] for name, main in threads if main}))
             eig0, eig1, svd0, svd1, *_ = fermion._system_jobs(wsys)
             ws0, ws1 = workspace(wsys), workspace(wsys)
             if eig0 is eig1:
-                assert bits(fermion._square_block(wsys, ws0, 0)).tobytes() == bits(
-                    fermion._square_block(wsys, ws1, 1)).tobytes()
+                assert bits(square_block(wsys, ws0, 0)).tobytes() == bits(
+                    square_block(wsys, ws1, 1)).tobytes()
             if svd0 is svd1:
                 blocks = [fermion._block(wsys, ws, fermion._shares(wsys, r, 0), fermion._shares(wsys, r, 1), part=1)
                           for ws, r in ((ws0, 0), (ws1, 1))]
@@ -662,7 +688,7 @@ class TestPinnedEigenvalues:
             c, ws = hardy_kernel(system_sites(wsys)), workspace(wsys)
             for region, rows in enumerate(region_rows(wsys)):
                 expected = np.linalg.eigvalsh(c[np.ix_(rows, rows)])
-                block = fermion._square_block(wsys, ws, region)
+                block = square_block(wsys, ws, region)
                 assert block.flags.f_contiguous
                 assert np.array_equal(bits(_eigvalsh_eigenvalues(block)), bits(expected))
 
@@ -694,7 +720,7 @@ class TestPinnedEigenvalues:
             sites = system_sites(wsys)
             for region, rows in zip((0, 1, None), [*region_rows(wsys), np.arange(sites.size)]):
                 gathered = [row_of[s] for s in sites[rows]]
-                block = fermion._square_block(wsys, ws, region)
+                block = square_block(wsys, ws, region)
                 assert block.flags.f_contiguous
                 assert np.array_equal(bits(block), bits(c[np.ix_(gathered, gathered)]))
                 even = [row_of[s] for s in sites[rows] if s % 2 == 0]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from araki_mi import audits, tau
+from araki_mi import audits, operators, tau
 from araki_mi.operators import HermitianOperator, OrthoProjection, hermitian_stack, xlogx
 from araki_mi.rand import (block_membership, gaussian_matrix, psd_from_factor, random_block_projection,
                            random_psd)
@@ -97,6 +97,21 @@ class TestSymmetrisedInputs:
                 for eps in audits.EPS_VALUES:
                     self.assert_own_symmetrisation(a.mat + eps * np.eye(dim))
                 self.assert_own_symmetrisation(a.mat[tau._BlockIntegrand(a, p).order])
+
+    def test_results_taken_without_a_second_check(self, monkeypatch):
+        # pinch, tau_spectral and tau_integral wrap the matrices they have just symmetrised as they
+        # are: each is its own symmetrisation, so HermitianOperator's check and copy would change nothing
+        rng = np.random.default_rng(24)
+        checked, stack = [], operators.hermitian_stack
+        for dim in (2, 5, 9):
+            a, p = random_psd(rng, dim), random_block_projection(rng, dim)
+            monkeypatch.setattr(operators, "hermitian_stack", lambda m, *args: checked.append(m) or stack(m, *args))
+            results = [tau.pinch(a, p), tau.tau_spectral(a, p).tau, tau.tau_integral(a, p).tau]
+            monkeypatch.setattr(operators, "hermitian_stack", stack)
+            assert checked == []
+            for result in results:
+                assert result.dim == dim
+                self.assert_own_symmetrisation(result.mat)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
