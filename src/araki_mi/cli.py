@@ -22,6 +22,8 @@ import os
 import sys
 from contextlib import nullcontext
 
+from numpy.linalg import LinAlgError
+
 from . import fermion   # the other commands import audits and lattice, which mi and converge never load
 from .report import canonical_json, csv_lines
 
@@ -226,12 +228,12 @@ def main(argv=None) -> int:
             return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit:      # --help, after printing it; every usage error raises ValueError
         return 0
+    except (ArithmeticError, RuntimeError, LinAlgError) as exc:     # LinAlgError is a ValueError
+        sys.stderr.write(canonical_json({"error": "numerical", "detail": str(exc)}) + "\n")
+        return NUMERICAL_ERROR
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(canonical_json({"error": "usage", "detail": str(exc)}) + "\n")
         return USAGE_ERROR
-    except (ArithmeticError, RuntimeError) as exc:
-        sys.stderr.write(canonical_json({"error": "numerical", "detail": str(exc)}) + "\n")
-        return NUMERICAL_ERROR
     except Exception as exc:    # exit 1 is reserved for an audited violation
         sys.stderr.write(canonical_json({"error": "internal", "detail": f"{type(exc).__name__}: {exc}"}) + "\n")
         return NUMERICAL_ERROR

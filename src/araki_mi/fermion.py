@@ -103,32 +103,42 @@ class IntervalConfig:
 
 
 @dataclass(frozen=True)
-class CovarianceSystem:
-    """The covariance C on runs of consecutive lattice sites, as the kernel tables it is copied from.
+class KernelTables:
+    """The symmetrised kernel at every separation between two runs of sites, the tables C is copied from.
 
-    Rows are the sites of each run in turn, runs in interval order.  The
-    block of C on the rows of run i and the columns of run j is Toeplitz:
-    the entry for sites s and t is tables[i][j][s - t - lowest[i][j]], the
-    symmetrised kernel at separation s - t.  A window keeps a sub-run of each
-    run and the tables.  ArithmeticError unless every even separation other
-    than 0 holds 0, separation 0 holds 1/2 and every odd separation has real
-    part 0 (the sublattice structure, with a purely imaginary even x odd block).
-    The check runs once per set of tables: a window shares its parent's.
+    C's entry for site s of run i and site t of run j is tables[i][j][s - t - lowest[i][j]].  Checked once,
+    when built (windows share their parent's): TypeError unless each table is 1-D contiguous complex128, the
+    one layout `_block` reads; ArithmeticError unless every entry is finite, every even separation other
+    than 0 holds 0, separation 0 holds 1/2 and every odd one has real part 0 (the sublattice structure, with
+    a purely imaginary even x odd block).
     """
 
-    runs: Tuple[Tuple[int, int], ...]           # (first site, sites) of each run
-    split: int                                  # the first `split` runs form region 1
-    tables: Tuple[Tuple[np.ndarray, ...], ...]  # complex, one per ordered pair of runs
+    tables: Tuple[Tuple[np.ndarray, ...], ...]  # one per ordered pair of runs
     lowest: Tuple[Tuple[int, ...], ...]         # the separation at index 0 of each table
 
     def __post_init__(self):
         for i, (row, lows) in enumerate(zip(self.tables, self.lowest)):
             for j, (table, lo) in enumerate(zip(row, lows)):
+                if table.dtype != complex or table.ndim != 1 or not table.flags.c_contiguous:
+                    raise TypeError(f"kernel table ({i}, {j}) is not 1-D contiguous complex128")
                 even, odd = table[lo % 2::2], table[(lo + 1) % 2::2]
                 zero = -lo if i == j else None      # index of separation 0
-                if (np.count_nonzero(even) != (zero is not None) or (zero is not None and table[zero] != 0.5)
-                        or odd.real.any()):
-                    raise ArithmeticError("covariance breaks the sublattice structure")
+                if (not np.isfinite(table).all() or np.count_nonzero(even) != (zero is not None)
+                        or (zero is not None and table[zero] != 0.5) or odd.real.any()):
+                    raise ArithmeticError("covariance is not finite or breaks the sublattice structure")
+
+
+@dataclass(frozen=True)
+class CovarianceSystem:
+    """The covariance C on runs of consecutive lattice sites, as the kernel tables it is copied from.
+
+    Rows are the sites of each run in turn, runs in interval order.  A window
+    keeps a sub-run of each run and its parent's kernel.
+    """
+
+    runs: Tuple[Tuple[int, int], ...]   # (first site, sites) of each run
+    split: int                          # the first `split` runs form region 1
+    kernel: KernelTables
 
     @property
     def size(self) -> int:
@@ -156,6 +166,9 @@ def _site_blocks(config: IntervalConfig) -> list[Tuple[int, int]]:
     if sum(counts) > MAX_SITES:
         raise ValueError(f"{sum(counts)} lattice sites exceed the limit of {MAX_SITES}; lower the resolution")
     blocks = [(int(round(a * config.resolution)), n) for (a, _), n in zip(config.intervals, counts)]
+    # `_kernel_tables` takes np.arange up to one past the largest separation, float64 if that leaves int64
+    if max(s + n for s, n in blocks) - min(s for s, _ in blocks) > np.iinfo(np.int64).max:
+        raise ValueError("lattice sites too far apart: every separation must fit in int64; lower the resolution")
     ordered = sorted(blocks)
     for (s1, c1), (s2, _) in zip(ordered, ordered[1:]):
         if s2 < s1 + c1 + 1:
@@ -192,31 +205,9 @@ def _kernel_tables(runs: Sequence[Tuple[int, int]]):
     return tuple(tables), tuple(lowest)
 
 
-def _fill(out: np.ndarray, tables, lowest, rows, cols, part: Optional[int] = None) -> np.ndarray:
-    """out = C[rows, cols] (its real or imaginary part for part 0 or 1), copied from the tables.
-
-    rows and cols list (run, first site, step, sites) of each run's share.
-    Each pair of shares is a Toeplitz block, read through a strided view of
-    its table: one row down is `step` entries on, one column right `step`
-    entries back.  A complex entry is 16 bytes, its real part the first 8.
-    """
-    dtype, half = (complex, 0) if part is None else (np.float64, 8 * part)
-    r = 0
-    for i, s, step, m in rows:
-        c = 0
-        for j, t, _, k in cols:
-            if m and k:
-                out[r:r + m, c:c + k] = np.ndarray((m, k), dtype, tables[i][j], (s - t - lowest[i][j]) * 16 + half,
-                                                   (16 * step, -16 * step))
-            c += k
-        r += m
-    return out
-
-
 def build_covariance(config: IntervalConfig) -> CovarianceSystem:
     runs = tuple(_site_blocks(config))
-    tables, lowest = _kernel_tables(runs)
-    return CovarianceSystem(runs=runs, split=config.split, tables=tables, lowest=lowest)
+    return CovarianceSystem(runs=runs, split=config.split, kernel=KernelTables(*_kernel_tables(runs)))
 
 
 def _binary_entropy_sums(*spectra: np.ndarray) -> list[float]:
@@ -253,11 +244,23 @@ def _shares(sys: CovarianceSystem, region: Optional[int], parity: Optional[int] 
 
 
 def _block(sys: CovarianceSystem, ws: np.ndarray, rows: tuple, cols: tuple, part: Optional[int] = None) -> np.ndarray:
-    """C[rows, cols] (or its real or imaginary part) for the `_shares` rows and cols, copied from the tables
-    into the start of the float64 workspace ws, in Fortran order, the layout in which LAPACK reduces it in place."""
+    """C[rows, cols] (its real or imaginary part for part 0 or 1) for the `_shares` rows and cols, copied into
+    the start of the float64 workspace ws in Fortran order, the layout in which LAPACK reduces it in place.
+    Each pair of shares is a Toeplitz block, a strided view of its kernel table: one row down is `step`
+    entries on, one column right `step` entries back; a complex entry is 16 bytes, its real part the first 8."""
     (row_shares, m), (col_shares, k) = rows, cols
-    out = np.ndarray((m, k), complex if part is None else np.float64, ws, order="F")
-    return _fill(out, sys.tables, sys.lowest, row_shares, col_shares, part)
+    dtype, half = (complex, 0) if part is None else (np.float64, 8 * part)
+    out, tables, lowest = np.ndarray((m, k), dtype, ws, order="F"), sys.kernel.tables, sys.kernel.lowest
+    r = 0
+    for i, s, step, p in row_shares:
+        c = 0
+        for j, t, _, q in col_shares:
+            if p and q:
+                out[r:r + p, c:c + q] = np.ndarray((p, q), dtype, tables[i][j], (s - t - lowest[i][j]) * 16 + half,
+                                                   (16 * step, -16 * step))
+            c += q
+        r += p
+    return out
 
 
 def _sublattice_singular_values(sys: CovarianceSystem, ws: np.ndarray, even: tuple, odd: tuple):
@@ -265,7 +268,7 @@ def _sublattice_singular_values(sys: CovarianceSystem, ws: np.ndarray, even: tup
 
     The Hardy kernel couples only sites of opposite parity, so C and each
     region block is [[I/2, B], [B^H, I/2]] in the parity split (checked on
-    the tables by CovarianceSystem), and its spectrum is 1/2 +- svd(B),
+    the tables by KernelTables), and its spectrum is 1/2 +- svd(B),
     padded with 1/2.  B is purely imaginary (also checked there), so it has
     the singular values of its imaginary part, a real matrix copied from the
     tables, and the SVD runs in real arithmetic.
@@ -400,18 +403,15 @@ def mutual_information_value(config: IntervalConfig) -> float:
 
 
 def _windowed_system(sys: CovarianceSystem, fraction: float) -> CovarianceSystem:
-    """Centered sub-run of every run, with the same tables; windows at growing
-    fractions are nested and commute with the region selector.  The window is
-    made without __init__: its tables are its parent's, already checked."""
+    """Centered sub-run of every run, sharing sys's kernel tables, checked when sys was built; windows
+    at growing fractions are nested and commute with the region selector."""
     runs = []
     for i, (first, count) in enumerate(sys.runs):
         w = int(round(fraction * count))
         if w < 1:
             raise ValueError(f"window fraction {fraction} leaves interval {i} empty")
         runs.append((first + (count - w) // 2, w))
-    window = object.__new__(CovarianceSystem)
-    window.__dict__.update(vars(sys), runs=tuple(runs))
-    return window
+    return replace(sys, runs=tuple(runs))
 
 
 def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) -> MISeries:

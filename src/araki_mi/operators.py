@@ -138,7 +138,7 @@ def _tridiagonal(zhetrd, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def _eigh_eigenvalues(c: np.ndarray, workspace: Optional[np.ndarray] = None) -> np.ndarray:
+def _eigh_eigenvalues(c: np.ndarray, workspace: np.ndarray) -> np.ndarray:
     """np.linalg.eigh(c)[0] bit for bit, without the eigenvectors of c; c is overwritten.
 
     eigh (zheevd, jobz='V') takes its eigenvalues from zhetrd('L') of a
@@ -150,9 +150,9 @@ def _eigh_eigenvalues(c: np.ndarray, workspace: Optional[np.ndarray] = None) -> 
     reads those).  dstedc still forms the tridiagonal's real eigenvectors,
     on which its eigenvalues depend (dsterf's, eigvalsh's, differ in the
     last digits); its real workspace and eigenvector array are carved from
-    `workspace`, contiguous float64 (2 n^2 + 4 n + 8 entries suffice) that
-    may hold c itself (as in `fermion.sigma_trace`), or from a fresh array
-    allocated after zhetrd.  Unlike zheevd this does not rescale a matrix
+    the caller's `workspace`, contiguous float64 (2 n^2 + 4 n + 8 entries
+    suffice, ValueError otherwise) that may hold c itself (as in
+    `fermion.sigma_trace`).  Unlike zheevd this does not rescale a matrix
     whose largest entry is below ~1e-146 or above ~1e146, so the bits match
     only inside that range.  Falls back to np.linalg.eigh without the symbols.
     """
@@ -161,16 +161,12 @@ def _eigh_eigenvalues(c: np.ndarray, workspace: Optional[np.ndarray] = None) -> 
         return np.linalg.eigh(c)[0]
     zhetrd, dstedc, _ = lapack
     a = np.asarray(c, dtype=complex, order="F")     # c itself if complex and in Fortran order
-    del c
     n = a.shape[0]
     ld = max(1, n)
     d, e = _tridiagonal(zhetrd, a)
-    del a                       # a copy of c goes before dstedc's n x n arrays are allocated
     _, lwork, liwork = _workspace_sizes(n)
     need = lwork + 7 + ld * ld                      # rwork, up to 7 entries to put z on a 64-byte boundary, z
-    if workspace is None:
-        workspace = np.empty(need)
-    elif workspace.dtype != np.float64 or not workspace.flags.c_contiguous or workspace.size < need:
+    if workspace.dtype != np.float64 or not workspace.flags.c_contiguous or workspace.size < need:
         raise ValueError(f"workspace must be contiguous float64 of at least {need} entries")
     z_at = lwork + (-(workspace.ctypes.data // 8 + lwork)) % 8
     rwork, z, iwork = workspace[:lwork], workspace[z_at:z_at + ld * ld], np.empty(liwork, dtype=np.int64)

@@ -299,6 +299,28 @@ class TestMICommand:
     def test_overflowing_site_count_usage_error(self, capsys):
         assert_usage_error(capsys, "mi", "--intervals", "[[-1e308,0],[1,1e308]]")
 
+    @pytest.mark.parametrize("intervals", ["[[0,1],[9.3e18,9.300000000000002e18]]",
+                                           "[[-5e18,-4.999999999999999e18],[5e18,5.000000000000001e18]]"])
+    def test_separations_beyond_int64_usage_error(self, capsys, monkeypatch, intervals):
+        # the tables' np.arange would fall back to float64 and lose the parities of the separations
+        def no_tables(*args, **kwargs):
+            pytest.fail("built tables despite separations beyond int64")
+
+        monkeypatch.setattr(fermion, "_kernel_tables", no_tables)
+        code, out, err = run(capsys, "mi", "--intervals", intervals, "--resolution", "1")
+        assert (code, out) == (2, "")
+        assert "int64" in json.loads(err)["detail"]
+
+    def test_linalg_error_is_numerical(self, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, which is otherwise a usage error
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(fermion.np.linalg, "svd", no_convergence)
+        code, out, err = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "8")
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "numerical", "detail": "SVD did not converge"}
+
     @pytest.mark.parametrize("command", ["mi", "converge"])
     @pytest.mark.parametrize("field,value", [("resolution", "abc"), ("components", "x"),
                                              ("resolution", 10**400), ("components", 2**1100)])

@@ -19,6 +19,7 @@ from araki_mi.cli import main
 from araki_mi.fermion import (
     CovarianceSystem,
     IntervalConfig,
+    KernelTables,
     build_covariance,
     mi_convergence,
     mutual_information_value,
@@ -43,8 +44,8 @@ def toy_system(offdiag: complex) -> CovarianceSystem:
     """toy_matrix on sites 0 and 1, one site per region: sym(-1) = x, sym(0) = 1/2, sym(1) = conj x."""
     def table(v):
         return np.array([v], dtype=complex)
-    return CovarianceSystem(runs=((0, 1), (1, 1)), split=1, lowest=((0, -1), (1, 0)),
-                            tables=((table(0.5), table(offdiag)), (table(np.conj(offdiag)), table(0.5))))
+    return CovarianceSystem(runs=((0, 1), (1, 1)), split=1, kernel=KernelTables(
+        lowest=((0, -1), (1, 0)), tables=((table(0.5), table(offdiag)), (table(np.conj(offdiag)), table(0.5)))))
 
 
 def system_sites(sys: CovarianceSystem) -> np.ndarray:
@@ -61,8 +62,7 @@ def system_on(sites: np.ndarray) -> CovarianceSystem:
     """The covariance system on the runs of consecutive sites of a site list."""
     edges = np.r_[0, np.flatnonzero(np.diff(sites) != 1) + 1, sites.size]
     runs = tuple((int(sites[a]), int(b - a)) for a, b in zip(edges, edges[1:]))
-    tables, lowest = fermion._kernel_tables(runs)
-    return CovarianceSystem(runs=runs, split=1, tables=tables, lowest=lowest)
+    return CovarianceSystem(runs=runs, split=1, kernel=KernelTables(*fermion._kernel_tables(runs)))
 
 
 def workspace(sys: CovarianceSystem) -> np.ndarray:
@@ -86,10 +86,10 @@ def square_block(sys: CovarianceSystem, ws: np.ndarray, region) -> np.ndarray:
 
 def with_table(sys: CovarianceSystem, i: int, j: int, d: int, value: complex) -> CovarianceSystem:
     """sys with the entry at separation d of table (i, j), and conj of it at -d of table (j, i), set."""
-    tables = [[t.copy() for t in row] for row in sys.tables]
-    tables[i][j][d - sys.lowest[i][j]] = value
-    tables[j][i][-d - sys.lowest[j][i]] = np.conj(value)
-    return replace(sys, tables=tuple(map(tuple, tables)))
+    tables, lowest = [[t.copy() for t in row] for row in sys.kernel.tables], sys.kernel.lowest
+    tables[i][j][d - lowest[i][j]] = value
+    tables[j][i][-d - lowest[j][i]] = np.conj(value)
+    return replace(sys, kernel=KernelTables(tuple(map(tuple, tables)), lowest))
 
 
 def bits(a) -> np.ndarray:
@@ -190,8 +190,9 @@ class TestSigmaTrace:
     def test_block_diagonal_gives_zero(self):
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
         # the tables between the two regions zeroed
-        blocked = replace(sys, tables=tuple(tuple(t if (i < sys.split) == (j < sys.split) else np.zeros_like(t)
-                                                  for j, t in enumerate(row)) for i, row in enumerate(sys.tables)))
+        blocked = replace(sys, kernel=replace(sys.kernel, tables=tuple(
+            tuple(t if (i < sys.split) == (j < sys.split) else np.zeros_like(t) for j, t in enumerate(row))
+            for i, row in enumerate(sys.kernel.tables))))
         assert sigma_trace(blocked) == pytest.approx(0.0, abs=1e-10)
 
     def test_toy_half_offdiagonal(self):
@@ -379,19 +380,20 @@ class TestSublatticeCrossCheck:
         with pytest.raises(ArithmeticError, match="sublattice"):
             sublattice_entropy(with_table(sys, 0, 0, 0, 0.5 + 1e-6))
         # tables read at separations one off, so that the odd ones count as even
-        shifted = tuple(tuple(lo + 1 for lo in row) for row in sys.lowest)
+        shifted = tuple(tuple(lo + 1 for lo in row) for row in sys.kernel.lowest)
         with pytest.raises(ArithmeticError, match="sublattice"):
-            sublattice_entropy(replace(sys, lowest=shifted))
+            sublattice_entropy(replace(sys, kernel=replace(sys.kernel, lowest=shifted)))
         sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
-        shifted = tuple(tuple(lo + (i != j) for j, lo in enumerate(row)) for i, row in enumerate(sys.lowest))
+        lowest = sys.kernel.lowest
+        shifted = tuple(tuple(lo + (i != j) for j, lo in enumerate(row)) for i, row in enumerate(lowest))
         with pytest.raises(ArithmeticError, match="sublattice"):
-            sigma_trace(replace(sys, lowest=shifted))
+            sigma_trace(replace(sys, kernel=replace(sys.kernel, lowest=shifted)))
 
     def test_tables_checked_once_per_set(self, monkeypatch):
         # the windows of an mi share their system's checked tables; each resolution of a converge
         # has its own tables, checked once
-        checked, check = [], CovarianceSystem.__post_init__
-        monkeypatch.setattr(CovarianceSystem, "__post_init__", lambda sys: checked.append(sys.tables) or check(sys))
+        checked, check = [], KernelTables.__post_init__
+        monkeypatch.setattr(KernelTables, "__post_init__", lambda kt: checked.append(kt.tables) or check(kt))
         config = IntervalConfig(intervals=STANDARD, resolution=8)
         assert len(mi_convergence(config, [0.25, 0.5, 0.75, 1.0]).values) == 4
         assert len(checked) == 1
@@ -402,6 +404,23 @@ class TestSublatticeCrossCheck:
         with pytest.raises(ArithmeticError, match="sublattice"):
             with_table(build_covariance(config), 1, 0, 10, 1e-6)
         assert len(checked) == 5
+
+    @pytest.mark.parametrize("i,j,d,value", [(0, 1, -9, complex(0, np.nan)), (0, 0, 1, complex(0, np.inf))])
+    def test_non_finite_odd_entry_refused(self, i, j, d, value):
+        # an odd separation's real part is 0 here, so only a finiteness test refuses it before LAPACK
+        sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
+        with pytest.raises(ArithmeticError, match="not finite"):
+            with_table(sys, i, j, d, value)
+
+    def test_float_tables_refused(self):
+        # the tables' real parts keep the sublattice structure, but `_block` reads only complex128
+        kernel = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8)).kernel
+        with pytest.raises(TypeError, match="complex128"):
+            replace(kernel, tables=tuple(tuple(t.real.copy() for t in row) for row in kernel.tables))
+
+    def test_windows_share_the_kernel(self):
+        sys = build_covariance(IntervalConfig(intervals=STANDARD, resolution=8))
+        assert all(fermion._windowed_system(sys, f).kernel is sys.kernel for f in (0.25, 0.5, 0.75))
 
     def test_same_parity_defect_in_one_region_raises(self):
         # one Hermitian entry between two sites of region 2 at an even separation breaks that
@@ -668,7 +687,15 @@ class TestPinnedEigenvalues:
         in_workspace = ws[:2 * n * n].view(complex).reshape((n, n), order="F")
         in_workspace[...] = c
         assert np.array_equal(bits(_eigh_eigenvalues(in_workspace, ws)), bits(expected))
-        assert np.array_equal(bits(_eigh_eigenvalues(c)), bits(expected))
+        assert np.array_equal(bits(_eigh_eigenvalues(c, np.empty(2 * n * n + 4 * n + 16))), bits(expected))
+
+    def test_short_or_complex_workspace_refused(self):
+        # the size and dtype check keeps each lane's dstedc arrays inside its own workspace slice
+        c = gathered_kernel(build_covariance(IntervalConfig(intervals=STANDARD, resolution=8)))
+        n = c.shape[0]
+        for ws in (np.empty(n * n), np.empty(2 * n * n + 4 * n + 16, dtype=complex)):
+            with pytest.raises(ValueError, match="workspace"):
+                _eigh_eigenvalues(c.copy(order="F"), ws)
 
     @staticmethod
     def systems_with_windows(intervals, resolution):
