@@ -35,6 +35,8 @@ SPECTRUM_SLACK = 1e-9
 RECOMPOSITION_TOL = 1e-9    # the eigenvalues of C against its trace and Frobenius norm
 TWO_PATH_TOL = 1e-9
 LANE_MIN_SITES = 256    # a smaller solve stays on the main thread (README)
+LANE_MIN_C_SITES = 128  # a smaller C runs alone after the other solves, not on the worker beside them: an mi
+                        # took 0.94-1.10x the time of C alone at a C of 96 sites, 0.94x at 128, 0.86x at 160 (README)
 MAX_SITES = 4096        # a request's one workspace holds a dense n x n complex matrix of its largest
                         # system, 256 MiB at the limit; an mi or converge that reaches it peaks at
                         # about 300 MiB RSS (README)
@@ -310,12 +312,22 @@ def _lanes() -> int:
     return 2 if cpus >= 2 and threads is not None and threads() == 1 else 1
 
 
-def _run_jobs(jobs: list, ws: np.ndarray) -> list:
-    """The result or raised exception of each job of `_system_jobs`.  One lane runs them in order in ws;
-    two run the last job of largest need (the last system's C) last, alone in ws, unless a job failed,
-    and the others, most sites first, on the lane with less sites^3 so far: the main thread in ws[:split]
-    (split is 64-byte aligned) or a worker in ws[split:] if it fits, calls no np.linalg, has LANE_MIN_SITES."""
-    out, main, worker_jobs, alone, split = [None] * len(jobs), list(range(len(jobs))), [], [], 0
+def _run_jobs(jobs: list, lanes: int) -> list:
+    """The result or raised exception of each job of `_system_jobs`, solved in one new workspace.
+
+    C, the last job of largest need (the last system's C), needs ws[:need(C)]; one lane runs every job in
+    order there.  Two run the jobs of at least LANE_MIN_SITES sites first, most sites first on the lane with
+    less sites^3 so far: the main thread in ws[:split] (split their largest need, 64-byte aligned) and a
+    worker in ws[split:need(C)], taking those that fit and call no np.linalg.  Then C, unless a job failed:
+    on a worker in ws[:need(C)] while the main thread solves the smaller jobs ("beside" it) in order in the
+    slice after it, if C has LANE_MIN_C_SITES; else alone, after the smaller jobs."""
+    c = max(reversed(range(len(jobs))), key=lambda i: jobs[i][0])
+    need, out = jobs[c][0], [None] * len(jobs)
+    rest = [i for i in range(len(jobs)) if i != c]
+    beside = [i for i in rest if jobs[i][1] < LANE_MIN_SITES] if lanes == 2 and jobs[c][1] >= LANE_MIN_C_SITES else []
+    first = [i for i in rest if i not in beside]
+    at = -(-need // 8) * 8      # the beside slice starts 64-byte aligned after C's
+    ws = np.empty(at + max(jobs[i][0] for i in beside) if beside else need)
 
     def run(lane, view):
         for i in lane:
@@ -324,33 +336,39 @@ def _run_jobs(jobs: list, ws: np.ndarray) -> list:
             except Exception as exc:        # raised by the caller, in order, after the worker is joined
                 out[i] = exc
 
-    if _lanes() == 2:
-        alone = [main.pop(max(reversed(main), key=lambda i: jobs[i][0]))]   # main[i] == i before the pop
-        split, load = -(-max(jobs[i][0] for i in main) // 8) * 8, [0, 0]
-        for i in sorted(main, key=lambda i: -jobs[i][1]):
-            need, sites, main_only, _ = jobs[i]
-            lane = int(not main_only and sites >= LANE_MIN_SITES and need <= ws.size - split and load[1] < load[0])
-            load[lane] += sites ** 3
-            worker_jobs += [i] * lane
-    worker = threading.Thread(target=run, args=(sorted(worker_jobs), ws[split:])) if worker_jobs else None
-    if worker:
-        worker.start()
-    try:
-        run([i for i in main if i not in worker_jobs], ws[:split] if split else ws)
-    finally:
-        if worker:
-            worker.join()
-    run([] if any(isinstance(result, Exception) for result in out) else alone, ws)
+    def pair(main, main_view, worker, worker_view):
+        thread = threading.Thread(target=run, args=(worker, worker_view)) if worker else None
+        if thread:
+            thread.start()
+        try:
+            run(main, main_view)
+        finally:
+            if thread:
+                thread.join()
+
+    split, load, worker = -(-max((jobs[i][0] for i in first), default=0) // 8) * 8, [0, 0], []
+    for i in sorted(first, key=lambda i: -jobs[i][1]):
+        job_need, sites, main_only, _ = jobs[i]
+        lane = int(lanes == 2 and not main_only and sites >= LANE_MIN_SITES and job_need <= need - split
+                   and load[1] < load[0])
+        load[lane] += sites ** 3
+        worker += [i] * lane
+    pair([i for i in first if i not in worker], ws[:split], sorted(worker), ws[split:need])
+    alone = [] if any(isinstance(result, Exception) for result in out) else [c]
+    if beside:
+        pair(beside, ws[at:], alone, ws[:need])
+    else:
+        run(alone, ws[:need])
     return out
 
 
 def _sigma_traces(systems: Sequence[CovarianceSystem]) -> list[float]:
-    """sigma_trace of each system, from one `_run_jobs` of their distinct jobs in one workspace sized
-    for the largest C and one entropy pass over the spectra of both routes of every system; errors
+    """sigma_trace of each system, from one `_run_jobs` of their distinct jobs, planned on the lane count
+    read here once, and one entropy pass over the spectra of both routes of every system; errors
     surface system by system, as in a loop over the systems."""
     slots = [_system_jobs(sys) for sys in systems]
     jobs = list({id(job): job for jobs in slots for job in jobs}.values())
-    done = dict(zip(map(id, jobs), _run_jobs(jobs, np.empty(max(job[0] for job in jobs)))))
+    done = dict(zip(map(id, jobs), _run_jobs(jobs, _lanes())))
     results = [[done[id(job)] for job in jobs] for jobs in slots]
     solved = list(itertools.takewhile(lambda r: not any(isinstance(x, Exception) for x in r), results))
     # per system: S_1, S_2, S_12 from the eigenvalues, then their sublattice halves from 1/2 + svd(B)
@@ -390,9 +408,11 @@ def sigma_trace(sys: CovarianceSystem) -> float:
     the even x odd blocks B of C and of each region, which share no
     factorization with the first route.  Each matrix is copied from the
     tables into one workspace per request (`_sigma_traces`) and reduced in
-    place; equal region blocks are solved once, and at one OpenBLAS thread
-    the solves run on two lanes (`_run_jobs`), which move no bit.  The entropy
-    sums of both routes of every system take one pass per request.
+    place; equal region blocks are solved once.  At one OpenBLAS thread the
+    solves run on two lanes (`_run_jobs`), which move no bit: the large ones
+    split between them, then the largest C on the worker while the main
+    thread solves the small ones.  The entropy sums of both routes of every
+    system take one pass per request.
     """
     return _sigma_traces([sys])[0]
 

@@ -152,9 +152,10 @@ def _eigh_eigenvalues(c: np.ndarray, workspace: np.ndarray) -> np.ndarray:
     last digits); its real workspace and eigenvector array are carved from
     the caller's `workspace`, contiguous float64 (2 n^2 + 4 n + 8 entries
     suffice, ValueError otherwise) that may hold c itself (as in
-    `fermion.sigma_trace`).  Unlike zheevd this does not rescale a matrix
-    whose largest entry is below ~1e-146 or above ~1e146, so the bits match
-    only inside that range.  Falls back to np.linalg.eigh without the symbols.
+    `fermion._covariance_spectrum`).  Unlike zheevd this does not rescale
+    a matrix whose largest entry is below ~1e-146 or above ~1e146, so the
+    bits match only inside that range.  Falls back to np.linalg.eigh
+    without the symbols.
     """
     lapack = _pinned_lapack()
     if lapack is None:

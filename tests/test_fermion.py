@@ -321,6 +321,7 @@ class TestSigmaTrace:
     def test_one_workspace_per_request(self, monkeypatch, argv, sizes, lanes):
         # every window of an mi and every resolution of a converge solves in one workspace of
         # 2 n^2 + 4 n + 16 doubles, n the size of the request's largest system, on either lane count
+        # (with no job below LANE_MIN_SITES none solves beside C, whose slice then ends the workspace)
         monkeypatch.setattr(fermion, "_lanes", lambda: lanes)
         monkeypatch.setattr(fermion, "LANE_MIN_SITES", 0)
         allocated, solved_in = [], []
@@ -340,6 +341,25 @@ class TestSigmaTrace:
         assert solved == sizes if lanes == 1 else (sorted(solved) == sizes and solved[-1] == n)
         # each solve gets the workspace or a slice of it
         assert all(workspace is workspaces[0] or workspace.base is workspaces[0] for _, workspace in solved_in)
+
+    @pytest.mark.parametrize("argv", [
+        ("mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "64"),
+        ("converge", "--intervals", "[[0,1],[1.3,2.7]]", "--resolutions", "32,64,128,256"),
+    ], ids=["mi", "converge"])
+    def test_two_lane_workspace_adds_one_small_job(self, monkeypatch, argv):
+        # when C solves on the worker beside the jobs below LANE_MIN_SITES sites, the one workspace is
+        # C's need, rounded up to 64 bytes, and the largest need among those jobs
+        monkeypatch.setattr(fermion, "_lanes", lambda: 2)
+        allocated, planned = [], []
+        empty, system_jobs = np.empty, fermion._system_jobs
+        monkeypatch.setattr(np, "empty", lambda *args, **kwargs: allocated.append(
+            empty(*args, **kwargs)) or allocated[-1])
+        monkeypatch.setattr(fermion, "_system_jobs", lambda sys: planned.append(system_jobs(sys)) or planned[-1])
+        with redirect_stdout(io.StringIO()):
+            assert main(list(argv)) == 0
+        *others, (need, *_) = [job for jobs in planned for job in jobs]      # C is the last job
+        small = max(job[0] for job in others if job[1] < fermion.LANE_MIN_SITES)
+        assert [a.size for a in allocated if a.dtype == np.float64 and a.size >= need] == [-(-need // 8) * 8 + small]
 
     def test_spectrum_escaping_unit_interval_raises(self):
         # spectrum 1/2 -+ 0.6 = (-0.1, 1.1): no covariance of a quasi-free state
@@ -513,7 +533,7 @@ class TestOneBlasThread:
         assert hashlib.sha256(out.stdout).hexdigest() == self.DIGESTS[argv]
 
 
-LANE_CHILD = """
+LANE_PRELUDE = """
 import json, sys, threading
 sys.path.insert(0, sys.argv[1])
 from araki_mi import cli, fermion, operators
@@ -521,18 +541,29 @@ from araki_mi.fermion import IntervalConfig, mi_convergence, resolution_study
 
 lanes = int(sys.argv[2])
 fermion._lanes = lambda: lanes
-fermion.LANE_MIN_SITES = 0          # every solve that fits may go to the worker
 lapack_call, on_worker = operators._lapack_call, []
 def recorded(*args):
     on_worker.append(threading.current_thread() is not threading.main_thread())
     return lapack_call(*args)
 operators._lapack_call = recorded
+"""
+LANE_CHILD = LANE_PRELUDE + """
+fermion.LANE_MIN_SITES = 0          # every solve that fits may go to the worker
 for intervals, resolutions in (("[[0,1],[2,3]]", "32,64,128"), ("[[0,1],[1.3,2.7]]", "32,64,128")):
     assert cli.main(["mi", "--intervals", intervals, "--resolution", "128"]) == 0
     assert cli.main(["converge", "--intervals", intervals, "--resolutions", resolutions]) == 0
 three = IntervalConfig(intervals=((0, 0.75), (1.25, 2), (2.5, 3.25)), resolution=128, split=2)
 print(json.dumps([v.hex() for v in mi_convergence(three, [0.25, 0.5, 0.75, 1.0]).values]))
 print(json.dumps([v.hex() for v in resolution_study(three, [32, 64, 128])["values"]]))
+print(sum(on_worker), len(on_worker), file=sys.stderr)
+"""
+# the package's own lane constants on the mi-sweep geometries, where every C of at least
+# LANE_MIN_C_SITES sites solves on the worker beside its request's smaller jobs
+SWEEP_LANE_CHILD = LANE_PRELUDE + f"""
+for intervals in {SWEEP_GEOMETRIES!r}:
+    for resolution in ("64", "80", "96"):
+        assert cli.main(["mi", "--intervals", intervals, "--resolution", resolution]) == 0
+    assert cli.main(["converge", "--intervals", intervals, "--resolutions", "16,32,64,128"]) == 0
 print(sum(on_worker), len(on_worker), file=sys.stderr)
 """
 
@@ -553,9 +584,17 @@ class TestLanes:
         worker_calls, calls = map(int, two.stderr.split())
         assert int(one.stderr.split()[0]) == 0 and 0 < worker_calls < calls
 
+    def test_lane_count_moves_no_bit_at_the_package_constants(self):
+        one, two = self.child(1, SWEEP_LANE_CHILD), self.child(2, SWEEP_LANE_CHILD)
+        assert one.stdout == two.stdout and one.stdout.count("\n") == 4 * len(SWEEP_GEOMETRIES)
+        worker_calls, calls = map(int, two.stderr.split())
+        assert int(one.stderr.split()[0]) == 0 and 0 < worker_calls < calls
+
     def test_worker_calls_nothing_the_tracer_wraps(self):
         # every np.linalg function and every public araki_mi function (the benchmark tracer's
-        # spans, which share one stack) runs on the main thread during a two-lane request
+        # spans, which share one stack) runs on the main thread during two-lane requests at the
+        # package's constants: an mi whose C of 154 sites solves beside all its other jobs, and a
+        # converge whose jobs of at least LANE_MIN_SITES sites also take the worker before its C
         code = """
 import sys, threading
 sys.path[:0] = [sys.argv[1], sys.argv[1] + "/../bench"]
@@ -563,7 +602,6 @@ import numpy as np
 from araki_mi import cli, fermion, operators
 from tracer import Tracer
 fermion._lanes = lambda: 2
-fermion.LANE_MIN_SITES = 0
 threads, lapack_call = [], operators._lapack_call
 def on(name, fn):
     def wrapper(*args, **kwargs):
@@ -579,6 +617,7 @@ call = tracer._call
 tracer._call = lambda name, fn, args, kwargs: on(name, call)(name, fn, args, kwargs)
 tracer.request = 0
 assert cli.main(["mi", "--intervals", "[[0,1],[1.3,2.7]]", "--resolution", "64"]) == 0
+assert cli.main(["converge", "--intervals", "[[0,1],[1.3,2.7]]", "--resolutions", "32,64,128,256"]) == 0
 print()
 print(sorted({name for name, main in threads if not main}), len(threads))
 print(sorted({name.split(".")[0] for name, main in threads if main}))
@@ -599,14 +638,16 @@ print(sorted({name.split(".")[0] for name, main in threads if main}))
         assert out.stdout.split() == [str(threads)]
 
     @staticmethod
-    def planned(monkeypatch, fail: bool = False) -> tuple[list, list]:
-        """(results, (job, on main thread, byte offset, entries) of each solve) of four stand-in jobs
-        on two lanes in a workspace of 1000 doubles: split is 104, the first job's need rounded up."""
-        monkeypatch.setattr(fermion, "_lanes", lambda: 2)
-        ws, seen = np.empty(1000), []
+    def planned(lanes: int = 2, c_sites: int = 500, fail: bool = False) -> tuple[list, list, int]:
+        """(results, (job, on main thread, byte offset, entries) of each solve in the order the lanes ran
+        them, workspace entries) of six stand-in jobs at the package's lane constants, whose last, C, needs
+        401 entries (408 rounded up to 64 bytes): jobs 0-2 have at least LANE_MIN_SITES sites, 3 and 4 fewer."""
+        seen, workspaces = [], set()
 
         def solve(k):
             def job(view):
+                ws = view if view.base is None else view.base
+                workspaces.add(ws.size)
                 seen.append((k, threading.current_thread() is threading.main_thread(),
                              view.ctypes.data - ws.ctypes.data, view.size))
                 if fail and k == 0:
@@ -614,25 +655,70 @@ print(sorted({name.split(".")[0] for name, main in threads if main}))
                 return k
             return job
 
-        # (need, sites, main thread only, solve): the worker takes job 1 only (job 2 is main-only)
+        # (need, sites, main thread only, solve): in phase 1 the worker takes job 1 only (job 2 is main-only)
         jobs = [(100, 300, False, solve(0)), (50, 290, False, solve(1)), (30, 280, True, solve(2)),
-                (400, 500, False, solve(3))]
-        return fermion._run_jobs(jobs, ws), sorted(seen)
+                (20, 100, False, solve(3)), (40, 50, True, solve(4)), (401, c_sites, False, solve(5))]
+        assert fermion.LANE_MIN_C_SITES <= 500 and all(
+            (sites >= fermion.LANE_MIN_SITES) == (k < 3) for k, (_, sites, *_) in enumerate(jobs[:5]))
+        out = fermion._run_jobs(jobs, lanes)
+        assert len(workspaces) == 1
+        return out, seen, workspaces.pop()
 
-    def test_lanes_solve_in_disjoint_slices(self, monkeypatch):
-        out, seen = self.planned(monkeypatch)
-        assert out == [0, 1, 2, 3]
-        assert seen == [(0, True, 0, 104), (1, False, 8 * 104, 896), (2, True, 0, 104), (3, True, 0, 1000)]
+    def test_c_solves_on_the_worker_beside_the_small_jobs(self):
+        # phase 1: the large jobs on two lanes inside C's slice, the main thread's first (split = 104);
+        # phase 2: C on the worker in ws[:401], the small jobs in order on the main thread in ws[408:]
+        out, seen, size = self.planned()
+        assert out == [0, 1, 2, 3, 4, 5] and size == 408 + 40
+        assert sorted(seen) == [(0, True, 0, 104), (1, False, 8 * 104, 297), (2, True, 0, 104),
+                                (3, True, 8 * 408, 40), (4, True, 8 * 408, 40), (5, False, 0, 401)]
+        assert [k for k, main, *_ in seen if main] == [0, 2, 3, 4]
 
-    def test_failure_skips_the_job_run_alone(self, monkeypatch):
-        # the largest solve, last and alone, does not run once an earlier job has failed
-        out, seen = self.planned(monkeypatch, fail=True)
-        assert isinstance(out[0], ArithmeticError) and out[1:] == [1, 2, None]
-        assert [k for k, *_ in seen] == [0, 1, 2]
+    @pytest.mark.parametrize("lanes,c_sites", [(2, 100), (1, 500)], ids=["small-c", "one-lane"])
+    def test_c_runs_alone_last(self, lanes, c_sites):
+        # a C below LANE_MIN_C_SITES, or any C on one lane, runs alone after the others in a workspace
+        # of its own need; the small jobs stay on the main thread
+        out, seen, size = self.planned(lanes, c_sites)
+        assert out == [0, 1, 2, 3, 4, 5] and size == 401
+        on_worker = [1] if lanes == 2 else []
+        assert sorted(seen) == [(k, True, 0, 104) if k not in on_worker else (k, False, 8 * 104, 297)
+                                for k in range(5)] + [(5, True, 0, 401)]
+        assert [k for k, main, *_ in seen if main] == [k for k in range(6) if k not in on_worker]
 
-    def test_worker_failure_surfaces_after_join(self, capsys, monkeypatch):
+    def test_failure_skips_c_but_not_the_jobs_beside_it(self):
+        # C does not start once a job has failed; the small jobs still run, so every system before
+        # the failing one has its results
+        out, seen, _ = self.planned(fail=True)
+        assert isinstance(out[0], ArithmeticError) and out[1:] == [1, 2, 3, 4, None]
+        assert sorted(k for k, *_ in seen) == [0, 1, 2, 3, 4]
+
+    def test_errors_surface_system_by_system(self, monkeypatch):
+        # converge at 64, 128, 256 and 512 sites: a region solve of 256 sites (the last system's, on
+        # two lanes before C) and one of 64 (the second system's, beside C) both fail; the second
+        # system's failure is raised, as a loop over the systems would raise it, and C never starts
         monkeypatch.setattr(fermion, "_lanes", lambda: 2)
-        monkeypatch.setattr(fermion, "LANE_MIN_SITES", 0)
+        eigvalsh, eigh, solved = fermion._eigvalsh_eigenvalues, fermion._eigh_eigenvalues, []
+
+        def failing(c):
+            if c.shape[0] in (64, 256):
+                raise ArithmeticError(f"stand-in failure at {c.shape[0]} sites")
+            return eigvalsh(c)
+
+        monkeypatch.setattr(fermion, "_eigvalsh_eigenvalues", failing)
+        monkeypatch.setattr(fermion, "_eigh_eigenvalues", lambda c, ws: solved.append(c.shape[0]) or eigh(c, ws))
+        config = IntervalConfig(intervals=STANDARD, resolution=32)
+        with pytest.raises(ArithmeticError, match="at 64 sites"):
+            resolution_study(config, [32, 64, 128, 256])
+        assert sorted(solved) == [64, 128, 256]
+        # with the second system sound, the fourth system's failure is raised after the others are checked
+        monkeypatch.setattr(fermion, "_eigvalsh_eigenvalues", lambda c: failing(c) if c.shape[0] > 64 else eigvalsh(c))
+        with pytest.raises(ArithmeticError, match="at 256 sites"):
+            resolution_study(config, [32, 64, 128, 256])
+
+    @pytest.mark.parametrize("min_sites", [0, fermion.LANE_MIN_SITES], ids=["all-solves", "c-beside"])
+    def test_worker_failure_surfaces_after_join(self, capsys, monkeypatch, min_sites):
+        # with no floor the worker fails on a solve before C; at the package's, on C (154 sites)
+        monkeypatch.setattr(fermion, "_lanes", lambda: 2)
+        monkeypatch.setattr(fermion, "LANE_MIN_SITES", min_sites)
         lapack_call, failed = operators._lapack_call, []
 
         def failing(*args):
@@ -913,17 +999,22 @@ class TestContinuumOracle:
 
     # Endpoints on lattice sites at every resolution; off-site endpoints are a known defect
     # of the Richardson uncertainty.  Measured |extrapolated - continuum| is 1.8e-9 to
-    # 2.1e-7 against uncertainties of 4.4e-6 to 1.5e-5.
+    # 2.1e-7 against uncertainties of 4.4e-6 to 1.5e-5; on the off-integer ladder 20..160
+    # (384 sites at 160, whose C solves beside the smaller jobs on two lanes), 3.6e-8 against 4.8e-6.
+    LADDERS = {((0, 1), (1.3, 2.7)): (20, 40, 80, 160)}     # else 16..128
+
     @pytest.mark.parametrize("intervals,split", [
         (((0, 1), (2, 3)), 1),
         (((0, 1), (1.25, 2.25)), 1),
         (((0, 0.5), (1, 2.5)), 1),
         (((0, 1), (1.5, 2), (2.5, 3.5)), 1),
         (((0, 1), (1.5, 2), (2.5, 3.5)), 2),
+        (((0, 1), (1.3, 2.7)), 1),
     ])
     def test_extrapolation_covers_continuum(self, intervals, split):
-        study = resolution_study(IntervalConfig(intervals=intervals, resolution=16, split=split),
-                                 [16, 32, 64, 128])
+        resolutions = self.LADDERS.get(intervals, (16, 32, 64, 128))
+        study = resolution_study(IntervalConfig(intervals=intervals, resolution=resolutions[0], split=split),
+                                 resolutions)
         assert abs(study["extrapolated"] - continuum_mi(intervals, split)) <= study["uncertainty"]
 
 
