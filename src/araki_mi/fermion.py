@@ -29,14 +29,15 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operators import _blas_threads_getter, _eigh_eigenvalues, _eigvalsh_eigenvalues, xlogx
+from .operators import (_blas_threads_getter, _eigh_eigenvalues, _eigvalsh_eigenvalues, _singular_values,
+                        _svd_workspace, xlogx)
 
 SPECTRUM_SLACK = 1e-9
 RECOMPOSITION_TOL = 1e-9    # the eigenvalues of C against its trace and Frobenius norm
 TWO_PATH_TOL = 1e-9
-LANE_MIN_SITES = 256    # a smaller solve stays on the main thread (README)
-LANE_MIN_C_SITES = 128  # a smaller C runs alone after the other solves, not on the worker beside them: an mi
-                        # took 0.94-1.10x the time of C alone at a C of 96 sites, 0.94x at 128, 0.86x at 160 (README)
+LANE_MIN_SITES = 256    # a smaller solve is not the worker's before C, but waits to run beside it (README)
+LANE_MIN_C_SITES = 96   # a smaller C runs alone after the other solves, not on the worker beside them: an mi
+                        # took 1.00x the time of C alone at a C of 80 sites, 0.89x at 90 and 96, 0.80x at 128 (README)
 MAX_SITES = 4096        # a request's one workspace holds a dense n x n complex matrix of its largest
                         # system, 256 MiB at the limit; an mi or converge that reaches it peaks at
                         # about 300 MiB RSS (README)
@@ -273,10 +274,10 @@ def _sublattice_singular_values(sys: CovarianceSystem, ws: np.ndarray, even: tup
     the tables by KernelTables), and its spectrum is 1/2 +- svd(B),
     padded with 1/2.  B is purely imaginary (also checked there), so it has
     the singular values of its imaginary part, a real matrix copied from the
-    tables, and the SVD runs in real arithmetic.
+    tables into the start of ws, where `_singular_values` reduces it.
     """
     b = _block(sys, ws, even, odd, part=1)
-    return np.linalg.svd(b, compute_uv=False), abs(b.shape[0] - b.shape[1])
+    return _singular_values(b, ws), abs(b.shape[0] - b.shape[1])
 
 
 def _covariance_spectrum(sys: CovarianceSystem, ws: np.ndarray, rows: tuple):
@@ -289,20 +290,21 @@ def _covariance_spectrum(sys: CovarianceSystem, ws: np.ndarray, rows: tuple):
 
 
 def _system_jobs(sys: CovarianceSystem) -> list:
-    """(workspace entries, sites, main thread only, solve(ws)) of each region's eigenvalues, the SVDs of the
-    blocks B of each region and C, and C's eigenvalues; single-run regions of equal length share one job.
-    The share lists and sizes of every block are planned here, once per system, for its jobs."""
+    """(workspace entries, sites, solve(ws)) of each region's eigenvalues, the SVDs of the blocks B of each
+    region and C, and C's eigenvalues; single-run regions of equal length share one job.  An SVD needs its
+    block and dgesdd's work array.  The share lists and sizes of every block are planned here, once per
+    system, for its jobs."""
     runs = sys.runs
     plan = {(r, parity): _shares(sys, r, parity) for r in (0, 1, None) for parity in (None, 0, 1)}
-    eig = [(2 * rows[1] ** 2, rows[1], False, lambda ws, rows=rows: _eigvalsh_eigenvalues(_block(sys, ws, rows, rows)))
+    eig = [(2 * rows[1] ** 2, rows[1], lambda ws, rows=rows: _eigvalsh_eigenvalues(_block(sys, ws, rows, rows)))
            for rows in (plan[0, None], plan[1, None])]
-    svd = [(even[1] * odd[1], max(even[1], odd[1]), True,
+    svd = [(even[1] * odd[1] + _svd_workspace(even[1], odd[1]), max(even[1], odd[1]),
             lambda ws, even=even, odd=odd: _sublattice_singular_values(sys, ws, even, odd))
            for even, odd in ((plan[r, 0], plan[r, 1]) for r in (0, 1, None))]
     if sys.split == 1 and len(runs) == 2 and runs[0][1] == runs[1][1]:    # svd[0] if one parity
         eig[1], svd[1] = eig[0], svd[runs[0][0] % 2 != runs[1][0] % 2]
     n, c = sys.size, plan[None, None]
-    return [*eig, *svd, (2 * n * n + 4 * n + 16, n, False, lambda ws: _covariance_spectrum(sys, ws, c))]
+    return [*eig, *svd, (2 * n * n + 4 * n + 16, n, lambda ws: _covariance_spectrum(sys, ws, c))]
 
 
 def _lanes() -> int:
@@ -315,12 +317,16 @@ def _lanes() -> int:
 def _run_jobs(jobs: list, lanes: int) -> list:
     """The result or raised exception of each job of `_system_jobs`, solved in one new workspace.
 
-    C, the last job of largest need (the last system's C), needs ws[:need(C)]; one lane runs every job in
-    order there.  Two run the jobs of at least LANE_MIN_SITES sites first, most sites first on the lane with
-    less sites^3 so far: the main thread in ws[:split] (split their largest need, 64-byte aligned) and a
-    worker in ws[split:need(C)], taking those that fit and call no np.linalg.  Then C, unless a job failed:
-    on a worker in ws[:need(C)] while the main thread solves the smaller jobs ("beside" it) in order in the
-    slice after it, if C has LANE_MIN_C_SITES; else alone, after the smaller jobs."""
+    C, the last job of largest need (the last system's C from 17 sites on), needs ws[:need(C)]; one lane
+    runs every job in order there, C last, unless a job has failed.  On two lanes, if C has LANE_MIN_C_SITES,
+    the jobs below LANE_MIN_SITES sites are "beside" C.  Phase 1 runs the others but C: the main thread in
+    ws[:split] (split their largest need, 64-byte aligned), and a worker in ws[split:need(C)] if one of at
+    least LANE_MIN_SITES sites fits there.  Phase 2: unless a job has failed, the worker solves C in
+    ws[:need(C)], then joins the main thread on the beside jobs, in ws[:need(C)] and in the 64-byte aligned
+    slice after it.  Else C runs alone, after the others.  Each free lane pulls from one pool, under a lock,
+    the job with the most sites left that fits its slice (and, for the phase-1 worker, has LANE_MIN_SITES).
+    Which lane runs a job may follow timing; the workspace, each slice's size and 64-byte alignment, and so
+    every bit, follow the request only."""
     c = max(reversed(range(len(jobs))), key=lambda i: jobs[i][0])
     need, out = jobs[c][0], [None] * len(jobs)
     rest = [i for i in range(len(jobs)) if i != c]
@@ -328,37 +334,49 @@ def _run_jobs(jobs: list, lanes: int) -> list:
     first = [i for i in rest if i not in beside]
     at = -(-need // 8) * 8      # the beside slice starts 64-byte aligned after C's
     ws = np.empty(at + max(jobs[i][0] for i in beside) if beside else need)
+    lock = threading.Lock()
 
-    def run(lane, view):
-        for i in lane:
-            try:
-                out[i] = jobs[i][3](view)
-            except Exception as exc:        # raised by the caller, in order, after the worker is joined
-                out[i] = exc
-
-    def pair(main, main_view, worker, worker_view):
-        thread = threading.Thread(target=run, args=(worker, worker_view)) if worker else None
-        if thread:
-            thread.start()
+    def solve(i, view):
         try:
-            run(main, main_view)
-        finally:
-            if thread:
-                thread.join()
+            out[i] = jobs[i][2](view)
+        except Exception as exc:        # raised by the caller, in order, after the worker is joined
+            out[i] = exc
 
-    split, load, worker = -(-max((jobs[i][0] for i in first), default=0) // 8) * 8, [0, 0], []
-    for i in sorted(first, key=lambda i: -jobs[i][1]):
-        job_need, sites, main_only, _ = jobs[i]
-        lane = int(lanes == 2 and not main_only and sites >= LANE_MIN_SITES and job_need <= need - split
-                   and load[1] < load[0])
-        load[lane] += sites ** 3
-        worker += [i] * lane
-    pair([i for i in first if i not in worker], ws[:split], sorted(worker), ws[split:need])
-    alone = [] if any(isinstance(result, Exception) for result in out) else [c]
-    if beside:
-        pair(beside, ws[at:], alone, ws[:need])
+    def pull(pool, view, min_sites=0):
+        while True:
+            with lock:
+                fits = [i for i in pool if jobs[i][0] <= view.size and jobs[i][1] >= min_sites]
+                if not fits:
+                    return
+                i = min(fits, key=lambda i: -jobs[i][1])
+                pool.remove(i)
+            solve(i, view)
+
+    def pair(main, worker):
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            main()
+        finally:
+            thread.join()
+
+    split = -(-max((jobs[i][0] for i in first), default=0) // 8) * 8
+    if lanes == 2 and any(jobs[i][1] >= LANE_MIN_SITES and jobs[i][0] <= need - split for i in first):
+        pair(lambda: pull(first, ws[:split]), lambda: pull(first, ws[split:need], LANE_MIN_SITES))
     else:
-        run(alone, ws[:need])
+        for i in first:
+            solve(i, ws[:split])
+    c_runs = not any(isinstance(result, Exception) for result in out)
+
+    def worker():
+        if c_runs:
+            solve(c, ws[:need])
+        pull(beside, ws[:need])
+
+    if beside:
+        pair(lambda: pull(beside, ws[at:]), worker)
+    elif c_runs:
+        solve(c, ws[:need])
     return out
 
 
@@ -406,13 +424,14 @@ def sigma_trace(sys: CovarianceSystem) -> float:
     `_eigvalsh_eigenvalues` of each region block, the bits of `eigvalsh`.
     The check recomputes all three entropies from half-size real SVDs of
     the even x odd blocks B of C and of each region, which share no
-    factorization with the first route.  Each matrix is copied from the
+    factorization with the first route; the singular values come from
+    `_singular_values`, the bits of `svd`.  Each matrix is copied from the
     tables into one workspace per request (`_sigma_traces`) and reduced in
     place; equal region blocks are solved once.  At one OpenBLAS thread the
-    solves run on two lanes (`_run_jobs`), which move no bit: the large ones
-    split between them, then the largest C on the worker while the main
-    thread solves the small ones.  The entropy sums of both routes of every
-    system take one pass per request.
+    solves run on two lanes (`_run_jobs`), which move no bit: each lane
+    pulls the largest job left that fits its slice, and the worker starts
+    the largest C as soon as the large jobs are done.  The entropy sums of
+    both routes of every system take one pass per request.
     """
     return _sigma_traces([sys])[0]
 
@@ -434,6 +453,17 @@ def _windowed_system(sys: CovarianceSystem, fraction: float) -> CovarianceSystem
     return replace(sys, runs=tuple(runs))
 
 
+def _refuse_repeats(systems: Sequence[CovarianceSystem], inputs: Sequence[float], what: str) -> None:
+    """ValueError naming both inputs when two systems of a request are the same lattice (equal runs): their
+    values would agree exactly, and the series would claim an error of 0."""
+    first = {}
+    for sys, x in zip(systems, inputs):
+        if sys.runs in first:
+            raise ValueError(f"{what} {first[sys.runs]!r} and {x!r} give the same lattice, whose values would agree "
+                             "exactly and claim an error of 0")
+        first[sys.runs] = x
+
+
 def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) -> MISeries:
     """Tr sigma_{C_p} along centered windows growing to the full system."""
     fracs = [float(f) for f in window_fractions]
@@ -443,6 +473,7 @@ def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) ->
         raise ValueError("window fractions must lie in (0, 1] and end at 1")
     sys = build_covariance(config)
     windows = [sys if f == 1.0 else _windowed_system(sys, f) for f in fracs]
+    _refuse_repeats(windows, fracs, "window fractions")
     values = [config.components * v for v in _sigma_traces(windows)]
     err = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
     return MISeries(window_sizes=tuple(wsys.size for wsys in windows), values=tuple(values),
@@ -480,6 +511,7 @@ def resolution_study(config: IntervalConfig, resolutions: Sequence[float]) -> di
         raise ValueError("resolutions must be nonempty and increasing")
     # Every system is built, and an oversized one refused, before the first solve.
     systems = [build_covariance(replace(config, resolution=r)) for r in res]
+    _refuse_repeats(systems, res, "resolutions")
     values = [config.components * v for v in _sigma_traces(systems)]
     extrapolated, err = richardson(values)
     return {"resolutions": res, "values": values,

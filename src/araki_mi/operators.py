@@ -61,18 +61,19 @@ def hermitian_stack(m: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 @functools.cache
 def _pinned_lapack():
-    """(zhetrd, dstedc, dsterf) of the LAPACK behind np.linalg, or None.
+    """(zhetrd, dstedc, dsterf, dgesdd) of the LAPACK behind np.linalg, or None.
 
     Resolved through numpy's own _umath_linalg handle, whose bundled
     scipy-openblas exports ILP64 symbols (int64 integers, and a trailing
     hidden length per Fortran string argument).  A numpy built on another
-    LAPACK (MKL, Accelerate) lacks them, and its callers fall back to eigh
-    and eigvalsh.
+    LAPACK (MKL, Accelerate) lacks them, and its callers fall back to eigh,
+    eigvalsh and svd.
     """
     from numpy.linalg import _umath_linalg
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
-        zhetrd, dstedc, dsterf = lib.scipy_zhetrd_64_, lib.scipy_dstedc_64_, lib.scipy_dsterf_64_
+        zhetrd, dstedc, dsterf, dgesdd = (lib.scipy_zhetrd_64_, lib.scipy_dstedc_64_, lib.scipy_dsterf_64_,
+                                          lib.scipy_dgesdd_64_)
     except (OSError, AttributeError):
         return None
     # Arrays go by address, unchecked (ndpointer's checks cost more than a
@@ -85,8 +86,11 @@ def _pinned_lapack():
     dstedc.argtypes = [ctypes.c_char_p, i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, ctypes.c_size_t]
     # dsterf(n, d, e, info): d, e float64
     dsterf.argtypes = [i64, ptr, ptr, i64]
-    zhetrd.restype = dstedc.restype = dsterf.restype = None
-    return zhetrd, dstedc, dsterf
+    # dgesdd(jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork, info, len(jobz)): iwork int64, others float64
+    dgesdd.argtypes = [ctypes.c_char_p, i64, i64, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, i64, ptr, i64,
+                       ctypes.c_size_t]
+    zhetrd.restype = dstedc.restype = dsterf.restype = dgesdd.restype = None
+    return zhetrd, dstedc, dsterf, dgesdd
 
 
 @functools.cache
@@ -120,7 +124,7 @@ def _workspace_sizes(n: int) -> tuple[int, int, int]:
     A query reads only the order, so the sizes are cached per n; the array
     arguments it does not touch are one-element placeholders.
     """
-    zhetrd, dstedc, _ = _pinned_lapack()
+    zhetrd, dstedc, *_ = _pinned_lapack()
     ld = max(1, n)
     c, r, i = np.empty(1, dtype=complex), np.empty(1), np.empty(1, dtype=np.int64)
     _lapack_call(zhetrd, b"L", n, c, ld, r, r, c, c, -1)
@@ -160,7 +164,7 @@ def _eigh_eigenvalues(c: np.ndarray, workspace: np.ndarray) -> np.ndarray:
     lapack = _pinned_lapack()
     if lapack is None:
         return np.linalg.eigh(c)[0]
-    zhetrd, dstedc, _ = lapack
+    zhetrd, dstedc, *_ = lapack
     a = np.asarray(c, dtype=complex, order="F")     # c itself if complex and in Fortran order
     n = a.shape[0]
     ld = max(1, n)
@@ -187,10 +191,48 @@ def _eigvalsh_eigenvalues(c: np.ndarray) -> np.ndarray:
     lapack = _pinned_lapack()
     if lapack is None:
         return np.linalg.eigvalsh(c)
-    zhetrd, _, dsterf = lapack
+    zhetrd, _, dsterf, _ = lapack
     d, e = _tridiagonal(zhetrd, np.asarray(c, dtype=complex, order="F"))
     _lapack_call(dsterf, d.size, d, e)
     return d
+
+
+@functools.cache
+def _svd_workspace(m: int, k: int) -> int:
+    """Entries of dgesdd('N')'s work array for an m x k matrix, from its workspace query (cached per shape,
+    as `_workspace_sizes`); 0 for an empty matrix or without the symbols, where `_singular_values` uses none."""
+    lapack = _pinned_lapack()
+    if lapack is None or not m * k:
+        return 0
+    r, i = np.empty(1), np.empty(1, dtype=np.int64)
+    _lapack_call(lapack[3], b"N", m, k, r, m, r, r, 1, r, 1, r, -1, i)
+    return max(1, int(r[0]))
+
+
+def _singular_values(b: np.ndarray, workspace: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(b, compute_uv=False) bit for bit; b is overwritten as in `_eigh_eigenvalues`.
+
+    svd takes them from dgesdd('N') of a Fortran-order copy of b, with the
+    work array size dgesdd's query returns; this is the same call, on b
+    itself when it is float64 and in Fortran order.  `fermion._block`
+    copies b into the start of `workspace`, contiguous float64 whose m k +
+    lwork entries (`_svd_workspace`; ValueError if fewer) then also hold
+    the work array, after b's m k.  Falls back to np.linalg.svd without the
+    symbols.
+    """
+    lapack = _pinned_lapack()
+    if lapack is None:
+        return np.linalg.svd(b, compute_uv=False)
+    a = np.asarray(b, dtype=float, order="F")      # b itself if float64 and in Fortran order
+    m, k = a.shape
+    if not m * k:
+        return np.empty(0)
+    lwork = _svd_workspace(m, k)
+    if workspace.dtype != np.float64 or not workspace.flags.c_contiguous or workspace.size < m * k + lwork:
+        raise ValueError(f"workspace must be contiguous float64 of at least {m * k + lwork} entries")
+    s, one, iwork = np.empty(min(m, k)), np.empty(1), np.empty(8 * min(m, k), dtype=np.int64)
+    _lapack_call(lapack[3], b"N", m, k, a, m, s, one, 1, one, 1, workspace[m * k:m * k + lwork], lwork, iwork)
+    return s
 
 
 def functional_calculus(w: np.ndarray, u: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -311,12 +311,29 @@ class TestMICommand:
         assert (code, out) == (2, "")
         assert "int64" in json.loads(err)["detail"]
 
+    @pytest.mark.parametrize("argv,inputs", [
+        (("converge", "--intervals", "[[0,1],[2,3]]", "--resolutions", "8,16,16.01"), "resolutions 16.0 and 16.01"),
+        (("mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "8", "--fractions", "0.99,1"),
+         "window fractions 0.99 and 1.0"),
+    ], ids=["converge", "mi"])
+    def test_repeated_lattice_refused_before_any_solve(self, capsys, monkeypatch, argv, inputs):
+        # two inputs that give the same sites would agree exactly, so the series would report an
+        # uncertainty or extrapolation error of 0
+        def solved(*args):
+            raise AssertionError("a solve ran")
+
+        for name in ("_eigh_eigenvalues", "_eigvalsh_eigenvalues", "_singular_values"):
+            monkeypatch.setattr(fermion, name, solved)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["detail"].startswith(f"{inputs} give the same lattice")
+
     def test_linalg_error_is_numerical(self, capsys, monkeypatch):
         # LinAlgError subclasses ValueError, which is otherwise a usage error
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(fermion.np.linalg, "svd", no_convergence)
+        monkeypatch.setattr(fermion, "_singular_values", no_convergence)
         code, out, err = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "8")
         assert (code, out) == (3, "")
         assert json.loads(err) == {"error": "numerical", "detail": "SVD did not converge"}
@@ -541,7 +558,7 @@ class TestStartup:
                                                "'araki_mi.report']")
 
     def test_mi_binds_lapack_of_numpy_lazily(self):
-        # zhetrd, dstedc and dsterf come from the library np.linalg itself calls (the handle of
+        # zhetrd, dstedc, dsterf and dgesdd come from the library np.linalg itself calls (the handle of
         # numpy.linalg._umath_linalg), bound on the first sigma_trace, not at import.
         src = str(Path(araki_mi.__file__).resolve().parents[1])
         code = (f"import sys, ctypes; sys.path.insert(0, {src!r}); from araki_mi import cli, operators; "
@@ -552,7 +569,7 @@ class TestStartup:
                 "address = lambda f: ctypes.cast(f, ctypes.c_void_p).value; "
                 "bound = [address(f) for f in operators._pinned_lapack()]; "
                 "numpys = [address(lib.scipy_zhetrd_64_), address(lib.scipy_dstedc_64_), "
-                "address(lib.scipy_dsterf_64_)]; "
+                "address(lib.scipy_dsterf_64_), address(lib.scipy_dgesdd_64_)]; "
                 "print(); print(rc, before, bound == numpys)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-1] == "0 0 True"

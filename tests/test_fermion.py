@@ -1,15 +1,17 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import threading
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
-from sys import executable
+from sys import executable, getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from araki_mi.fermion import (
     richardson,
     sigma_trace,
 )
-from araki_mi.operators import HermitianOperator, OrthoProjection, _eigh_eigenvalues, _eigvalsh_eigenvalues, xlogx
+from araki_mi.operators import (HermitianOperator, OrthoProjection, _eigh_eigenvalues, _eigvalsh_eigenvalues,
+                                _singular_values, xlogx)
 from araki_mi.relent import BipartiteShape, DensityMatrix, mutual_information
 from araki_mi.tau import tau_spectral
 from oracles import continuum_mi, hardy_kernel
@@ -66,9 +69,8 @@ def system_on(sites: np.ndarray) -> CovarianceSystem:
 
 
 def workspace(sys: CovarianceSystem) -> np.ndarray:
-    """A workspace of the size sigma_trace takes."""
-    n = sys.size
-    return np.empty(2 * n * n + 4 * n + 16)
+    """A workspace of the size sigma_trace takes: C's 2 n^2 + 4 n + 16 entries, or on a few sites an SVD's need."""
+    return np.empty(max(need for need, *_ in fermion._system_jobs(sys)))
 
 
 def sublattice_entropy(sys: CovarianceSystem) -> float:
@@ -206,8 +208,8 @@ class TestSigmaTrace:
 
     def test_check_svd_arithmetic(self, monkeypatch):
         # the imaginary off-diagonal's check takes the real SVD of its imaginary part
-        svd, seen = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda b, **kw: seen.append(b.copy()) or svd(b, **kw))
+        svd, seen = fermion._singular_values, []
+        monkeypatch.setattr(fermion, "_singular_values", lambda b, ws: seen.append(b.copy()) or svd(b, ws))
         expected = 0.2616240718822739182584036124674354208202
         assert sigma_trace(toy_system(0.25j)) == pytest.approx(expected, abs=1e-12)
         # the 1 x 1 even-odd block of C; the regions' blocks are empty
@@ -262,6 +264,7 @@ class TestSigmaTrace:
             watched(np.linalg, name)
         watched(fermion, "_eigh_eigenvalues")
         watched(fermion, "_eigvalsh_eigenvalues")
+        watched(fermion, "_singular_values")
         sys = build_covariance(IntervalConfig(intervals=((0.0, 1.0), (1.5, 2.5), (3.0, 3.75)), resolution=16, split=2))
         n = sys.size
         regions = [(rows.size, rows.size) for rows in region_rows(sys)]
@@ -275,13 +278,16 @@ class TestSigmaTrace:
         assert sigma_trace(sys) > 0
         assert [shape for name, shape, _ in calls if name == "_eigh_eigenvalues"] == [(n, n)]
         assert order(shape for name, shape, _ in calls if name == "_eigvalsh_eigenvalues") == order(regions)
-        # np.linalg.eigh and eigvalsh run only as those eigensolves' fallbacks
+        svds = [shape for name, shape, _ in calls if name == "_singular_values"]      # B of each region and of C
+        assert order(svds) == order((fermion._shares(sys, r, 0)[1], fermion._shares(sys, r, 1)[1]) for r in (0, 1, None))
+        # np.linalg.eigh, eigvalsh and svd run only as those solves' fallbacks
         pinned = operators._pinned_lapack() is not None
         assert [shape for name, shape, _ in calls if name == "eigh"] == ([] if pinned else [(n, n)])
         assert [shape for name, shape, _ in calls if name == "eigvalsh"] == ([] if pinned else regions)
-        assert ({name for name, _, _ in calls} - {"eigh", "eigvalsh"}
-                == {"_eigh_eigenvalues", "_eigvalsh_eigenvalues", "svd"})
-        assert all(dtype == np.float64 for name, _, dtype in calls if name == "svd")
+        assert order(shape for name, shape, _ in calls if name == "svd") == ([] if pinned else order(svds))
+        assert ({name for name, _, _ in calls} - {"eigh", "eigvalsh", "svd"}
+                == {"_eigh_eigenvalues", "_eigvalsh_eigenvalues", "_singular_values"})
+        assert all(dtype == np.float64 for name, _, dtype in calls if name in ("_singular_values", "svd"))
         assert ufuncs and "matmul" not in ufuncs
 
     @staticmethod
@@ -641,8 +647,10 @@ print(sorted({name.split(".")[0] for name, main in threads if main}))
     def planned(lanes: int = 2, c_sites: int = 500, fail: bool = False) -> tuple[list, list, int]:
         """(results, (job, on main thread, byte offset, entries) of each solve in the order the lanes ran
         them, workspace entries) of six stand-in jobs at the package's lane constants, whose last, C, needs
-        401 entries (408 rounded up to 64 bytes): jobs 0-2 have at least LANE_MIN_SITES sites, 3 and 4 fewer."""
+        401 entries (408 rounded up to 64 bytes): jobs 0-2 have at least LANE_MIN_SITES sites, 3 and 4 fewer.
+        On two lanes jobs 0 and 1, the first each lane pulls, wait for each other, so both lanes work."""
         seen, workspaces = [], set()
+        both = threading.Barrier(2, timeout=30) if lanes == 2 else None
 
         def solve(k):
             def job(view):
@@ -650,39 +658,61 @@ print(sorted({name.split(".")[0] for name, main in threads if main}))
                 workspaces.add(ws.size)
                 seen.append((k, threading.current_thread() is threading.main_thread(),
                              view.ctypes.data - ws.ctypes.data, view.size))
+                if both and k < 2:
+                    both.wait()
                 if fail and k == 0:
                     raise ArithmeticError("stand-in failure")
                 return k
             return job
 
-        # (need, sites, main thread only, solve): in phase 1 the worker takes job 1 only (job 2 is main-only)
-        jobs = [(100, 300, False, solve(0)), (50, 290, False, solve(1)), (30, 280, True, solve(2)),
-                (20, 100, False, solve(3)), (40, 50, True, solve(4)), (401, c_sites, False, solve(5))]
+        # (need, sites, solve): in phase 1 the worker's slice, 297 entries after the main thread's 104, fits jobs 0-2
+        jobs = [(100, 300, solve(0)), (50, 290, solve(1)), (30, 280, solve(2)),
+                (20, 100, solve(3)), (40, 50, solve(4)), (401, c_sites, solve(5))]
         assert fermion.LANE_MIN_C_SITES <= 500 and all(
-            (sites >= fermion.LANE_MIN_SITES) == (k < 3) for k, (_, sites, *_) in enumerate(jobs[:5]))
+            (sites >= fermion.LANE_MIN_SITES) == (k < 3) for k, (_, sites, _) in enumerate(jobs[:5]))
         out = fermion._run_jobs(jobs, lanes)
         assert len(workspaces) == 1
         return out, seen, workspaces.pop()
 
+    # the slice of each lane: phase 1 main ws[:104], worker ws[104:401]; phase 2 worker ws[:401], main ws[408:]
+    PHASE_1 = {True: (0, 104), False: (8 * 104, 297)}
+    PHASE_2 = {True: (8 * 408, 40), False: (0, 401)}
+
+    @staticmethod
+    def by_lane(seen) -> dict:
+        """The jobs each lane ran, in the order it ran them (True: the main thread)."""
+        return {lane: [k for k, main, *_ in seen if main == lane] for lane in (True, False)}
+
     def test_c_solves_on_the_worker_beside_the_small_jobs(self):
-        # phase 1: the large jobs on two lanes inside C's slice, the main thread's first (split = 104);
-        # phase 2: C on the worker in ws[:401], the small jobs in order on the main thread in ws[408:]
+        # phase 1: jobs 0-2 on both lanes inside C's slice, each lane most sites first; phase 2: C first
+        # on the worker in ws[:401], then the small jobs on either lane, most sites first, in its slice
         out, seen, size = self.planned()
         assert out == [0, 1, 2, 3, 4, 5] and size == 408 + 40
-        assert sorted(seen) == [(0, True, 0, 104), (1, False, 8 * 104, 297), (2, True, 0, 104),
-                                (3, True, 8 * 408, 40), (4, True, 8 * 408, 40), (5, False, 0, 401)]
-        assert [k for k, main, *_ in seen if main] == [0, 2, 3, 4]
+        assert sorted(k for k, *_ in seen) == [0, 1, 2, 3, 4, 5]
+        assert {k for k, *_ in seen[:3]} == {0, 1, 2}                  # phase 1 ends before phase 2 starts
+        assert all((offset, entries) == (self.PHASE_1 if k < 3 else self.PHASE_2)[main]
+                   for k, main, offset, entries in seen)
+        ran = self.by_lane(seen)
+        worker, c_at = ran[False], ran[False].index(5)
+        assert set(worker[:c_at]) <= {0, 1, 2} and set(worker[c_at + 1:]) <= {3, 4}
+        assert {ran[True][0], worker[0]} == {0, 1}                      # both lanes pulled one of the largest
+        assert all(r == sorted(r) for r in (ran[True], worker[:c_at], worker[c_at + 1:]))     # most sites first
 
-    @pytest.mark.parametrize("lanes,c_sites", [(2, 100), (1, 500)], ids=["small-c", "one-lane"])
+    @pytest.mark.parametrize("lanes,c_sites", [(2, fermion.LANE_MIN_C_SITES - 1), (1, 500)], ids=["small-c", "one-lane"])
     def test_c_runs_alone_last(self, lanes, c_sites):
-        # a C below LANE_MIN_C_SITES, or any C on one lane, runs alone after the others in a workspace
-        # of its own need; the small jobs stay on the main thread
+        # a C below LANE_MIN_C_SITES, or any C on one lane, runs alone on the main thread after the others,
+        # in a workspace of its own need; the small jobs stay on the main thread, and one lane runs the
+        # jobs in request order
         out, seen, size = self.planned(lanes, c_sites)
-        assert out == [0, 1, 2, 3, 4, 5] and size == 401
-        on_worker = [1] if lanes == 2 else []
-        assert sorted(seen) == [(k, True, 0, 104) if k not in on_worker else (k, False, 8 * 104, 297)
-                                for k in range(5)] + [(5, True, 0, 401)]
-        assert [k for k, main, *_ in seen if main] == [k for k in range(6) if k not in on_worker]
+        assert out == [0, 1, 2, 3, 4, 5] and size == 401 and seen[-1] == (5, True, 0, 401)
+        assert sorted(k for k, *_ in seen) == [0, 1, 2, 3, 4, 5]
+        assert all((offset, entries) == self.PHASE_1[main] for k, main, offset, entries in seen[:-1])
+        ran = self.by_lane(seen)
+        if lanes == 1:
+            assert ran == {True: [0, 1, 2, 3, 4, 5], False: []}
+        else:
+            assert set(ran[False]) <= {0, 1, 2} and {ran[True][0], ran[False][0]} == {0, 1}
+            assert all(r == sorted(r) for r in (ran[True], ran[False]))
 
     def test_failure_skips_c_but_not_the_jobs_beside_it(self):
         # C does not start once a job has failed; the small jobs still run, so every system before
@@ -690,6 +720,8 @@ print(sorted({name.split(".")[0] for name, main in threads if main}))
         out, seen, _ = self.planned(fail=True)
         assert isinstance(out[0], ArithmeticError) and out[1:] == [1, 2, 3, 4, None]
         assert sorted(k for k, *_ in seen) == [0, 1, 2, 3, 4]
+        assert all((offset, entries) == (self.PHASE_1 if k < 3 else self.PHASE_2)[main]
+                   for k, main, offset, entries in seen)
 
     def test_errors_surface_system_by_system(self, monkeypatch):
         # converge at 64, 128, 256 and 512 sites: a region solve of 256 sites (the last system's, on
@@ -753,6 +785,107 @@ print(sorted({name.split(".")[0] for name, main in threads if main}))
                 blocks = [fermion._block(wsys, ws, fermion._shares(wsys, r, 0), fermion._shares(wsys, r, 1), part=1)
                           for ws, r in ((ws0, 0), (ws1, 1))]
                 assert bits(blocks[0]).tobytes() == bits(blocks[1]).tobytes()
+
+
+class TestPullInvariants:
+    """Two lanes pull the real jobs of a converge of 16 to 64 sites, each held for a seeded random delay, at
+    floors low enough that it runs both phases.  Whichever lane takes a job: every job runs once, in a slice
+    it fits; jobs that overlap in time use disjoint slices; a phase-1 worker job has LANE_MIN_SITES sites;
+    C runs first on the worker in phase 2, and not at all after a phase-1 failure; every bit equals one
+    lane's; and errors surface system by system."""
+
+    SYSTEMS = [build_covariance(IntervalConfig(intervals=STANDARD, resolution=r)) for r in (8, 16, 24, 32)]
+    MIN_SITES = 24
+
+    def run(self, monkeypatch, seed: int, failing: int = 0):
+        """(sigma traces or the exception raised, (job, sites, need, on main thread, first entry, entries,
+        start, end) of each solve, the jobs of each system in order, the failing jobs); jobs are numbered in
+        the order of the request's job list, and `failing` of them, drawn from the seed, raise."""
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(fermion, "_lanes", lambda: 2)
+        monkeypatch.setattr(fermion, "LANE_MIN_SITES", self.MIN_SITES)
+        monkeypatch.setattr(fermion, "LANE_MIN_C_SITES", 16)
+        count = sum(len({id(job) for job in fermion._system_jobs(sys)}) for sys in self.SYSTEMS)
+        fail = set(rng.choice(count, failing, replace=False).tolist())
+        log, held, originals, order = [], {}, [], []
+        system_jobs = fermion._system_jobs
+
+        def hold(job):
+            key, (need, sites, solve), delay = len(held), job, rng.uniform(0.0, 0.003)
+
+            def run(view):
+                ws = view if view.base is None else view.base
+                start = time.perf_counter()
+                time.sleep(delay)
+                try:
+                    if key in fail:
+                        raise ArithmeticError(f"stand-in failure of job {key}")
+                    return solve(view)
+                finally:
+                    log.append((key, sites, need, threading.current_thread() is threading.main_thread(),
+                                (view.ctypes.data - ws.ctypes.data) // 8, view.size, start, time.perf_counter()))
+            return key, (need, sites, run)
+
+        def jobs_of(sys):
+            jobs = system_jobs(sys)
+            originals.append(jobs)          # keeps each job's id unique while the request runs
+            for job in jobs:
+                if id(job) not in held:     # a job two regions share is held once
+                    held[id(job)] = hold(job)
+            order.append([held[id(job)][0] for job in jobs])
+            return [held[id(job)][1] for job in jobs]
+
+        monkeypatch.setattr(fermion, "_system_jobs", jobs_of)
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)         # the lanes switch often, also between a pick and its removal
+        try:
+            result = fermion._sigma_traces(self.SYSTEMS)
+        except ArithmeticError as exc:
+            result = exc
+        finally:
+            setswitchinterval(interval)
+        return result, log, order, fail
+
+    def check_plan(self, log, c):
+        """The invariants of every run; whether C ran."""
+        keys = [key for key, *_ in log]
+        assert len(keys) == len(set(keys))
+        assert all(need <= entries for _, _, need, _, _, entries, *_ in log)
+        for a, b in itertools.combinations(log, 2):
+            if a[6] < b[7] and b[6] < a[7]:         # overlapping in time
+                assert a[4] + a[5] <= b[4] or b[4] + b[5] <= a[4]
+        # the worker's phase-1 slice starts after the main thread's, its phase-2 slice at the workspace's start
+        worker = [(key, sites, first) for key, sites, _, main, first, *_ in log if not main]
+        phase_1 = list(itertools.takewhile(lambda job: job[2] > 0, worker))
+        phase_2 = worker[len(phase_1):]
+        assert all(sites >= self.MIN_SITES for _, sites, _ in phase_1)
+        assert all(first == 0 and (sites < self.MIN_SITES or key == c) for key, sites, first in phase_2)
+        ran_c = c in keys
+        if ran_c:       # first in phase 2, in ws[:need(C)]
+            assert phase_2[0][0] == c and log[keys.index(c)][5] == log[keys.index(c)][2]
+        return ran_c
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_job_once_and_bits_of_one_lane(self, monkeypatch, seed):
+        monkeypatch.setattr(fermion, "_lanes", lambda: 1)
+        expected = fermion._sigma_traces(self.SYSTEMS)
+        values, log, order, _ = self.run(monkeypatch, seed)
+        jobs = sorted({key for keys in order for key in keys})
+        assert sorted(key for key, *_ in log) == jobs
+        assert self.check_plan(log, jobs[-1])
+        assert not all(main for _, _, _, main, *_ in log) and any(main for _, _, _, main, *_ in log)
+        assert np.array_equal(bits(values), bits(expected))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_failures_surface_system_by_system(self, monkeypatch, seed):
+        error, log, order, fail = self.run(monkeypatch, seed, failing=1 + seed % 2)
+        keys = [key for keys in order for key in keys]
+        c = keys[-1]
+        assert isinstance(error, ArithmeticError)
+        assert str(error) == f"stand-in failure of job {next(key for key in keys if key in fail)}"
+        phase_1_failed = any(sites >= self.MIN_SITES and key in fail and key != c for key, sites, *_ in log)
+        assert self.check_plan(log, c) == (not phase_1_failed)
+        assert sorted(key for key, *_ in log) == sorted(set(keys) - ({c} if phase_1_failed else set()))
 
 
 class TestPinnedEigenvalues:
@@ -850,18 +983,48 @@ class TestPinnedEigenvalues:
         self.assert_bits_of_eigh(c.copy())
         assert np.array_equal(bits(_eigvalsh_eigenvalues(c)), bits(expected))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 200), (7, 3), (300, 20), (512, 512)])
+    def test_bits_of_svd(self, shape):
+        # as a lane solves it: the block copied in Fortran order into the start of its workspace slice
+        # (64-byte aligned, as each lane's is), whose entries after the block take dgesdd's work array
+        m, k = shape
+        b = np.random.default_rng(m * k).standard_normal(shape)
+        expected = np.linalg.svd(b, compute_uv=False)
+        view = np.empty(8 + m * k + operators._svd_workspace(m, k))[8:]
+        block = view[:m * k].reshape(shape, order="F")
+        block[...] = b
+        assert np.array_equal(bits(_singular_values(block, view)), bits(expected))
+        if operators._pinned_lapack() is not None:
+            with pytest.raises(ValueError, match="workspace"):
+                _singular_values(b.copy(order="F"), view[:-1])
+
+    @pytest.mark.parametrize("intervals,resolution", SYSTEMS)
+    def test_sublattice_bits_of_svd_with_windows(self, intervals, resolution):
+        # the check route's singular values of B, of C and of each region, are svd's of its gathered block
+        for wsys in self.systems_with_windows(intervals, resolution):
+            sites, ws = system_sites(wsys), workspace(wsys)
+            c = hardy_kernel(sites)
+            for region, rows in zip((0, 1, None), [*region_rows(wsys), np.arange(sites.size)]):
+                even, odd = rows[sites[rows] % 2 == 0], rows[sites[rows] % 2 != 0]
+                expected = np.linalg.svd(c[np.ix_(even, odd)].imag, compute_uv=False)
+                shares = fermion._shares(wsys, region, 0), fermion._shares(wsys, region, 1)
+                assert np.array_equal(bits(fermion._sublattice_singular_values(wsys, ws, *shares)[0]), bits(expected))
+
     def test_fallback_without_the_binding_gives_the_same_bits(self, monkeypatch):
         config = IntervalConfig(intervals=((0, 1), (1.3, 2.7)), resolution=64)
         pinned = sigma_trace(build_covariance(config))
-        eigh, eigvalsh, shapes = np.linalg.eigh, np.linalg.eigvalsh, []
+        eigh, eigvalsh, svd, shapes = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.svd, []
         monkeypatch.setattr(operators, "_pinned_lapack", lambda: None)
+        monkeypatch.setattr(fermion, "_blas_threads_getter", lambda: None)     # so one lane, as without the symbols
         monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(("eigh", m.shape)) or eigh(m))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(("eigvalsh", m.shape)) or eigvalsh(m))
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: shapes.append(("svd", m.shape)) or svd(m, **kw))
         sys = build_covariance(config)
         regions = [("eigvalsh", (rows.size, rows.size)) for rows in region_rows(sys)]
+        svds = [("svd", (fermion._shares(sys, r, 0)[1], fermion._shares(sys, r, 1)[1])) for r in (0, 1, None)]
         n = sys.size
         assert np.float64(sigma_trace(sys)).view(np.uint64) == np.float64(pinned).view(np.uint64)
-        assert shapes == regions + [("eigh", (n, n))]
+        assert shapes == regions + svds + [("eigh", (n, n))]
 
 
 class TestEntropyKernel:
