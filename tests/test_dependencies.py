@@ -62,11 +62,12 @@ def test_modules_import_no_unused_names():
 
 
 def test_tau_integrals_load_no_scipy():
+    # the quadratures' nodes are tabulated: neither scipy nor numpy.polynomial is imported for them
     code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import numpy as np; "
             "from araki_mi import tau; from araki_mi.rand import random_psd, random_block_projection; "
             "rng = np.random.default_rng(0); a = random_psd(rng, 6); p = random_block_projection(rng, 6); "
             "tau.tau_integral(a, p); tau.key_trace_bound(a, p, 0.01); tau.tail_integral_identity_gap(a, p); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

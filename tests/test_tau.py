@@ -1,5 +1,4 @@
 import math
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -232,6 +231,13 @@ class TestTauIntegral:
             assert np.linalg.norm(ri.tau.mat - rs.tau.mat) <= 1e-6
             assert ri.quadrature_error_estimate is not None
 
+    def test_zero_operator_gives_zero(self):
+        # no eigenvalue is positive, so no node range: tau is 0, as tau_spectral's is
+        a, p = HermitianOperator(np.zeros((3, 3))), OrthoProjection.from_mask(3, [1])
+        result = tau.tau_integral(a, p)
+        assert not result.tau.mat.any() and result.quadrature_error_estimate == 0.0
+        assert tau.tail_integral_identity_gap(a, p) == 0.0
+
     def test_rejects_bad_tolerance(self):
         a, p = hand_instance()
         with pytest.raises(ValueError):
@@ -372,20 +378,19 @@ class TestKeyTraceBound:
         assert error <= a.dim * np.finfo(float).eps * a.operator_norm() * (1.0 + math.log(1.0 / eps))
 
     def test_key_estimate_takes_no_quadrature(self, monkeypatch):
-        # regression guard: both sides are closed forms; the bound's one decomposition is
-        # the svd of the p x q block A_PQ, and Tr D_eps's are eigvalsh of A, A_PP and A_QQ
+        # regression guard: both sides are closed forms from A's one spectrum; the bound's own
+        # decomposition is the svd of the p x q block A_PQ, and Tr D_eps's are eigvalsh of A_PP and A_QQ
         calls = recorded_linalg(monkeypatch)
-        monkeypatch.setattr(tau, "_quad_gk21", lambda *args: pytest.fail("quadrature"))
+        monkeypatch.setattr(tau, "_BlockIntegrand", lambda *args: pytest.fail("quadrature"))
         a = random_psd(np.random.default_rng(40), 9)
-        a.eigenvalues  # the PSD check and ||A|| read them: decomposed here, its calls cleared below
+        a.eigenvalues  # the PSD checks, ||A|| and Tr D_eps read them: decomposed here, its calls cleared below
         p = OrthoProjection.from_mask(9, [1, 4, 6])
         calls.clear()
         tau.key_bound_constant(a, p)
         assert [(name, m.shape) for name, m in calls] == [("svd", (3, 6))]
         calls.clear()
         tau.truncated_trace(a, p, 0.01)
-        assert [(name, m.shape) for name, m in calls] == [("eigvalsh", (9, 9)), ("eigvalsh", (3, 3)),
-                                                          ("eigvalsh", (6, 6))]
+        assert [(name, m.shape) for name, m in calls] == [("eigvalsh", (3, 3)), ("eigvalsh", (6, 6))]
 
 
 class TestIntegralRepresentation:
@@ -450,27 +455,69 @@ def near_commuting_instance(rng):
 
 
 def quadrature_truncated_trace(a, p, eps):
-    """Tr D_eps by GK21 quadrature of the block integrand over [eps, 1], to tol 1e-10.
+    """Tr D_eps by 16-point Gauss-Legendre panels in s = ln t over [ln eps, 0], at most 1 long.
 
-    Substitutes t = eps^(1-v), v in [0, 1], Jacobian -ln(eps) t: each decade of
-    [eps, 1] gets the same length of v.
+    In s the integrand is t G(t), each of whose spectral terms is analytic in
+    |Im s| < pi, 2 pi or more half-lengths off each panel.
     """
     blocks = tau._BlockIntegrand(a, p)
-
-    def f(v):
-        t = eps ** (1.0 - v)
-        return slice(None), [block * (-math.log(eps) * t).reshape(-1, 1, 1) for block in blocks(t)]
-
-    d, _ = tau._integrate_matrix(f, blocks.sizes, 0.0, 1.0, 1e-10, 1e-8 * blocks.scale, "D_eps")
+    edges = np.linspace(math.log(eps), 0.0, math.ceil(-math.log(eps)) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = np.exp(((edges[:-1, None] + half) + half * tau._GL_NODES).ravel())
+    d = blocks.integral(t, (half * tau._GL_WEIGHTS).ravel() * t)
     return float(np.trace(d.real))
+
+
+def estimate_cover(a, result):
+    """What tau_integral's estimate covers: its own error, plus tau_spectral's rounding of
+    terms of size ||A ln A||."""
+    return result.quadrature_error_estimate + 1e-14 * np.linalg.norm(xlogx(a.eigenvalues))
+
+
+def oracle_mix_instances(seed=0):
+    """(A, P) of the benchmark's oracle-mix tau requests, drawn as bench/workloads.py draws them."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for dim in (10, 15, 20, 25, 30, 35, 40):
+        for _ in range(3):
+            m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            mask = np.sort(rng.choice(dim, size=int(rng.integers(1, dim)), replace=False))
+            rng.uniform(-3.0, -1.0)  # the request's eps
+            yield HermitianOperator(m @ m.conj().T / dim), OrthoProjection.from_mask(dim, mask)
+
+
+def near_commuting_battery():
+    rng = np.random.default_rng(0)
+    return [near_commuting_instance(rng) for _ in range(30)]
+
+
+@pytest.mark.parametrize("instances, budget", [(oracle_mix_instances, 1e-6), (near_commuting_battery, math.inf)])
+def test_estimate_covers_gap(instances, budget):
+    # the a-priori estimate bounds the gap to tau_spectral, up to tau_spectral's own rounding
+    # (the wide-spectrum battery checks the same); oracle-mix's gate refuses estimates above 1e-6
+    for a, p in instances():
+        result = tau.tau_integral(a, p)
+        assert np.linalg.norm(result.tau.mat - tau.tau_spectral(a, p).tau.mat) <= estimate_cover(a, result)
+        assert result.quadrature_error_estimate <= budget
+
+
+def test_oracle_mix_node_count(monkeypatch):
+    # 1 713 + 672 nodes, counted through _BlockIntegrand.__call__, against 3 129 + 1 323 for
+    # scipy's quad_vec in t = (s/(1-s))^2 and 1/v^2; the budget is the total's
+    sizes = []
+    integrand = tau._BlockIntegrand.__call__
+    monkeypatch.setattr(tau._BlockIntegrand, "__call__", lambda self, t: sizes.append(t.size) or integrand(self, t))
+    for a, p in oracle_mix_instances():
+        tau.tau_integral(a, p)
+        tau.tail_integral_identity_gap(a, p)
+    assert sum(sizes) <= 2_600
 
 
 class TestWideSpectrum:
     # Node counts of the 30 instances, counted through _BlockIntegrand.__call__:
-    # 16 464 and 9 198 with the maps t = x^2 and 1/v^2, against 27 846 and 18 858
-    # with t = s/(1-s) and 1/u, which also missed tau by up to 24 times the bound
-    # below.  The budgets leave about 15 %.
-    BUDGETS = {"tau": 19_000, "tail": 10_600}
+    # 4 212 and 3 648 with the trapezoid rule in ln t and the Gauss-Legendre panels
+    # in t^{-1/2}, against 16 464 and 9 198 for an adaptive Gauss-Kronrod rule
+    # (scipy's quad_vec) in t = (s/(1-s))^2 and 1/v^2.  The budgets leave about 15 %.
+    BUDGETS = {"tau": 4_850, "tail": 4_200}
 
     def test_wide_spectrum_battery(self, monkeypatch):
         nodes = Counter()
@@ -487,9 +534,11 @@ class TestWideSpectrum:
             a, p, eps = wide_spectrum_instance(rng)
             norm_a = max(1.0, float(np.linalg.norm(a.mat)))
             quadrature[0] = "tau"
-            gap = np.linalg.norm(tau.tau_integral(a, p).tau.mat - tau.tau_spectral(a, p).tau.mat)
+            result = tau.tau_integral(a, p)
+            gap = np.linalg.norm(result.tau.mat - tau.tau_spectral(a, p).tau.mat)
             # the requested tolerance, plus the rounding of terms of size ||A ln A||
             assert gap <= 1e-8 + 1e-14 * np.linalg.norm(xlogx(a.eigenvalues))
+            assert gap <= estimate_cover(a, result)
             quadrature[0] = "oracle"
             d_eps = quadrature_truncated_trace(a, p, eps)
             assert abs(tau.truncated_trace(a, p, eps) - d_eps) <= 1e-13 * norm_a
@@ -623,17 +672,17 @@ class TestBlockIntegrand:
                     integral(a, p)
 
 
-def recorded_quadratures(monkeypatch):
-    """Record (f, lo, hi, tol, integral, error) of every `_quad_gk21` call."""
+def recorded_integrals(monkeypatch):
+    """Record (t, weights, sum) of every `_BlockIntegrand.integral` call, the sum restored."""
     calls = []
-    quad = tau._quad_gk21
+    integral = tau._BlockIntegrand.integral
 
-    def record(f, lo, hi, tol):
-        y, err = quad(f, lo, hi, tol)
-        calls.append((f, lo, hi, tol, y, err))
-        return y, err
+    def record(self, t, weights):
+        out = integral(self, t, weights)
+        calls.append((t, weights, self.restore(out)))
+        return out
 
-    monkeypatch.setattr(tau, "_quad_gk21", record)
+    monkeypatch.setattr(tau._BlockIntegrand, "integral", record)
     return calls
 
 
@@ -648,72 +697,39 @@ def recorded_linalg(monkeypatch):
     return calls
 
 
-def quad_vec_oracle(f, lo, hi, tol):
-    """scipy's quad_vec on the scalar form of a batched integrand."""
+def quad_vec_integral(blocks, lo):
+    """scipy's quad_vec of the block integrand over [lo, inf), in the original coordinates."""
     quad_vec = pytest.importorskip("scipy.integrate").quad_vec
-    return quad_vec(lambda x: f(np.array([x]))[0], lo, hi, epsabs=tol, epsrel=0.0, quadrature="gk21")
+    r, n = blocks.sizes[0], sum(blocks.sizes)
+
+    def full(t):
+        pp, qq = blocks(np.array([t]))
+        m = np.zeros((n, n), dtype=complex)
+        m[:r, :r], m[r:, r:] = pp[0], qq[0]
+        return m
+
+    return blocks.restore(quad_vec(full, lo, math.inf, epsabs=1e-14, epsrel=0.0)[0])
 
 
-def node_by_node_gk21(f, lo, hi):
-    """`tau._gk21` with its sums written as loops over the nodes, QUADPACK's order."""
-    kronrod, gauss = tau._WEIGHTS[:, 0].tolist(), tau._WEIGHTS[1::2, 1].tolist()
-    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fv = f((c[:, None] + h[:, None] * tau._NODES).ravel()).reshape(lo.size, tau._NODES.size, -1)
-    s_k = s_k_abs = s_g = s_k_dabs = 0.0
-    for i, v in enumerate(kronrod):
-        s_k = s_k + v * fv[:, i]
-        s_k_abs = s_k_abs + v * np.abs(fv[:, i])
-    for i, w in enumerate(gauss):
-        s_g = s_g + w * fv[:, 2 * i + 1]
-    y0 = s_k / 2.0
-    for i, v in enumerate(kronrod):
-        s_k_dabs = s_k_dabs + v * np.abs(fv[:, i] - y0)
-    out = []
-    for j in range(lo.size):
-        err = float(np.linalg.norm((s_k[j] - s_g[j]) * h[j]))
-        dabs = float(np.linalg.norm(s_k_dabs[j] * h[j]))
-        round_err = float(np.linalg.norm(50 * sys.float_info.epsilon * h[j] * s_k_abs[j]))
-        if dabs != 0 and err != 0:
-            err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
-        if round_err > sys.float_info.min:
-            err = max(err, round_err)
-        out.append((h[j] * s_k[j], err, round_err))
-    return out
-
-
-class TestGK21Quadrature:
-    @pytest.mark.parametrize("intervals", [1, 64, 256])
-    @pytest.mark.parametrize("columns", [1, 26, 1600])
-    def test_sums_equal_node_by_node_loops(self, intervals, columns):
-        rng = np.random.default_rng(intervals * columns)
-        values = rng.standard_normal((intervals * tau._NODES.size, columns))
-        values *= 10.0 ** rng.uniform(-4.0, 4.0, values.shape)
-        f = lambda x: values[:x.size]
-        lo = np.sort(rng.uniform(-1.0, 1.0, intervals))
-        hi = lo + rng.uniform(1e-3, 1.0, intervals)
-        for (y, err, round_err), (y_ref, err_ref, round_ref) in zip(tau._gk21(f, lo, hi),
-                                                                    node_by_node_gk21(f, lo, hi)):
-            assert np.array_equal(y, y_ref)
-            assert (err, round_err) == (err_ref, round_ref)
-
-    def test_tau_integrals_equal_quad_vec(self, monkeypatch):
-        calls = recorded_quadratures(monkeypatch)
-        rng = np.random.default_rng(30)
-        for _ in range(12):
-            dim = int(rng.integers(3, 13))
-            a = random_psd(rng, dim)
-            p = random_block_projection(rng, dim)
-            tau.tau_integral(a, p)
+class TestQuadratures:
+    def test_rules_match_quad_vec(self, monkeypatch):
+        # both fixed rules against scipy's adaptive Gauss-Kronrod rule on the same integrand
+        calls = recorded_integrals(monkeypatch)
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            dim = int(rng.integers(3, 7))
+            a, p = random_psd(rng, dim), random_block_projection(rng, dim)
+            blocks = tau._BlockIntegrand(a, p)
+            bound = 1e-13 * max(1.0, a.operator_norm())
+            whole = quad_vec_integral(blocks, 0.0)
+            assert np.linalg.norm(tau.tau_integral(a, p).tau.mat - 0.5 * (whole + whole.conj().T)) <= bound
             tau.tail_integral_identity_gap(a, p)
-        assert len(calls) == 24
-        for f, lo, hi, tol, y, err in calls:
-            y_ref, err_ref = quad_vec_oracle(f, lo, hi, tol)
-            assert np.array_equal(y, y_ref)
-            assert err == err_ref
+            assert np.linalg.norm(calls[-1][2] - quad_vec_integral(blocks, 1.0)) <= bound
 
     def test_integrands_equal_scalar_formula(self, monkeypatch):
-        # at every node, the batched integrand equals the scalar Schur-complement formula in Python floats
-        calls = recorded_quadratures(monkeypatch)
+        # at every node of both rules, the batched integrand equals the scalar Schur-complement
+        # formula in Python floats, and the trapezoid's nodes are STEP apart in ln t
+        calls = recorded_integrals(monkeypatch)
         rng = np.random.default_rng(34)
         a = random_psd(rng, 5)
         p = random_block_projection(rng, 5)
@@ -730,38 +746,31 @@ class TestGK21Quadrature:
             return np.concatenate([(t * (np.linalg.solve(shifted, k) @ y)).ravel(),
                                    (t * (w_h @ y @ w_h.conj().T)).ravel()])
 
-        def squared(s):
-            # t = x^2, x = s/(1-s)
-            r = 1.0 - s
-            x = s / r
-            return integrand(x * x) * (2.0 * x / (r * r))
-
-        def inverse_square(v):
-            # t = 1/v^2
-            v2 = v * v
-            return integrand(1.0 / v2) * (2.0 / (v2 * v))
-
-        for (f, lo, hi, _, _, _), form in zip(calls, (squared, inverse_square)):
-            x = rng.uniform(lo, hi, 1500)
-            expected = [np.concatenate([m.real, m.imag]) for m in map(form, x.tolist())]
-            assert np.array_equal(f(x), np.array(expected))
+        (t_tau, w_tau, _), (t_tail, w_tail, _) = calls
+        assert np.allclose(np.diff(np.log(t_tau)), tau.STEP, rtol=1e-12, atol=0.0)
+        assert np.array_equal(w_tau, tau.STEP * t_tau)
+        assert t_tail.min() >= 1.0 and np.all(w_tail > 0.0)
+        for t in (t_tau, t_tail):
+            pp, qq = blocks(t)
+            batched = np.concatenate([pp.reshape(t.size, -1), qq.reshape(t.size, -1)], axis=1)
+            assert np.array_equal(batched, np.array([integrand(x) for x in t.tolist()]))
 
     def test_quadratures_solve_and_invert_only(self, monkeypatch):
         # regression guard: the integral route takes no eigendecomposition of A, B or their
         # blocks, so it stays independent of tau_spectral
         calls, in_quadrature = recorded_linalg(monkeypatch), []
-        quadrature = tau._quad_gk21
+        integral = tau._BlockIntegrand.integral
 
-        def recorded(f, lo, hi, tol):
+        def recorded(self, t, weights):
             start = len(calls)
-            out = quadrature(f, lo, hi, tol)
+            out = integral(self, t, weights)
             in_quadrature.append({name for name, _ in calls[start:]})
             return out
 
-        monkeypatch.setattr(tau, "_quad_gk21", recorded)
+        monkeypatch.setattr(tau._BlockIntegrand, "integral", recorded)
         rng = np.random.default_rng(38)
         a = random_psd(rng, 9)
-        a.eigenvalues  # the PSD check reads them: decomposed here, its calls cleared below
+        a.eigenvalues  # the PSD check and the node placement read them: decomposed here, its calls cleared below
         mask = random_block_projection(rng, 9)
         calls.clear()
         tau.tau_integral(a, mask)
@@ -769,45 +778,20 @@ class TestGK21Quadrature:
         tau.tail_integral_identity_gap(a, mask)  # its closed form, after the quadrature, diagonalizes B
         assert in_quadrature == [{"solve", "inv"}] * 2
 
-    def test_polynomial_exact_on_one_interval(self):
-        powers = np.array([0, 1, 7, 20, 31])
-        f = lambda x: x[:, None] ** powers
-        exact = (2.0 ** (powers + 1) - (-1.0) ** (powers + 1)) / (powers + 1)
-        ((y, _, _),) = tau._gk21(f, np.array([-1.0]), np.array([2.0]))
-        assert np.allclose(y, exact, rtol=1e-14, atol=0.0)
-        y, err = tau._quad_gk21(f, -1.0, 2.0, 1e-6)
-        assert np.allclose(y, exact, rtol=1e-14, atol=0.0)
-        y_ref, err_ref = quad_vec_oracle(f, -1.0, 2.0, 1e-6)
-        assert np.array_equal(y, y_ref) and err == err_ref
+    @pytest.mark.parametrize("integral", [tau.tau_integral, tau.tail_integral_identity_gap])
+    def test_non_finite_integrand_raises(self, monkeypatch, integral):
+        blocks_at = tau._BlockIntegrand.__call__
 
-    def test_arctan_integrand(self):
-        f = lambda x: np.stack([1.0 / (1.0 + x * x), -2.0 / (1.0 + x * x)], axis=1)
-        y, err = tau._quad_gk21(f, 0.0, 1.0, 1e-12)
-        assert np.all(np.abs(y - np.array([1.0, -2.0]) * math.pi / 4) <= err + 1e-16)
-        y_ref, err_ref = quad_vec_oracle(f, 0.0, 1.0, 1e-12)
-        assert np.array_equal(y, y_ref) and err == err_ref
+        def poisoned(self, t):
+            pp, qq = blocks_at(self, t)
+            qq[-1] = math.nan     # the last node of each chunk
+            return pp, qq
 
-    def test_spike_over_budget_raises(self):
-        # |x - 1/3|^{-1/2} integrates to 2(sqrt(1/3) + sqrt(2/3)); the estimate at
-        # tol 1e-6 is about 1e-7, above a 1e-8 budget
-        f = lambda x: (slice(None), (np.abs(x - 1.0 / 3.0)[:, None, None] ** -0.5,))
+        monkeypatch.setattr(tau._BlockIntegrand, "__call__", poisoned)
+        a, p = random_psd(np.random.default_rng(32), 6), OrthoProjection.from_mask(6, [1, 3])
         with pytest.raises(tau.ConvergenceError) as info:
-            tau._integrate_matrix(f, (1,), 0.0, 1.0, 1e-6, 1e-8, "spike")
-        assert info.value.residual > 1e-8
-        m, err = tau._integrate_matrix(f, (1,), 0.0, 1.0, 1e-6, 1e-6, "spike")
-        assert abs(m[0, 0] - 2 * (math.sqrt(1 / 3) + math.sqrt(2 / 3))) <= err
-
-    def test_nan_integrand_stops_and_raises(self):
-        calls = []
-
-        def f(x):
-            calls.append(x.size)
-            return slice(None), (np.sqrt(x - 0.5)[:, None, None],)  # NaN left of 1/2
-
-        with np.errstate(invalid="ignore"), pytest.raises(tau.ConvergenceError) as info:
-            tau._integrate_matrix(f, (1,), 0.0, 1.0, 1e-8, 1.0, "nan")
+            integral(a, p)
         assert not math.isfinite(info.value.residual)
-        assert len(calls) == 2  # the first interval, then one round
 
     def test_array_integrand_equals_scalar_calls(self):
         rng = np.random.default_rng(32)
@@ -820,18 +804,3 @@ class TestGK21Quadrature:
         assert np.array_equal(stack, np.stack([tau.resolvent_integrand(a, b, p, float(x)) for x in t]))
         assert tau.resolvent_integrand(a, b, p, 0.3).shape == (5, 5)
 
-    def test_node_count_matches_quad_vec(self, monkeypatch):
-        # same rule, same nodes: batching changes the number of integrand calls only
-        calls = recorded_quadratures(monkeypatch)
-        sizes = []
-        integrand = tau._BlockIntegrand.__call__
-        monkeypatch.setattr(tau._BlockIntegrand, "__call__",
-                            lambda self, t: sizes.append(np.size(t)) or integrand(self, t))
-        rng = np.random.default_rng(33)
-        tau.tau_integral(random_psd(rng, 6), random_block_projection(rng, 6))
-        batched = list(sizes)
-        sizes.clear()
-        f, lo, hi, tol, _, _ = calls[0]
-        quad_vec_oracle(f, lo, hi, tol)
-        assert sum(batched) == sum(sizes) > 21
-        assert len(batched) < sum(batched) / 21
