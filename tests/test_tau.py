@@ -778,6 +778,42 @@ class TestQuadratures:
         tau.tail_integral_identity_gap(a, mask)  # its closed form, after the quadrature, diagonalizes B
         assert in_quadrature == [{"solve", "inv"}] * 2
 
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    @pytest.mark.parametrize("per_chunk", [1, 7, None])
+    def test_sums_equal_node_by_node_loops(self, monkeypatch, dim, per_chunk):
+        # the chunked sum visits every node once, in chunks of at most CHUNK_ENTRIES // n^2
+        # nodes, and equals the sum of the integrand evaluated one node at a time
+        if per_chunk is not None:
+            monkeypatch.setattr(tau, "CHUNK_ENTRIES", per_chunk * dim * dim)
+        size = tau.CHUNK_ENTRIES // (dim * dim)
+        rng = np.random.default_rng(40 + dim)
+        a, p = random_psd(rng, dim), random_block_projection(rng, dim)
+        blocks = tau._BlockIntegrand(a, p)
+        t = np.exp(tau.STEP * np.arange(-40, 41))
+        weights = tau.STEP * t * rng.uniform(0.5, 1.5, t.size)
+        r = blocks.sizes[0]
+        expected = np.zeros((dim, dim), dtype=complex)
+        for x, w in zip(t.tolist(), weights.tolist()):
+            pp, qq = blocks(np.array([x]))
+            expected[:r, :r] += w * pp[0]
+            expected[r:, r:] += w * qq[0]
+        scale = float(np.sum(weights * np.linalg.norm(assembled(blocks, t), axis=(1, 2))))
+        chunks = []
+        blocks_at = tau._BlockIntegrand.__call__
+
+        def recorded(self, t):
+            chunks.append(t.copy())
+            return blocks_at(self, t)
+
+        monkeypatch.setattr(tau._BlockIntegrand, "__call__", recorded)
+        got = blocks.integral(t, weights)
+        assert all(c.size <= size for c in chunks) and len(chunks) == -(-t.size // size)
+        assert np.array_equal(np.concatenate(chunks), t)
+        if size == 1:
+            assert np.array_equal(got, expected)
+        else:  # a sum of 81 terms: within 81 eps of their total norm
+            assert np.linalg.norm(got - expected) <= 1e-14 * scale
+
     @pytest.mark.parametrize("integral", [tau.tau_integral, tau.tail_integral_identity_gap])
     def test_non_finite_integrand_raises(self, monkeypatch, integral):
         blocks_at = tau._BlockIntegrand.__call__
