@@ -1,4 +1,3 @@
-import hashlib
 import io
 import itertools
 import json
@@ -34,6 +33,7 @@ from araki_mi.operators import (HermitianOperator, OrthoProjection, _eigh_eigenv
 from araki_mi.relent import BipartiteShape, DensityMatrix, mutual_information
 from araki_mi.tau import tau_spectral
 from oracles import continuum_mi, hardy_kernel
+from record_mi_goldens import FILE, GROUPS, SWEEP_GEOMETRIES, collect
 
 LN2 = math.log(2.0)
 STANDARD = ((0.0, 1.0), (2.0, 3.0))
@@ -104,10 +104,10 @@ def gathered_kernel(sys: CovarianceSystem) -> np.ndarray:
     return square_block(sys, workspace(sys), None)
 
 
-# the mi-sweep geometries of the benchmark
-SWEEP_GEOMETRIES = ("[[0,1],[2,3]]", "[[0,1],[1.5,2.5]]", "[[0,1],[1.25,2.25]]", "[[0,0.5],[1,2.5]]",
-                    "[[0,1.5],[2,3]]", "[[0,0.75],[1.25,2],[2.5,3.25]]", "[[0,1],[1.5,2],[2.5,3.5]]",
-                    "[[0,0.5],[0.75,1.5],[2,3]]")
+def assert_recorded(cls: str, group: str) -> None:
+    """One group's stdout, collected once per session, against mi_goldens.json; a failure names both stacks."""
+    golden, now = json.loads(FILE.read_text()), collect()
+    assert now[cls][group] == golden[cls][group], f"recorded on {golden['stack']}, run on {now['stack']}"
 
 
 class TestIntervalConfig:
@@ -463,80 +463,22 @@ class TestSublatticeCrossCheck:
         with pytest.raises(ArithmeticError, match="disagree"):
             sigma_trace(sys)
 
-    # canonical stdout (numpy 2.4.6, OpenBLAS 0.3.31) at one and at two BLAS threads alike; a change
-    # to the cross-check must keep it byte-identical.  The off-site converge, whose last digits follow
-    # the thread count, is pinned at one thread by TestOneBlasThread.
-    GOLDEN = {
-        ("mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "32"):
-            '{"extrapolated":0.095824058326393846,"extrapolation_error":0.045378173136537026,'
-            '"mi_nats":0.095824058326393846,"series":[{"value":0.0051757376952479284,"window":16},'
-            '{"value":0.021440783289491616,"window":32},{"value":0.050445885189856821,"window":48},'
-            '{"value":0.095824058326393846,"window":64}]}\n',
-        ("converge", "--intervals", "[[0,1],[2,3]]", "--resolutions", "16,32,64"):
-            '{"extrapolated":0.09589399472689196,"resolutions":[16,32,64],'
-            '"uncertainty":1.7456640411180436e-05,'
-            '"values":[0.095613809078369361,0.095824058326393846,0.095876538086480778]}\n',
-        # region 1 after region 2 in row order, windows that do not divide the blocks evenly
-        ("mi", "--intervals", "[[2,3],[0,1]]", "--resolution", "40", "--fractions", "0.3,0.6,1"):
-            '{"extrapolated":0.095849252661708739,"extrapolation_error":0.064458100515474737,'
-            '"mi_nats":0.095849252661708739,"series":[{"value":0.0075389046989924324,"window":24},'
-            '{"value":0.031391152146234003,"window":48},{"value":0.095849252661708739,"window":80}]}\n',
-        ("mi", "--intervals", "[[0,0.75],[1.25,2],[2.5,3.25]]", "--resolution", "48"):
-            '{"extrapolated":0.18010582879114434,"extrapolation_error":0.087463234558822656,'
-            '"mi_nats":0.18010582879114434,"series":[{"value":0.0093615230212060752,"window":27},'
-            '{"value":0.038920618017773023,"window":54},{"value":0.092642594232321684,"window":81},'
-            '{"value":0.18010582879114434,"window":108}]}\n',
-    }
-
-    @pytest.mark.parametrize("argv", list(GOLDEN), ids=["mi", "converge", "mi-reversed-regions", "mi-three-intervals"])
-    def test_canonical_output_unchanged(self, capsys, argv):
-        assert main(list(argv)) == 0
-        assert capsys.readouterr().out == self.GOLDEN[argv]
+    # canonical stdout at one and at two BLAS threads alike: a change to the cross-check must keep it
+    @pytest.mark.parametrize("group", list(GROUPS["TestSublatticeCrossCheck"]))
+    def test_canonical_output_unchanged(self, group):
+        assert_recorded(type(self).__name__, group)
 
 
 class TestMISweepDigest:
-    # SHA-256 of the stdout of `mi` at resolutions 16 and 32 with --components 1 and 2, in that
-    # order, for each mi-sweep geometry of the benchmark (numpy 2.4.6, OpenBLAS 0.3.31).
-    DIGESTS = {
-        "[[0,1],[2,3]]": "8a8342c526724330a2faec6ac1a62ecf1012e596c22e3ac74d68c5a0a66b1c10",
-        "[[0,1],[1.5,2.5]]": "a0403605ea04b2a0da05a1f907d6fa965493a8b2ce4a28553d0f026f0dafaa45",
-        "[[0,1],[1.25,2.25]]": "c609ff37f0fab83f397620c670c86f28bbca0cb496a29b7e49c65ee63b7a1faf",
-        "[[0,0.5],[1,2.5]]": "ee51b17b9cf4a1be8cf33b6f5a055bba2ac343aabd93eb4184623e62d8d149d6",
-        "[[0,1.5],[2,3]]": "882de44e7ee9afaaeb19632c8e5e766c91ff76b2bf31405022b4141cf62e1cdd",
-        "[[0,0.75],[1.25,2],[2.5,3.25]]": "51af32a804b336f411b7678c41ba54c4622cbefef9585e1826efffd40e2e0a8b",
-        "[[0,1],[1.5,2],[2.5,3.5]]": "874be59068a58c16389ecde040507f8b2c587250a59505373e19652d23d326ab",
-        "[[0,0.5],[0.75,1.5],[2,3]]": "3db205bbfb152297eee15e5720a7b767b76845e0edf5fc6872b522a1aea8f25e",
-    }
-
-    @pytest.mark.parametrize("intervals", list(DIGESTS))
-    def test_stdout_matches_recorded_digest(self, intervals):
-        out = io.StringIO()
-        with redirect_stdout(out):
-            for resolution in ("16", "32"):
-                for components in ("1", "2"):
-                    assert main(["mi", "--intervals", intervals, "--resolution", resolution,
-                                 "--components", components]) == 0
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.DIGESTS[intervals]
+    @pytest.mark.parametrize("group", list(GROUPS["TestMISweepDigest"]))
+    def test_stdout_matches_recorded_digest(self, group):
+        assert_recorded(type(self).__name__, group)
 
 
 class TestOneBlasThread:
-    # SHA-256 of the stdout of each command in a child interpreter on one OpenBLAS thread, the
-    # setting the benchmark runs (numpy 2.4.6, OpenBLAS 0.3.31).  The off-site converge, up to
-    # 615 sites, prints other last digits at two threads.
-    DIGESTS = {
-        ("converge", "--intervals", "[[0,1],[1.3,2.7]]", "--resolutions", "32,64,128,256"):
-            "5c8e39c9ccfd2d750fd849dd97e4d905737972330507736a6f0f28eebbd80c59",
-        ("mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "64"):
-            "8d3a79c375437753f48124eb5dfa10908c40789b3eaa065bb0f73ee47e7a34dc",
-    }
-
-    @pytest.mark.parametrize("argv", list(DIGESTS), ids=["converge-off-site", "mi"])
-    def test_stdout_matches_recorded_digest(self, argv):
-        src = str(Path(fermion.__file__).resolve().parents[1])
-        code = f"import sys; sys.path.insert(0, {src!r}); from araki_mi.cli import main; sys.exit(main(sys.argv[1:]))"
-        out = subprocess.run([executable, "-c", code, *argv], capture_output=True, check=True,
-                             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
-        assert hashlib.sha256(out.stdout).hexdigest() == self.DIGESTS[argv]
+    @pytest.mark.parametrize("group", list(GROUPS["TestOneBlasThread"]))
+    def test_stdout_matches_recorded_digest(self, group):
+        assert_recorded(type(self).__name__, group)
 
 
 LANE_PRELUDE = """
@@ -894,7 +836,7 @@ class TestPinnedEigenvalues:
 
     # every mi-sweep geometry x resolution, and the mi-large systems up to 614 sites (above
     # zhetrd's blocking crossover and dstedc's small-size cutoff), each with its windows
-    SYSTEMS = ([(json.loads(g), r) for g in TestMISweepDigest.DIGESTS for r in (16, 32, 48, 64, 80, 96)]
+    SYSTEMS = ([(json.loads(g), r) for g in SWEEP_GEOMETRIES for r in (16, 32, 48, 64, 80, 96)]
                + [(g, r) for g in ([[0, 1], [2, 3]], [[0, 1], [1.3, 2.7]]) for r in (32, 64, 128, 256)])
 
     @staticmethod
