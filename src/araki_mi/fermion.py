@@ -152,7 +152,6 @@ class CovarianceSystem:
 class MISeries:
     window_sizes: Tuple[int, ...]
     values: Tuple[float, ...]
-    extrapolated: float
     extrapolation_error: float
 
     def __post_init__(self):
@@ -476,8 +475,7 @@ def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) ->
     _refuse_repeats(windows, fracs, "window fractions")
     values = [config.components * v for v in _sigma_traces(windows)]
     err = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
-    return MISeries(window_sizes=tuple(wsys.size for wsys in windows), values=tuple(values),
-                    extrapolated=values[-1], extrapolation_error=err)
+    return MISeries(window_sizes=tuple(wsys.size for wsys in windows), values=tuple(values), extrapolation_error=err)
 
 
 def richardson(values: Sequence[float]) -> tuple[float, float]:
