@@ -181,9 +181,12 @@ def tau_spectral(a: HermitianOperator, p: OrthoProjection) -> TauResult:
 
 def resolvent_integrand(a: HermitianOperator, b: HermitianOperator, p: OrthoProjection,
                         t: float | np.ndarray) -> np.ndarray:
-    """t ( P(t+A)^{-1}P + (1-P)(t+A)^{-1}(1-P) - (t+B)^{-1} ).
+    """t ( P(t+A)^{-1}P + (1-P)(t+A)^{-1}(1-P) - (t+B)^{-1} ); at a 1-D array t, the (k, n, n) stack.
 
-    For a 1-D array t, the (k, n, n) stack of the integrand at each t.
+    The direct definition, the tests' oracle, for moderate t only: its terms
+    near 1 cancel to order ||A||^2 / t^2, so from t ~ ||A|| eps^{-1/2} (about
+    7e7 ||A||) on no digit is left.  `tau_integral` does not call it (it sums
+    `_BlockIntegrand`); the `integrand_psd` audit samples t <= 10 only.
     """
     out = _resolvent_integrand(a.mat, b.mat, p.membership, t)
     return out if np.ndim(t) else out[0]

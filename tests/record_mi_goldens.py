@@ -1,6 +1,5 @@
 """The tier-1 MI pins, each pinned request's stdout in `mi_goldens.json`.  For a meant answer change only,
 `python tests/record_mi_goldens.py` re-records them unless an independent MI oracle fails."""
-import functools
 import io
 import json
 import os
@@ -46,11 +45,10 @@ def run(groups: dict) -> dict:
     return {group: {request: stdout(request) for request in requests} for group, requests in groups.items()}
 
 
-@functools.cache
 def collect() -> dict:
     """Every group's stdout, and the numpy and BLAS it ran on."""
     code = "import json, record_mi_goldens as g; print(json.dumps(g.run(g.GROUPS['TestOneBlasThread'])))"
-    child = subprocess.run([sys.executable, "-c", code], cwd=HERE, capture_output=True, text=True, check=True,
+    child = subprocess.run([sys.executable, "-c", code], cwd=HERE, stdout=subprocess.PIPE, text=True, check=True,
                            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"stack": f"numpy {np.__version__}, {blas['name']} {blas['version']}",
@@ -67,7 +65,8 @@ def floats(node, path: str = "") -> dict:
 
 
 if __name__ == "__main__":
-    oracles = ["-k", "TestContinuumOracle or TestFockSpaceOracle or TestTauRoute", str(HERE / "test_fermion.py")]
+    oracles = ["-k", "TestContinuumOracle or TestFockSpaceOracle or TestTauRoute or TestScalingInvariance",
+               str(HERE / "test_fermion.py")]
     if subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *oracles],
                       env={**os.environ, "PYTHONPATH": SRC}).returncode:
         sys.exit("an MI oracle fails: nothing written")

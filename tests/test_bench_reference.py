@@ -5,7 +5,7 @@ interpreter on one BLAS thread (the benchmark's setting; the digits of the
 large MI solves follow the thread count).  Each request's gate runs only to
 parse its output: a request that exits non-zero fails here, but the gates'
 verdicts stay the benchmark's `failed` count, which includes the recorded
-CFH defect of mi-large (ROADMAP item 4).  Every digest must match its
+CFH defect of mi-large (ROADMAP item 12).  Every digest must match its
 reference to the recorded tolerance.  Nothing under `bench/` is written.
 """
 

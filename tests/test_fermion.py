@@ -104,9 +104,15 @@ def gathered_kernel(sys: CovarianceSystem) -> np.ndarray:
     return square_block(sys, workspace(sys), None)
 
 
-def assert_recorded(cls: str, group: str) -> None:
-    """One group's stdout, collected once per session, against mi_goldens.json; a failure names both stacks."""
-    golden, now = json.loads(FILE.read_text()), collect()
+@pytest.fixture(scope="module")
+def recorded() -> dict:
+    """The stdout of every pinned MI request, collected once for the golden tests."""
+    return collect()
+
+
+def assert_recorded(now: dict, cls: str, group: str) -> None:
+    """One group's stdout against mi_goldens.json; a failure names both numpy and BLAS stacks."""
+    golden = json.loads(FILE.read_text())
     assert now[cls][group] == golden[cls][group], f"recorded on {golden['stack']}, run on {now['stack']}"
 
 
@@ -465,20 +471,20 @@ class TestSublatticeCrossCheck:
 
     # canonical stdout at one and at two BLAS threads alike: a change to the cross-check must keep it
     @pytest.mark.parametrize("group", list(GROUPS["TestSublatticeCrossCheck"]))
-    def test_canonical_output_unchanged(self, group):
-        assert_recorded(type(self).__name__, group)
+    def test_canonical_output_unchanged(self, recorded, group):
+        assert_recorded(recorded, type(self).__name__, group)
 
 
 class TestMISweepDigest:
     @pytest.mark.parametrize("group", list(GROUPS["TestMISweepDigest"]))
-    def test_stdout_matches_recorded_digest(self, group):
-        assert_recorded(type(self).__name__, group)
+    def test_stdout_matches_recorded_digest(self, recorded, group):
+        assert_recorded(recorded, type(self).__name__, group)
 
 
 class TestOneBlasThread:
     @pytest.mark.parametrize("group", list(GROUPS["TestOneBlasThread"]))
-    def test_stdout_matches_recorded_digest(self, group):
-        assert_recorded(type(self).__name__, group)
+    def test_stdout_matches_recorded_digest(self, recorded, group):
+        assert_recorded(recorded, type(self).__name__, group)
 
 
 LANE_PRELUDE = """
@@ -1205,3 +1211,13 @@ class TestScalingInvariance:
         assert build_covariance(self.scaled(cfg, scale)).runs == build_covariance(cfg).runs
         base, scaled = self.scaled_pair(cfg, scale)
         assert scaled == base
+
+    @pytest.mark.parametrize("intervals", [
+        ((5, 6), (7, 8)), ((100, 101), (102, 103)),    # translations by whole sites
+        ((1 / 64, 65 / 64), (129 / 64, 193 / 64)),     # by one site, which flips every site's parity
+        ((-3, -2), (-1, 0)),                           # the mirror image, its intervals in the same order
+    ])
+    def test_lattice_symmetries(self, intervals):
+        # a translated lattice has the same C and a mirrored one its complex conjugate: the same MI bits
+        base = mutual_information_value(IntervalConfig(intervals=STANDARD, resolution=64))
+        assert mutual_information_value(IntervalConfig(intervals=intervals, resolution=64)) == base
