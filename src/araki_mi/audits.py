@@ -5,11 +5,11 @@ inequalities and reports the violation count and the worst margin (positive
 margin = slack, negative = violation).  Every trial draws from its own
 spawned RNG stream, so the report is deterministic for a fixed seed.
 
-The trials are drawn one by one, then evaluated together: the trials of a
-chunk are grouped by dimension and each group goes through the library's
-stacked kernels, one LAPACK call per step.  Stacked calls give every matrix
-the bits of its own call, so the rows equal those of trial-by-trial
-evaluation; they are emitted in trial order.
+The trials of a chunk are grouped by dimension; each group is drawn
+straight into its stacks, each trial from its own stream as it would draw
+alone, and goes through the library's stacked kernels, one LAPACK call per
+step.  Stacked calls give every matrix the bits of its own call, so the rows
+equal those of trial-by-trial evaluation; they are emitted in trial order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import rand, relent, spectral, tau
-from .operators import hermitian_stack
+from .operators import hermitian_stack, symmetrised
 from .relent import BipartiteShape, TraceExpectation
 from .report import AuditReport
 
@@ -35,8 +35,9 @@ AUDIT_TOL = 1e-9
 # refused above this before anything is allocated.
 MAX_TRIALS = 100_000
 # Trials whose streams are spawned and whose dimensions are drawn together
-# (about 0.9 KiB of generator state each), and the most matrix entries a
-# stacked call may hold (64 KiB complex): the working set stays the same
+# (about 0.9 KiB of generator state each), and the most entries of a batch's
+# stack of matrices (64 KiB complex; a tau kernel stacks up to
+# len(T_SAMPLES) of them per trial): the working set stays the same
 # whatever the trial count, and large matrices go a few at a time.
 CHUNK_TRIALS = 256
 BATCH_ENTRIES = 1 << 12
@@ -54,14 +55,14 @@ INDEX_K4_WEIGHT = 120
 MAX_INDEX_WORK = 9_000_000_000
 
 
-def _run_trials(dim_of: Callable[[np.random.Generator], int], draw: Callable[..., tuple],
+def _run_trials(dim_of: Callable[[np.random.Generator], int], draw: Callable[..., list],
                 evaluate: Callable[..., dict], trials: int, seed: int) -> list[dict]:
     """Rows of `trials` seeded trials, in trial order.
 
-    Trial i draws from its own stream: first its dim, dim_of(rng), then
-    draw(rng, dim), a tuple of arrays.  evaluate(dim, *stacks) gets those
-    arrays for a batch of trials of one dim, stacked along a new leading
-    axis, and returns the batch's row columns.
+    Trial i draws from its own stream: first its dim, dim_of(rng), then its
+    instance.  draw(rngs, dim) draws a batch of trials of one dim, with one
+    generator each, as a sequence of stacks along a leading trial axis;
+    evaluate(dim, *stacks) returns the batch's row columns.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -83,8 +84,7 @@ def _chunk_rows(rngs: list, start: int, dim_of, draw, evaluate) -> list[dict]:
     for dim, members in groups.items():
         step = max(1, BATCH_ENTRIES // (dim * dim))
         for batch in (members[i:i + step] for i in range(0, len(members), step)):
-            stacks = [np.stack(arrays) for arrays in zip(*(draw(rngs[j], dim) for j in batch))]
-            columns = evaluate(dim, *stacks)
+            columns = evaluate(dim, *draw([rngs[j] for j in batch], dim))
             for j, values in zip(batch, zip(*(np.asarray(c).tolist() for c in columns.values()))):
                 rows[j] = {"trial": start + j, **dict(zip(columns, values))}
     return rows
@@ -101,24 +101,22 @@ def _random_dim(suite: str) -> Callable[[np.random.Generator], int]:
     return lambda rng: int(rng.integers(2, MAX_DIM[suite] + 1))
 
 
-def _psd_and_mask(rng: np.random.Generator, dim: int) -> tuple:
-    """The draws of random_psd, then of random_block_projection."""
-    factor = rand.gaussian_matrix(rng, dim, dim)
-    return factor, rand.block_membership(rng, dim)
+def _square_and_mask(rngs: list, dim: int) -> list:
+    """The draws of random_psd, then of random_block_projection, of each generator."""
+    return [*rand.gaussian_stacks(rngs, dim), rand.block_memberships(rngs, dim)]
 
 
-def _psd(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, eigenvalues, eigenvectors) of the random_psd operators of a stack of factors."""
-    a = hermitian_stack(rand.psd_from_factor(factors))
-    return (a, *np.linalg.eigh(a))
+def _psd(factors: np.ndarray) -> np.ndarray:
+    """The random_psd operators of a stack of factors."""
+    return hermitian_stack(rand.psd_from_factor(factors))
 
 
 def pinch_audit(trials: int, seed: int) -> AuditReport:
     """B = (A + UAU)/2 exactly and B - A/2 is PSD."""
 
     def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
-        a, w_a, _ = _psd(factors)
-        b = tau._pinched(a, w_a, inside)
+        a = _psd(factors)
+        b = tau._pinched(a, np.linalg.eigvalsh(a), inside)
         sign = np.where(inside, 1.0, -1.0)  # the diagonal of U = 2P - 1
         uau = sign[:, :, None] * a * sign[:, None, :]
         # Frobenius norms that reach the report keep np.linalg.norm's own summation order.
@@ -127,22 +125,19 @@ def pinch_audit(trials: int, seed: int) -> AuditReport:
         return {"dim": np.full(len(a), dim), "identity_gap": gap,
                 "margin": np.minimum(half_margin, 1e-12 - gap)}
 
-    return _summarize("pinch", _run_trials(_random_dim("pinch"), _psd_and_mask, evaluate, trials, seed))
+    return _summarize("pinch", _run_trials(_random_dim("pinch"), _square_and_mask, evaluate, trials, seed))
 
 
 def epsilon_shift_audit(trials: int, seed: int) -> AuditReport:
     """tau_A - tau_{A+eps} is PSD for every eps > 0."""
 
     def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
-        a, w_a, u_a = _psd(factors)
-        t0 = tau._tau_spectral(a, w_a, u_a, inside)
-        margin = np.full(len(a), math.inf)
-        for eps in EPS_VALUES:
-            shifted = tau._tau_shifted(a, inside, eps)
-            margin = np.minimum(margin, np.linalg.eigvalsh(t0 - shifted)[:, 0])
-        return {"dim": np.full(len(a), dim), "margin": margin}
+        a = _psd(factors)
+        taus = tau._tau_shifts(a, *np.linalg.eigh(a), inside, (0.0, *EPS_VALUES))
+        gaps = np.linalg.eigvalsh(taus[:, :1] - taus[:, 1:])[..., 0]
+        return {"dim": np.full(len(a), dim), "margin": np.min(gaps, axis=-1)}
 
-    rows = _run_trials(_random_dim("epsilon_shift"), _psd_and_mask, evaluate, trials, seed)
+    rows = _run_trials(_random_dim("epsilon_shift"), _square_and_mask, evaluate, trials, seed)
     return _summarize("epsilon_shift", rows)
 
 
@@ -150,11 +145,11 @@ def resolvent_audit(trials: int, seed: int) -> AuditReport:
     """||(t+B)^{-1} A|| <= ||A||^{1/2} t^{-1/2} at the sampled t."""
 
     def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
-        a, w_a, _ = _psd(factors)
-        lhs, rhs = tau._resolvent_bounds(a, w_a, inside, T_SAMPLES)
+        a = _psd(factors)
+        lhs, rhs = tau._resolvent_bounds(a, np.linalg.eigh(a)[0], inside, T_SAMPLES)
         return {"dim": np.full(len(a), dim), "margin": np.min(rhs - lhs, axis=-1)}
 
-    rows = _run_trials(_random_dim("resolvent_bound"), _psd_and_mask, evaluate, trials, seed)
+    rows = _run_trials(_random_dim("resolvent_bound"), _square_and_mask, evaluate, trials, seed)
     return _summarize("resolvent_bound", rows)
 
 
@@ -162,46 +157,36 @@ def integrand_psd_audit(trials: int, seed: int) -> AuditReport:
     """Operator convexity: the resolvent integrand is PSD at every t > 0."""
 
     def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
-        a, w_a, _ = _psd(factors)
-        b = tau._pinched(a, w_a, inside)
-        margin = np.full(len(a), math.inf)
-        for t in T_SAMPLES:
-            m = tau._resolvent_integrand(a, b, inside, t)[:, 0]
-            margin = np.minimum(margin, np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m.conj(), -1, -2)))[:, 0])
-        return {"dim": np.full(len(a), dim), "margin": margin}
+        a = _psd(factors)
+        b = tau._pinched(a, np.linalg.eigvalsh(a), inside)
+        m = tau._resolvent_integrand(a, b, inside, T_SAMPLES)
+        return {"dim": np.full(len(a), dim), "margin": np.min(np.linalg.eigvalsh(symmetrised(m))[..., 0], axis=-1)}
 
-    rows = _run_trials(_random_dim("integrand_psd"), _psd_and_mask, evaluate, trials, seed)
+    rows = _run_trials(_random_dim("integrand_psd"), _square_and_mask, evaluate, trials, seed)
     return _summarize("integrand_psd", rows)
 
 
 def fan_audit(trials: int, seed: int) -> AuditReport:
     """Fan's singular value inequality on random pairs."""
 
-    def draw(rng: np.random.Generator, dim: int) -> tuple:
-        f = rand.gaussian_matrix(rng, dim, dim)
-        return f, rand.gaussian_matrix(rng, dim, dim)
-
     def evaluate(dim: int, f: np.ndarray, g: np.ndarray) -> dict:
         margins = spectral._fan_margins(f, g)
         return {"dim": np.full(len(f), dim), "margin": np.min(margins, axis=-1),
                 "checked": np.full(len(f), margins.shape[-1])}
 
-    rows = _run_trials(_random_dim("fan_inequality"), draw, evaluate, trials, seed)
+    rows = _run_trials(_random_dim("fan_inequality"), lambda rngs, dim: rand.gaussian_stacks(rngs, dim, 2),
+                       evaluate, trials, seed)
     return _summarize("fan_inequality", rows, tol=1e-10)
 
 
 def half_power_audit(trials: int, seed: int) -> AuditReport:
     """Tr |F1|^{1/2} <= (sqrt(2)+1) Tr |F|^{1/2} on random matrices."""
 
-    def draw(rng: np.random.Generator, dim: int) -> tuple:
-        f = rand.gaussian_matrix(rng, dim, dim)
-        return f, rand.block_membership(rng, dim)
-
     def evaluate(dim: int, f: np.ndarray, inside: np.ndarray) -> dict:
         lhs, rhs = spectral._offdiag_half_traces(f, inside)
         return {"dim": np.full(len(f), dim), "margin": rhs - lhs}
 
-    rows = _run_trials(_random_dim("half_power_bound"), draw, evaluate, trials, seed)
+    rows = _run_trials(_random_dim("half_power_bound"), _square_and_mask, evaluate, trials, seed)
     return _summarize("half_power_bound", rows)
 
 
@@ -229,11 +214,6 @@ def _fixed_dim(dim: int) -> Callable[[np.random.Generator], int]:
     return lambda rng: dim
 
 
-def _square_factor(rng: np.random.Generator, dim: int) -> tuple:
-    """The draw of random_psd or of a full-rank random_density."""
-    return (rand.gaussian_matrix(rng, dim, dim),)
-
-
 def index_audit(trials: int, seed: int, k: int = 2) -> AuditReport:
     """Entropy/index gap: S(rho, rho.E) <= ln(k^2) on random states."""
     _check_k(k, trials)
@@ -245,7 +225,7 @@ def index_audit(trials: int, seed: int, k: int = 2) -> AuditReport:
         s = relent._entropy_index_gaps(rho, w_rho, e)
         return {"s": s, "margin": bound - s}
 
-    rows = _run_trials(_fixed_dim(k * k), _square_factor, evaluate, trials, seed)
+    rows = _run_trials(_fixed_dim(k * k), rand.gaussian_stacks, evaluate, trials, seed)
     return _summarize("entropy_index_gap", rows, tol=1e-8)
 
 
@@ -255,10 +235,9 @@ def pimsner_popa_audit(trials: int, seed: int, k: int = 2) -> AuditReport:
     e = TraceExpectation(shape=BipartiteShape(k, PIMSNER_POPA_M), traced_factor="A")
 
     def evaluate(dim: int, factors: np.ndarray) -> dict:
-        a = hermitian_stack(rand.psd_from_factor(factors))
-        return {"margin": relent._pimsner_popa_margins(a, e)}
+        return {"margin": relent._pimsner_popa_margins(_psd(factors), e)}
 
-    rows = _run_trials(_fixed_dim(k * PIMSNER_POPA_M), _square_factor, evaluate, trials, seed)
+    rows = _run_trials(_fixed_dim(k * PIMSNER_POPA_M), rand.gaussian_stacks, evaluate, trials, seed)
     return _summarize("pimsner_popa", rows)
 
 

@@ -2,7 +2,10 @@
 
 Each generator draws its numbers first and makes the instance from them
 second; `psd_from_factor` and `density_from_factor` also take stacks of
-draws, which the audits use to make many instances in one call.
+draws, which the audits use to make many instances in one call.  The
+audits draw a batch of trials, one generator each, with `gaussian_stacks`
+and `block_memberships`: each generator draws the bits of `gaussian_matrix`
+and `block_membership` and is left in the same state.
 """
 
 from __future__ import annotations
@@ -34,6 +37,24 @@ def block_membership(rng: np.random.Generator, dim: int) -> np.ndarray:
     rank = int(rng.integers(1, dim))
     inside = np.zeros(dim, dtype=bool)
     inside[rng.choice(dim, size=rank, replace=False)] = True
+    return inside
+
+
+def gaussian_stacks(rngs, dim: int, count: int = 1) -> list[np.ndarray]:
+    """count (len(rngs), dim, dim) stacks; matrix j of stack i is the i-th of count
+    gaussian_matrix(rngs[j], dim, dim) draws.  One standard_normal call per generator
+    draws them all, the real parts and then the imaginary parts of each in turn."""
+    parts = np.empty((len(rngs), count, 2, dim, dim))
+    for rng, part in zip(rngs, parts):
+        rng.standard_normal(out=part)
+    return [parts[:, i, 0] + 1j * parts[:, i, 1] for i in range(count)]
+
+
+def block_memberships(rngs, dim: int) -> np.ndarray:
+    """The (len(rngs), dim) stack of block_membership(rng, dim) of each generator."""
+    inside = np.zeros((len(rngs), dim), dtype=bool)
+    for rng, row in zip(rngs, inside):
+        row[rng.choice(dim, size=int(rng.integers(1, dim)), replace=False)] = True
     return inside
 
 

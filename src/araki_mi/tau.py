@@ -129,23 +129,19 @@ def _pinched(a: np.ndarray, w_a: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return _block_compress(a, inside)
 
 
-def _tau_spectral(a: np.ndarray, w_a: np.ndarray, u_a: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Symmetrised tau_A of PSD A = u_a diag(w_a) u_a^dagger, f(x) = x ln x.
+def _tau_shifts(a: np.ndarray, w_a: np.ndarray, u_a: np.ndarray, inside: np.ndarray, shifts) -> np.ndarray:
+    """Symmetrised tau_{A + s} of PSD A = u_a diag(w_a) u_a^dagger at each s of `shifts`, along a new axis -3.
 
-    Both terms are u f(w) u^dagger of eigenpairs from eigh, a backward-stable
-    solver, so they are Hermitian by construction, up to rounding of order
-    n eps ||A ln A||.
+    The pinch of A + s is B + s, so the eigenpairs of A and B serve every s:
+    f(A + s) = u_a f(w_a + s) u_a^dagger with f(x) = x ln x.  Both terms are
+    u f(w) u^dagger of eigenpairs from eigh, a backward-stable solver, so they
+    are Hermitian by construction, up to rounding of order n eps ||A ln A||.
     """
-    b = _pinched(a, w_a, inside)
-    fa = _block_compress(functional_calculus(w_a, u_a, xlogx), inside)
-    fb = functional_calculus(*np.linalg.eigh(b), xlogx)
-    return symmetrised(fa - fb)
-
-
-def _tau_shifted(a: np.ndarray, inside: np.ndarray, eps: float) -> np.ndarray:
-    """Symmetrised tau_{A + eps I}."""
-    shifted = a + eps * np.eye(a.shape[-1])
-    return _tau_spectral(shifted, *np.linalg.eigh(shifted), inside)
+    s = np.asarray(shifts, dtype=float)[:, None]
+    w_b, u_b = np.linalg.eigh(_pinched(a, w_a, inside))
+    fa = functional_calculus(w_a[..., None, :] + s, u_a[..., None, :, :], xlogx)
+    fb = functional_calculus(w_b[..., None, :] + s, u_b[..., None, :, :], xlogx)
+    return symmetrised(_block_compress(fa, inside[..., None, :]) - fb)
 
 
 def _resolvent_integrand(a: np.ndarray, b: np.ndarray, inside: np.ndarray, t) -> np.ndarray:
@@ -163,19 +159,26 @@ def _resolvent_integrand(a: np.ndarray, b: np.ndarray, inside: np.ndarray, t) ->
 
 def _resolvent_bounds(a: np.ndarray, w_a: np.ndarray, inside: np.ndarray,
                       t_samples) -> tuple[np.ndarray, np.ndarray]:
-    """(||(t+B)^{-1} A||, ||A||^{1/2} / t^{1/2}) at each sampled t, along a last axis."""
-    b = _pinched(a, w_a, inside)
-    eye = np.eye(a.shape[-1])
-    lhs = np.stack([np.linalg.norm(np.linalg.inv(t * eye + b) @ a, ord=2, axis=(-2, -1))
-                    for t in t_samples], axis=-1)
-    rhs = np.sqrt(spectral_norms(w_a))[..., None] / np.sqrt(np.asarray(t_samples, dtype=float))
-    return lhs, rhs
+    """(||(t+B)^{-1} A||, ||A||^{1/2} / t^{1/2}) at each sampled t, along a last axis.
+
+    With B = V diag(v) V^dagger and G = V^dagger A^2 V, the norm is
+    lambda_max(D_t G D_t)^{1/2}, D_t = diag(1/(t + v)): one eigh of B and one
+    eigvalsh stacked over every t.
+    """
+    v, u_b = np.linalg.eigh(_pinched(a, w_a, inside))
+    av = a @ u_b
+    g = (_conj_t(av) @ av)[..., None, :, :]
+    t = np.asarray(t_samples, dtype=float)
+    d = 1.0 / (t[:, None] + v[..., None, :])
+    top = np.linalg.eigvalsh(d[..., :, None] * g * d[..., None, :])[..., -1]
+    rhs = np.sqrt(spectral_norms(w_a))[..., None] / np.sqrt(t)
+    return np.sqrt(top), rhs
 
 
 def tau_spectral(a: HermitianOperator, p: OrthoProjection) -> TauResult:
     """tau via functional calculus with f(x) = x ln x (f(0) := 0)."""
     _check_dims(a, p)
-    tau = HermitianOperator._of_symmetrised(_tau_spectral(a.mat, a.eigenvalues, a.eigenvectors, p.membership))
+    tau = HermitianOperator._of_symmetrised(_tau_shifts(a.mat, a.eigenvalues, a.eigenvectors, p.membership, (0.0,))[0])
     return TauResult(tau=tau, trace=tau.trace())
 
 

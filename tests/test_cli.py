@@ -419,8 +419,8 @@ class TestAuditCommands:
     # audit and reported as exit 1, never raised by the kernel as a numerical failure.
     SHIFTED_KERNELS = [
         ("tau-audit", "pinch", tau, "_pinched", lambda f: lambda *a: f(*a) + 10.0),
-        ("tau-audit", "epsilon_shift", tau, "_tau_shifted",
-         lambda f: lambda a, *r: f(a, *r) + 10.0 * np.eye(len(a[0]))),
+        ("tau-audit", "epsilon_shift", tau, "_tau_shifts",     # tau_{A+s} raised by 1000 s
+         lambda f: lambda a, *r: f(a, *r) + 1e3 * np.multiply.outer(r[-1], np.eye(len(a[0])))),
         ("tau-audit", "resolvent_bound", tau, "_resolvent_bounds", lambda f: lambda *a: (f(*a)[0] + 10.0, f(*a)[1])),
         ("tau-audit", "integrand_psd", tau, "_resolvent_integrand",
          lambda f: lambda a, *r: f(a, *r) - 10.0 * np.eye(len(a[0]))),
@@ -467,7 +467,7 @@ class TestAuditCommands:
             pytest.fail("allocated despite the k limit")
 
         monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
-        monkeypatch.setattr(rand, "gaussian_matrix", no_alloc)
+        monkeypatch.setattr(rand, "gaussian_stacks", no_alloc)
         assert_usage_error(capsys, "index-analog", "--k", str(audits.MAX_K + 1), "--trials", "1")
 
     @pytest.mark.parametrize("k", [6, audits.MAX_K])

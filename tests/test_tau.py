@@ -253,11 +253,40 @@ class TestTauIntegral:
             integral(a, p, tol=tol)
 
 
+def shifted(a, p, eps):
+    """tau_{A + eps} by the audits' kernel."""
+    return tau._tau_shifts(a.mat, a.eigenvalues, a.eigenvectors, p.membership, [eps])[0]
+
+
+def tau_shifted_oracle(a, inside, eps):
+    """tau_{A + eps} from eigh of A + eps and of its pinch B + eps: a decomposition per shift, where
+    `_tau_shifts` reuses the eigenbases of A and B for every shift."""
+    def f(m):
+        w, u = np.linalg.eigh(m)
+        return (u * xlogx(w)) @ u.conj().T
+
+    m = a + eps * np.eye(len(a))
+    same = inside[:, None] == inside[None, :]
+    t = np.where(same, f(m), 0) - f(np.where(same, m, 0))
+    return 0.5 * (t + t.conj().T)
+
+
+def resolvent_norm_oracle(a, b, t):
+    """||(t+B)^{-1} A|| by an inverse and an SVD, where `_resolvent_bounds` reads it from B's eigenbasis."""
+    return np.linalg.norm(np.linalg.inv(t * np.eye(len(b)) + b) @ a, 2)
+
+
+def rank_one_instance(rng, dim):
+    """(A = x x^dagger, P, x)."""
+    x = gaussian_matrix(rng, dim, 1)[:, 0]
+    return HermitianOperator(np.outer(x, x.conj())), random_block_projection(rng, dim), x
+
+
 class TestEpsilonShift:
     def test_commuting_stays_zero(self):
         a, p = commuting_instance()
         for eps in (0.1, 0.01):
-            assert np.linalg.norm(tau._tau_shifted(a.mat, p.membership, eps)) <= 1e-10
+            assert np.linalg.norm(shifted(a, p, eps)) <= 1e-10
 
     def test_shift_decreases_tau(self):
         rng = np.random.default_rng(4)
@@ -265,7 +294,7 @@ class TestEpsilonShift:
             a = random_psd(rng, 6)
             p = random_block_projection(rng, 6)
             t0 = tau.tau_spectral(a, p).tau.mat
-            diff = t0 - tau._tau_shifted(a.mat, p.membership, 0.1)
+            diff = t0 - shifted(a, p, 0.1)
             assert np.linalg.eigvalsh(diff)[0] >= -1e-9
 
     def test_epsilon_chain_monotone(self):
@@ -273,8 +302,8 @@ class TestEpsilonShift:
         a = random_psd(rng, 6)
         p = random_block_projection(rng, 6)
         t_a = tau.tau_spectral(a, p).tau.mat
-        t1 = tau._tau_shifted(a.mat, p.membership, 1e-3)
-        t2 = tau._tau_shifted(a.mat, p.membership, 1e-1)
+        t1 = shifted(a, p, 1e-3)
+        t2 = shifted(a, p, 1e-1)
         assert np.linalg.eigvalsh(t_a - t1)[0] >= -1e-9
         assert np.linalg.eigvalsh(t1 - t2)[0] >= -1e-9
 
@@ -283,9 +312,40 @@ class TestEpsilonShift:
         a = random_psd(rng, 6)
         p = random_block_projection(rng, 6)
         t0 = tau.tau_spectral(a, p).tau.mat
-        gaps = [np.linalg.norm(tau._tau_shifted(a.mat, p.membership, eps) - t0)
+        gaps = [np.linalg.norm(shifted(a, p, eps) - t0)
                 for eps in (1e-1, 1e-2, 1e-3)]
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_shift_zero_is_tau_spectral(self):
+        rng = np.random.default_rng(7)
+        for dim in range(2, 13):
+            a, p = random_psd(rng, dim), random_block_projection(rng, dim)
+            assert np.array_equal(shifted(a, p, 0.0), tau.tau_spectral(a, p).tau.mat)
+
+    def test_rank_one_closed_form(self):
+        # A = x x^dagger, y = Px, z = (1-P)x, c(r) = (f(r+s) - f(s))/r with f(x) = x ln x:
+        # tau_{A+s} = (c(|x|^2) - c(|y|^2)) y y^dagger + (c(|x|^2) - c(|z|^2)) z z^dagger
+        rng = np.random.default_rng(8)
+        for dim in range(2, 11):
+            a, p, x = rank_one_instance(rng, dim)
+            y, z = np.where(p.membership, x, 0), np.where(p.membership, 0, x)
+            r_x, r_y, r_z = (float(np.vdot(v, v).real) for v in (x, y, z))
+            for s in (0.0, 0.1, 0.01):
+                def c(r):
+                    return (xlogx(r + s) - xlogx(s)) / r
+                closed = (c(r_x) - c(r_y)) * np.outer(y, y.conj()) + (c(r_x) - c(r_z)) * np.outer(z, z.conj())
+                assert np.abs(shifted(a, p, s) - closed).max() <= 1e-14 * max(1.0, r_x)
+
+    def test_kernel_agrees_with_eigh_of_shifted_operators(self):
+        # 200 instances of the audit's dims; shift 0 is tau_A
+        rng = np.random.default_rng(9)
+        shifts = (0.0, *audits.EPS_VALUES, 1e-3)
+        for _ in range(200):
+            dim = int(rng.integers(2, 13))
+            a, p = random_psd(rng, dim), random_block_projection(rng, dim)
+            got = tau._tau_shifts(a.mat, a.eigenvalues, a.eigenvectors, p.membership, shifts)
+            for s, m in zip(shifts, got):
+                assert np.abs(m - tau_shifted_oracle(a.mat, p.membership, s)).max() <= 1e-13
 
 
 class TestResolventBound:
@@ -301,6 +361,42 @@ class TestResolventBound:
         (lhs,), (rhs,) = tau._resolvent_bounds(a.mat, a.eigenvalues, p.membership, [0.01])
         assert rhs == pytest.approx(math.sqrt(2) * 10, abs=1e-10)
         assert lhs <= rhs + 1e-10
+
+    def test_commuting_closed_form(self):
+        # A commutes with P, so B = A and ||(t+A)^{-1} A|| = max_i w_i / (t + w_i)
+        a, p = commuting_instance()
+        w = a.eigenvalues
+        lhs, _ = tau._resolvent_bounds(a.mat, w, p.membership, audits.T_SAMPLES)
+        for t, got in zip(audits.T_SAMPLES, lhs.tolist()):
+            assert got == pytest.approx(float(np.max(w / (t + w))), rel=4 * tau.EPS)
+
+    def test_rank_one_closed_form(self):
+        # A = x x^dagger, B = y y^dagger + z z^dagger with y = Px, z = (1-P)x orthogonal, so
+        # ||(t+B)^{-1} A|| = |x| ||(t+B)^{-1} x|| = |x| (|y|^2/(t+|y|^2)^2 + |z|^2/(t+|z|^2)^2)^{1/2}
+        rng = np.random.default_rng(10)
+        for dim in range(2, 13):
+            a, p, x = rank_one_instance(rng, dim)
+            r_x, r_y, r_z = (float(np.vdot(v, v).real) for v in (x, x[p.membership], x[~p.membership]))
+            lhs, _ = tau._resolvent_bounds(a.mat, a.eigenvalues, p.membership, audits.T_SAMPLES)
+            for t, got in zip(audits.T_SAMPLES, lhs.tolist()):
+                closed = math.sqrt(r_x * (r_y / (t + r_y) ** 2 + r_z / (t + r_z) ** 2))
+                assert got == pytest.approx(closed, rel=16 * tau.EPS)
+
+    def test_kernel_agrees_with_inverse_and_svd(self):
+        # 200 instances of the audit's dims.  Both routes are backward stable, so each lhs carries
+        # a rounding error of order eps kappa lhs, kappa = (t + max v) / (t + min v) the condition
+        # number of t + B (v its eigenvalues); the audit's margins agree to 1e-13.
+        rng = np.random.default_rng(11)
+        t = np.array(audits.T_SAMPLES)
+        for _ in range(200):
+            dim = int(rng.integers(2, 13))
+            a, p = random_psd(rng, dim), random_block_projection(rng, dim)
+            b = tau.pinch(a, p)
+            lhs, rhs = tau._resolvent_bounds(a.mat, a.eigenvalues, p.membership, t)
+            oracle = np.array([resolvent_norm_oracle(a.mat, b.mat, s) for s in t])
+            kappa = (t + b.eigenvalues[-1]) / (t + b.eigenvalues[0])
+            assert np.all(np.abs(lhs - oracle) <= 1e-14 * kappa * oracle)
+            assert abs(np.min(rhs - lhs) - np.min(rhs - oracle)) <= 1e-13
 
     def test_randomized_battery(self):
         rep = audits.resolvent_audit(trials=100, seed=20)
