@@ -146,6 +146,7 @@ def resolvent_audit(trials: int, seed: int) -> AuditReport:
 
     def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
         a = _psd(factors)
+        # eigh, not eigvalsh: rhs reads ||A|| from these bits, those of HermitianOperator.eigenvalues.
         lhs, rhs = tau._resolvent_bounds(a, np.linalg.eigh(a)[0], inside, T_SAMPLES)
         return {"dim": np.full(len(a), dim), "margin": np.min(rhs - lhs, axis=-1)}
 
@@ -174,7 +175,7 @@ def fan_audit(trials: int, seed: int) -> AuditReport:
         return {"dim": np.full(len(f), dim), "margin": np.min(margins, axis=-1),
                 "checked": np.full(len(f), margins.shape[-1])}
 
-    rows = _run_trials(_random_dim("fan_inequality"), lambda rngs, dim: rand.gaussian_stacks(rngs, dim, 2),
+    rows = _run_trials(_random_dim("fan_inequality"), lambda rngs, dim: rand.gaussian_stacks(rngs, dim, count=2),
                        evaluate, trials, seed)
     return _summarize("fan_inequality", rows, tol=1e-10)
 

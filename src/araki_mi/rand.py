@@ -18,7 +18,7 @@ from .relent import DensityMatrix
 
 def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Complex matrix with independent standard normal real and imaginary parts."""
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return gaussian_stacks([rng], rows, cols)[0][0]
 
 
 def psd_from_factor(m: np.ndarray) -> np.ndarray:
@@ -34,17 +34,15 @@ def density_from_factor(m: np.ndarray) -> np.ndarray:
 
 def block_membership(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Boolean membership of a random coordinate mask with rank in [1, dim-1]."""
-    rank = int(rng.integers(1, dim))
-    inside = np.zeros(dim, dtype=bool)
-    inside[rng.choice(dim, size=rank, replace=False)] = True
-    return inside
+    return block_memberships([rng], dim)[0]
 
 
-def gaussian_stacks(rngs, dim: int, count: int = 1) -> list[np.ndarray]:
-    """count (len(rngs), dim, dim) stacks; matrix j of stack i is the i-th of count
-    gaussian_matrix(rngs[j], dim, dim) draws.  One standard_normal call per generator
-    draws them all, the real parts and then the imaginary parts of each in turn."""
-    parts = np.empty((len(rngs), count, 2, dim, dim))
+def gaussian_stacks(rngs, rows: int, cols: int | None = None, count: int = 1) -> list[np.ndarray]:
+    """count (len(rngs), rows, cols) stacks (cols defaults to rows); matrix j of stack i
+    is the i-th of count gaussian_matrix(rngs[j], rows, cols) draws.  One standard_normal
+    call per generator draws them all, the real parts and then the imaginary parts of
+    each in turn."""
+    parts = np.empty((len(rngs), count, 2, rows, rows if cols is None else cols))
     for rng, part in zip(rngs, parts):
         rng.standard_normal(out=part)
     return [parts[:, i, 0] + 1j * parts[:, i, 1] for i in range(count)]

@@ -36,23 +36,29 @@ def test_chunk_size_does_not_move_a_byte(command, seed, monkeypatch):
 
 
 class BatchSizes:
-    """Records (trials, matrix size) of every stacked LAPACK call."""
+    """Records the shape of every stacked LAPACK call."""
 
     def __init__(self, monkeypatch):
-        self.calls = []
+        self.shapes = []
         for name in ("eigh", "eigvalsh", "svd", "inv"):
             monkeypatch.setattr(np.linalg, name, self._recording(getattr(np.linalg, name)))
 
     def _recording(self, original):
         def call(a, *args, **kwargs):
-            self.calls.append((a.shape[0] if a.ndim > 2 else 1, a.shape[-1]))
+            self.shapes.append(a.shape)
             return original(a, *args, **kwargs)
 
         return call
 
     @property
     def sizes(self):
-        return [k for k, _ in self.calls]
+        """The trials of each call: its leading axis."""
+        return [s[0] if len(s) > 2 else 1 for s in self.shapes]
+
+    @property
+    def calls(self):
+        """(matrices, matrix size) of each call: every leading axis counts."""
+        return [(math.prod(s[:-2]), s[-1]) for s in self.shapes]
 
 
 def test_no_stacked_call_exceeds_the_chunk(monkeypatch):
@@ -79,7 +85,11 @@ def test_stacked_calls_stay_within_the_entry_budget(monkeypatch):
     audits.spectral_audit(60, 0)
     audits.index_audit(40, 0, k=4)  # 16 x 16 states, 16 to a call
     audits.pimsner_popa_audit(40, 0, k=4)
-    assert all(k * n * n <= audits.BATCH_ENTRIES for k, n in calls.calls)
+    # a tau kernel stacks up to len(T_SAMPLES) matrices per trial, and it does stack them
+    budget = len(audits.T_SAMPLES) * audits.BATCH_ENTRIES
+    assert all(m * n * n <= budget for m, n in calls.calls)
+    assert max(m * n * n for m, n in calls.calls) > audits.BATCH_ENTRIES
+    assert all(k * n * n <= audits.BATCH_ENTRIES for k, (_, n) in zip(calls.sizes, calls.calls))
     assert (audits.BATCH_ENTRIES // 256, 16) in calls.calls
 
 
@@ -118,7 +128,7 @@ def test_batch_draws_equal_single_instance_draws(seed):
              lambda rng: (rand.random_psd(rng, dim).mat, rand.random_block_projection(rng, dim).membership)),
             (lambda rngs: (relent._density_stack(rand.density_from_factor(rand.gaussian_stacks(rngs, dim)[0]))[0],),
              lambda rng: (rand.random_density(rng, dim).mat,)),
-            (lambda rngs: rand.gaussian_stacks(rngs, dim, 2),
+            (lambda rngs: rand.gaussian_stacks(rngs, dim, count=2),
              lambda rng: (rand.gaussian_matrix(rng, dim, dim), rand.gaussian_matrix(rng, dim, dim))),
         ]:
             batch, single = ([np.random.default_rng(s) for s in streams] for _ in range(2))
@@ -126,6 +136,18 @@ def test_batch_draws_equal_single_instance_draws(seed):
             for j, rng in enumerate(single):
                 assert [m.tobytes() for m in one(rng)] == [stack[j].tobytes() for stack in stacks]
                 assert rng.bit_generator.state == batch[j].bit_generator.state
+
+
+def test_single_draws_keep_their_sequence():
+    # the draw order every pinned digest and seeded test relies on
+    for seed, (rows, cols) in enumerate([(2, 2), (5, 5), (6, 3), (1, 7), (20, 20)]):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        m = rand.gaussian_matrix(rng, rows, cols)
+        assert m.tobytes() == (ref.standard_normal((rows, cols)) + 1j * ref.standard_normal((rows, cols))).tobytes()
+        inside, expected = rand.block_membership(rng, rows + 1), np.zeros(rows + 1, dtype=bool)
+        expected[ref.choice(rows + 1, size=int(ref.integers(1, rows + 1)), replace=False)] = True
+        assert inside.tolist() == expected.tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---- extremal instances: each kernel on its bound, in closed form ---------------------

@@ -316,12 +316,6 @@ class TestEpsilonShift:
                 for eps in (1e-1, 1e-2, 1e-3)]
         assert gaps[0] > gaps[1] > gaps[2]
 
-    def test_shift_zero_is_tau_spectral(self):
-        rng = np.random.default_rng(7)
-        for dim in range(2, 13):
-            a, p = random_psd(rng, dim), random_block_projection(rng, dim)
-            assert np.array_equal(shifted(a, p, 0.0), tau.tau_spectral(a, p).tau.mat)
-
     def test_rank_one_closed_form(self):
         # A = x x^dagger, y = Px, z = (1-P)x, c(r) = (f(r+s) - f(s))/r with f(x) = x ln x:
         # tau_{A+s} = (c(|x|^2) - c(|y|^2)) y y^dagger + (c(|x|^2) - c(|z|^2)) z z^dagger
