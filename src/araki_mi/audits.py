@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import rand, relent, spectral, tau
-from .operators import hermitian_stack, symmetrised
+from .operators import _frobenius, symmetrised
 from .relent import BipartiteShape, TraceExpectation
 from .report import AuditReport
 
@@ -107,8 +107,8 @@ def _square_and_mask(rngs: list, dim: int) -> list:
 
 
 def _psd(factors: np.ndarray) -> np.ndarray:
-    """The random_psd operators of a stack of factors."""
-    return hermitian_stack(rand.psd_from_factor(factors))
+    """The random_psd operators of a stack of factors: PSD by construction, so no kernel checks them."""
+    return symmetrised(rand.psd_from_factor(factors))
 
 
 def pinch_audit(trials: int, seed: int) -> AuditReport:
@@ -116,11 +116,12 @@ def pinch_audit(trials: int, seed: int) -> AuditReport:
 
     def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
         a = _psd(factors)
-        b = tau._pinched(a, np.linalg.eigvalsh(a), inside)
+        b = tau._block_compress(a, inside)
         sign = np.where(inside, 1.0, -1.0)  # the diagonal of U = 2P - 1
         uau = sign[:, :, None] * a * sign[:, None, :]
-        # Frobenius norms that reach the report keep np.linalg.norm's own summation order.
-        gap = np.array([np.linalg.norm(g) for g in b - 0.5 * (a + uau)])
+        # Each entry of the difference is a - (a + a)/2 or 0 - (a - a)/2, exactly 0 in floating point too,
+        # so no summation order reaches the report.
+        gap = _frobenius(b - 0.5 * (a + uau))
         half_margin = np.linalg.eigvalsh(b - 0.5 * a)[:, 0]
         return {"dim": np.full(len(a), dim), "identity_gap": gap,
                 "margin": np.minimum(half_margin, 1e-12 - gap)}
@@ -159,8 +160,7 @@ def integrand_psd_audit(trials: int, seed: int) -> AuditReport:
 
     def evaluate(dim: int, factors: np.ndarray, inside: np.ndarray) -> dict:
         a = _psd(factors)
-        b = tau._pinched(a, np.linalg.eigvalsh(a), inside)
-        m = tau._resolvent_integrand(a, b, inside, T_SAMPLES)
+        m = tau._resolvent_integrand(a, tau._block_compress(a, inside), inside, T_SAMPLES)
         return {"dim": np.full(len(a), dim), "margin": np.min(np.linalg.eigvalsh(symmetrised(m))[..., 0], axis=-1)}
 
     rows = _run_trials(_random_dim("integrand_psd"), _square_and_mask, evaluate, trials, seed)
@@ -222,8 +222,8 @@ def index_audit(trials: int, seed: int, k: int = 2) -> AuditReport:
     bound = math.log(k * k)
 
     def evaluate(dim: int, factors: np.ndarray) -> dict:
-        rho, w_rho, _ = relent._density_stack(rand.density_from_factor(factors))
-        s = relent._entropy_index_gaps(rho, w_rho, e)
+        rho = symmetrised(rand.density_from_factor(factors))  # a density matrix by construction
+        s = relent._entropy_index_gaps(rho, np.clip(np.linalg.eigh(rho)[0], 0.0, None), e)
         return {"s": s, "margin": bound - s}
 
     rows = _run_trials(_fixed_dim(k * k), rand.gaussian_stacks, evaluate, trials, seed)

@@ -60,9 +60,9 @@ def random_psd(rng: np.random.Generator, dim: int) -> HermitianOperator:
     return HermitianOperator(psd_from_factor(gaussian_matrix(rng, dim, dim)))
 
 
-def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:
-    rank = dim if rank is None else rank
-    return DensityMatrix(density_from_factor(gaussian_matrix(rng, dim, rank)))
+def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """Full-rank density matrix from a dim x dim Gaussian factor."""
+    return DensityMatrix(density_from_factor(gaussian_matrix(rng, dim, dim)))
 
 
 def random_block_projection(rng: np.random.Generator, dim: int) -> OrthoProjection:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _conj_t, _frobenius, _square_complex, _square_stack, hermitian_stack, xlogx
+from .operators import _conj_t, _frobenius, _square_complex, _square_stack, hermitian_stack, symmetrised, xlogx
 
 EIG_CLAMP = 1e-10
 TRACE_TOL = 1e-10
@@ -185,10 +185,11 @@ def entropy_index_gap(k: int, rho: DensityMatrix, e: TraceExpectation) -> tuple[
 def _entropy_index_gaps(rho: np.ndarray, w_rho: np.ndarray, e: TraceExpectation) -> np.ndarray:
     """S(rho, rho.E) of a state or a stack of states on k (x) k with eigenvalues w_rho.
 
-    Returned as computed: the caller compares it with the index bound ln(k^2).
+    Returned as computed: the caller compares it with the index bound ln(k^2).  sigma = E(rho)
+    is a density matrix whenever rho is, so it is not checked again.
     """
-    _, w_sigma, u_sigma = _density_stack(conditional_expectation(rho, e))
-    return _relative_entropies(rho, w_rho, w_sigma, u_sigma)
+    w_sigma, u_sigma = np.linalg.eigh(symmetrised(conditional_expectation(rho, e)))
+    return _relative_entropies(rho, w_rho, np.clip(w_sigma, 0.0, None), u_sigma)
 
 
 def _pimsner_popa_margins(a: np.ndarray, e: TraceExpectation) -> np.ndarray:
@@ -200,4 +201,4 @@ def _pimsner_popa_margins(a: np.ndarray, e: TraceExpectation) -> np.ndarray:
     """
     d = e.shape.dim_a if e.traced_factor == "A" else e.shape.dim_b
     diff = conditional_expectation(a, e) - a / d**2
-    return np.linalg.eigvalsh(0.5 * (diff + _conj_t(diff)))[..., 0]
+    return np.linalg.eigvalsh(symmetrised(diff))[..., 0]

@@ -92,17 +92,18 @@ class SmoothKernelSpec:
             raise ValueError("invalid kernel spec")
         self._spot_check()
 
-    def _spot_check(self, samples: int = 8, tol: float = 1e-10):
+    def _spot_check(self):
         rng = np.random.default_rng(0)
-        for _ in range(samples):
+        for _ in range(8):
             x = rng.uniform(-self.cube_side, self.cube_side, size=self.dims)
             gx = self.symbol(x)
+            tol = 1e-10 * max(1.0, abs(gx))
             for axis in range(self.dims):
                 shifted = x.copy()
                 shifted[axis] += self.cube_side
-                if abs(self.symbol(shifted) - gx) > tol * max(1.0, abs(gx)):
+                if abs(self.symbol(shifted) - gx) > tol:
                     raise ValueError("symbol is not periodic at sampled points")
-            if abs(np.conj(self.symbol(-x)) - gx) > tol * max(1.0, abs(gx)):
+            if abs(np.conj(self.symbol(-x)) - gx) > tol:
                 raise ValueError("symbol is not conjugate-symmetric at sampled points")
 
     def grid_points(self) -> np.ndarray:
@@ -137,15 +138,15 @@ def fourier_eigenvalues(spec: SmoothKernelSpec) -> np.ndarray:
     return np.fft.fftn(samples.reshape([spec.grid] * spec.dims)).ravel()
 
 
-def fit_decay_slope(values: np.ndarray, n_lo: int, n_hi: int, floor: float = 1e-13) -> float:
-    """Least-squares slope of log mu_n vs log n over indices [n_lo, n_hi] (1-based)."""
+def fit_decay_slope(values: np.ndarray, n_lo: int, n_hi: int) -> float:
+    """Least-squares slope of log mu_n vs log n over indices [n_lo, n_hi] (1-based), mu_n > 1e-13 mu_1."""
     if n_lo < 1:
         raise ValueError(f"indices are 1-based: n_lo must be at least 1, got {n_lo!r}")
     v = np.asarray(values, dtype=float)
     scale = v[0] if v.size and v[0] > 0 else 1.0
     ns, ys = [], []
     for n in range(n_lo, min(n_hi, v.size) + 1):
-        if v[n - 1] > floor * scale:
+        if v[n - 1] > 1e-13 * scale:
             ns.append(math.log(n))
             ys.append(math.log(v[n - 1]))
     if len(ns) < 3:
@@ -157,8 +158,8 @@ def fit_decay_slope(values: np.ndarray, n_lo: int, n_hi: int, floor: float = 1e-
 def half_power_summability_diagnostic(profile: SingularProfile) -> tuple[bool, float]:
     """(plateau flag, tail estimate) for the half-power partial sums.
 
-    Plateau: the relative increment over the last decade of indices is below
-    1e-6.  The tail is estimated by a power-law fit on the trailing decade;
+    Plateau: the relative increment over indices n/10..n is below 1e-6.  The
+    tail is estimated by a power-law fit on the last max(10, n // 10) values;
     a fit too shallow for convergence yields an infinite tail.
     """
     v = profile.values
@@ -195,13 +196,13 @@ def designated_test_kernel(grid: int = 128) -> "SmoothKernelSpec":
                             symbol=gaussian_bump_symbol(1.0, 0.2))
 
 
-def gaussian_bump_symbol(cube_side: float, width: float, images: int = 6) -> Callable[[np.ndarray], complex]:
-    """Periodized Gaussian bump: smooth, even, real, period cube_side per axis."""
+def gaussian_bump_symbol(cube_side: float, width: float) -> Callable[[np.ndarray], complex]:
+    """Periodized Gaussian bump, images up to 6 periods away per axis: smooth, even, real, period cube_side."""
 
     def symbol(x: np.ndarray) -> complex:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         total = 0.0
-        for shift in itertools.product(range(-images, images + 1), repeat=x.size):
+        for shift in itertools.product(range(-6, 7), repeat=x.size):
             y = x + cube_side * np.asarray(shift)
             total += math.exp(-float(np.dot(y, y)) / (2.0 * width**2))
         return complex(total)

@@ -1,11 +1,13 @@
 """Batched audits: the same bytes as trial-by-trial evaluation, bounded batches, the k limit."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from araki_mi import audits, rand, relent, spectral
+from araki_mi.operators import symmetrised
 from araki_mi.relent import BipartiteShape, TraceExpectation
 from record_audit_digests import (COMMAND_ARGS, cli_stdout, digest, epsilon_shift_trial, fan_trial, half_power_trial,
                                   index_trial, integrand_trial, pimsner_popa_trial, pinch_trial, recorded,
@@ -59,6 +61,35 @@ class BatchSizes:
     def calls(self):
         """(matrices, matrix size) of each call: every leading axis counts."""
         return [(math.prod(s[:-2]), s[-1]) for s in self.shapes]
+
+
+@pytest.mark.parametrize("audit,expected", [
+    (audits.pinch_audit, {"eigvalsh": 1}),
+    (audits.epsilon_shift_audit, {"eigh": 2, "eigvalsh": 1}),
+    (audits.resolvent_audit, {"eigh": 2, "eigvalsh": 1}),
+    (audits.integrand_psd_audit, {"inv": 2, "eigvalsh": 1}),
+])
+def test_tau_audit_batches_decompose_only_what_they_compare(monkeypatch, audit, expected):
+    # The instances are PSD by construction, so no batch decomposes A only to check it.
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "inv", "solve", "norm"):
+        def call(*args, original=getattr(np.linalg, name), name=name, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, call)
+    batches, chunk_rows = [], audits._chunk_rows
+
+    def counted(rngs, start, dim_of, draw, evaluate):
+        def batch(*args):
+            calls.clear()
+            columns = evaluate(*args)
+            batches.append(Counter(calls))
+            return columns
+        return chunk_rows(rngs, start, dim_of, draw, batch)
+
+    monkeypatch.setattr(audits, "_chunk_rows", counted)
+    audit(40, 0)
+    assert len(batches) > 1 and all(batch == Counter(expected) for batch in batches)
 
 
 def test_no_stacked_call_exceeds_the_chunk(monkeypatch):
@@ -126,7 +157,7 @@ def test_batch_draws_equal_single_instance_draws(seed):
         for draw, one in [
             (lambda rngs: (audits._psd(rand.gaussian_stacks(rngs, dim)[0]), rand.block_memberships(rngs, dim)),
              lambda rng: (rand.random_psd(rng, dim).mat, rand.random_block_projection(rng, dim).membership)),
-            (lambda rngs: (relent._density_stack(rand.density_from_factor(rand.gaussian_stacks(rngs, dim)[0]))[0],),
+            (lambda rngs: (symmetrised(rand.density_from_factor(rand.gaussian_stacks(rngs, dim)[0])),),
              lambda rng: (rand.random_density(rng, dim).mat,)),
             (lambda rngs: rand.gaussian_stacks(rngs, dim, count=2),
              lambda rng: (rand.gaussian_matrix(rng, dim, dim), rand.gaussian_matrix(rng, dim, dim))),

@@ -418,7 +418,7 @@ class TestAuditCommands:
     # One kernel per suite shifted past its bound: every trial is a violation, counted by the
     # audit and reported as exit 1, never raised by the kernel as a numerical failure.
     SHIFTED_KERNELS = [
-        ("tau-audit", "pinch", tau, "_pinched", lambda f: lambda *a: f(*a) + 10.0),
+        ("tau-audit", "pinch", tau, "_block_compress", lambda f: lambda *a: f(*a) + 10.0),
         ("tau-audit", "epsilon_shift", tau, "_tau_shifts",     # tau_{A+s} raised by 1000 s
          lambda f: lambda a, *r: f(a, *r) + 1e3 * np.multiply.outer(r[-1], np.eye(len(a[0])))),
         ("tau-audit", "resolvent_bound", tau, "_resolvent_bounds", lambda f: lambda *a: (f(*a)[0] + 10.0, f(*a)[1])),

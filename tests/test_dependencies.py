@@ -122,6 +122,48 @@ def test_every_public_name_is_read_or_listed():
     assert listed <= defined.keys()
 
 
+def defaulted_parameters(fn: ast.FunctionDef, method: bool) -> list[tuple[int | None, str]]:
+    """(position among a call's arguments, None if keyword-only; name) of each parameter of `fn`
+    with a default; a method's call does not pass its first parameter."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return ([(i - method, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            + [(None, arg.arg) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default])
+
+
+def passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether `call` may pass the parameter `name` at `position`: `*args` and `**kwargs` pass any."""
+    positional = [arg for arg in call.args if not isinstance(arg, ast.Starred)]
+    return (any(kw.arg in (name, None) for kw in call.keywords) or len(positional) < len(call.args)
+            or (position is not None and position < len(positional)))
+
+
+def test_every_defaulted_parameter_is_passed():
+    # A default of a public function or method must be overridden, by position or keyword, by a call
+    # in the package or the benchmark's scripts outside the function's own body; a parameter that
+    # every caller leaves at its default is a constant.  Calls are matched by the callee's name.
+    trees = module_trees()
+    calls = [call for tree in [*trees.values(), *module_trees(BENCH).values()] for call in ast.walk(tree)
+             if isinstance(call, ast.Call)]
+
+    def callee(call: ast.Call) -> str | None:
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+    functions = [(f"{Path(module).stem}.{node.name}", node, False) for module, tree in trees.items()
+                 for node in public_definitions(tree).values() if isinstance(node, ast.FunctionDef)]
+    functions += [(f"{Path(module).stem}.{cls.name}.{fn.name}", fn, True) for module, tree in trees.items()
+                  for cls in public_definitions(tree).values() if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    unpassed = []
+    for qualified, fn, method in functions:
+        own = {id(sub) for sub in ast.walk(fn)}
+        callers = [call for call in calls if callee(call) == fn.name and id(call) not in own]
+        unpassed += [f"{qualified}({name})" for position, name in defaulted_parameters(fn, method)
+                     if not any(passes(call, position, name) for call in callers)]
+    assert unpassed == []
+
+
 # Receivers that hold no instance of a package class although the package reads attributes on them
 # that a package class also defines: the CLI's argparse namespace (`args.k`, `args.gram`).
 FOREIGN_RECEIVERS = {"cli": {"args"}}

@@ -63,9 +63,9 @@ class TestBlockCompress:
 
 
 class TestSymmetrisedInputs:
-    """The pinch, A + eps I and the reordered A of the integrals are used as they are: each is
-    bit for bit its own symmetrisation when A is symmetrised, as the audits' stacks and every
-    `HermitianOperator.mat` are."""
+    """The pinch and the reordered A of the integrals are used as they are: each is bit for bit
+    its own symmetrisation when A is symmetrised, as the audits' stacks and every
+    `HermitianOperator.mat` are.  (The shifts of tau_{A+eps} move eigenvalues, not A.)"""
 
     @staticmethod
     def assert_own_symmetrisation(m):
@@ -77,8 +77,6 @@ class TestSymmetrisedInputs:
             a = hermitian_stack(psd_from_factor(np.stack([gaussian_matrix(rng, dim, dim) for _ in range(3)])))
             inside = np.stack([block_membership(rng, dim) for _ in range(3)])
             self.assert_own_symmetrisation(tau._block_compress(a, inside))
-            for eps in audits.EPS_VALUES:
-                self.assert_own_symmetrisation(a + eps * np.eye(dim))
 
     def test_operators(self):
         # a random_psd, a rotated spectrum with zero eigenvalues (Hermitian only to rounding before
@@ -93,8 +91,6 @@ class TestSymmetrisedInputs:
             for a in (random_psd(rng, dim), HermitianOperator((u * w) @ u.conj().T), HermitianOperator(zeros)):
                 p = random_block_projection(rng, dim)
                 self.assert_own_symmetrisation(tau._block_compress(a.mat, p.membership))
-                for eps in audits.EPS_VALUES:
-                    self.assert_own_symmetrisation(a.mat + eps * np.eye(dim))
                 self.assert_own_symmetrisation(a.mat[tau._BlockIntegrand(a, p).order])
 
     def test_results_taken_without_a_second_check(self, monkeypatch):
@@ -178,7 +174,7 @@ class TestTauSpectral:
         p = OrthoProjection.from_mask(6, [0, 2, 4])
         assert a.eigenvalues[0] < -1e-8
         spectral_ = tau.tau_spectral(a, p).tau.mat
-        assert np.linalg.norm(spectral_ - tau.tau_integral(a, p, tol=1e-8 * scale).tau.mat) <= 3e-11 * scale
+        assert np.linalg.norm(spectral_ - tau.tau_integral(a, p).tau.mat) <= 3e-11 * scale
 
     def test_near_commuting_wide_spectrum(self):
         # tau_A is decades below its two terms P A ln A P + (1-P) A ln A (1-P) and B ln B, each
@@ -237,20 +233,6 @@ class TestTauIntegral:
         result = tau.tau_integral(a, p)
         assert not result.tau.mat.any() and result.quadrature_error_estimate == 0.0
         assert tau.tail_integral_identity_gap(a, p) == 0.0
-
-    def test_rejects_bad_tolerance(self):
-        a, p = hand_instance()
-        with pytest.raises(ValueError):
-            tau.tau_integral(a, p, tol=0.0)
-
-    @pytest.mark.parametrize("integral", [tau.tau_integral])
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
-    def test_integrals_refuse_bad_tolerance_before_work(self, monkeypatch, integral, tol):
-        # no integrand is built
-        monkeypatch.setattr(tau, "_BlockIntegrand", lambda a, p: pytest.fail("integrand built"))
-        a, p = hand_instance()
-        with pytest.raises(ValueError, match="tol must be positive"):
-            integral(a, p, tol=tol)
 
 
 def shifted(a, p, eps):
@@ -757,7 +739,8 @@ class TestBlockIntegrand:
         for a, p in ((HermitianOperator(np.diag([1.0, -1.0])), OrthoProjection.from_mask(2, [0])),
                      (HermitianOperator(np.eye(3)), OrthoProjection.from_mask(2, [0]))):
             for integral in (tau.tau_integral, lambda a, p: tau.truncated_trace(a, p, 0.1),
-                             tau.tail_integral_identity_gap):
+                             tau.tail_integral_identity_gap, tau.pinch, tau.tau_spectral, tau.key_bound_constant,
+                             lambda a, p: tau.key_trace_bound(a, p, 0.1)):
                 with pytest.raises(ValueError):
                     integral(a, p)
 
