@@ -16,14 +16,14 @@ resolvent-integral representation
 
 whose integrand is positive semidefinite (operator convexity of 1/x).  B is
 block diagonal once the coordinates are reordered, and so is the integrand;
-the quadratures sum its two diagonal blocks, from the Schur complement of
-t + A by thin solves and one inverse, without eigendecomposing A or B
-(`_BlockIntegrand`).  Both rules are fixed and placed a priori from A's
-spectrum: `tau_integral` takes the trapezoid rule in u = ln t, where every
-spectral term is analytic in the strip |Im u| < pi, and the tail integral
-16-point Gauss-Legendre panels in v = t^{-1/2}.  The 21 tau instances of the
-benchmark's oracle-mix at seed 0 take 1 713 + 672 integrand nodes, against
-3 129 + 1 323 for an adaptive Gauss-Kronrod rule to the same accuracy.
+the quadratures sum its two diagonal blocks in their eigenbases, from the
+Schur complement of t + A by one inverse per node, without decomposing A or
+B or evaluating x ln x (`_BlockIntegrand`).  Both rules are fixed and placed
+a priori from A's spectrum: `tau_integral` takes the trapezoid rule in
+u = ln t, where every spectral term is analytic in the strip |Im u| < pi, and
+the tail integral 16-point Gauss-Legendre panels in v = t^{-1/2}.  The 21 tau
+instances of the benchmark's oracle-mix at seed 0 take 1 713 + 672 integrand
+nodes, against 3 129 + 1 323 for adaptive Gauss-Kronrod to the same accuracy.
 `resolvent_integrand`, the direct definition, stays as the tests' oracle.
 Also here: Tr D_eps and its uniform bound, in closed form from spectra, and
 the stacked kernels of the audits (tau_{A+eps} <= tau_A, the resolvent bound
@@ -195,19 +195,21 @@ def resolvent_integrand(a: HermitianOperator, b: HermitianOperator, p: OrthoProj
 
 
 class _BlockIntegrand:
-    """The resolvent integrand of (A, P) as its two diagonal blocks.
+    """The resolvent integrand of (A, P) as its two diagonal blocks, in their eigenbases.
 
     The coordinates of A are reordered, the smaller of the ranges of P and
     1 - P first (the integrand is symmetric in the two); B and the integrand
-    are block diagonal there.
-    At a 1-D array t it gives the (k, p, p) and (k, q, q) stacks of the
-    blocks: with X_P = (t + A_PP)^{-1}, X_Q = (t + A_QQ)^{-1}, W^H = X_Q A_QP,
-    K = A_PQ W^H, Y = (t + A_PP - K)^{-1}, the PP and QQ blocks of (t + A)^{-1}
-    are Y and X_Q + W^H Y W, so the integrand's are t X_P K Y = t (Y - X_P) and
-    t W^H Y W.  X_Q and X_P enter only through thin products, so they are
-    solves; Y is the one inverse, and no block is a difference of inverses.
-    `scale`, max(1, ||A||), scales tau_integral's refusal budget: the
-    integrand and its rounding grow with ||A||.
+    are block diagonal there.  With A_PP = U diag(sigma) U^H and A_QQ =
+    V diag(lam) V^H (one eigh each, here) and N = U^H A_PQ V, at a 1-D array t
+    it gives the (k, p, p) and (k, q, q) stacks of the blocks in U and V: with
+    D = diag(1/(t + lam)), E = diag(1/(t + sigma)), K = N D N^H and
+    Y = (t + diag(sigma) - K)^{-1}, the PP and QQ blocks of (t + A)^{-1} are Y
+    and D + D N^H Y N D, so the integrand's are t E K Y = t (Y - E) and
+    t (N D)^H Y (N D), both products with t Y, Y the one inverse; no block is a
+    difference of inverses, and A and B are never decomposed.  A node at
+    dim 40, p = 20 takes 56 us on one BLAS thread of a 2-CPU VM (98 us by
+    solves with t + A_QQ and t + A_PP).  `scale`, max(1, ||A||), scales
+    tau_integral's refusal budget: the integrand and its rounding grow with ||A||.
     """
 
     def __init__(self, a: HermitianOperator, p: OrthoProjection):
@@ -221,29 +223,36 @@ class _BlockIntegrand:
         r = np.count_nonzero(first)
         self.sizes = (r, p.dim - r)
         m = a.mat[self.order]     # a permutation of a symmetrised matrix, so symmetrised
-        self.a_pp, self.a_qq = m[:r, :r].copy(), m[r:, r:].copy()
-        self.a_pq, self.a_qp = m[:r, r:].copy(), m[r:, :r].copy()
-        self.eye_p, self.eye_q = np.eye(r), np.eye(p.dim - r)
+        self.a_pq = m[:r, r:].copy()
+        (self.sigma, self.u), (self.lam, self.v) = np.linalg.eigh(m[:r, :r]), np.linalg.eigh(m[r:, r:])
+        self.n = _conj_t(self.u) @ self.a_pq @ self.v
 
     def __call__(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        tt = t.reshape(-1, 1, 1)
-        shifted = tt * self.eye_p + self.a_pp
-        w_h = np.linalg.solve(tt * self.eye_q + self.a_qq, self.a_qp)
-        k = self.a_pq @ w_h
-        y = np.linalg.inv(shifted - k)
-        return tt * (np.linalg.solve(shifted, k) @ y), tt * (w_h @ y @ _conj_t(w_h))
+        tt, d = t[:, None], np.arange(self.sizes[0])
+        nd = self.n / (tt + self.lam)[:, None, :]
+        k = nd @ _conj_t(self.n)
+        y = -k
+        y[:, d, d] += tt + self.sigma
+        ty = tt[:, :, None] * np.linalg.inv(y)
+        return (k @ ty) / (tt + self.sigma)[:, :, None], _conj_t(nd) @ ty @ nd
 
-    def integral(self, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_k weights_k G(t_k), block diagonal in the reordered coordinates; the
-        nodes go CHUNK_ENTRIES // n^2 at a time.  ConvergenceError if not finite."""
+    def rotated(self, pp: np.ndarray, qq: np.ndarray) -> np.ndarray:
+        """The blocks pp and qq, in U and V, as one matrix of the reordered coordinates."""
         r, n = self.sizes[0], sum(self.sizes)
         out = np.zeros((n, n), dtype=complex)
-        size = max(1, CHUNK_ENTRIES // (n * n))
+        out[:r, :r], out[r:, r:] = self.u @ pp @ _conj_t(self.u), self.v @ qq @ _conj_t(self.v)
+        return out
+
+    def integral(self, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_k weights_k G(t_k) in the reordered coordinates: CHUNK_ENTRIES // n^2 nodes at a
+        time, summed in U and V and rotated back once.  ConvergenceError if not finite."""
+        sums = [np.zeros((d, d), dtype=complex) for d in self.sizes]
+        size = max(1, CHUNK_ENTRIES // sum(self.sizes) ** 2)
         for start in range(0, t.size, size):
-            pp, qq = self(t[start:start + size])
             w = weights[start:start + size]
-            out[:r, :r] += np.tensordot(w, pp, axes=1)
-            out[r:, r:] += np.tensordot(w, qq, axes=1)
+            for total, block in zip(sums, self(t[start:start + size])):
+                total += np.tensordot(w, block, axes=1)
+        out = self.rotated(*sums)
         if not np.isfinite(out).all():
             raise ConvergenceError("quadrature sum is not finite", residual=math.nan)
         return out
@@ -263,12 +272,13 @@ def tau_integral(a: HermitianOperator, p: OrthoProjection) -> TauResult:
     the rule of step STEP aliases at most 8 pi ||A||_F / (e^{2 pi^2/STEP} - 1)
     (Trefethen and Weideman, SIAM Rev. 56 (2014) 385).  The nodes run from
     e^{-PAD} below A's smallest eigenvalue (e^{-2 PAD} below its smallest
-    positive one if A is singular, and not below 4 |lam_min|) to T, e^PAD above
-    its largest.  Beyond T the sum goes on as its leading term, A_PQ A_QP and
-    A_QP A_PQ times STEP / (e^STEP - 1) / T.  The estimate is the aliasing, the
-    truncation at both ends (||G|| <= min(1, t / lam_min) below, the series in
-    1/t above) and ROUNDING n eps ||A||_F; ConvergenceError above
-    1e-6 max(1, ||A||).  Oracle-mix (seed 0): 1 713 nodes.
+    positive one if A is singular, and not below 4 |lam_min|), but not below
+    n eps ||A||, where t + A_PP - K turns singular in floating point, to T,
+    e^PAD above A's largest.  Beyond T the sum goes on as its leading term,
+    A_PQ A_QP and A_QP A_PQ times STEP / (e^STEP - 1) / T.  The estimate is the
+    aliasing, the truncation at both ends (||G|| <= min(1, t / lam_min) below,
+    the series in 1/t above) and ROUNDING n eps ||A||_F; ConvergenceError
+    above 1e-6 max(1, ||A||).  Oracle-mix (seed 0): 1 713 nodes.
     """
     blocks = _BlockIntegrand(a, p)
     w = a.eigenvalues
@@ -279,17 +289,17 @@ def tau_integral(a: HermitianOperator, p: OrthoProjection) -> TauResult:
     floor = n * EPS * top   # eigenvalues at or below it are 0 to rounding
     lowest = float(w[w > floor][0])
     if w[0] > floor:
-        t_lo = lowest * math.exp(-PAD)
+        t_lo = max(lowest * math.exp(-PAD), floor)
         below = math.sqrt(n) * STEP * t_lo * t_lo / lowest / math.expm1(2.0 * STEP)
     else:
-        t_lo = max(lowest * math.exp(-2.0 * PAD), -4.0 * float(w[0]))
+        t_lo = max(lowest * math.exp(-2.0 * PAD), -4.0 * float(w[0]), floor)
         below = math.sqrt(n) * STEP * t_lo / math.expm1(STEP)
     count = math.ceil((math.log(top) + PAD - math.log(t_lo)) / STEP)
     t = t_lo * np.exp(STEP * np.arange(count + 1))
     m = blocks.integral(t, STEP * t)
     beyond = STEP / math.expm1(STEP) / t[-1]
-    m[:r, :r] += beyond * (blocks.a_pq @ blocks.a_qp)
-    m[r:, r:] += beyond * (blocks.a_qp @ blocks.a_pq)
+    m[:r, :r] += beyond * (blocks.a_pq @ _conj_t(blocks.a_pq))
+    m[r:, r:] += beyond * (_conj_t(blocks.a_pq) @ blocks.a_pq)
     fro, ratio = math.sqrt(float(np.dot(w, w))), top / t[-1]
     above = 2.0 * fro * ratio * ratio / (1.0 - ratio) * STEP / math.expm1(2.0 * STEP)
     err = 8.0 * math.pi * fro / math.expm1(2.0 * math.pi ** 2 / STEP) + below + above + ROUNDING * n * EPS * fro

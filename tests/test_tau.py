@@ -227,6 +227,19 @@ class TestTauIntegral:
             assert np.linalg.norm(ri.tau.mat - rs.tau.mat) <= 1e-6
             assert ri.quadrature_error_estimate is not None
 
+    def test_rank_deficient_family_returns(self):
+        # A = G G^H, G 6 x 5, has one eigenvalue 0 to rounding.  On 8 of these 1 500 draws eigh
+        # finds it just above n eps ||A|| (6.4e-16 at seed 0, mask [0, ..., 4]), so A counts as
+        # nonsingular and its first node, e^-PAD below that eigenvalue, lands near 1e-23, where
+        # t + A_PP - K is singular in floating point and inv raised LinAlgError.  The first
+        # node is floored at n eps ||A||
+        for seed in range(300):
+            a = HermitianOperator(psd_from_factor(gaussian_matrix(np.random.default_rng(seed), 6, 5)))
+            for k in range(1, 6):
+                p = OrthoProjection.from_mask(6, range(k))
+                result = tau.tau_integral(a, p)
+                assert np.linalg.norm(result.tau.mat - tau.tau_spectral(a, p).tau.mat) <= 1e-12
+
     def test_zero_operator_gives_zero(self):
         # no eigenvalue is positive, so no node range: tau is 0, as tau_spectral's is
         a, p = HermitianOperator(np.zeros((3, 3))), OrthoProjection.from_mask(3, [1])
@@ -638,13 +651,26 @@ def test_permuted_wide_spectrum_is_psd():
 
 def assembled(blocks, t):
     """The block integrand at each t, as full matrices in the original coordinates."""
-    r, n = blocks.sizes[0], sum(blocks.sizes)
-    out = []
-    for pp, qq in zip(*blocks(t)):
-        m = np.zeros((n, n), dtype=complex)
-        m[:r, :r], m[r:, r:] = pp, qq
-        out.append(blocks.restore(m))
-    return out
+    return [blocks.restore(blocks.rotated(pp, qq)) for pp, qq in zip(*blocks(t))]
+
+
+def schur_integrand(a, blocks, t):
+    """The integrand at a float t in the original coordinates, by the Schur complement of t + A
+    in the reordered coordinates, with solves and no eigendecomposition.
+
+    With X_Q = (t + A_QQ)^{-1}, W^H = X_Q A_QP, K = A_PQ W^H and
+    Y = (t + A_PP - K)^{-1}, the PP and QQ blocks of (t + A)^{-1} are Y and
+    X_Q + W^H Y W, so the integrand's are t (t + A_PP)^{-1} K Y and t W^H Y W.
+    """
+    r = blocks.sizes[0]
+    m = a.mat[blocks.order]
+    shifted = t * np.eye(r) + m[:r, :r]
+    w_h = np.linalg.solve(t * np.eye(len(m) - r) + m[r:, r:], m[r:, :r])
+    k = m[:r, r:] @ w_h
+    y = np.linalg.inv(shifted - k)
+    out = np.zeros_like(m)
+    out[:r, :r], out[r:, r:] = t * (np.linalg.solve(shifted, k) @ y), t * (w_h @ y @ w_h.conj().T)
+    return blocks.restore(out)
 
 
 def exact_resolvent(a, t):
@@ -705,12 +731,30 @@ class TestBlockIntegrand:
                 for got, ref in zip(assembled(blocks, self.T), direct):
                     assert np.linalg.norm(got - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
+    def test_equals_schur_complement_by_solves(self, monkeypatch):
+        # the integrand of the blocks' eigenbases, rotated back, against the Schur complement of
+        # the reordered coordinates (solves, no eigendecomposition), at every node of both rules
+        # and at t = 1e-20 ... 1e8, on the 21 oracle-mix instances.  The relative gap is below
+        # 0.65 n eps kappa(t + A) there (kappa up to 1e5 at small t); the bound leaves a factor 6
+        calls = recorded_integrals(monkeypatch)
+        for a, p in oracle_mix_instances():
+            calls.clear()
+            tau.tau_integral(a, p)
+            tau.tail_integral_identity_gap(a, p)
+            blocks, w = tau._BlockIntegrand(a, p), a.eigenvalues
+            for t in [np.logspace(-20.0, 8.0, 29)] + [t for t, _, _ in calls]:
+                for x, got in zip(t.tolist(), assembled(blocks, t)):
+                    ref = schur_integrand(a, blocks, x)
+                    kappa = (x + w[-1]) / (x + w[0])
+                    assert np.linalg.norm(got - ref) <= 4.0 * a.dim * tau.EPS * kappa * np.linalg.norm(ref)
+
     def test_small_t_against_exact_resolvents(self):
         # Rank-3 A = G G^H of dim 8, G with entries in {-1, 0, 1} + i{-1, 0, 1}, so t + A is
-        # nearly singular at small t.  Worst relative error over these 20 instances: 7.1e-10 at
-        # t = 1e-6 and 1.2e-12 at t = 1e-3 (at most 1.3e-9 and 1.2e-12 over ten more seeds);
-        # the bounds leave a factor of about eight.  Inverting t + A_QQ and t + A_PP outright
-        # instead of solving gave 1.6e-3 and 1.9e-9 here.
+        # nearly singular at small t.  Worst relative error over these 20 instances: 3.9e-9 at
+        # t = 1e-6 and 3.7e-12 at t = 1e-3 (at most 4.1e-9 and 4.3e-12 over seeds 37-46), about
+        # eps kappa(t + A); the bounds leave a factor of about 2.4.  The Schur complement by
+        # solves in the reordered coordinates (schur_integrand) read 7.1e-10 and 1.2e-12, and
+        # inverting t + A_QQ and t + A_PP outright 1.6e-3 and 1.9e-9.
         rng = np.random.default_rng(36)
         t = np.array([1e-6, 1e-3])
         bounds = (1e-8, 1e-11)
@@ -773,13 +817,10 @@ def recorded_linalg(monkeypatch):
 def quad_vec_integral(blocks, lo):
     """scipy's quad_vec of the block integrand over [lo, inf), in the original coordinates."""
     quad_vec = pytest.importorskip("scipy.integrate").quad_vec
-    r, n = blocks.sizes[0], sum(blocks.sizes)
 
     def full(t):
         pp, qq = blocks(np.array([t]))
-        m = np.zeros((n, n), dtype=complex)
-        m[:r, :r], m[r:, r:] = pp[0], qq[0]
-        return m
+        return blocks.rotated(pp[0], qq[0])
 
     return blocks.restore(quad_vec(full, lo, math.inf, epsabs=1e-14, epsrel=0.0)[0])
 
@@ -800,8 +841,8 @@ class TestQuadratures:
             assert np.linalg.norm(calls[-1][2] - quad_vec_integral(blocks, 1.0)) <= bound
 
     def test_integrands_equal_scalar_formula(self, monkeypatch):
-        # at every node of both rules, the batched integrand equals the scalar Schur-complement
-        # formula in Python floats, and the trapezoid's nodes are STEP apart in ln t
+        # at every node of both rules, the batched integrand equals the scalar formula of the
+        # blocks' eigenbases, node by node, and the trapezoid's nodes are STEP apart in ln t
         calls = recorded_integrals(monkeypatch)
         rng = np.random.default_rng(34)
         a = random_psd(rng, 5)
@@ -809,15 +850,13 @@ class TestQuadratures:
         tau.tau_integral(a, p)
         tau.tail_integral_identity_gap(a, p)
         blocks = tau._BlockIntegrand(a, p)
-        eye_p, eye_q = (np.eye(d) for d in blocks.sizes)
 
         def integrand(t):
-            shifted = t * eye_p + blocks.a_pp
-            w_h = np.linalg.solve(t * eye_q + blocks.a_qq, blocks.a_qp)
-            k = blocks.a_pq @ w_h
-            y = np.linalg.inv(shifted - k)
-            return np.concatenate([(t * (np.linalg.solve(shifted, k) @ y)).ravel(),
-                                   (t * (w_h @ y @ w_h.conj().T)).ravel()])
+            nd = blocks.n / (t + blocks.lam)
+            k = nd @ blocks.n.conj().T
+            ty = t * np.linalg.inv(np.diag(t + blocks.sigma) - k)
+            return np.concatenate([((k @ ty) / (t + blocks.sigma)[:, None]).ravel(),
+                                   (nd.conj().T @ ty @ nd).ravel()])
 
         (t_tau, w_tau, _), (t_tail, w_tail, _) = calls
         assert np.allclose(np.diff(np.log(t_tau)), tau.STEP, rtol=1e-12, atol=0.0)
@@ -828,28 +867,35 @@ class TestQuadratures:
             batched = np.concatenate([pp.reshape(t.size, -1), qq.reshape(t.size, -1)], axis=1)
             assert np.array_equal(batched, np.array([integrand(x) for x in t.tolist()]))
 
-    def test_quadratures_solve_and_invert_only(self, monkeypatch):
-        # regression guard: the integral route takes no eigendecomposition of A, B or their
-        # blocks, so it stays independent of tau_spectral
+    def test_quadratures_decompose_blocks_only(self, monkeypatch):
+        # regression guard: the integral route decomposes neither A nor the n x n pinch B, so it
+        # stays independent of tau_spectral; it diagonalizes the two diagonal blocks once, when
+        # the integrand is built, and inverts one p x p stack per chunk of nodes
         calls, in_quadrature = recorded_linalg(monkeypatch), []
         integral = tau._BlockIntegrand.integral
 
         def recorded(self, t, weights):
             start = len(calls)
             out = integral(self, t, weights)
-            in_quadrature.append({name for name, _ in calls[start:]})
+            in_quadrature.append((t.size, [(name, m.shape) for name, m in calls[start:]]))
             return out
 
         monkeypatch.setattr(tau._BlockIntegrand, "integral", recorded)
+        monkeypatch.setattr(tau, "CHUNK_ENTRIES", 20 * 9 * 9)   # 20 nodes a chunk
         rng = np.random.default_rng(38)
         a = random_psd(rng, 9)
         a.eigenvalues  # the PSD check and the node placement read them: decomposed here, its calls cleared below
         mask = random_block_projection(rng, 9)
+        r = min(mask.rank(), 9 - mask.rank())
+        blocks = [("eigh", (r, r)), ("eigh", (9 - r, 9 - r))]
         calls.clear()
         tau.tau_integral(a, mask)
-        assert {name for name, _ in calls} == {"solve", "inv"}
+        assert r > 0 and [(name, m.shape) for name, m in calls] == blocks + in_quadrature[0][1]
+        calls.clear()
         tau.tail_integral_identity_gap(a, mask)  # its closed form, after the quadrature, diagonalizes B
-        assert in_quadrature == [{"solve", "inv"}] * 2
+        assert [(name, m.shape) for name, m in calls[:2]] == blocks
+        for size, inside in in_quadrature:
+            assert inside == [("inv", (min(20, size - start), r, r)) for start in range(0, size, 20)]
 
     @pytest.mark.parametrize("dim", [2, 5, 9])
     @pytest.mark.parametrize("per_chunk", [1, 7, None])
@@ -870,6 +916,7 @@ class TestQuadratures:
             pp, qq = blocks(np.array([x]))
             expected[:r, :r] += w * pp[0]
             expected[r:, r:] += w * qq[0]
+        expected = blocks.rotated(expected[:r, :r], expected[r:, r:])   # in the eigenbases until here
         scale = float(np.sum(weights * np.linalg.norm(assembled(blocks, t), axis=(1, 2))))
         chunks = []
         blocks_at = tau._BlockIntegrand.__call__
