@@ -82,7 +82,6 @@ def cmd_mi(args) -> int:
         payload = {
             "mi_nats": series.values[-1],
             "series": [{"window": w, "value": v} for w, v in zip(series.window_sizes, series.values)],
-            "extrapolation_error": series.extrapolation_error,
         }
         _write(canonical_json(payload), args.out)
     return 0

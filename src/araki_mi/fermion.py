@@ -152,7 +152,6 @@ class CovarianceSystem:
 class MISeries:
     window_sizes: Tuple[int, ...]
     values: Tuple[float, ...]
-    extrapolation_error: float
 
     def __post_init__(self):
         for lo, hi in zip(self.values, self.values[1:]):
@@ -474,8 +473,7 @@ def mi_convergence(config: IntervalConfig, window_fractions: Sequence[float]) ->
     windows = [sys if f == 1.0 else _windowed_system(sys, f) for f in fracs]
     _refuse_repeats(windows, fracs, "window fractions")
     values = [config.components * v for v in _sigma_traces(windows)]
-    err = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
-    return MISeries(window_sizes=tuple(wsys.size for wsys in windows), values=tuple(values), extrapolation_error=err)
+    return MISeries(window_sizes=tuple(wsys.size for wsys in windows), values=tuple(values))
 
 
 def richardson(values: Sequence[float]) -> tuple[float, float]:

@@ -271,12 +271,13 @@ class HermitianOperator:
         self.dim = self.mat.shape[0]
         self._w: Optional[np.ndarray] = None
         self._u: Optional[np.ndarray] = None
+        self._blocks: Optional[tuple] = None  # (P.mask, tau's decomposition of (A, P)), for the last P only
 
     @classmethod
     def _of_symmetrised(cls, mat: np.ndarray) -> "HermitianOperator":
         """The operator of a matrix the package has just symmetrised, which __init__'s check and copy would not change."""
         op = cls.__new__(cls)
-        op.mat, op.dim, op._w, op._u = mat, mat.shape[0], None, None
+        op.mat, op.dim, op._w, op._u, op._blocks = mat, mat.shape[0], None, None, None
         return op
 
     def _decompose(self):

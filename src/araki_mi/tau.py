@@ -1,13 +1,9 @@
 """Pinching and the tau operator.
 
-A projection P is a coordinate mask (`OrthoProjection`).  For positive A,
-with B = PAP + (1-P)A(1-P),
+A projection P is a coordinate mask (`OrthoProjection` says how a dense P
+becomes one).  For positive A, with B = PAP + (1-P)A(1-P),
 
     tau_A = P A ln A P + (1-P) A ln A (1-P) - B ln B.
-
-A projection given as a matrix is a mask in its own eigenbasis, and tau and
-the pinch are unitarily covariant, so a caller with a dense P rotates A to
-that basis first.
 
 Two evaluation routes are provided: spectral functional calculus, and the
 resolvent-integral representation
@@ -15,20 +11,21 @@ resolvent-integral representation
     tau_A = int_0^inf t ( P (t+A)^{-1} P + (1-P)(t+A)^{-1}(1-P) - (t+B)^{-1} ) dt,
 
 whose integrand is positive semidefinite (operator convexity of 1/x).  B is
-block diagonal once the coordinates are reordered, and so is the integrand;
-the quadratures sum its two diagonal blocks in their eigenbases, from the
-Schur complement of t + A by one inverse per node, without decomposing A or
-B or evaluating x ln x (`_BlockIntegrand`).  Both rules are fixed and placed
-a priori from A's spectrum: `tau_integral` takes the trapezoid rule in
+block diagonal once the coordinates are reordered, and so is the integrand.
+`_BlockIntegrand` is the one decomposition of (A, P), built once and kept on
+A: the reordered blocks, their eigenpairs and A_PQ.  The quadratures sum the
+integrand's two blocks in those eigenbases, from the Schur complement of
+t + A by one inverse per node, without decomposing A or B or evaluating
+x ln x; Tr D_eps and its uniform bound read the block spectra and the
+singular values of A_PQ, in closed form.  Both rules are fixed and placed a
+priori from A's spectrum: `tau_integral` takes the trapezoid rule in
 u = ln t, where every spectral term is analytic in the strip |Im u| < pi, and
-the tail integral 16-point Gauss-Legendre panels in v = t^{-1/2}.  The 21 tau
-instances of the benchmark's oracle-mix at seed 0 take 1 713 + 672 integrand
-nodes, against 3 129 + 1 323 for adaptive Gauss-Kronrod to the same accuracy.
-`resolvent_integrand`, the direct definition, stays as the tests' oracle.
-Also here: Tr D_eps and its uniform bound, in closed form from spectra, and
-the stacked kernels of the audits (tau_{A+eps} <= tau_A, the resolvent bound
-||(t+B)^{-1} A|| <= ||A||^{1/2} t^{-1/2} and the integrand's positivity), which
-return what the audit compares.
+the tail integral 16-point Gauss-Legendre panels in v = t^{-1/2}.
+`tau_spectral` keeps its own eigh of B, the independent route, and
+`resolvent_integrand`, the direct definition, is the tests' oracle.  Also
+here: the stacked kernels of the audits (tau_{A+eps} <= tau_A, the resolvent
+bound ||(t+B)^{-1} A|| <= ||A||^{1/2} t^{-1/2} and the integrand's
+positivity), which return what the audit compares.
 """
 
 from __future__ import annotations
@@ -187,15 +184,15 @@ def resolvent_integrand(a: HermitianOperator, b: HermitianOperator, p: OrthoProj
 
     The direct definition, the tests' oracle, for moderate t only: its terms
     near 1 cancel to order ||A||^2 / t^2, so from t ~ ||A|| eps^{-1/2} (about
-    7e7 ||A||) on no digit is left.  `tau_integral` does not call it (it sums
-    `_BlockIntegrand`); the `integrand_psd` audit samples t <= 10 only.
+    7e7 ||A||) on no digit is left.  The quadratures do not call it (they sum
+    the (A, P) decomposition's `_BlockIntegrand`); `integrand_psd` samples t <= 10 only.
     """
     out = _resolvent_integrand(a.mat, b.mat, p.membership, t)
     return out if np.ndim(t) else out[0]
 
 
 class _BlockIntegrand:
-    """The resolvent integrand of (A, P) as its two diagonal blocks, in their eigenbases.
+    """The one decomposition of (A, P), and the resolvent integrand as its two diagonal blocks.
 
     The coordinates of A are reordered, the smaller of the ranges of P and
     1 - P first (the integrand is symmetric in the two); B and the integrand
@@ -206,18 +203,13 @@ class _BlockIntegrand:
     Y = (t + diag(sigma) - K)^{-1}, the PP and QQ blocks of (t + A)^{-1} are Y
     and D + D N^H Y N D, so the integrand's are t E K Y = t (Y - E) and
     t (N D)^H Y (N D), both products with t Y, Y the one inverse; no block is a
-    difference of inverses, and A and B are never decomposed.  A node at
-    dim 40, p = 20 takes 56 us on one BLAS thread of a 2-CPU VM (98 us by
-    solves with t + A_QQ and t + A_PP).  `scale`, max(1, ||A||), scales
-    tau_integral's refusal budget: the integrand and its rounding grow with ||A||.
+    difference of inverses, and A and B are never decomposed.  `of` builds it
+    once per (A, P) for the quadratures, `truncated_trace` (spec B is sigma
+    and lam) and `key_bound_constant` (the singular values of a_pq).
     """
 
     def __init__(self, a: HermitianOperator, p: OrthoProjection):
-        _checked(a, p)
-        self.scale = max(1.0, a.operator_norm())
-        first = p.membership
-        if 2 * np.count_nonzero(first) > p.dim:
-            first = ~first
+        first = p.membership if 2 * p.rank() <= p.dim else ~p.membership
         order = np.argsort(~first, kind="stable")
         self.order = np.ix_(order, order)
         r = np.count_nonzero(first)
@@ -226,6 +218,13 @@ class _BlockIntegrand:
         self.a_pq = m[:r, r:].copy()
         (self.sigma, self.u), (self.lam, self.v) = np.linalg.eigh(m[:r, :r]), np.linalg.eigh(m[r:, r:])
         self.n = _conj_t(self.u) @ self.a_pq @ self.v
+
+    @classmethod
+    def of(cls, a: HermitianOperator, p: OrthoProjection) -> "_BlockIntegrand":
+        """The decomposition of (A, P), kept in A's one slot under P's mask; another P replaces it."""
+        if a._blocks is None or a._blocks[0] != p.mask:
+            a._blocks = (p.mask, cls(a, p))
+        return a._blocks[1]
 
     def __call__(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tt, d = t[:, None], np.arange(self.sizes[0])
@@ -280,8 +279,8 @@ def tau_integral(a: HermitianOperator, p: OrthoProjection) -> TauResult:
     the series in 1/t above) and ROUNDING n eps ||A||_F; ConvergenceError
     above 1e-6 max(1, ||A||).  Oracle-mix (seed 0): 1 713 nodes.
     """
-    blocks = _BlockIntegrand(a, p)
-    w = a.eigenvalues
+    w = _checked(a, p)
+    blocks = _BlockIntegrand.of(a, p)
     top, n, r = float(w[-1]), a.dim, blocks.sizes[0]
     if not top > 0.0:       # A is 0 to rounding, and so is tau
         zero = HermitianOperator._of_symmetrised(np.zeros((n, n), dtype=complex))
@@ -303,10 +302,9 @@ def tau_integral(a: HermitianOperator, p: OrthoProjection) -> TauResult:
     fro, ratio = math.sqrt(float(np.dot(w, w))), top / t[-1]
     above = 2.0 * fro * ratio * ratio / (1.0 - ratio) * STEP / math.expm1(2.0 * STEP)
     err = 8.0 * math.pi * fro / math.expm1(2.0 * math.pi ** 2 / STEP) + below + above + ROUNDING * n * EPS * fro
-    if not err <= 1e-6 * blocks.scale:
+    if not err <= 1e-6 * max(1.0, top):   # the integrand and its rounding grow with ||A||
         raise ConvergenceError(f"tau quadrature error bound {err:.3e} exceeds budget", residual=err)
-    m = blocks.restore(m)
-    tau = HermitianOperator._of_symmetrised(symmetrised(m))
+    tau = HermitianOperator._of_symmetrised(symmetrised(blocks.restore(m)))
     return TauResult(tau=tau, trace=tau.trace(), quadrature_error_estimate=err)
 
 
@@ -314,10 +312,11 @@ def key_bound_constant(a: HermitianOperator, p: OrthoProjection) -> float:
     """Epsilon-independent bound on Tr D_eps from the singular values sigma of A_PQ.
 
     Sum over nonzero eigenvalues lam of B - A of pi ||A||^{1/2} |lam|^{1/2} +
-    3 |lam| ln((1 + |lam|)/|lam|); B - A = -(PAQ + QAP), so they are +-sigma.
+    3 |lam| ln((1 + |lam|)/|lam|); B - A = -(PAQ + QAP), so they are +-sigma,
+    from the A_PQ of the (A, P) decomposition.
     """
     _checked(a, p)
-    sigma = np.linalg.svd(a.mat[np.ix_(p.membership, ~p.membership)], compute_uv=False)
+    sigma = np.linalg.svd(_BlockIntegrand.of(a, p).a_pq, compute_uv=False)
     sigma = sigma[sigma > EIG_FLOOR]
     return 2.0 * float(np.sum(math.pi * math.sqrt(a.operator_norm()) * np.sqrt(sigma)
                               + 3.0 * sigma * np.log((1.0 + sigma) / sigma)))
@@ -327,9 +326,9 @@ def truncated_trace(a: HermitianOperator, p: OrthoProjection, eps: float) -> flo
     """Tr D_eps = Tr int_eps^1 t((t+A)^{-1} - (t+B)^{-1}) dt, from spectra.
 
     int_eps^1 t/(t+x) dt = 1 - eps - f(x), f(x) = x ln(1 + (1-eps)/(eps+x)), so
-    Tr D_eps is f summed over the eigvalsh spectra of A_PP and A_QQ minus over
-    A's (exactly 0 when P is 0 or 1).  Below 0, the rounding of a PSD A where
-    f stops being defined at -eps, f is its tangent x ln(1/eps).
+    Tr D_eps is f summed over spec B (the (A, P) decomposition's sigma and
+    lam) minus over A's (exactly 0 when P is 0 or 1).  Below 0, the rounding
+    of a PSD A where f stops being defined at -eps, f is its tangent x ln(1/eps).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -340,8 +339,8 @@ def truncated_trace(a: HermitianOperator, p: OrthoProjection, eps: float) -> flo
     def total(w: np.ndarray) -> float:
         return float(np.sum(w * np.log1p((1.0 - eps) / (eps + np.clip(w, 0.0, None)))))
 
-    sides = (p.membership, ~p.membership)
-    return total(np.concatenate([np.linalg.eigvalsh(a.mat[np.ix_(s, s)]) for s in sides])) - total(w_a)
+    blocks = _BlockIntegrand.of(a, p)
+    return total(np.concatenate([blocks.sigma, blocks.lam])) - total(w_a)
 
 
 def key_trace_bound(a: HermitianOperator, p: OrthoProjection, eps: float) -> tuple[float, float]:
@@ -359,8 +358,8 @@ def tail_integral_identity_gap(a: HermitianOperator, p: OrthoProjection) -> floa
     and [0, that edge]: the integrand's poles, at v = +-i/lam^{1/2}, stay an
     edge's half-length or more off each panel.  Oracle-mix (seed 0): 672 nodes.
     """
-    blocks = _BlockIntegrand(a, p)
-    top = float(a.eigenvalues[-1])
+    top = float(_checked(a, p)[-1])
+    blocks = _BlockIntegrand.of(a, p)
     halvings = math.ceil(0.5 * math.log2(top / 4.0)) if top > 4.0 else 0
     edges = np.concatenate([[0.0], 0.5 ** np.arange(halvings, -1, -1)])
     half = 0.5 * np.diff(edges)[:, None]
@@ -370,5 +369,5 @@ def tail_integral_identity_gap(a: HermitianOperator, p: OrthoProjection) -> floa
     def xlog1p(w: np.ndarray) -> np.ndarray:
         return np.clip(w, 0.0, None) * np.log1p(np.clip(w, 0.0, None))
 
-    closed = _block_compress(a.apply(xlog1p), p.membership) - pinch(a, p).apply(xlog1p)
-    return float(np.linalg.norm(blocks.restore(tail) - closed))
+    pinched = blocks.rotated(np.diag(xlog1p(blocks.sigma)), np.diag(xlog1p(blocks.lam)))
+    return float(np.linalg.norm(blocks.restore(tail + pinched) - _block_compress(a.apply(xlog1p), p.membership)))

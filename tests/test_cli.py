@@ -364,11 +364,14 @@ class TestMICommand:
         assert json.loads(err)["error"] == "numerical"
         assert "nondecreasing" in json.loads(err)["detail"]
 
-    def test_one_fraction_reports_infinite_error(self, capsys):
+    def test_one_fraction_reports_one_window(self, capsys):
+        # mi reports the window series and its last value; it names no error it does not compute
         code, out, _ = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "16",
                            "--fractions", "1")
         assert code == 0
-        assert json.loads(out)["extrapolation_error"] == "inf"
+        payload = json.loads(out)
+        assert sorted(payload) == ["mi_nats", "series"]
+        assert payload["series"] == [{"window": 32, "value": payload["mi_nats"]}]
 
 
 class TestConvergeCommand:

@@ -463,19 +463,21 @@ class TestKeyTraceBound:
         assert error <= a.dim * np.finfo(float).eps * a.operator_norm() * (1.0 + math.log(1.0 / eps))
 
     def test_key_estimate_takes_no_quadrature(self, monkeypatch):
-        # regression guard: both sides are closed forms from A's one spectrum; the bound's own
-        # decomposition is the svd of the p x q block A_PQ, and Tr D_eps's are eigvalsh of A_PP and A_QQ
+        # regression guard: both sides are closed forms from spectra and evaluate no integrand node;
+        # the bound builds the (A, P) decomposition (one eigh per block) and takes the svd of its p x q
+        # block A_PQ, and Tr D_eps reads the block spectra of that decomposition, decomposing nothing
         calls = recorded_linalg(monkeypatch)
-        monkeypatch.setattr(tau, "_BlockIntegrand", lambda *args: pytest.fail("quadrature"))
+        for name in ("__call__", "integral"):
+            monkeypatch.setattr(tau._BlockIntegrand, name, lambda *args: pytest.fail("quadrature"))
         a = random_psd(np.random.default_rng(40), 9)
         a.eigenvalues  # the PSD checks, ||A|| and Tr D_eps read them: decomposed here, its calls cleared below
         p = OrthoProjection.from_mask(9, [1, 4, 6])
         calls.clear()
         tau.key_bound_constant(a, p)
-        assert [(name, m.shape) for name, m in calls] == [("svd", (3, 6))]
+        assert [(name, m.shape) for name, m in calls] == [("eigh", (3, 3)), ("eigh", (6, 6)), ("svd", (3, 6))]
         calls.clear()
         tau.truncated_trace(a, p, 0.01)
-        assert [(name, m.shape) for name, m in calls] == [("eigvalsh", (3, 3)), ("eigvalsh", (6, 6))]
+        assert calls == []
 
 
 class TestIntegralRepresentation:
@@ -868,9 +870,10 @@ class TestQuadratures:
             assert np.array_equal(batched, np.array([integrand(x) for x in t.tolist()]))
 
     def test_quadratures_decompose_blocks_only(self, monkeypatch):
-        # regression guard: the integral route decomposes neither A nor the n x n pinch B, so it
-        # stays independent of tau_spectral; it diagonalizes the two diagonal blocks once, when
-        # the integrand is built, and inverts one p x p stack per chunk of nodes
+        # regression guard: the four tau quantities of one (A, P) decompose neither A nor the n x n
+        # pinch B, so the integral stays independent of tau_spectral; together they take one eigh of
+        # each diagonal block, when the decomposition is built, one svd of the p x q block (the key
+        # bound's), and one p x p inverse stack per chunk of nodes
         calls, in_quadrature = recorded_linalg(monkeypatch), []
         integral = tau._BlockIntegrand.integral
 
@@ -890,12 +893,32 @@ class TestQuadratures:
         blocks = [("eigh", (r, r)), ("eigh", (9 - r, 9 - r))]
         calls.clear()
         tau.tau_integral(a, mask)
-        assert r > 0 and [(name, m.shape) for name, m in calls] == blocks + in_quadrature[0][1]
-        calls.clear()
-        tau.tail_integral_identity_gap(a, mask)  # its closed form, after the quadrature, diagonalizes B
-        assert [(name, m.shape) for name, m in calls[:2]] == blocks
+        tau.tail_integral_identity_gap(a, mask)
+        tau.truncated_trace(a, mask, 0.01)
+        tau.key_bound_constant(a, mask)
+        inverses = [call for _, inside in in_quadrature for call in inside]
+        assert r > 0 and len(in_quadrature) == 2
+        assert [(name, m.shape) for name, m in calls] == blocks + inverses + [("svd", (r, 9 - r))]
         for size, inside in in_quadrature:
             assert inside == [("inv", (min(20, size - start), r, r)) for start in range(0, size, 20)]
+
+    def test_decomposition_slot_follows_the_mask(self):
+        # one operator asked with P, then P', then 1 - P gives, bit for bit, what a fresh operator
+        # gives for each mask: the slot keeps one (A, P) decomposition and rebuilds it for another P
+        rng = np.random.default_rng(44)
+        mat = random_psd(rng, 9).mat
+        shared = HermitianOperator._of_symmetrised(mat)
+
+        def results(a, p):
+            integral = tau.tau_integral(a, p)
+            return (integral.tau.mat, integral.trace, integral.quadrature_error_estimate,
+                    tau.tail_integral_identity_gap(a, p), tau.truncated_trace(a, p, 0.01), tau.key_bound_constant(a, p))
+
+        for indices in ([0, 3, 4], [1, 2, 5, 7], [1, 2, 5, 6, 7, 8]):     # P, P', 1 - P
+            p = OrthoProjection.from_mask(9, indices)
+            for got, fresh in zip(results(shared, p), results(HermitianOperator(mat), p)):
+                assert np.array_equal(got, fresh)
+            assert shared._blocks[0] == p.mask
 
     @pytest.mark.parametrize("dim", [2, 5, 9])
     @pytest.mark.parametrize("per_chunk", [1, 7, None])
