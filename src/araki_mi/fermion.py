@@ -453,12 +453,15 @@ def _windowed_system(sys: CovarianceSystem, fraction: float) -> CovarianceSystem
 
 def _refuse_repeats(systems: Sequence[CovarianceSystem], inputs: Sequence[float], what: str) -> None:
     """ValueError naming both inputs when two systems of a request are the same lattice (equal runs): their
-    values would agree exactly, and the series would claim an error of 0."""
+    values would agree exactly, so `mi`'s window series would hold two equal entries and `converge`'s
+    uncertainty would read 0."""
+    consequence = {"window fractions": "the window series would hold two equal entries",
+                   "resolutions": "the extrapolation's uncertainty would read 0"}[what]
     first = {}
     for sys, x in zip(systems, inputs):
         if sys.runs in first:
             raise ValueError(f"{what} {first[sys.runs]!r} and {x!r} give the same lattice, whose values would agree "
-                             "exactly and claim an error of 0")
+                             f"exactly: {consequence}")
         first[sys.runs] = x
 
 

@@ -311,14 +311,15 @@ class TestMICommand:
         assert (code, out) == (2, "")
         assert "int64" in json.loads(err)["detail"]
 
-    @pytest.mark.parametrize("argv,inputs", [
-        (("converge", "--intervals", "[[0,1],[2,3]]", "--resolutions", "8,16,16.01"), "resolutions 16.0 and 16.01"),
+    @pytest.mark.parametrize("argv,inputs,consequence", [
+        (("converge", "--intervals", "[[0,1],[2,3]]", "--resolutions", "8,16,16.01"), "resolutions 16.0 and 16.01",
+         "the extrapolation's uncertainty would read 0"),
         (("mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "8", "--fractions", "0.99,1"),
-         "window fractions 0.99 and 1.0"),
+         "window fractions 0.99 and 1.0", "the window series would hold two equal entries"),
     ], ids=["converge", "mi"])
-    def test_repeated_lattice_refused_before_any_solve(self, capsys, monkeypatch, argv, inputs):
-        # two inputs that give the same sites would agree exactly, so the series would report an
-        # uncertainty or extrapolation error of 0
+    def test_repeated_lattice_refused_before_any_solve(self, capsys, monkeypatch, argv, inputs, consequence):
+        # two inputs that give the same sites would agree exactly: converge's uncertainty would read 0,
+        # and mi's window series would repeat a value
         def solved(*args):
             raise AssertionError("a solve ran")
 
@@ -326,7 +327,16 @@ class TestMICommand:
             monkeypatch.setattr(fermion, name, solved)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert json.loads(err)["detail"].startswith(f"{inputs} give the same lattice")
+        detail = json.loads(err)["detail"]
+        assert detail.startswith(f"{inputs} give the same lattice")
+        assert detail.endswith(consequence)
+
+    def test_repeated_window_fraction_claims_no_error(self, capsys):
+        # mi reports no error estimate, so its refusal must not name one
+        code, out, err = run(capsys, "mi", "--intervals", "[[0,1],[2,3]]", "--resolution", "8", "--fractions", "0.99,1")
+        assert (code, out) == (2, "")
+        detail = json.loads(err)["detail"]
+        assert "error" not in detail and "uncertainty" not in detail
 
     def test_linalg_error_is_numerical(self, capsys, monkeypatch):
         # LinAlgError subclasses ValueError, which is otherwise a usage error

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -129,6 +130,48 @@ def cosine_symbol(cube_side):
     return lambda x: complex(sum(math.cos(2 * math.pi * (a + 1) * xi / cube_side) for a, xi in enumerate(x)))
 
 
+def numpy_bump_symbol(cube_side, width):
+    """The periodized Gaussian bump in its former per-image numpy form: the oracle of its bits."""
+
+    def symbol(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        total = 0.0
+        for shift in itertools.product(range(-6, 7), repeat=x.size):
+            y = x + cube_side * np.asarray(shift)
+            total += math.exp(-float(np.dot(y, y)) / (2.0 * width**2))
+        return complex(total)
+
+    return symbol
+
+
+BUMPS = [(1.0, 0.2), (1.3, 0.3), (2.0, 0.3)]
+
+
+class TestGaussianBumpSymbol:
+    @pytest.mark.parametrize("cube_side,width", BUMPS)
+    def test_bits_of_the_numpy_form_in_one_dimension(self, cube_side, width):
+        rng = np.random.default_rng(3700)
+        symbol, oracle = gaussian_bump_symbol(cube_side, width), numpy_bump_symbol(cube_side, width)
+        points = rng.uniform(-3 * cube_side, 3 * cube_side, size=(2000, 1))
+        got = np.array([symbol(x) for x in points])
+        assert np.array_equal(got, np.array([oracle(x) for x in points]))
+        assert np.array_equal(got, np.array([symbol(float(x[0])) for x in points]))  # a scalar is d = 1
+
+    @pytest.mark.parametrize("cube_side,width", BUMPS)
+    def test_numpy_form_to_the_last_bit_in_two_dimensions(self, cube_side, width):
+        # |y|^2 is summed left to right, np.dot in its own order: at most a rounding apart
+        rng = np.random.default_rng(3701)
+        symbol, oracle = gaussian_bump_symbol(cube_side, width), numpy_bump_symbol(cube_side, width)
+        for x in rng.uniform(-3 * cube_side, 3 * cube_side, size=(150, 2)):
+            expected = oracle(x)
+            assert abs(symbol(x) - expected) <= 2e-15 * abs(expected)
+
+
+def distinct_differences(pts):
+    """The number of distinct bit patterns among pts[j] - pts[k]."""
+    return len({row.tobytes() for row in (pts[:, None, :] - pts[None, :, :]).reshape(-1, pts.shape[1])})
+
+
 class TestDifferenceKernel:
     @pytest.mark.parametrize("cube_side,grid,dims,symbol", [
         (1.0, 16, 1, gaussian_bump_symbol(1.0, 0.2)),
@@ -142,14 +185,31 @@ class TestDifferenceKernel:
         assert np.array_equal(spectral._difference_kernel(symbol, pts), expected)
         assert np.array_equal(full_grid_kernel(spec), expected)
 
-    @pytest.mark.parametrize("cube_side,grid,dims", [(1.0, 16, 1), (1.3, 12, 1), (1.0, 5, 2)])
+    @pytest.mark.parametrize("cube_side,grid,dims", [(1.0, 16, 1), (1.3, 12, 1), (1.0, 5, 2), (1.3, 4, 3)])
     def test_one_call_per_distinct_difference(self, cube_side, grid, dims):
         spec = SmoothKernelSpec(cube_side=cube_side, grid=grid, dims=dims, symbol=cosine_symbol(cube_side))
         pts = spec.grid_points()
         sym = counting(spec.symbol)
         spectral._difference_kernel(sym, pts)
-        distinct = {tuple(x) for x in (pts[:, None, :] - pts[None, :, :]).reshape(-1, dims)}
-        assert sym.calls <= len(distinct)
+        assert sym.calls == distinct_differences(pts)
+
+    def test_designated_kernel_calls(self):
+        spec = spectral.designated_test_kernel(grid=128)
+        spec.symbol = counting(spec.symbol)
+        full_grid_kernel(spec)
+        assert spec.symbol.calls == distinct_differences(spec.grid_points()) == 255
+
+    def test_signed_zeros_are_distinct_differences(self):
+        # 0.0 - 0.0 and -0.0 - 0.0 are equal floats with different bits; a symbol may tell them apart
+        pts = np.array([[0.0, -0.0], [-0.0, 0.0], [0.5, -0.0], [-0.5, 0.25]])
+
+        def signs(x):
+            return complex(sum(math.copysign(a + 1, xi) for a, xi in enumerate(x)))
+
+        sym = counting(signs)
+        assert np.array_equal(spectral._difference_kernel(sym, pts), pairwise_kernel(signs, pts))
+        assert sym.calls == distinct_differences(pts)
+        assert distinct_differences(pts) > len({tuple(x) for x in (pts[:, None, :] - pts[None, :, :]).reshape(-1, 2)})
 
     def test_power_of_two_spacing_calls(self):
         spec = SmoothKernelSpec(cube_side=1.0, grid=16, dims=1, symbol=cosine_symbol(1.0))
